@@ -3,8 +3,8 @@
 Subcommands: solve, exact, certify, analyze, witness, check-family, gen.
 All output is canonical JSON on stdout.  Exit codes: 0 success (and "the
 property holds" / "the certificate verifies"), 1 negative verdict, finding,
-or infeasible instance, 2 usage errors and malformed input, 3 an exhaustive
-guard refused the computation.
+or infeasible instance, 2 usage errors and malformed or unreadable input, 3
+an exhaustive guard refused the computation.
 """
 
 from __future__ import annotations
@@ -332,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GuardError as exc:

@@ -46,7 +46,7 @@ class NoLaminarWitnessError(PliableCoverError):
 
 
 class OracleInvariantError(PliableCoverError):
-    """A family oracle returned cores violating its contract (debug mode)."""
+    """A family oracle returned cores violating its contract."""
 
 
 class TreeInvariantError(PliableCoverError):

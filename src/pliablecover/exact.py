@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GuardError, InfeasibleError
-from .setfam import FamilyOracle, edge_crosses_mask
-from .wgmv import CostedGraph, RunTrace
+from .setfam import FamilyOracle, coverage, edge_crosses_mask
+from .wgmv import CostedGraph, RunTrace, edge_loads
 
 MAX_BRUTE_EDGES = 24
 
@@ -161,12 +161,8 @@ def certify(
         checks.append(CheckRow(name, ok, detail))
 
     # Recompute edge loads from the dual values alone.
-    loads = [Fraction(0)] * len(g.edges)
+    loads = edge_loads(g, trace.dual.values)
     neg = [s for s, y in trace.dual.values if y < 0]
-    for s, y in trace.dual.values:
-        for eid, (u, v, _) in enumerate(g.edges):
-            if edge_crosses_mask(s.mask, u, v):
-                loads[eid] += y
     add("dual-nonnegative", not neg, f"{len(neg)} negative dual values" if neg else "")
     over = [e for e in range(len(g.edges)) if loads[e] > g.cost(e)]
     add("dual-feasible", not over, f"edges over cost: {over}" if over else "")
@@ -185,12 +181,7 @@ def certify(
 
     rows: list[IterationRow] = []
     for idx, it in enumerate(trace.iterations):
-        load = sum(
-            1
-            for core in it.cores
-            for e in trace.solution
-            if edge_crosses_mask(core.mask, *g.pair(e))
-        )
+        load = sum(coverage(core, sol_pairs) for core in it.cores)
         rows.append(IterationRow(idx, len(it.cores), load, iteration_load_bound(family_class, len(it.cores), beta)))
     bad_rows = [r.index for r in rows if not r.ok]
     add("iteration-load-bounds", not bad_rows, f"iterations over bound: {bad_rows}" if bad_rows else "")

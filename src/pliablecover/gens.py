@@ -34,7 +34,7 @@ from .setfam import (
     is_sparse,
 )
 from .smallcuts import CapGraph, materialize_family
-from .wgmv import CostedGraph
+from .wgmv import CostedGraph, edge_loads
 
 GENERATION_BUDGET = 400
 
@@ -270,8 +270,10 @@ def _assemble(
     leaves: int,
     beta: int | None,
 ) -> TightBundle:
-    for (u, v, cost), w in zip(edges, witness):
-        crossings = sum(1 for c in cores if edge_crosses_mask(c.mask, u, v))
+    graph = CostedGraph(n, tuple(edges))
+    # one unit of dual on every core must load each edge to exactly its cost
+    unit_loads = edge_loads(graph, [(c, Fraction(1)) for c in cores])
+    for (u, v, cost), w, crossings in zip(edges, witness, unit_loads):
         assert cost == crossings, f"edge ({u},{v}) costs {cost} but crosses {crossings} cores"
         assert edge_crosses_mask(w.mask, u, v), "edge must cross its witness set"
     masks = {w.mask for w in witness} | {c.mask for c in cores}
@@ -279,7 +281,7 @@ def _assemble(
     return TightBundle(
         kind=kind,
         n=n,
-        graph=CostedGraph(n, tuple(edges)),
+        graph=graph,
         family=family,
         witness=tuple(witness),
         cores=tuple(cores),

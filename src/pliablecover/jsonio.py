@@ -66,6 +66,21 @@ def _get(d: Any, key: str, where: str) -> Any:
     return d[key]
 
 
+def _rational_edges(rows: Any, where: str, value: str) -> list[tuple[int, int, Fraction]]:
+    """Parse ``[u, v, rational]`` rows; `value` names the third field."""
+    if not isinstance(rows, list):
+        raise SchemaError(f"{where}: expected a list")
+    edges = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != 3:
+            raise SchemaError(f"{where}[{i}]: expected [u, v, {value}]")
+        u, v = row[0], row[1]
+        if not isinstance(u, int) or not isinstance(v, int):
+            raise SchemaError(f"{where}[{i}]: endpoints must be integers")
+        edges.append((u, v, frac_from_json(row[2], f"{where}[{i}].{value}")))
+    return edges
+
+
 # ---------------------------------------------------------------------------
 # Families and graphs
 
@@ -103,17 +118,7 @@ def family_spec_from_json(doc: Any, where: str = "family") -> ExplicitFamily | C
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from exc
     if kind == "small-cuts":
-        caps = _get(doc, "capacities", where)
-        if not isinstance(caps, list):
-            raise SchemaError(f"{where}.capacities: expected a list")
-        edges = []
-        for i, row in enumerate(caps):
-            if not isinstance(row, list) or len(row) != 3:
-                raise SchemaError(f"{where}.capacities[{i}]: expected [u, v, cap]")
-            u, v = row[0], row[1]
-            if not isinstance(u, int) or not isinstance(v, int):
-                raise SchemaError(f"{where}.capacities[{i}]: endpoints must be integers")
-            edges.append((u, v, frac_from_json(row[2], f"{where}.capacities[{i}].cap")))
+        edges = _rational_edges(_get(doc, "capacities", where), f"{where}.capacities", "cap")
         k = frac_from_json(_get(doc, "threshold", where), f"{where}.threshold")
         try:
             return CapGraph(n, tuple(edges), k)
@@ -133,17 +138,7 @@ def graph_from_json(doc: Any, where: str = "graph") -> CostedGraph:
     n = _get(doc, "n", where)
     if not isinstance(n, int) or n < 0:
         raise SchemaError(f"{where}.n: expected a nonnegative integer")
-    rows = _get(doc, "edges", where)
-    if not isinstance(rows, list):
-        raise SchemaError(f"{where}.edges: expected a list")
-    edges = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != 3:
-            raise SchemaError(f"{where}.edges[{i}]: expected [u, v, cost]")
-        u, v = row[0], row[1]
-        if not isinstance(u, int) or not isinstance(v, int):
-            raise SchemaError(f"{where}.edges[{i}]: endpoints must be integers")
-        edges.append((u, v, frac_from_json(row[2], f"{where}.edges[{i}].cost")))
+    edges = _rational_edges(_get(doc, "edges", where), f"{where}.edges", "cost")
     try:
         return CostedGraph(n, tuple(edges))
     except ValueError as exc:

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import GuardError, UniverseMismatchError
+from .errors import GuardError, OracleInvariantError, UniverseMismatchError
 
 # Hard guards for the exhaustive checkers.  Enumeration cost is governed by
 # the union-closure size, which is capped explicitly; the remaining guards
@@ -37,10 +37,6 @@ MAX_EXHAUSTIVE_UNIVERSE = 16
 MAX_EXHAUSTIVE_FAMILY = 256
 MAX_EXHAUSTIVE_EDGE_UNIVERSE = 140
 MAX_CLOSURE_SIZE = 120_000
-
-# Oracles validate their own output (disjoint, inclusion-minimal cores) on
-# every call while this is True.  Checkers never assume these invariants.
-DEBUG_ORACLE_CHECKS = True
 
 
 @dataclass(frozen=True, order=False)
@@ -352,12 +348,15 @@ def _reachable_residuals(
 
 
 def _exhaustive_guard(f: ExplicitFamily, edge_universe: Sequence[Edge], what: str) -> None:
-    if (
-        f.n > MAX_EXHAUSTIVE_UNIVERSE
-        or len(f) > MAX_EXHAUSTIVE_FAMILY
-        or len(edge_universe) > MAX_EXHAUSTIVE_EDGE_UNIVERSE
+    for label, value, limit in (
+        ("n", f.n, MAX_EXHAUSTIVE_UNIVERSE),
+        ("|F|", len(f), MAX_EXHAUSTIVE_FAMILY),
+        ("|edge universe|", len(edge_universe), MAX_EXHAUSTIVE_EDGE_UNIVERSE),
     ):
-        raise GuardError(f"instance too large for exhaustive {what} check")
+        if value > limit:
+            raise GuardError(
+                f"instance too large for exhaustive {what} check: {label} = {value} > {limit}"
+            )
 
 
 def _sampled_edge_sets(
@@ -366,50 +365,82 @@ def _sampled_edge_sets(
     rng = random.Random(seed)
     universe = list(edge_universe)
     yield []
-    for _ in range(max(0, samples - 1)):
+    for _ in range(samples - 1):
         k = rng.randint(0, len(universe))
         yield rng.sample(universe, k)
 
 
-def _gamma_violation_in_residual(
-    f: ExplicitFamily, alive_idx_mask: int, edges: list[Edge]
-) -> Optional[dict]:
-    """Scan one residual family (members where the index bit is set in
-    alive_idx_mask) for a Property-violating (S1, S2, C, D) tuple."""
+def _residuals(
+    f: ExplicitFamily,
+    edge_universe: Optional[Sequence[Edge]],
+    mode: str,
+    samples: int,
+    seed: int,
+    what: str,
+) -> Iterator[tuple[list[int], list[int], list[Edge]]]:
+    """The residual families the checkers scan, each as (alive member
+    masks, their cores, a representative edge set realizing it).
+
+    Exhaustive mode yields every distinct reachable residual family;
+    sampled mode yields the residual of each sampled edge set, the empty
+    set first.  Empty residual families are skipped: they have no cores.
+    """
+    universe = all_pairs(f.n) if edge_universe is None else list(edge_universe)
+    validate_edges(f.n, universe)
     f_masks = f.masks()
-    full = (1 << f.n) - 1
-    alive = [f_masks[i] for i in range(len(f_masks)) if alive_idx_mask >> i & 1]
-    if not alive:
-        return None
+    if mode == "exhaustive":
+        _exhaustive_guard(f, universe, what)
+        residuals = (
+            ([m for i, m in enumerate(f_masks) if not covered >> i & 1], rep)
+            for covered, rep in _reachable_residuals(f, universe).items()
+        )
+    elif mode == "sampled":
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
+        residuals = (
+            ([s.mask for s in f.members if coverage(s, edges) == 0], edges)
+            for edges in _sampled_edge_sets(universe, samples, seed)
+        )
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    for alive, edges in residuals:
+        if alive:
+            yield alive, _minimal_masks(alive), edges
+
+
+def _result(name: str, counterexample: Optional[dict], mode: str, samples: int) -> CheckResult:
+    return CheckResult(
+        name, counterexample is None, counterexample, mode, samples if mode == "sampled" else 0
+    )
+
+
+def _members(n: int, mask: int) -> list[int]:
+    return sorted(NodeSet(n, mask).members())
+
+
+def _gamma_violation(
+    n: int, alive: list[int], cores: list[int], edges: list[Edge]
+) -> Optional[dict]:
+    """A Property-violating (S1, S2, C, D) tuple in one residual family."""
+    full = (1 << n) - 1
     present = set(alive)
-    core_masks = _minimal_masks(alive)
     for s1 in alive:
         for s2 in alive:
             if s1 == s2 or s1 & ~s2 != 0:
                 continue  # need S1 strictly inside S2
-            for c in core_masks:
+            for c in cores:
                 if not (_crosses_masks(c, s1, full) and _crosses_masks(c, s2, full)):
                     continue
                 d = s2 & ~(s1 | c)
                 if d != 0 and d not in present:
-                    ns = lambda m: sorted(NodeSet(f.n, m).members())
                     return {
                         "edges": [list(e) for e in edges],
-                        "s1": ns(s1),
-                        "s2": ns(s2),
-                        "core": ns(c),
-                        "d": ns(d),
+                        "s1": _members(n, s1),
+                        "s2": _members(n, s2),
+                        "core": _members(n, c),
+                        "d": _members(n, d),
                     }
     return None
-
-
-def _alive_mask_from_edges(f: ExplicitFamily, edges: Sequence[Edge]) -> int:
-    f_masks = f.masks()
-    alive = 0
-    for i, m in enumerate(f_masks):
-        if all(not edge_crosses_mask(m, u, v) for u, v in edges):
-            alive |= 1 << i
-    return alive
 
 
 def is_gamma_pliable(
@@ -425,46 +456,11 @@ def is_gamma_pliable(
     is a decision procedure for the fixed edge universe; sampled mode only
     reports "no counterexample found in N samples".
     """
-    universe = all_pairs(f.n) if edge_universe is None else list(edge_universe)
-    validate_edges(f.n, universe)
-    if mode == "exhaustive":
-        _exhaustive_guard(f, universe, "gamma-pliability")
-        all_idx = (1 << len(f)) - 1
-        for covered, rep in _reachable_residuals(f, universe).items():
-            violation = _gamma_violation_in_residual(f, all_idx & ~covered, rep)
-            if violation is not None:
-                return CheckResult("gamma-pliable", False, violation, "exhaustive")
-        return CheckResult("gamma-pliable", True, None, "exhaustive")
-    if mode == "sampled":
-        for edges in _sampled_edge_sets(universe, samples, seed):
-            alive = _alive_mask_from_edges(f, edges)
-            violation = _gamma_violation_in_residual(f, alive, edges)
-            if violation is not None:
-                return CheckResult("gamma-pliable", False, violation, "sampled", samples)
-        return CheckResult("gamma-pliable", True, None, "sampled", samples)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _sparse_violation_in_residual(
-    f: ExplicitFamily, alive_idx_mask: int, edges: list[Edge]
-) -> Optional[dict]:
-    f_masks = f.masks()
-    full = (1 << f.n) - 1
-    alive = [f_masks[i] for i in range(len(f_masks)) if alive_idx_mask >> i & 1]
-    if not alive:
-        return None
-    core_masks = _minimal_masks(alive)
-    for s in alive:
-        crossed = [c for c in core_masks if _crosses_masks(s, c, full)]
-        if len(crossed) >= 2:
-            ns = lambda m: sorted(NodeSet(f.n, m).members())
-            return {
-                "edges": [list(e) for e in edges],
-                "s": ns(s),
-                "core1": ns(crossed[0]),
-                "core2": ns(crossed[1]),
-            }
-    return None
+    for alive, cores, edges in _residuals(f, edge_universe, mode, samples, seed, "gamma-pliability"):
+        violation = _gamma_violation(f.n, alive, cores, edges)
+        if violation is not None:
+            return _result("gamma-pliable", violation, mode, samples)
+    return _result("gamma-pliable", None, mode, samples)
 
 
 def is_sparse(
@@ -475,24 +471,19 @@ def is_sparse(
     seed: int = 0,
 ) -> CheckResult:
     """No residual member may cross two distinct residual cores."""
-    universe = all_pairs(f.n) if edge_universe is None else list(edge_universe)
-    validate_edges(f.n, universe)
-    if mode == "exhaustive":
-        _exhaustive_guard(f, universe, "sparseness")
-        all_idx = (1 << len(f)) - 1
-        for covered, rep in _reachable_residuals(f, universe).items():
-            violation = _sparse_violation_in_residual(f, all_idx & ~covered, rep)
-            if violation is not None:
-                return CheckResult("sparse", False, violation, "exhaustive")
-        return CheckResult("sparse", True, None, "exhaustive")
-    if mode == "sampled":
-        for edges in _sampled_edge_sets(universe, samples, seed):
-            alive = _alive_mask_from_edges(f, edges)
-            violation = _sparse_violation_in_residual(f, alive, edges)
-            if violation is not None:
-                return CheckResult("sparse", False, violation, "sampled", samples)
-        return CheckResult("sparse", True, None, "sampled", samples)
-    raise ValueError(f"unknown mode {mode!r}")
+    full = (1 << f.n) - 1
+    for alive, cores, edges in _residuals(f, edge_universe, mode, samples, seed, "sparseness"):
+        for s in alive:
+            crossed = [c for c in cores if _crosses_masks(s, c, full)]
+            if len(crossed) >= 2:
+                violation = {
+                    "edges": [list(e) for e in edges],
+                    "s": _members(f.n, s),
+                    "core1": _members(f.n, crossed[0]),
+                    "core2": _members(f.n, crossed[1]),
+                }
+                return _result("sparse", violation, mode, samples)
+    return _result("sparse", None, mode, samples)
 
 
 def _max_disjoint_packing(cands: list[int]) -> int:
@@ -528,33 +519,13 @@ def crossing_number(
     is always a usable ratio parameter.  In sampled mode this is only a
     lower-bound estimate over the sampled residuals.
     """
-    universe = all_pairs(f.n) if edge_universe is None else list(edge_universe)
-    validate_edges(f.n, universe)
     full = (1 << f.n) - 1
-    f_masks = f.masks()
-
-    def residual_beta(alive_idx_mask: int) -> int:
-        alive = [f_masks[i] for i in range(len(f_masks)) if alive_idx_mask >> i & 1]
-        if not alive:
-            return 0
-        worst = 0
-        for c in _minimal_masks(alive):
-            cands = [s for s in alive if _crosses_masks(c, s, full)]
-            if len(cands) > worst:  # packing can only be <= len(cands)
-                worst = max(worst, _max_disjoint_packing(cands))
-        return worst
-
     best = 0
-    if mode == "exhaustive":
-        _exhaustive_guard(f, universe, "crossing-number")
-        all_idx = (1 << len(f)) - 1
-        for covered in _reachable_residuals(f, universe):
-            best = max(best, residual_beta(all_idx & ~covered))
-    elif mode == "sampled":
-        for edges in _sampled_edge_sets(universe, samples, seed):
-            best = max(best, residual_beta(_alive_mask_from_edges(f, edges)))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    for alive, cores, _ in _residuals(f, edge_universe, mode, samples, seed, "crossing-number"):
+        for c in cores:
+            cands = [s for s in alive if _crosses_masks(c, s, full)]
+            if len(cands) > best:  # packing can only be <= len(cands)
+                best = max(best, _max_disjoint_packing(cands))
     return max(1, best)
 
 
@@ -562,9 +533,9 @@ class FamilyOracle:
     """Contract shared by family backends.
 
     cores(J) returns the inclusion-minimal uncovered members, pairwise
-    disjoint for the families this package targets; with DEBUG_ORACLE_CHECKS
-    on, every call re-verifies minimality and disjointness and fails loudly
-    on a violation instead of letting a bad family corrupt a run.
+    disjoint for the families this package targets.  Every call re-verifies
+    minimality and disjointness and fails loudly on a violation instead of
+    letting a bad family corrupt a run; checkers never assume either.
     """
 
     def universe_size(self) -> int:
@@ -575,16 +546,13 @@ class FamilyOracle:
 
     def cores(self, edges: Sequence[Edge]) -> list[NodeSet]:
         out = self._cores_impl(edges)
-        if DEBUG_ORACLE_CHECKS:
-            self._validate_cores(out)
+        self._validate_cores(out)
         return out
 
     def is_covered(self, edges: Sequence[Edge]) -> bool:
         return not self.cores(edges)
 
     def _validate_cores(self, cores: list[NodeSet]) -> None:
-        from .errors import OracleInvariantError
-
         for i, a in enumerate(cores):
             for b in cores[i + 1 :]:
                 if a.mask & b.mask:

@@ -5,8 +5,7 @@ family of interest is F = {S : 0 < |S| < n, cut_H(S) < k}.  During a run the
 residual family is F^J = {S in F : d_J(S) = 0}: a picked edge *covers* a cut
 rather than adding capacity to it.  With every picked edge assigned capacity
 at least k the two views coincide, which is why the residual family is again
-a small-cuts family; `small_cut_cores` keeps an `aug_cap` knob for the
-capacity-addition what-if, but the solver path always uses coverage.
+a small-cuts family.
 
 Cut values are computed exactly: capacities are scaled by their common
 denominator once, after which everything is integer arithmetic, enumerated
@@ -108,35 +107,21 @@ def _enumerate_cut_masks(h: CapGraph) -> list[tuple[int, int]]:
     return out
 
 
-def small_cut_masks(h: CapGraph, j: Sequence[Edge] = (), aug_cap: Optional[Fraction | int] = None) -> list[int]:
-    """Masks of all S with small cut, under one of two semantics.
-
-    aug_cap None (the solver semantics): cut_H(S) < k and d_J(S) = 0.
-    aug_cap given: cut_{H+J}(S) < k where each J edge has that capacity.
-    """
+def small_cut_masks(h: CapGraph, j: Sequence[Edge] = ()) -> list[int]:
+    """Masks of all S with cut_H(S) < k and d_J(S) = 0."""
     validate_edges(h.n, j)
     _, denom = _scaled_int_caps(h)
     k_scaled = int(h.k * denom)
     out = []
-    if aug_cap is None:
-        for mask, cut in _enumerate_cut_masks(h):
-            if cut < k_scaled and all(not edge_crosses_mask(mask, u, v) for u, v in j):
-                out.append(mask)
-    else:
-        aug = Fraction(aug_cap)
-        aug_scaled = aug * denom
-        for mask, cut in _enumerate_cut_masks(h):
-            total = cut + aug_scaled * sum(1 for u, v in j if edge_crosses_mask(mask, u, v))
-            if total < k_scaled:
-                out.append(mask)
+    for mask, cut in _enumerate_cut_masks(h):
+        if cut < k_scaled and all(not edge_crosses_mask(mask, u, v) for u, v in j):
+            out.append(mask)
     return out
 
 
-def small_cut_cores(
-    h: CapGraph, j: Sequence[Edge] = (), aug_cap: Optional[Fraction | int] = None
-) -> list[NodeSet]:
-    """Inclusion-minimal small cuts (see small_cut_masks for semantics)."""
-    mins = _minimal_masks(small_cut_masks(h, j, aug_cap))
+def small_cut_cores(h: CapGraph, j: Sequence[Edge] = ()) -> list[NodeSet]:
+    """Inclusion-minimal members of the residual small-cuts family."""
+    mins = _minimal_masks(small_cut_masks(h, j))
     return sorted((NodeSet(h.n, m) for m in mins), key=NodeSet.sort_key)
 
 

@@ -27,7 +27,7 @@ from .errors import (
     NoLaminarWitnessError,
     TreeInvariantError,
 )
-from .setfam import Edge, ExplicitFamily, NodeSet, edge_crosses_mask, family_cores
+from .setfam import Edge, ExplicitFamily, NodeSet, coverage, edge_crosses_mask, family_cores
 from .witness import is_laminar, laminar_witness
 from .wgmv import CostedGraph, RunTrace
 
@@ -216,12 +216,8 @@ def build_tree(
                 break
             interior.append(nxt.index)
             cur = nxt
-        weight = sum(
-            1
-            for eid in cover_ids
-            for c in cores
-            if edge_crosses_mask(c.mask, *pair_of[eid])
-        )
+        bundle = [pair_of[eid] for eid in cover_ids]
+        weight = sum(coverage(c, bundle) for c in cores)
         edges.append(
             ChainEdge(
                 lower=node.index,
@@ -306,23 +302,14 @@ def find_bad_pairs(tree: ShortcutTree) -> list[BadPair]:
     in between are white by construction, so only surviving nodes need the
     check.
     """
-    heavy = [i for i, e in enumerate(tree.edges) if e.heavy]
-    out: list[BadPair] = []
-    for lo in heavy:
-        for hi in heavy:
-            if lo == hi:
-                continue
-            path = _path_up(tree, tree.edges[lo].upper, tree.edges[hi].lower)
-            if path is None:
-                continue
-            if all(not tree.nodes[x].black for x in path):
-                out.append(BadPair(lower=lo, upper=hi))
-    out.sort(key=lambda p: (tree.edges[p.upper].sort_token(), tree.edges[p.lower].sort_token()))
-    return out
+    pairs = _bad_pairs(tree, [e.weight for e in tree.edges])
+    pairs.sort(key=lambda p: (tree.edges[p.upper].sort_token(), tree.edges[p.lower].sort_token()))
+    return pairs
 
 
-def _bad_pairs_with_weights(tree: ShortcutTree, weights: list[int]) -> list[BadPair]:
-    heavy = [i for i, _ in enumerate(tree.edges) if weights[i] >= HEAVY_WEIGHT]
+def _bad_pairs(tree: ShortcutTree, weights: Sequence[int]) -> list[BadPair]:
+    """Bad pairs when edge i weighs weights[i], in search order."""
+    heavy = [i for i, w in enumerate(weights) if w >= HEAVY_WEIGHT]
     out: list[BadPair] = []
     for lo in heavy:
         for hi in heavy:
@@ -461,12 +448,8 @@ def verify_bounds(
     if len(blacks) > num_c:
         violations.append(f"more black nodes ({len(blacks)}) than cores ({num_c})")
 
-    recount = sum(
-        1
-        for _, (u, v) in tree.cover
-        for c in tree.cores
-        if edge_crosses_mask(c.mask, u, v)
-    )
+    cover_pairs = [pr for _, pr in tree.cover]
+    recount = sum(coverage(c, cover_pairs) for c in tree.cores)
     if recount != w_total:
         violations.append(f"edge weights sum to {w_total}, cover core-degree is {recount}")
 
@@ -527,7 +510,7 @@ def verify_bounds(
             violations.append(
                 f"edge {tree.edges[i].cover_edges} has weight {w} > 5 after reassignment"
             )
-    if _bad_pairs_with_weights(tree, list(reass.weights_after)):
+    if _bad_pairs(tree, reass.weights_after):
         violations.append("bad pairs remain after weight reassignment")
     if reass.max_after != reass.max_before:
         info.append(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InfeasibleError
 from .setfam import Edge, FamilyOracle, NodeSet, edge_crosses_mask, validate_edges
@@ -84,11 +84,10 @@ class RunTrace:
         return sum((g.cost(e) for e in self.solution), Fraction(0))
 
 
-def _edge_loads(g: CostedGraph, values: dict[NodeSet, Fraction]) -> list[Fraction]:
+def edge_loads(g: CostedGraph, values: Iterable[tuple[NodeSet, Fraction]]) -> list[Fraction]:
+    """Per-edge load: the summed dual value of the sets each edge crosses."""
     loads = [Fraction(0)] * len(g.edges)
-    for s, y in values.items():
-        if y == 0:
-            continue
+    for s, y in values:
         for eid, (u, v, _) in enumerate(g.edges):
             if edge_crosses_mask(s.mask, u, v):
                 loads[eid] += y
@@ -164,8 +163,6 @@ def solve(g: CostedGraph, oracle: FamilyOracle) -> RunTrace:
     """Run both phases and assemble the full trace."""
     picked, records, values = phase1(g, oracle)
     solution, deleted = phase2(g, oracle, picked)
-    dual = DualState(
-        values=tuple(sorted(values.items(), key=lambda kv: kv[0].sort_key())),
-        loads=tuple(_edge_loads(g, values)),
-    )
+    ordered = tuple(sorted(values.items(), key=lambda kv: kv[0].sort_key()))
+    dual = DualState(values=ordered, loads=tuple(edge_loads(g, ordered)))
     return RunTrace(tuple(records), tuple(deleted), tuple(solution), dual)

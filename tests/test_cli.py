@@ -1,12 +1,18 @@
 """End-to-end tests of the command line interface via subprocess."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import pliablecover
+
 CMD = [sys.executable, "-m", "pliablecover"]
+# The subprocess imports the same package as these tests, installed or not.
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(pliablecover.__file__)))
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 TRIANGLE = {
     "version": "1",
@@ -28,6 +34,7 @@ def run_cli(*args, stdin=None):
         capture_output=True,
         text=True,
         timeout=120,
+        env=ENV,
     )
 
 
@@ -175,6 +182,17 @@ def test_check_family_accepts_and_rejects(tmp_path):
     assert doc["counterexample"]["d"] == [2, 3]
 
 
+def test_check_family_refuses_nonpositive_samples():
+    laminar = json.dumps({"kind": "explicit", "n": 4, "members": [[0], [0, 1]]})
+    for prop in ("gamma", "sparse", "crossing-number"):
+        r = run_cli(
+            "check-family", "--property", prop, "--mode", "sampled", "--samples", "-5", stdin=laminar
+        )
+        assert r.returncode == 2, (prop, r.stderr)
+        assert r.stdout == ""
+        assert "samples must be at least 1, got -5" in r.stderr
+
+
 def test_check_family_crossing_number():
     laminar = {"kind": "explicit", "n": 4, "members": [[0], [0, 1], [0, 1, 2]]}
     r = run_cli("check-family", "--property", "crossing-number", stdin=json.dumps(laminar))
@@ -236,6 +254,13 @@ def test_missing_file_exits_2():
     r = run_cli("solve", "/nonexistent/instance.json")
     assert r.returncode == 2
     assert "error:" in r.stderr
+
+
+def test_directory_input_exits_2(tmp_path):
+    r = run_cli("solve", str(tmp_path))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "error:" in r.stderr and "Traceback" not in r.stderr
 
 
 def test_guard_refusal_exits_3():

@@ -5,10 +5,12 @@ implementations at the top of this file, which use plain Python sets and a
 filter-then-minimize shape on purpose (different code path than the package).
 """
 
+import json
 import random
 
 import pytest
 
+from pliablecover.cli import main as cli_main
 from pliablecover.errors import GuardError, OracleInvariantError, UniverseMismatchError
 from pliablecover.setfam import (
     CheckResult,
@@ -314,6 +316,10 @@ def test_gamma_pliable_sampled_mode():
     assert not res.holds
     with pytest.raises(ValueError):
         is_gamma_pliable(f, mode="fancy")
+    for checker in (is_gamma_pliable, is_sparse, crossing_number):
+        for samples in (0, -5):
+            with pytest.raises(ValueError, match="samples must be at least 1"):
+                checker(f, mode="sampled", samples=samples)
 
 
 def test_checkresult_json_shape():
@@ -331,9 +337,12 @@ def test_checkresult_json_shape():
 # --- sparseness and crossing number --------------------------------------------
 
 
+# {0,1,4} crosses the two disjoint cores {0,2} and {1,3}
+SPARSE_VIOLATION = ((0, 2), (1, 3), (0, 1, 4))
+
+
 def test_sparse_violation_fixture():
-    # {0,1,4} crosses the two disjoint cores {0,2} and {1,3}
-    f = fam(5, [0, 2], [1, 3], [0, 1, 4])
+    f = fam(5, *SPARSE_VIOLATION)
     res = is_sparse(f)
     assert not res.holds
     cx = res.counterexample
@@ -370,18 +379,77 @@ def test_crossing_number_fixture():
 
 def test_exhaustive_guards():
     big = fam(18, [0], [1])
-    with pytest.raises(GuardError):
+    with pytest.raises(GuardError, match=r"too large for exhaustive gamma-pliability check: n = 18 > 16$"):
         is_gamma_pliable(big)
-    with pytest.raises(GuardError):
+    with pytest.raises(GuardError, match=r"too large for exhaustive sparseness check: n = 18 > 16$"):
         is_sparse(big)
-    with pytest.raises(GuardError):
+    with pytest.raises(GuardError, match=r"too large for exhaustive crossing-number check: n = 18 > 16$"):
         crossing_number(big)
+    crowded = ExplicitFamily(9, tuple(NodeSet(9, m) for m in range(1, 258)))
+    with pytest.raises(GuardError, match=r"too large for exhaustive sparseness check: \|F\| = 257 > 256$"):
+        is_sparse(crowded)
     # explicit edge universe over the limit (parallel edges allowed)
     small = fam(4, [0], [1])
-    with pytest.raises(GuardError, match="too large for exhaustive"):
+    with pytest.raises(
+        GuardError,
+        match=r"too large for exhaustive gamma-pliability check: \|edge universe\| = 141 > 140$",
+    ):
         is_gamma_pliable(small, edge_universe=[(0, 1)] * 141)
     # sampled mode is the escape hatch
     assert is_gamma_pliable(big, mode="sampled", samples=10).holds
+
+
+# Frozen fixture from seeded search: its sparseness counterexamples lie at
+# non-empty edge sets, so they pin the order in which both modes scan the
+# residual families and the sampled edge-set stream.
+RESIDUAL_ORDER = (
+    (0, 1, 2), (0, 1, 2, 3), (0, 1, 5), (0, 2, 3, 4, 5), (0, 2, 4), (1,), (1, 2, 5), (1, 3, 4, 5), (1, 3, 5)
+)
+
+# Canonical `check-family` output for the fixtures above.  The bytes are
+# pinned: any difference is a behaviour change of the checkers or the CLI.
+CHECK_FAMILY_GOLDEN = {
+    ("PLIABLE_NOT_GAMMA", "gamma", "exhaustive"): '{"counterexample":{"core":[2,3],"d":[0],"edges":[],"s1":[3,4],"s2":[0,3,4]},"holds":false,"mode":"exhaustive","property":"gamma-pliable","version":"1"}',
+    ("PLIABLE_NOT_GAMMA", "gamma", "sampled"): '{"counterexample":{"core":[2,3],"d":[0],"edges":[],"s1":[3,4],"s2":[0,3,4]},"holds":false,"mode":"sampled","property":"gamma-pliable","samples":200,"version":"1"}',
+    ("PLIABLE_NOT_GAMMA", "sparse", "exhaustive"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"sparse","version":"1"}',
+    ("PLIABLE_NOT_GAMMA", "sparse", "sampled"): '{"counterexample":null,"holds":true,"mode":"sampled","property":"sparse","samples":200,"version":"1"}',
+    ("PLIABLE_NOT_GAMMA", "crossing-number", "exhaustive"): '{"crossing_number":1,"mode":"exhaustive","version":"1"}',
+    ("PLIABLE_NOT_GAMMA", "crossing-number", "sampled"): '{"crossing_number":1,"mode":"sampled","version":"1"}',
+    ("BETA_TWO", "gamma", "exhaustive"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"gamma-pliable","version":"1"}',
+    ("BETA_TWO", "gamma", "sampled"): '{"counterexample":null,"holds":true,"mode":"sampled","property":"gamma-pliable","samples":200,"version":"1"}',
+    ("BETA_TWO", "sparse", "exhaustive"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"sparse","version":"1"}',
+    ("BETA_TWO", "sparse", "sampled"): '{"counterexample":null,"holds":true,"mode":"sampled","property":"sparse","samples":200,"version":"1"}',
+    ("BETA_TWO", "crossing-number", "exhaustive"): '{"crossing_number":2,"mode":"exhaustive","version":"1"}',
+    ("BETA_TWO", "crossing-number", "sampled"): '{"crossing_number":2,"mode":"sampled","version":"1"}',
+    ("SPARSE_VIOLATION", "gamma", "exhaustive"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"gamma-pliable","version":"1"}',
+    ("SPARSE_VIOLATION", "gamma", "sampled"): '{"counterexample":null,"holds":true,"mode":"sampled","property":"gamma-pliable","samples":200,"version":"1"}',
+    ("SPARSE_VIOLATION", "sparse", "exhaustive"): '{"counterexample":{"core1":[0,2],"core2":[1,3],"edges":[],"s":[0,1,4]},"holds":false,"mode":"exhaustive","property":"sparse","version":"1"}',
+    ("SPARSE_VIOLATION", "sparse", "sampled"): '{"counterexample":{"core1":[0,2],"core2":[1,3],"edges":[],"s":[0,1,4]},"holds":false,"mode":"sampled","property":"sparse","samples":200,"version":"1"}',
+    ("SPARSE_VIOLATION", "crossing-number", "exhaustive"): '{"crossing_number":2,"mode":"exhaustive","version":"1"}',
+    ("SPARSE_VIOLATION", "crossing-number", "sampled"): '{"crossing_number":2,"mode":"sampled","version":"1"}',
+    ("RESIDUAL_ORDER", "gamma", "exhaustive"): '{"counterexample":{"core":[0,2,4],"d":[3],"edges":[],"s1":[0,1,2],"s2":[0,1,2,3]},"holds":false,"mode":"exhaustive","property":"gamma-pliable","version":"1"}',
+    ("RESIDUAL_ORDER", "gamma", "sampled"): '{"counterexample":{"core":[0,2,4],"d":[3],"edges":[],"s1":[0,1,2],"s2":[0,1,2,3]},"holds":false,"mode":"sampled","property":"gamma-pliable","samples":200,"version":"1"}',
+    ("RESIDUAL_ORDER", "sparse", "exhaustive"): '{"counterexample":{"core1":[0,2,4],"core2":[1,3,5],"edges":[[1,3]],"s":[0,1,2,3]},"holds":false,"mode":"exhaustive","property":"sparse","version":"1"}',
+    ("RESIDUAL_ORDER", "sparse", "sampled"): '{"counterexample":{"core1":[0,2,4],"core2":[1,2,5],"edges":[[1,5]],"s":[0,1,5]},"holds":false,"mode":"sampled","property":"sparse","samples":200,"version":"1"}',
+    ("RESIDUAL_ORDER", "crossing-number", "exhaustive"): '{"crossing_number":2,"mode":"exhaustive","version":"1"}',
+    ("RESIDUAL_ORDER", "crossing-number", "sampled"): '{"crossing_number":2,"mode":"sampled","version":"1"}',
+}
+
+
+def test_check_family_golden_json(tmp_path, capsys):
+    fixtures = {
+        "PLIABLE_NOT_GAMMA": (5, PLIABLE_NOT_GAMMA),
+        "BETA_TWO": (5, BETA_TWO),
+        "SPARSE_VIOLATION": (5, SPARSE_VIOLATION),
+        "RESIDUAL_ORDER": (6, RESIDUAL_ORDER),
+    }
+    for (name, prop, mode), expected in CHECK_FAMILY_GOLDEN.items():
+        n, members = fixtures[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"kind": "explicit", "n": n, "members": members}))
+        code = cli_main(["check-family", str(path), "--property", prop, "--mode", mode])
+        assert capsys.readouterr().out == expected + "\n", (name, prop, mode)
+        assert code == (0 if '"holds":false' not in expected else 1), (name, prop, mode)
 
 
 def test_all_pairs():
@@ -404,7 +472,7 @@ def test_proper_family_examples():
 
 def test_explicit_family_oracle_matches_residual_cores():
     # cores of pliable families are pairwise disjoint, which is what the
-    # oracle's debug validation insists on; filter accordingly
+    # oracle's output validation insists on; filter accordingly
     rng = random.Random(5)
     checked = 0
     while checked < 50:
@@ -423,7 +491,7 @@ def test_explicit_family_oracle_matches_residual_cores():
 
 
 class _BrokenOracle(FamilyOracle):
-    """Returns overlapping cores to exercise the debug validation."""
+    """Returns overlapping cores to exercise the output validation."""
 
     def universe_size(self):
         return 4

@@ -39,16 +39,12 @@ def ref_cut(h: CapGraph, mask: int) -> Fraction:
     return total
 
 
-def ref_small_cut_masks(h: CapGraph, j=(), aug_cap=None) -> list[int]:
+def ref_small_cut_masks(h: CapGraph, j=()) -> list[int]:
     out = []
     for mask in range(1, (1 << h.n) - 1):
         crossing_j = sum(1 for u, v in j if (mask >> u & 1) != (mask >> v & 1))
-        if aug_cap is None:
-            if ref_cut(h, mask) < h.k and crossing_j == 0:
-                out.append(mask)
-        else:
-            if ref_cut(h, mask) + Fraction(aug_cap) * crossing_j < h.k:
-                out.append(mask)
+        if ref_cut(h, mask) < h.k and crossing_j == 0:
+            out.append(mask)
     return out
 
 
@@ -109,17 +105,12 @@ def test_small_cut_cores_triangle():
     # after picking (0,1): the members {0} and {1} are covered, leaving the
     # incomparable uncovered members {0,1} and {2} as the residual cores
     assert [s.members() for s in small_cut_cores(h, [(0, 1)])] == [(0, 1), (2,)]
-    # capacity what-if at +1 on the picked edge gives the same answer here:
-    # cuts of {0},{1} rise to 3 while {0,1},{2} keep cut 2
-    assert [s.members() for s in small_cut_cores(h, [(0, 1)], aug_cap=1)] == [(0, 1), (2,)]
 
 
-def test_residual_and_augmented_semantics_differ():
+def test_picked_edge_covers_its_cut_whatever_the_threshold():
     h = CapGraph.build(2, [(0, 1, 1)], 5)
     # covering semantics: the picked edge crosses both sides, nothing remains
     assert small_cut_cores(h, [(0, 1)]) == []
-    # capacity semantics: one extra unit still leaves the cut below k=5
-    assert [s.members() for s in small_cut_cores(h, [(0, 1)], aug_cap=1)] == [(0,), (1,)]
 
 
 def test_small_cut_masks_match_reference():
@@ -128,8 +119,7 @@ def test_small_cut_masks_match_reference():
         n = rng.randint(2, 6)
         h = random_graph(rng, n, rational=rng.random() < 0.4)
         j = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3))]
-        aug = rng.choice([None, 1, Fraction(1, 2), 2])
-        assert sorted(small_cut_masks(h, j, aug)) == ref_small_cut_masks(h, j, aug)
+        assert sorted(small_cut_masks(h, j)) == ref_small_cut_masks(h, j)
 
 
 def test_adding_edges_never_grows_the_family():

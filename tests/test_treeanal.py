@@ -10,6 +10,9 @@ from pliablecover.gens import random_instances, tight_beta, tight_seven, tight_s
 from pliablecover.setfam import ExplicitFamilyOracle, NodeSet
 from pliablecover.treeanal import (
     HEAVY_WEIGHT,
+    ChainEdge,
+    ShortcutTree,
+    TreeNode,
     analyze_trace,
     build_tree,
     classify_chain,
@@ -289,6 +292,39 @@ def test_verify_bounds_flags_bad_pair_clause_failures():
     assert "upper edge weight 4 != 3" in msgs
     assert "upper edge starts inside the core union" in msgs
     assert "weight 6 > 5 after reassignment" in msgs
+
+
+def test_verify_bounds_flags_bad_pairs_left_after_reassignment():
+    # Three weight-3 edges up an all-white path 0 -> 1 -> 2 -> 3.  Every
+    # pair is bad.  The middle edge has the least sort token, so it donates
+    # first (to edge 0) and is then the chosen lower of the top edge, which
+    # leaves weights (4, 3, 2) and the pair (0, 1) still bad.
+    n = 4
+    nodes = tuple(
+        TreeNode(
+            index=i,
+            node_set=NodeSet(n, (1 << (i + 1)) - 1),
+            parent=i + 1 if i < 3 else None,
+            children=(i - 1,) if i else (),
+            black=False,
+            owned_cores=(),
+            edge_id=i if i < 3 else None,
+            contracted=False,
+        )
+        for i in range(4)
+    )
+    edges = tuple(
+        ChainEdge(
+            lower=i, upper=i + 1, interior=(), cover_edges=(token,), labels=((i, i + 1),), weight=3
+        )
+        for i, token in enumerate((2, 0, 1))
+    )
+    tree = ShortcutTree(n=n, nodes=nodes, edges=edges, cores=(), root=3, cover=())
+    assert [(p.lower, p.upper) for p in find_bad_pairs(tree)] == [(0, 1), (1, 2), (0, 2)]
+    rep = verify_bounds(tree, "gamma")
+    assert rep.reassignment.chosen == ((1, 0), (2, 1))
+    assert rep.reassignment.weights_after == (4, 3, 2)
+    assert "bad pairs remain after weight reassignment" in rep.violations
 
 
 def test_verify_bounds_rejects_unknown_class_and_missing_beta():
