@@ -171,7 +171,7 @@ def _cmd_certify(args) -> int:
     inst = instance_from_json(_read_json(args.instance))
     oracle = inst.oracle()
     if args.trace:
-        trace = trace_from_json(_read_json(args.trace), inst.graph.n)
+        trace = trace_from_json(_read_json(args.trace), inst.graph)
     else:
         trace = solve(inst.graph, oracle)
     opt = brute_force_opt(inst.graph, oracle)[0] if args.with_opt else None

@@ -1,9 +1,10 @@
-"""Exact optimum by branch and bound, and certification of solver runs.
+"""Exact optimum by depth-first search, and certification of solver runs.
 
-`brute_force_opt` is the reference optimum: a set-cover style search that
-branches on the candidate edges of the first uncovered core.  It returns the
-exact cost together with the lexicographically least optimal edge set (ids as
-a sorted list, compared element by element with a shorter prefix winning).
+`brute_force_opt` is the reference optimum.  It returns the exact cost
+together with the lexicographically least optimal edge set (ids as a sorted
+tuple, compared element by element with a shorter prefix winning).  One
+depth-first search adds edge ids in increasing order; its pre-order is tuple
+order, so the first cover it finds at the optimum cost is that edge set.
 
 `certify` re-derives everything checkable about a finished run from first
 principles: dual feasibility, tightness of the solution, per-iteration load
@@ -23,61 +24,43 @@ from .wgmv import CostedGraph, RunTrace, edge_loads
 MAX_BRUTE_EDGES = 24
 
 
-def _min_cover_cost(
-    g: CostedGraph,
-    oracle: FamilyOracle,
-    base: list[int],
-    allowed: list[int],
-) -> Fraction | None:
-    """Exact minimum extra cost of completing `base` with edges from `allowed`.
-
-    Returns None when no subset of `allowed` yields a cover.
-    """
-    best: Fraction | None = None
-
-    def rec(chosen: list[int], avail: tuple[int, ...], extra: Fraction) -> None:
-        nonlocal best
-        if best is not None and extra >= best:
-            return  # completions only ever add nonnegative cost
-        cores = oracle.cores([g.pair(e) for e in base + chosen])
-        if not cores:
-            best = extra
-            return
-        target = cores[0]
-        cands = [e for e in avail if edge_crosses_mask(target.mask, *g.pair(e))]
-        for k, e in enumerate(cands):
-            # The first k candidates are banned in this subtree, which
-            # partitions the search space and never revisits a subset.
-            dropped = set(cands[: k + 1])
-            rec(chosen + [e], tuple(x for x in avail if x not in dropped), extra + g.cost(e))
-
-    rec([], tuple(allowed), Fraction(0))
-    return best
-
-
 def brute_force_opt(g: CostedGraph, oracle: FamilyOracle) -> tuple[Fraction, tuple[int, ...]]:
     """Exact optimum cost and the lexicographically least optimal edge set."""
     m = len(g.edges)
     if m > MAX_BRUTE_EDGES:
         raise GuardError(f"instance too large for exhaustive optimum: {m} edges > {MAX_BRUTE_EDGES}")
-    all_ids = list(range(m))
-    leftover = oracle.cores([g.pair(e) for e in all_ids])
+    pairs = [g.pair(e) for e in range(m)]
+    costs = [g.cost(e) for e in range(m)]
+    leftover = oracle.cores(pairs)
     if leftover:
         raise InfeasibleError(leftover[0])
-    opt = _min_cover_cost(g, oracle, [], all_ids)
-    assert opt is not None
+    best: tuple[Fraction, tuple[int, ...]] | None = None
 
-    prefix: list[int] = []
-    for i in all_ids:
-        pc = sum((g.cost(e) for e in prefix), Fraction(0))
-        if pc == opt and oracle.is_covered([g.pair(e) for e in prefix]):
-            break
-        rest = [j for j in all_ids if j > i]
-        extra = _min_cover_cost(g, oracle, prefix + [i], rest)
-        if extra is not None and pc + g.cost(i) + extra == opt:
-            prefix.append(i)
-    assert oracle.is_covered([g.pair(e) for e in prefix])
-    return opt, tuple(prefix)
+    def rec(chosen: list[int], cost: Fraction) -> None:
+        nonlocal best
+        cores = oracle.cores([pairs[e] for e in chosen])
+        if not cores:
+            best = (cost, tuple(chosen))  # the test below let in only cheaper covers
+            return
+        crossers = [[e for e in range(m) if edge_crosses_mask(c.mask, *pairs[e])] for c in cores]
+        for e in range(chosen[-1] + 1 if chosen else 0, m):
+            # Every edge after e has a larger id, so a core that e misses
+            # must be crossed by a later edge, at no less than its cheapest.
+            need = Fraction(0)
+            for ids in crossers:
+                if e not in ids:
+                    later = [costs[x] for x in ids if x > e]
+                    if not later:
+                        return  # no later edge crosses this core, nor after any later child
+                    need = max(need, min(later))
+            if best is None or cost + costs[e] + need < best[0]:
+                chosen.append(e)
+                rec(chosen, cost + costs[e])
+                chosen.pop()
+
+    rec([], Fraction(0))
+    assert best is not None
+    return best
 
 
 FAMILY_CLASSES = ("gamma", "sparse", "beta", "uncrossable")

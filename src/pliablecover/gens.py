@@ -339,6 +339,8 @@ def _random_group_split_masks(rng: random.Random, n: int) -> list[int]:
 
 def _random_repaired_masks(rng: random.Random, n: int) -> list[int] | None:
     """Random seed sets, then add derived sets until the family is pliable."""
+    if n < 3:
+        return None  # fewer than three proper nonempty subsets to seed with
     full = (1 << n) - 1
     masks: set[int] = set()
     while len(masks) < rng.randint(3, 5):
@@ -429,6 +431,8 @@ def random_instance(
     """
     if kind not in ("gamma", "sparse", "uncrossable"):
         raise ValueError(f"unknown instance kind {kind!r}")
+    if n is not None and n < 2:
+        raise ValueError(f"universe size n = {n} is below 2")
     for _ in range(GENERATION_BUDGET):
         size = n if n is not None else rng.randint(4, 7)
         roll = rng.random()

@@ -228,7 +228,19 @@ def trace_to_json(g: CostedGraph, trace: RunTrace, digest: str = "") -> dict:
     }
 
 
-def trace_from_json(doc: Any, n: int) -> RunTrace:
+def _edge_id(v: Any, where: str, m: int) -> int:
+    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < m:
+        raise SchemaError(f"{where}: {v!r} is not an edge id of a graph with {m} edges")
+    return v
+
+
+def _edge_ids(v: Any, where: str, m: int) -> list[int]:
+    return [_edge_id(x, where, m) for x in _int_list(v, where)]
+
+
+def trace_from_json(doc: Any, g: CostedGraph) -> RunTrace:
+    """Parse a trace of a run on `g`; every edge id must index `g.edges`."""
+    n, m = g.n, len(g.edges)
     iters = []
     for i, row in enumerate(_get(doc, "iterations", "trace")):
         where = f"trace.iterations[{i}]"
@@ -240,8 +252,8 @@ def trace_from_json(doc: Any, n: int) -> RunTrace:
             IterationRecord(
                 cores=cores,
                 eps=frac_from_json(_get(row, "eps", where), f"{where}.eps"),
-                added=_get(row, "added", where),
-                ties=tuple(_int_list(_get(row, "ties", where), f"{where}.ties")),
+                added=_edge_id(_get(row, "added", where), f"{where}.added", m),
+                ties=tuple(_edge_ids(_get(row, "ties", where), f"{where}.ties", m)),
             )
         )
     values = []
@@ -261,8 +273,8 @@ def trace_from_json(doc: Any, n: int) -> RunTrace:
     )
     return RunTrace(
         iterations=tuple(iters),
-        deleted=tuple(_int_list(_get(doc, "deleted", "trace"), "trace.deleted")),
-        solution=tuple(_int_list(_get(doc, "solution", "trace"), "trace.solution")),
+        deleted=tuple(_edge_ids(_get(doc, "deleted", "trace"), "trace.deleted", m)),
+        solution=tuple(_edge_ids(_get(doc, "solution", "trace"), "trace.solution", m)),
         dual=DualState(values=tuple(values), loads=loads),
     )
 

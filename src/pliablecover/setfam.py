@@ -107,13 +107,7 @@ class NodeSet:
 def crosses(a: NodeSet, b: NodeSet) -> bool:
     """True when all four of a&b, a-b, b-a, V-(a|b) are nonempty."""
     a._check(b)
-    full = (1 << a.n) - 1
-    return (
-        a.mask & b.mask != 0
-        and a.mask & ~b.mask != 0
-        and b.mask & ~a.mask != 0
-        and full & ~(a.mask | b.mask) != 0
-    )
+    return _crosses_masks(a.mask, b.mask, (1 << a.n) - 1)
 
 
 def _crosses_masks(a: int, b: int, full: int) -> bool:

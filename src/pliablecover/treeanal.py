@@ -27,6 +27,7 @@ from .errors import (
     NoLaminarWitnessError,
     TreeInvariantError,
 )
+from .exact import guarantee_factor
 from .setfam import Edge, ExplicitFamily, NodeSet, coverage, edge_crosses_mask, family_cores
 from .witness import is_laminar, laminar_witness
 from .wgmv import CostedGraph, RunTrace
@@ -575,9 +576,7 @@ def verify_bounds(
         )
         bounds.append(BoundRow("total-weight-sparse", Fraction(w_total), Fraction(6 * num_c - 2)))
         if family_class == "beta":
-            if beta is None or beta < 1:
-                raise ValueError("family class 'beta' needs a crossing number >= 1")
-            factor = Fraction(6) - Fraction(1, beta + 1)
+            factor = guarantee_factor("beta", beta)
             bounds.append(BoundRow("total-weight-beta", Fraction(w_total), factor * num_c))
     elif family_class == "uncrossable":
         bounds.append(BoundRow("total-weight-uncrossable", Fraction(w_total), Fraction(2 * num_c)))

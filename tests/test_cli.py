@@ -103,6 +103,38 @@ def test_certify_rejects_a_tampered_trace(tmp_path):
     assert "dual-feasible" in failed
 
 
+TWO_EDGES = {
+    "version": "1",
+    "graph": {"n": 3, "edges": [[0, 1, [1, 1]], [0, 2, [100, 1]]]},
+    "family": {"kind": "explicit", "n": 3, "members": [[0]]},
+}
+
+
+@pytest.mark.parametrize(
+    "field, forged",
+    [
+        ("solution", [-2]),  # would wrap around to edge 0
+        ("solution", [7]),  # would end in an IndexError
+        ("deleted", [2]),
+        ("added", "0"),
+        ("ties", [0, -1]),
+    ],
+)
+def test_certify_refuses_edge_ids_outside_the_graph(tmp_path, field, forged):
+    inst = write(tmp_path, "i.json", TWO_EDGES)
+    doc = json.loads(run_cli("solve", inst).stdout)
+    if field in ("added", "ties"):
+        doc["iterations"][0][field] = forged
+        where = f"trace.iterations[0].{field}"
+    else:
+        doc[field] = forged
+        where = f"trace.{field}"
+    r = run_cli("certify", inst, "--trace", write(tmp_path, "t.json", doc))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert where in r.stderr and "not an edge id of a graph with 2 edges" in r.stderr
+
+
 def test_witness_assignment(tmp_path):
     r = run_cli("witness", write(tmp_path, "i.json", TRIANGLE))
     assert r.returncode == 0
@@ -231,6 +263,15 @@ def test_gen_usage_errors():
     assert run_cli("gen", "--kind", "tight-beta", "--leaves", "4").returncode == 2
     assert run_cli("gen", "--kind", "tight7", "--leaves", "3").returncode == 2
     assert run_cli("gen", "--kind", "gamma", "--count", "0").returncode == 2
+
+
+@pytest.mark.parametrize("kind", ["gamma", "sparse", "uncrossable"])
+def test_gen_refuses_universes_below_two(kind):
+    for n in ("1", "0", "-3"):
+        r = run_cli("gen", "--kind", kind, "--n", n)
+        assert r.returncode == 2, (n, r.stderr)
+        assert r.stderr == f"error: universe size n = {n} is below 2\n"
+    assert run_cli("gen", "--kind", kind, "--n", "2").returncode == 0
 
 
 # ---------------------------------------------------------------------------

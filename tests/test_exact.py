@@ -79,15 +79,102 @@ def test_brute_force_guard_and_infeasibility():
         brute_force_opt(tiny, ExplicitFamilyOracle(ExplicitFamily.from_sets(3, [[0]])))
 
 
+def _tie_heavy_copies(g: CostedGraph):
+    """The instance, a unit-cost copy (many ties) and a copy with a zero-cost
+    edge inserted at id 1."""
+    yield g
+    yield CostedGraph(g.n, tuple((u, v, Fraction(1)) for u, v, _ in g.edges))
+    yield CostedGraph(g.n, g.edges[:1] + ((0, g.n - 1, Fraction(0)),) + g.edges[1:])
+
+
 def test_matches_reference_scan_including_tie_breaks():
-    for i in range(25):
-        g, f = random_instance("gamma", instance_rng(200, i), n=5)
-        if len(g.edges) > 12:
-            continue
-        cost, argmins = ref_opt(g, family_sets(f))
-        got_cost, got_sel = brute_force_opt(g, ExplicitFamilyOracle(f))
-        assert got_cost == cost
-        assert got_sel == min(argmins)
+    checked = 0
+    for kind in ("gamma", "sparse", "uncrossable"):
+        for i in range(25):
+            g, f = random_instance(kind, instance_rng(200, i), n=4 + i % 3)
+            if len(g.edges) > 11:
+                continue
+            oracle = ExplicitFamilyOracle(f)
+            for h in _tie_heavy_copies(g):
+                cost, argmins = ref_opt(h, family_sets(f))
+                assert brute_force_opt(h, oracle) == (cost, min(argmins))
+                checked += 1
+    assert checked >= 150
+
+
+# (kind, seed, index, n, edge count, optimum, least optimal edge set) for
+# random_instance(kind, instance_rng(seed, index), n); several have more
+# edges than ref_opt can scan.
+GOLDEN_ARGMINS = [
+    ("gamma", 310, 0, 4, 4, "25/4", (0, 3)),
+    ("gamma", 310, 1, 4, 5, "5", (3, 4)),
+    ("gamma", 310, 2, 4, 6, "3", (2,)),
+    ("gamma", 310, 3, 4, 6, "9/4", (0, 5)),
+    ("gamma", 310, 4, 4, 5, "4", (1, 2)),
+    ("gamma", 310, 0, 5, 7, "5/4", (1, 3)),
+    ("gamma", 310, 1, 5, 10, "11/2", (0, 1, 3)),
+    ("gamma", 310, 2, 5, 6, "1/2", (0, 4)),
+    ("gamma", 310, 3, 5, 10, "9/2", (0, 4, 5)),
+    ("gamma", 310, 4, 5, 5, "9/2", (0, 4)),
+    ("gamma", 310, 0, 6, 12, "3", (1, 10, 11)),
+    ("gamma", 310, 1, 6, 12, "21/2", (0, 1, 6)),
+    ("gamma", 310, 2, 6, 9, "9", (0, 3, 4)),
+    ("gamma", 310, 3, 6, 8, "9/4", (1, 3)),
+    ("gamma", 310, 4, 6, 9, "19/2", (1, 2, 6)),
+    ("gamma", 310, 0, 7, 13, "31/4", (4, 5, 12)),
+    ("gamma", 310, 1, 7, 10, "15/2", (0, 7, 9)),
+    ("gamma", 310, 2, 7, 8, "7", (0, 1, 4)),
+    ("gamma", 310, 3, 7, 12, "4", (0, 3, 9)),
+    ("gamma", 310, 4, 7, 9, "4", (1, 5)),
+    ("sparse", 311, 0, 4, 5, "13/2", (0, 3)),
+    ("sparse", 311, 1, 4, 3, "19/2", (0, 2)),
+    ("sparse", 311, 2, 4, 5, "11/2", (1, 2)),
+    ("sparse", 311, 3, 4, 5, "11/2", (1, 2)),
+    ("sparse", 311, 4, 4, 5, "2", (3,)),
+    ("sparse", 311, 0, 5, 8, "7/2", (1, 6)),
+    ("sparse", 311, 1, 5, 4, "41/4", (2, 3)),
+    ("sparse", 311, 2, 5, 6, "13/2", (0, 5)),
+    ("sparse", 311, 3, 5, 5, "7", (0, 4)),
+    ("sparse", 311, 4, 5, 6, "1", (1,)),
+    ("sparse", 311, 0, 6, 8, "45/4", (0, 2, 5, 6)),
+    ("sparse", 311, 1, 6, 11, "7/4", (1, 3, 10)),
+    ("sparse", 311, 2, 6, 8, "10", (0, 3, 4)),
+    ("sparse", 311, 3, 6, 9, "2", (3, 7)),
+    ("sparse", 311, 4, 6, 6, "25/4", (1, 5)),
+    ("sparse", 311, 0, 7, 9, "9", (0, 3, 4)),
+    ("sparse", 311, 1, 7, 9, "6", (0, 3, 4)),
+    ("sparse", 311, 2, 7, 14, "29/4", (2, 5, 7, 8)),
+    ("sparse", 311, 3, 7, 9, "8", (0, 4, 6)),
+    ("sparse", 311, 4, 7, 6, "25/4", (1, 5)),
+    ("uncrossable", 312, 0, 4, 6, "3", (3, 4)),
+    ("uncrossable", 312, 1, 4, 6, "11/4", (2, 3)),
+    ("uncrossable", 312, 2, 4, 6, "5/2", (2, 3)),
+    ("uncrossable", 312, 3, 4, 6, "11/2", (1, 4)),
+    ("uncrossable", 312, 4, 4, 6, "6", (2, 4)),
+    ("uncrossable", 312, 0, 5, 10, "15/4", (6, 8)),
+    ("uncrossable", 312, 1, 5, 10, "3/2", (0, 1, 2)),
+    ("uncrossable", 312, 2, 5, 10, "12", (0, 8, 9)),
+    ("uncrossable", 312, 3, 5, 8, "8", (4, 7)),
+    ("uncrossable", 312, 4, 5, 10, "9", (4, 5, 6)),
+    ("uncrossable", 312, 0, 6, 13, "7/4", (6, 7, 9)),
+    ("uncrossable", 312, 1, 6, 15, "17/2", (0, 2, 7, 8, 9)),
+    ("uncrossable", 312, 2, 6, 15, "17/4", (6, 9, 13, 14)),
+    ("uncrossable", 312, 3, 6, 15, "17/4", (11, 13, 14)),
+    ("uncrossable", 312, 4, 6, 15, "7/2", (4, 8, 13)),
+    ("uncrossable", 312, 0, 7, 21, "9/4", (0, 1, 4)),
+    ("uncrossable", 312, 1, 7, 21, "7", (1, 2, 4, 6, 12, 19)),
+    ("uncrossable", 312, 2, 7, 21, "6", (4, 8, 15, 16)),
+    ("uncrossable", 312, 3, 7, 21, "7/2", (13, 14, 15)),
+    ("uncrossable", 312, 4, 7, 21, "19/4", (7, 19)),
+]
+
+
+def test_golden_optima_and_argmins():
+    assert any(m > 12 for _, _, _, _, m, _, _ in GOLDEN_ARGMINS)
+    for kind, seed, index, n, m, opt, argmin in GOLDEN_ARGMINS:
+        g, f = random_instance(kind, instance_rng(seed, index), n=n)
+        assert len(g.edges) == m
+        assert brute_force_opt(g, ExplicitFamilyOracle(f)) == (Fraction(opt), argmin)
 
 
 def test_zero_cost_edge_never_hurts():

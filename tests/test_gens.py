@@ -196,6 +196,19 @@ def test_random_instance_rejects_unknown_kind():
         random_instance("laminar", random.Random(0))
 
 
+def test_random_instance_refuses_universes_below_two_before_drawing():
+    for kind in ("gamma", "sparse", "uncrossable"):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="universe size n = 1 is below 2"):
+            random_instance(kind, rng, n=1)
+        assert rng.getstate() == state
+        # This stream reaches the repaired-family proposal, which at n = 2
+        # has only two seed sets to draw three from.
+        g, f = random_instance(kind, rng, n=2)
+        assert g.n == f.n == 2
+
+
 def test_random_instance_gives_up_after_the_proposal_budget(monkeypatch):
     monkeypatch.setattr(gens, "GENERATION_BUDGET", 0)
     with pytest.raises(GenerationError, match="no gamma instance accepted"):

@@ -175,7 +175,7 @@ def test_trace_round_trip():
     assert doc["version"] == "1" and doc["instance_digest"] == "abc"
     # canonical text survives a JSON round trip unchanged
     assert json.loads(dumps_canonical(doc)) == doc
-    assert trace_from_json(doc, g.n) == trace
+    assert trace_from_json(doc, g) == trace
 
 
 def test_trace_from_json_schema_errors():
@@ -184,11 +184,21 @@ def test_trace_from_json_schema_errors():
     bad = json.loads(dumps_canonical(doc))
     del bad["solution"]
     with pytest.raises(SchemaError, match="missing key 'solution'"):
-        trace_from_json(bad, g.n)
+        trace_from_json(bad, g)
     bad = json.loads(dumps_canonical(doc))
     bad["dual"]["values"][0] = [[0], [1, 1], "extra"]
     with pytest.raises(SchemaError, match="expected \\[members, value\\]"):
-        trace_from_json(bad, g.n)
+        trace_from_json(bad, g)
+    for field, forged in (("solution", [-1]), ("deleted", [4]), ("solution", [True])):
+        bad = json.loads(dumps_canonical(doc))
+        bad[field] = forged
+        with pytest.raises(SchemaError, match=f"trace.{field}"):
+            trace_from_json(bad, g)
+    for field, forged in (("added", 4), ("added", None), ("ties", [0, 9])):
+        bad = json.loads(dumps_canonical(doc))
+        bad["iterations"][0][field] = forged
+        with pytest.raises(SchemaError, match=f"trace.iterations\\[0\\].{field}"):
+            trace_from_json(bad, g)
 
 
 def test_certificate_to_json_shape():

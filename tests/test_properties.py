@@ -239,4 +239,4 @@ def test_instance_and_trace_json_round_trip(f, data):
         trace = solve(g, oracle)
     except InfeasibleError:
         return  # infeasible draws are fine; round-tripping needs a trace
-    assert trace_from_json(trace_to_json(g, trace), g.n) == trace
+    assert trace_from_json(trace_to_json(g, trace), g) == trace
