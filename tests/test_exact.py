@@ -90,16 +90,17 @@ def _tie_heavy_copies(g: CostedGraph):
 def test_matches_reference_scan_including_tie_breaks():
     checked = 0
     for kind in ("gamma", "sparse", "uncrossable"):
-        for i in range(25):
-            g, f = random_instance(kind, instance_rng(200, i), n=4 + i % 3)
-            if len(g.edges) > 11:
-                continue
-            oracle = ExplicitFamilyOracle(f)
-            for h in _tie_heavy_copies(g):
-                cost, argmins = ref_opt(h, family_sets(f))
-                assert brute_force_opt(h, oracle) == (cost, min(argmins))
-                checked += 1
-    assert checked >= 150
+        for n in (4, 5, 6):
+            for i in range(25):
+                g, f = random_instance(kind, instance_rng(200, i), n=n)
+                if len(g.edges) > 12:
+                    continue
+                oracle = ExplicitFamilyOracle(f)
+                for h in _tie_heavy_copies(g):
+                    cost, argmins = ref_opt(h, family_sets(f))
+                    assert brute_force_opt(h, oracle) == (cost, min(argmins))
+                    checked += 1
+    assert checked == 600
 
 
 # (kind, seed, index, n, edge count, optimum, least optimal edge set) for
