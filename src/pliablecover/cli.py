@@ -4,7 +4,8 @@ Subcommands: solve, exact, certify, analyze, witness, check-family, gen.
 All output is canonical JSON on stdout.  Exit codes: 0 success (and "the
 property holds" / "the certificate verifies"), 1 negative verdict, finding,
 or infeasible instance, 2 usage errors and malformed or unreadable input, 3
-an exhaustive guard refused the computation.
+an exhaustive guard refused the computation, 4 an unexpected internal error
+(the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import concurrent.futures
 import json
 import sys
+import traceback
 
 from . import __version__
 from .errors import (
@@ -356,6 +358,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # a crash is never a negative verdict
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from typing import Iterator
 
 from .errors import GenerationError, GuardError
 from .setfam import (
+    MAX_EXHAUSTIVE_UNIVERSE,
     Edge,
     ExplicitFamily,
     NodeSet,
@@ -427,12 +428,19 @@ def random_instance(
 
     kind is one of "gamma", "sparse", "uncrossable".  Proposals that fail
     the class checker (or outgrow the exhaustive guards) are rejected and
-    retried; exceeding the retry budget raises GenerationError.
+    retried; exceeding the retry budget raises GenerationError.  A size at
+    which no proposal can pass its checker raises GuardError before drawing.
     """
     if kind not in ("gamma", "sparse", "uncrossable"):
         raise ValueError(f"unknown instance kind {kind!r}")
     if n is not None and n < 2:
         raise ValueError(f"universe size n = {n} is below 2")
+    # Sizes at which no proposal can pass its checker: every gamma proposal
+    # goes to the exhaustive gamma check, and a group-split proposal has at
+    # least 2^(n-1) members, past is_pliable's 1000-member scan from n = 11.
+    limit = {"gamma": MAX_EXHAUSTIVE_UNIVERSE, "uncrossable": 10}.get(kind)
+    if n is not None and limit is not None and n > limit:
+        raise GuardError(f"instance too large for verified {kind} generation: n = {n} > {limit}")
     for _ in range(GENERATION_BUDGET):
         size = n if n is not None else rng.randint(4, 7)
         roll = rng.random()

@@ -62,7 +62,13 @@ class NodeSet:
         return cls(n, mask)
 
     def members(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if self.mask >> v & 1)
+        out = []
+        rest = self.mask
+        while rest:
+            low = rest & -rest
+            out.append(low.bit_length() - 1)
+            rest ^= low
+        return tuple(out)
 
     def sort_key(self) -> tuple[int, ...]:
         # Canonical order used everywhere: lexicographic on sorted members.
@@ -188,7 +194,7 @@ class ExplicitFamily:
 
 def _minimal_masks(masks: Sequence[int]) -> list[int]:
     """Inclusion-minimal masks, ascending by popcount then value."""
-    order = sorted(masks, key=lambda m: (bin(m).count("1"), m))
+    order = sorted(masks, key=lambda m: (m.bit_count(), m))
     kept: list[int] = []
     for m in order:
         if not any(k & ~m == 0 for k in kept):
@@ -196,12 +202,45 @@ def _minimal_masks(masks: Sequence[int]) -> list[int]:
     return kept
 
 
+class _CoverageKernel:
+    """One family's member masks and, per edge, the members it covers.
+
+    The coverage mask of an edge (bit i set when the edge crosses member i)
+    is computed on first use and kept for the kernel's lifetime, so a
+    residual query costs one OR per edge of J plus one pass over the members.
+    """
+
+    def __init__(self, n: int, masks: Sequence[int]) -> None:
+        self.n = n
+        self.masks = tuple(masks)
+        self._edge_masks: dict[Edge, int] = {}
+
+    def edge_mask(self, u: int, v: int) -> int:
+        cm = self._edge_masks.get((u, v))
+        if cm is None:
+            cm = self._edge_masks[(u, v)] = _coverage_mask(self.masks, u, v)
+        return cm
+
+    def covered(self, edges: Sequence[Edge]) -> int:
+        out = 0
+        for u, v in edges:
+            out |= self.edge_mask(u, v)
+        return out
+
+    def alive(self, covered: int) -> list[int]:
+        """Masks of the members whose bit in `covered` is clear, in order."""
+        return [m for i, m in enumerate(self.masks) if not covered >> i & 1]
+
+    def cores(self, edges: Sequence[Edge]) -> list[NodeSet]:
+        """Inclusion-minimal members uncovered by `edges`, canonical order."""
+        validate_edges(self.n, edges)
+        mins = _minimal_masks(self.alive(self.covered(edges)))
+        return sorted((NodeSet(self.n, m) for m in mins), key=NodeSet.sort_key)
+
+
 def residual_cores(f: ExplicitFamily, edges: Sequence[Edge]) -> list[NodeSet]:
     """Inclusion-minimal members of F uncovered by `edges`, canonical order."""
-    validate_edges(f.n, edges)
-    alive = [s.mask for s in f.members if coverage(s, edges) == 0]
-    mins = _minimal_masks(alive)
-    return sorted((NodeSet(f.n, m) for m in mins), key=NodeSet.sort_key)
+    return _CoverageKernel(f.n, f.masks()).cores(edges)
 
 
 def family_cores(f: ExplicitFamily) -> list[NodeSet]:
@@ -313,14 +352,13 @@ def _coverage_mask(f_masks: Sequence[int], u: int, v: int) -> int:
 
 
 def _reachable_residuals(
-    f: ExplicitFamily, edge_universe: Sequence[Edge]
+    kernel: _CoverageKernel, edge_universe: Sequence[Edge], what: str
 ) -> dict[int, list[Edge]]:
     """All distinct covered-member masks reachable as unions of per-edge
     coverage masks, each with one representative edge set realizing it."""
-    f_masks = f.masks()
     gen: dict[int, Edge] = {}
     for u, v in edge_universe:
-        cm = _coverage_mask(f_masks, u, v)
+        cm = kernel.edge_mask(u, v)
         if cm not in gen:
             gen[cm] = (u, v)
     reached: dict[int, list[Edge]] = {0: []}
@@ -333,8 +371,8 @@ def _reachable_residuals(
             if nxt not in reached:
                 if len(reached) >= MAX_CLOSURE_SIZE:
                     raise GuardError(
-                        "instance too large for exhaustive residual enumeration "
-                        f"(more than {MAX_CLOSURE_SIZE} distinct residual families)"
+                        f"instance too large for exhaustive {what} check: residual "
+                        f"families found before stopping = {len(reached) + 1} > {MAX_CLOSURE_SIZE}"
                     )
                 reached[nxt] = base + [edge]
                 frontier.append(nxt)
@@ -381,18 +419,18 @@ def _residuals(
     """
     universe = all_pairs(f.n) if edge_universe is None else list(edge_universe)
     validate_edges(f.n, universe)
-    f_masks = f.masks()
+    kernel = _CoverageKernel(f.n, f.masks())
     if mode == "exhaustive":
         _exhaustive_guard(f, universe, what)
         residuals = (
-            ([m for i, m in enumerate(f_masks) if not covered >> i & 1], rep)
-            for covered, rep in _reachable_residuals(f, universe).items()
+            (kernel.alive(covered), rep)
+            for covered, rep in _reachable_residuals(kernel, universe, what).items()
         )
     elif mode == "sampled":
         if samples < 1:
             raise ValueError(f"samples must be at least 1, got {samples}")
         residuals = (
-            ([s.mask for s in f.members if coverage(s, edges) == 0], edges)
+            (kernel.alive(kernel.covered(edges)), edges)
             for edges in _sampled_edge_sets(universe, samples, seed)
         )
     else:
@@ -530,6 +568,10 @@ class FamilyOracle:
     disjoint for the families this package targets.  Every call re-verifies
     minimality and disjointness and fails loudly on a violation instead of
     letting a bad family corrupt a run; checkers never assume either.
+
+    Both backends enumerate their family once per oracle instance and
+    answer every call from a `_CoverageKernel`, whose per-edge coverage
+    masks live as long as the oracle does.
     """
 
     def universe_size(self) -> int:
@@ -558,11 +600,15 @@ class FamilyOracle:
 
 
 class ExplicitFamilyOracle(FamilyOracle):
+    """Oracle over an explicit member list, which is read once, when the
+    oracle is built; later calls reuse the coverage masks of earlier ones."""
+
     def __init__(self, family: ExplicitFamily) -> None:
         self.family = family
+        self._kernel = _CoverageKernel(family.n, family.masks())
 
     def universe_size(self) -> int:
         return self.family.n
 
     def _cores_impl(self, edges: Sequence[Edge]) -> list[NodeSet]:
-        return residual_cores(self.family, edges)
+        return self._kernel.cores(edges)

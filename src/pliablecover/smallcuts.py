@@ -9,7 +9,9 @@ a small-cuts family.
 
 Cut values are computed exactly: capacities are scaled by their common
 denominator once, after which everything is integer arithmetic, enumerated
-over subsets with Gray-code incremental updates.
+over subsets with Gray-code incremental updates.  The scan does not depend
+on J, so `SmallCutsOracle` enumerates the family once per oracle and
+derives every residual from it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .setfam import (
     ExplicitFamily,
     FamilyOracle,
     NodeSet,
-    _minimal_masks,
+    _CoverageKernel,
     edge_crosses_mask,
     validate_edges,
 )
@@ -79,7 +81,7 @@ def _enumerate_cut_masks(h: CapGraph) -> list[tuple[int, int]]:
     from that node's incidence list only.
     """
     if h.n > MAX_CUT_ENUM_NODES:
-        raise GuardError(f"instance too large for cut enumeration (n > {MAX_CUT_ENUM_NODES})")
+        raise GuardError(f"instance too large for cut enumeration: n = {h.n} > {MAX_CUT_ENUM_NODES}")
     scaled, _ = _scaled_int_caps(h)
     incidence: list[list[tuple[int, int]]] = [[] for _ in range(h.n)]
     for u, v, c in scaled:
@@ -121,8 +123,7 @@ def small_cut_masks(h: CapGraph, j: Sequence[Edge] = ()) -> list[int]:
 
 def small_cut_cores(h: CapGraph, j: Sequence[Edge] = ()) -> list[NodeSet]:
     """Inclusion-minimal members of the residual small-cuts family."""
-    mins = _minimal_masks(small_cut_masks(h, j))
-    return sorted((NodeSet(h.n, m) for m in mins), key=NodeSet.sort_key)
+    return _CoverageKernel(h.n, small_cut_masks(h)).cores(j)
 
 
 def materialize_family(h: CapGraph) -> ExplicitFamily:
@@ -157,13 +158,20 @@ def beta_bound(h: CapGraph) -> int:
 
 
 class SmallCutsOracle(FamilyOracle):
-    """Family oracle backed by cut enumeration rather than an explicit list."""
+    """Family oracle backed by cut enumeration rather than an explicit list.
+
+    The first `cores` call scans the 2^n cuts once (and raises GuardError
+    past MAX_CUT_ENUM_NODES); every call answers from the small cuts found.
+    """
 
     def __init__(self, h: CapGraph) -> None:
         self.h = h
+        self._kernel: Optional[_CoverageKernel] = None
 
     def universe_size(self) -> int:
         return self.h.n
 
     def _cores_impl(self, edges: Sequence[Edge]) -> list[NodeSet]:
-        return small_cut_cores(self.h, edges)
+        if self._kernel is None:
+            self._kernel = _CoverageKernel(self.h.n, small_cut_masks(self.h))
+        return self._kernel.cores(edges)

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import pliablecover
+import pliablecover.cli as cli
 
 CMD = [sys.executable, "-m", "pliablecover"]
 # The subprocess imports the same package as these tests, installed or not.
@@ -274,6 +275,14 @@ def test_gen_refuses_universes_below_two(kind):
     assert run_cli("gen", "--kind", kind, "--n", "2").returncode == 0
 
 
+@pytest.mark.parametrize("kind,n,limit", [("gamma", 17, 16), ("uncrossable", 11, 10)])
+def test_gen_refuses_sizes_no_proposal_can_pass(kind, n, limit):
+    r = run_cli("gen", "--kind", kind, "--n", str(n))
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr == f"error: instance too large for verified {kind} generation: n = {n} > {limit}\n"
+
+
 # ---------------------------------------------------------------------------
 # error channels
 
@@ -316,3 +325,14 @@ def test_subcommands_share_the_instance_reader(cmd, tmp_path):
     r = run_cli(cmd, write(tmp_path, "i.json", TRIANGLE))
     assert r.returncode == 0, (cmd, r.stderr)
     assert r.stdout.strip()
+
+
+def test_unexpected_exception_exits_4_with_traceback(monkeypatch, capsys):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "solve", crash)
+    assert cli.main(["solve", "-"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" in err and "RuntimeError: boom" in err

@@ -209,6 +209,19 @@ def test_random_instance_refuses_universes_below_two_before_drawing():
         assert g.n == f.n == 2
 
 
+def test_random_instance_refuses_sizes_no_proposal_can_pass_before_drawing():
+    for kind, n, limit in (("gamma", 17, 16), ("uncrossable", 11, 10)):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(
+            GuardError, match=rf"verified {kind} generation: n = {n} > {limit}$"
+        ):
+            random_instance(kind, rng, n=n)
+        assert rng.getstate() == state
+    g, f = random_instance("uncrossable", random.Random(0), n=10)
+    assert f.n == 10 and is_proper_family(f) and is_pliable(f)
+
+
 def test_random_instance_gives_up_after_the_proposal_budget(monkeypatch):
     monkeypatch.setattr(gens, "GENERATION_BUDGET", 0)
     with pytest.raises(GenerationError, match="no gamma instance accepted"):

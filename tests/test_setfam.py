@@ -5,11 +5,13 @@ implementations at the top of this file, which use plain Python sets and a
 filter-then-minimize shape on purpose (different code path than the package).
 """
 
+import itertools
 import json
 import random
 
 import pytest
 
+import pliablecover.setfam as setfam
 from pliablecover.cli import main as cli_main
 from pliablecover.errors import GuardError, OracleInvariantError, UniverseMismatchError
 from pliablecover.setfam import (
@@ -399,6 +401,16 @@ def test_exhaustive_guards():
     assert is_gamma_pliable(big, mode="sampled", samples=10).holds
 
 
+def test_closure_guard_names_the_measured_value(monkeypatch):
+    monkeypatch.setattr(setfam, "MAX_CLOSURE_SIZE", 2)
+    with pytest.raises(
+        GuardError,
+        match=r"too large for exhaustive sparseness check: "
+        r"residual families found before stopping = 3 > 2$",
+    ):
+        is_sparse(fam(4, [0], [1], [2]))
+
+
 # Frozen fixture from seeded search: its sparseness counterexamples lie at
 # non-empty edge sets, so they pin the order in which both modes scan the
 # residual families and the sampled edge-set stream.
@@ -488,6 +500,48 @@ def test_explicit_family_oracle_matches_residual_cores():
             s.members() for s in residual_cores(f, edges)
         ]
         assert oracle.is_covered(edges) == (len(residual_cores(f, edges)) == 0)
+
+
+def edge_set_queries(rng, n, count=12):
+    """Edge lists for one oracle, in shuffled order: the empty list, random
+    lists with parallel copies, and each of those with every edge reversed."""
+    queries = [[]]
+    for _ in range(count):
+        edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 5))]
+        edges += rng.sample(edges, rng.randint(0, len(edges)))
+        queries += [edges, [(v, u) for u, v in edges]]
+    rng.shuffle(queries)
+    return queries
+
+
+def assert_oracle_answers(oracle, edges, expected):
+    """The oracle returns the reference cores, or refuses them if they overlap."""
+    if all(not a & b for a, b in itertools.combinations(expected, 2)):
+        assert [frozenset(s.members()) for s in oracle.cores(edges)] == expected
+        assert oracle.is_covered(edges) == (not expected)
+    else:
+        with pytest.raises(OracleInvariantError):
+            oracle.cores(edges)
+
+
+def test_explicit_oracle_reused_across_calls_matches_reference():
+    rng = random.Random(6)
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        f = random_family(rng, n, rng.randint(1, 12))
+        members = [frozenset(s.members()) for s in f]
+        oracle = ExplicitFamilyOracle(f)
+        for edges in edge_set_queries(rng, n):
+            assert_oracle_answers(oracle, edges, ref_cores(members, edges))
+
+
+def test_oracle_still_validates_edges_it_has_seen():
+    oracle = ExplicitFamilyOracle(fam(3, [0], [2]))
+    assert [s.members() for s in oracle.cores([(0, 1)])] == [(2,)]
+    with pytest.raises(ValueError, match="outside universe"):
+        oracle.cores([(0, 1), (1, 3)])
+    with pytest.raises(ValueError, match="is a loop"):
+        oracle.cores([(0, 1), (2, 2)])
 
 
 class _BrokenOracle(FamilyOracle):

@@ -5,12 +5,14 @@ each cut from the edge list, deliberately avoiding the incremental
 enumeration used by the implementation.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from pliablecover.errors import GuardError
+import pliablecover.smallcuts as smallcuts
+from pliablecover.errors import GuardError, OracleInvariantError
 from pliablecover.setfam import (
     NodeSet,
     crossing_number,
@@ -186,6 +188,63 @@ def test_oracle_agrees_with_materialized_route():
         direct = [s.members() for s in oracle.cores(j)]
         explicit = [s.members() for s in residual_cores(fam, j)]
         assert direct == explicit
+
+
+def ref_residual_cores(masks: list[int], j) -> list[frozenset]:
+    """Minimal members of `masks` that no edge of j crosses, as sorted sets."""
+    alive = [
+        frozenset(v for v in range(m.bit_length()) if m >> v & 1)
+        for m in masks
+        if all((m >> u & 1) == (m >> v & 1) for u, v in j)
+    ]
+    return sorted((s for s in alive if not any(t < s for t in alive)), key=sorted)
+
+
+def test_oracle_reused_across_calls_matches_reference():
+    rng = random.Random(9)
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        h = random_graph(rng, n)
+        masks = ref_small_cut_masks(h)
+        oracle = SmallCutsOracle(h)
+        queries = [[]]
+        for _ in range(10):
+            j = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 4))]
+            j += rng.sample(j, rng.randint(0, len(j)))  # parallel copies
+            queries += [j, [(v, u) for u, v in j]]
+        rng.shuffle(queries)
+        for j in queries:
+            expected = ref_residual_cores(masks, j)
+            if all(not a & b for a, b in itertools.combinations(expected, 2)):
+                assert [frozenset(s.members()) for s in oracle.cores(j)] == expected
+                assert oracle.is_covered(j) == (not expected)
+            else:
+                with pytest.raises(OracleInvariantError):
+                    oracle.cores(j)
+
+
+def test_oracle_scans_the_cuts_once(monkeypatch):
+    scans = []
+    enumerate_cut_masks = smallcuts._enumerate_cut_masks
+
+    def counting(h):
+        scans.append(h.n)
+        return enumerate_cut_masks(h)
+
+    monkeypatch.setattr(smallcuts, "_enumerate_cut_masks", counting)
+    oracle = SmallCutsOracle(triangle(3))
+    assert scans == []
+    assert [s.members() for s in oracle.cores([])] == [(0,), (1,), (2,)]
+    assert [s.members() for s in oracle.cores([(1, 0)])] == [(0, 1), (2,)]
+    assert oracle.is_covered([(0, 1), (1, 2)])
+    assert scans == [3]
+
+
+def test_oracle_guard_fires_at_the_first_call():
+    oracle = SmallCutsOracle(CapGraph.build(23, [(0, 1, 1)], 1))
+    assert oracle.universe_size() == 23
+    with pytest.raises(GuardError, match=r"cut enumeration: n = 23 > 22$"):
+        oracle.cores([])
 
 
 def test_materialized_family_structure():
