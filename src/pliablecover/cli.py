@@ -172,8 +172,9 @@ def _cmd_exact(args) -> int:
 def _cmd_certify(args) -> int:
     inst = instance_from_json(_read_json(args.instance))
     oracle = inst.oracle()
+    digest = instance_digest(inst)
     if args.trace:
-        trace = trace_from_json(_read_json(args.trace), inst.graph)
+        trace = trace_from_json(_read_json(args.trace), inst.graph, digest)
     else:
         trace = solve(inst.graph, oracle)
     opt = brute_force_opt(inst.graph, oracle)[0] if args.with_opt else None
@@ -184,7 +185,7 @@ def _cmd_certify(args) -> int:
         args.family_class,
         beta=args.beta,
         opt=opt,
-        instance_digest=instance_digest(inst),
+        instance_digest=digest,
     )
     _emit(certificate_to_json(cert))
     return 0 if cert.verdict else 1

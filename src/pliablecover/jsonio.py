@@ -238,9 +238,21 @@ def _edge_ids(v: Any, where: str, m: int) -> list[int]:
     return [_edge_id(x, where, m) for x in _int_list(v, where)]
 
 
-def trace_from_json(doc: Any, g: CostedGraph) -> RunTrace:
-    """Parse a trace of a run on `g`; every edge id must index `g.edges`."""
+def trace_from_json(doc: Any, g: CostedGraph, digest: str | None = None) -> RunTrace:
+    """Parse a trace of a run on `g`; every edge id must index `g.edges`.
+
+    When `digest` is given, the trace's `instance_digest` must be it or
+    empty (as `trace_to_json` writes by default).
+    """
     n, m = g.n, len(g.edges)
+    if digest is not None:
+        claimed = doc.get("instance_digest", "") if isinstance(doc, dict) else ""
+        if not isinstance(claimed, str):
+            raise SchemaError("trace.instance_digest: expected a string")
+        if claimed and claimed != digest:
+            raise SchemaError(
+                f"trace.instance_digest: the trace is of instance {claimed}, not of this one ({digest})"
+            )
     iters = []
     for i, row in enumerate(_get(doc, "iterations", "trace")):
         where = f"trace.iterations[{i}]"

@@ -14,12 +14,21 @@ per-edge weight caps, the classification of heavy edges by the shape of
 their contracted run, the bad-pair analysis with its weight reassignment,
 and per-family-class totals.  Violations are collected, not raised, so a
 run over many instances can report every offending input.
+
+Cost: `build_tree` sorts the witness sets, then does work linear in the
+total size of the witness sets and cores, plus one climb per core from the
+smallest set holding its least vertex up to the set that owns it.  A tree
+indexes its edges and cores on first use, so `verify_bounds` is linear in
+the tree size plus the number of bad pairs and findings, up to log factors
+from sorting.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import (
@@ -28,8 +37,8 @@ from .errors import (
     TreeInvariantError,
 )
 from .exact import guarantee_factor
-from .setfam import Edge, ExplicitFamily, NodeSet, coverage, edge_crosses_mask, family_cores
-from .witness import is_laminar, laminar_witness
+from .setfam import Edge, ExplicitFamily, NodeSet, edge_crosses_mask, family_cores
+from .witness import laminar_tree, laminar_witness
 from .wgmv import CostedGraph, RunTrace
 
 HEAVY_WEIGHT = 3
@@ -74,8 +83,38 @@ class ChainEdge:
         return tuple(sorted(self.cover_edges))
 
 
+def _vertex_cores(cores: Sequence[NodeSet]) -> dict[int, int]:
+    """Vertex -> index of the first core holding it."""
+    out: dict[int, int] = {}
+    for i, c in enumerate(cores):
+        for v in c.members():
+            out.setdefault(v, i)
+    return out
+
+
+def _core_degree(core_at: dict[int, int], pairs: Sequence[Edge]) -> int:
+    """Summed d_J(C) over pairwise-disjoint cores, `core_at` their vertex map.
+
+    Edge (u, v) crosses at most the two cores holding u and v, and neither
+    when one core holds both.
+    """
+    total = 0
+    for u, v in pairs:
+        cu, cv = core_at.get(u), core_at.get(v)
+        if cu != cv:
+            total += (cu is not None) + (cv is not None)
+    return total
+
+
 @dataclass(frozen=True)
 class ShortcutTree:
+    """A shortcut tree with its cores, which are pairwise disjoint.
+
+    Each node is the lower endpoint of at most one edge.  The indexes below
+    are derived from the fields on first use, so hand-built trees get them
+    too.
+    """
+
     n: int
     nodes: tuple[TreeNode, ...]
     edges: tuple[ChainEdge, ...]
@@ -92,17 +131,32 @@ class ShortcutTree:
     def leaf_nodes(self) -> list[int]:
         return [x.index for x in self.nodes if x.is_leaf]
 
-    def parent_edge(self, node: int) -> ChainEdge | None:
+    @cached_property
+    def _edge_below(self) -> dict[int, int]:
+        """Node -> index of the first edge with that lower endpoint."""
+        out: dict[int, int] = {}
+        for i, e in enumerate(self.edges):
+            out.setdefault(e.lower, i)
+        return out
+
+    @cached_property
+    def _child_edges(self) -> dict[int, list[ChainEdge]]:
+        """Node -> edges with that upper endpoint, in edge order."""
+        out: dict[int, list[ChainEdge]] = {}
         for e in self.edges:
-            if e.lower == node:
-                return e
-        return None
+            out.setdefault(e.upper, []).append(e)
+        return out
+
+    @cached_property
+    def _core_at(self) -> dict[int, int]:
+        return _vertex_cores(self.cores)
+
+    def parent_edge(self, node: int) -> ChainEdge | None:
+        i = self._edge_below.get(node)
+        return None if i is None else self.edges[i]
 
     def core_of_vertex(self, v: int) -> int | None:
-        for i, c in enumerate(self.cores):
-            if (c.mask >> v) & 1:
-                return i
-        return None
+        return self._core_at.get(v)
 
     def in_core_union(self, v: int) -> bool:
         return self.core_of_vertex(v) is not None
@@ -119,55 +173,50 @@ def build_tree(
         raise TreeInvariantError("cover and witness lists differ in length")
     if len({w.mask for w in witness}) != len(witness):
         raise TreeInvariantError("witness sets are not pairwise distinct")
-    if not is_laminar(list(witness)):
+    witness_order = sorted(range(len(witness)), key=lambda i: witness[i].sort_key())
+    sets: list[NodeSet] = [witness[i] for i in witness_order]
+    links = laminar_tree(sets)
+    if links is None:
         raise TreeInvariantError("witness sets are not laminar")
     full_mask = (1 << n) - 1
     for w in witness:
         if w.n != n or w.is_empty() or w.mask == full_mask:
             raise TreeInvariantError("witness sets must be proper nonempty subsets")
-    for i, a in enumerate(cores):
+    # Core i overlaps a later core when it meets their running union.
+    overlaps_later: list[bool] = []
+    later = 0
+    for c in reversed(cores):
+        overlaps_later.append(bool(c.mask & later))
+        later |= c.mask
+    for a, overlaps in zip(cores, reversed(overlaps_later)):
         if a.n != n or a.is_empty():
             raise TreeInvariantError("cores must be nonempty subsets of the universe")
-        for b in list(cores)[i + 1 :]:
-            if a.mask & b.mask:
-                raise TreeInvariantError("cores must be pairwise disjoint")
+        if overlaps:
+            raise TreeInvariantError("cores must be pairwise disjoint")
 
-    witness_order = sorted(range(len(witness)), key=lambda i: witness[i].sort_key())
-    sets: list[NodeSet] = [witness[i] for i in witness_order]
     edge_of_node: list[int | None] = [cover[i][0] for i in witness_order]
     root = len(sets)
     sets.append(NodeSet(n, full_mask))
     edge_of_node.append(None)
-
-    parent: list[int | None] = [None] * len(sets)
-    for i in range(len(sets)):
-        if i == root:
-            continue
-        best: int | None = None
-        for j in range(len(sets)):
-            if j == i:
-                continue
-            if sets[i].mask | sets[j].mask == sets[j].mask and sets[i].mask != sets[j].mask:
-                if best is None or len(sets[j]) < len(sets[best]):
-                    best = j
-        parent[i] = best
-
+    # Sets are in canonical order, so children listed by index are too.
+    witness_parent, holder = links
+    parent: list[int | None] = [root if p is None else p for p in witness_parent] + [None]
     children: list[list[int]] = [[] for _ in sets]
     for i, p in enumerate(parent):
         if p is not None:
             children[p].append(i)
-    for lst in children:
-        lst.sort(key=lambda i: sets[i].sort_key())
 
+    # A core's owner is the smallest set containing it: climb from the
+    # smallest set holding its least vertex.
     owned: list[list[int]] = [[] for _ in sets]
     for ci, c in enumerate(cores):
-        owner = root
-        for i, s in enumerate(sets):
-            if c.mask | s.mask == s.mask and len(s) < len(sets[owner]):
-                owner = i
+        owner = holder.get((c.mask & -c.mask).bit_length() - 1, root)
+        while c.mask & ~sets[owner].mask:
+            owner = parent[owner]
         owned[owner].append(ci)
 
     pair_of: dict[int, Edge] = {eid: pr for eid, pr in cover}
+    core_at = _vertex_cores(cores)
     nodes: list[TreeNode] = []
     for i, s in enumerate(sets):
         black = bool(owned[i])
@@ -217,8 +266,7 @@ def build_tree(
                 break
             interior.append(nxt.index)
             cur = nxt
-        bundle = [pair_of[eid] for eid in cover_ids]
-        weight = sum(coverage(c, bundle) for c in cores)
+        weight = _core_degree(core_at, [pair_of[eid] for eid in cover_ids])
         edges.append(
             ChainEdge(
                 lower=node.index,
@@ -275,20 +323,6 @@ def classify_chain(tree: ShortcutTree, edge: ChainEdge) -> str:
     return "finding"
 
 
-def _path_up(tree: ShortcutTree, start: int, stop: int) -> list[int] | None:
-    """Surviving nodes from `start` up to `stop`, inclusive; None if not an
-    ancestor path."""
-    path = [start]
-    cur = start
-    while cur != stop:
-        e = tree.parent_edge(cur)
-        if e is None:
-            return None
-        cur = e.upper
-        path.append(cur)
-    return path
-
-
 @dataclass(frozen=True)
 class BadPair:
     lower: int  # index into tree.edges
@@ -308,18 +342,48 @@ def find_bad_pairs(tree: ShortcutTree) -> list[BadPair]:
     return pairs
 
 
+def _white_climbs(tree: ShortcutTree, weights: Sequence[int]) -> dict[int, list[int]]:
+    """Per heavy edge (edge i weighs weights[i]), in index order: the heavy
+    edges passed climbing from its upper endpoint while nodes are white,
+    bottom to top.
+
+    Each white node's first heavy edge up its stretch is found once and
+    remembered, so the climbs cost O(edges + pairs).
+    """
+    nodes, edges, below = tree.nodes, tree.edges, tree._edge_below
+    first_heavy: dict[int, int | None] = {}
+
+    def next_heavy(x: int) -> int | None:
+        trail = []
+        while x not in first_heavy:
+            i = None if nodes[x].black else below.get(x)
+            if i is None or weights[i] >= HEAVY_WEIGHT:
+                first_heavy[x] = i
+            else:
+                trail.append(x)
+                x = edges[i].upper
+        for y in trail:
+            first_heavy[y] = first_heavy[x]
+        return first_heavy[x]
+
+    climbs: dict[int, list[int]] = {}
+    for lo, w in enumerate(weights):
+        if w >= HEAVY_WEIGHT:
+            climb = climbs[lo] = []
+            hi = next_heavy(edges[lo].upper)
+            while hi is not None:
+                climb.append(hi)
+                hi = next_heavy(edges[hi].upper)
+    return climbs
+
+
 def _bad_pairs(tree: ShortcutTree, weights: Sequence[int]) -> list[BadPair]:
-    """Bad pairs when edge i weighs weights[i], in search order."""
-    heavy = [i for i, w in enumerate(weights) if w >= HEAVY_WEIGHT]
-    out: list[BadPair] = []
-    for lo in heavy:
-        for hi in heavy:
-            if lo == hi:
-                continue
-            path = _path_up(tree, tree.edges[lo].upper, tree.edges[hi].lower)
-            if path is not None and all(not tree.nodes[x].black for x in path):
-                out.append(BadPair(lower=lo, upper=hi))
-    return out
+    """Bad pairs when edge i weighs weights[i], by (lower, upper) index."""
+    return [
+        BadPair(lower=lo, upper=hi)
+        for lo, climb in _white_climbs(tree, weights).items()
+        for hi in sorted(climb)
+    ]
 
 
 @dataclass(frozen=True)
@@ -396,27 +460,59 @@ def _token_sets(
     derived H*/B* sets used by the token-counting totals."""
     bad_upper = {p.upper for p in bad_pairs}
     heavy = [i for i, e in enumerate(tree.edges) if e.heavy]
+    kids = tree._child_edges
     b_sets: dict[int, list[int]] = {}
     b_pick: dict[int, int] = {}
     for i in heavy:
-        start = tree.edges[i].lower
+        # Reachable means by light edges only, so the regions searched
+        # below different heavy edges are disjoint.
         found: list[tuple[int, int]] = []  # (depth, node)
-        stack = [(start, 0, False)]
+        stack = [(tree.edges[i].lower, 0)]
         while stack:
-            node, depth, blocked = stack.pop()
-            tn = tree.nodes[node]
-            if tn.black and not blocked:
+            node, depth = stack.pop()
+            if tree.nodes[node].black:
                 found.append((depth, node))
-            for e in tree.edges:
-                if e.upper == node:
-                    stack.append((e.lower, depth + 1, blocked or e.heavy))
-        found.sort(key=lambda t: (t[0], tree.nodes[t[1]].node_set.sort_key()))
+            stack.extend((e.lower, depth + 1) for e in kids.get(node, ()) if not e.heavy)
         b_sets[i] = sorted(n for _, n in found)
         if found:
-            b_pick[i] = found[0][1]
+            b_pick[i] = min(found, key=lambda t: (t[0], tree.nodes[t[1]].node_set.sort_key()))[1]
     h_star = [i for i in heavy if i not in bad_upper]
     b_star = sorted({b_pick[i] for i in h_star if i in b_pick})
     return b_sets, b_pick, h_star, b_star
+
+
+def _lower_ancestors(tree: ShortcutTree, edge_ids: Sequence[int]) -> list[tuple[int, int]]:
+    """Pairs (x, y) of distinct edges in `edge_ids`, sorted, where y's lower
+    endpoint is x's upper endpoint or an ancestor of it.
+
+    Ancestry comes from preorder positions in the forest of parent edges:
+    a subtree is a run of the preorder, so the uppers inside y's lower's
+    subtree are found by bisection.
+    """
+    if len(edge_ids) < 2:
+        return []
+    edges, below, kids = tree.edges, tree._edge_below, tree._child_edges
+    order: list[int] = []
+    stack = [x for x in range(len(tree.nodes)) if x not in below]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        stack.extend(e.lower for e in kids.get(x, ()))
+    pos = {x: t for t, x in enumerate(order)}
+    size = dict.fromkeys(order, 1)
+    for x in reversed(order):
+        if x in below:
+            size[edges[below[x]].upper] += size[x]
+    uppers = sorted((pos[edges[x].upper], x) for x in edge_ids)
+    keys = [t for t, _ in uppers]
+    out: list[tuple[int, int]] = []
+    for y in edge_ids:
+        low = edges[y].lower
+        start = bisect_left(keys, pos[low])
+        stop = bisect_left(keys, pos[low] + size[low])
+        out.extend((x, y) for _, x in uppers[start:stop] if x != y)
+    out.sort()
+    return out
 
 
 def verify_bounds(
@@ -449,8 +545,7 @@ def verify_bounds(
     if len(blacks) > num_c:
         violations.append(f"more black nodes ({len(blacks)}) than cores ({num_c})")
 
-    cover_pairs = [pr for _, pr in tree.cover]
-    recount = sum(coverage(c, cover_pairs) for c in tree.cores)
+    recount = _core_degree(tree._core_at, [pr for _, pr in tree.cover])
     if recount != w_total:
         violations.append(f"edge weights sum to {w_total}, cover core-degree is {recount}")
 
@@ -478,6 +573,7 @@ def verify_bounds(
             )
 
     pairs = find_bad_pairs(tree)
+    climbs = _white_climbs(tree, [e.weight for e in tree.edges])
     in_u = tree.in_core_union
     for p in pairs:
         lo, hi = tree.edges[p.lower], tree.edges[p.upper]
@@ -494,12 +590,11 @@ def verify_bounds(
             violations.append(f"{tag}: upper edge starts inside the core union")
         if lo.ell == 1 and not in_u(lo.labels[0][0]):
             violations.append(f"{tag}: lower edge start should lie in the core union")
-        path = _path_up(tree, lo.upper, hi.lower)
-        assert path is not None
-        for x in path[:-1]:
-            seg = tree.parent_edge(x)
-            if seg is not None and seg.heavy:
-                violations.append(f"{tag}: heavy edge {seg.cover_edges} sits strictly between")
+        climb = climbs[p.lower]
+        for seg in climb[: climb.index(p.upper)]:
+            violations.append(
+                f"{tag}: heavy edge {tree.edges[seg].cover_edges} sits strictly between"
+            )
         if sparse_like and not nodes[hi.upper].black:
             violations.append(f"{tag}: upper endpoint should be black in a sparse family")
 
@@ -538,16 +633,13 @@ def verify_bounds(
                 )
             seen[nd] = i
 
-    i_star = [i for i in h_star if i in b_pick and b_pick[i] in set(leaves) and b_pick[i] in set(b_star)]
-    for x in i_star:
-        for y in i_star:
-            if x == y:
-                continue
-            if _path_up(tree, tree.edges[x].upper, tree.edges[y].lower) is not None:
-                violations.append(
-                    f"leaf-token edges {tree.edges[x].cover_edges} and "
-                    f"{tree.edges[y].cover_edges} lie on one root path"
-                )
+    leaf_set = set(leaves)
+    i_star = [i for i in h_star if i in b_pick and b_pick[i] in leaf_set]
+    for x, y in _lower_ancestors(tree, i_star):
+        violations.append(
+            f"leaf-token edges {tree.edges[x].cover_edges} and "
+            f"{tree.edges[y].cover_edges} lie on one root path"
+        )
 
     num_b, num_l, num_ws = len(blacks), len(leaves), len(whites_surviving)
     bounds = [

@@ -18,14 +18,35 @@ from .setfam import Edge, ExplicitFamily, NodeSet, edge_crosses_mask
 MAX_WITNESS_EDGES = 20
 
 
+def laminar_tree(sets: Sequence[NodeSet]) -> tuple[list[int | None], dict[int, int]] | None:
+    """Containment tree of the sets, or None when two of them cross.
+
+    Returns (parents, holder): parents[i] indexes the smallest set strictly
+    containing sets[i] (None when no set does, and for an empty set; a
+    repeated set gets another copy), and holder[v] the smallest set
+    containing vertex v.  The sets are visited by decreasing size.  If
+    those visited so far are laminar, each one that meets the next set S
+    contains it, so all of S's members share one holder, S's parent; members
+    with two holders (one may be none) mean S crosses a larger set.  Time is
+    linear in the total size of the sets, plus the sort.
+    """
+    parents: list[int | None] = [None] * len(sets)
+    holder: dict[int, int] = {}
+    for i in sorted(range(len(sets)), key=lambda i: len(sets[i]), reverse=True):
+        members = sets[i].members()
+        owners = {holder.get(v) for v in members}
+        if len(owners) > 1:
+            return None
+        if owners:
+            parents[i] = owners.pop()
+        for v in members:
+            holder[v] = i
+    return parents, holder
+
+
 def is_laminar(sets: Sequence[NodeSet]) -> bool:
     """True when no two of the sets cross (any pair is nested or disjoint)."""
-    for i, a in enumerate(sets):
-        for b in sets[i + 1 :]:
-            inter = a.mask & b.mask
-            if inter and inter != a.mask and inter != b.mask:
-                return False
-    return True
+    return laminar_tree(sets) is not None
 
 
 def witness_candidates(f: ExplicitFamily, cover: Sequence[Edge]) -> list[tuple[NodeSet, ...]]:

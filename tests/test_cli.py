@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface via subprocess."""
 
+import io
 import json
 import os
 import subprocess
@@ -111,6 +112,30 @@ TWO_EDGES = {
 }
 
 
+def test_certify_refuses_a_trace_of_another_instance(tmp_path):
+    inst = write(tmp_path, "i.json", TRIANGLE)
+    honest = run_cli("solve", inst).stdout
+    expected = run_cli("certify", inst, "--trace", write(tmp_path, "t.json", json.loads(honest)))
+    assert expected.returncode == 0
+
+    # every edge id of this trace is in range for TRIANGLE; only the digest tells
+    other = json.loads(run_cli("solve", write(tmp_path, "o.json", TWO_EDGES)).stdout)
+    r = run_cli("certify", inst, "--trace", write(tmp_path, "t.json", other))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "trace.instance_digest" in r.stderr and other["instance_digest"] in r.stderr
+
+    doc = json.loads(honest)
+    doc["instance_digest"] = 7
+    r = run_cli("certify", inst, "--trace", write(tmp_path, "t.json", doc))
+    assert r.returncode == 2 and "expected a string" in r.stderr
+
+    # library callers of trace_to_json write an empty digest, which is accepted
+    doc["instance_digest"] = ""
+    r = run_cli("certify", inst, "--trace", write(tmp_path, "t.json", doc))
+    assert (r.returncode, r.stdout) == (0, expected.stdout)
+
+
 @pytest.mark.parametrize(
     "field, forged",
     [
@@ -194,6 +219,17 @@ def test_analyze_writes_dot_output(tmp_path):
     text = dot_path.read_text()
     assert text.startswith("digraph shortcut_tree {")
     assert text.endswith("}\n")
+
+
+def test_analyze_a_1024_leaf_bundle_in_process(monkeypatch, capsys):
+    # A scaling smoke test with no time limit: an analyzer quadratic in the
+    # tree size needs tens of seconds here, which shows in the suite time.
+    assert cli.main(["gen", "--kind", "tight6", "--leaves", "1024"]) == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(capsys.readouterr().out))
+    assert cli.main(["analyze", "-", "--family-class", "sparse"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is True and doc["report"]["ok"] is True
+    assert doc["report"]["total_weight"] == 6 * 1024 - 2
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,17 @@ def test_trace_round_trip():
     assert trace_from_json(doc, g) == trace
 
 
+def test_trace_from_json_checks_a_given_digest():
+    g, _f, trace = solved_instance()
+    doc = trace_to_json(g, trace, digest="abc")
+    assert trace_from_json(doc, g, "abc") == trace
+    assert trace_from_json(trace_to_json(g, trace), g, "abc") == trace  # empty digest
+    with pytest.raises(SchemaError, match="trace.instance_digest: the trace is of instance abc"):
+        trace_from_json(doc, g, "def")
+    with pytest.raises(SchemaError, match="expected a string"):
+        trace_from_json({**doc, "instance_digest": None}, g, "abc")
+
+
 def test_trace_from_json_schema_errors():
     g, _f, trace = solved_instance()
     doc = trace_to_json(g, trace)
