@@ -5,7 +5,8 @@ All output is canonical JSON on stdout.  Exit codes: 0 success (and "the
 property holds" / "the certificate verifies"), 1 negative verdict, finding,
 or infeasible instance, 2 usage errors and malformed or unreadable input, 3
 an exhaustive guard refused the computation, 4 an unexpected internal error
-(the traceback goes to stderr).
+(the traceback goes to stderr), 141 (128 + SIGPIPE) the reader closed stdout
+before the output was written.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import os
 import sys
 import traceback
 
@@ -66,7 +68,8 @@ def _read_json(path: str):
 
 
 def _emit(doc) -> None:
-    print(dumps_canonical(doc))
+    # Flushed here, so that a closed stdout fails inside `main`.
+    print(dumps_canonical(doc), flush=True)
 
 
 def _power_of_two(text: str) -> int:
@@ -325,6 +328,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except BrokenPipeError:
+        # Not an input error: stop writing, and point stdout at devnull so
+        # that the interpreter's final flush does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except json.JSONDecodeError as exc:
         print(
             f"error: malformed JSON at line {exc.lineno} column {exc.colno} "

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GuardError, InfeasibleError
-from .setfam import FamilyOracle, coverage, edge_crosses_mask
+from .setfam import FamilyOracle, bits, degree_sum, incidence
 from .wgmv import CostedGraph, RunTrace, edge_loads
 
 MAX_BRUTE_EDGES = 24
@@ -42,7 +42,11 @@ def brute_force_opt(g: CostedGraph, oracle: FamilyOracle) -> tuple[Fraction, tup
         if not cores:
             best = (cost, tuple(chosen))  # the test below let in only cheaper covers
             return
-        crossers = [[e for e in range(m) if edge_crosses_mask(c.mask, *pairs[e])] for c in cores]
+        inc = incidence(g.n, (c.mask for c in cores))
+        crossers: list[list[int]] = [[] for _ in cores]
+        for e, (u, v) in enumerate(pairs):
+            for i in bits(inc[u] ^ inc[v]):
+                crossers[i].append(e)
         for e in range(chosen[-1] + 1 if chosen else 0, m):
             # Every edge after e has a larger id, so a core that e misses
             # must be crossed by a later edge, at no less than its cheapest.
@@ -164,7 +168,7 @@ def certify(
 
     rows: list[IterationRow] = []
     for idx, it in enumerate(trace.iterations):
-        load = sum(coverage(core, sol_pairs) for core in it.cores)
+        load = degree_sum(incidence(g.n, (c.mask for c in it.cores)), sol_pairs)
         rows.append(IterationRow(idx, len(it.cores), load, iteration_load_bound(family_class, len(it.cores), beta)))
     bad_rows = [r.index for r in rows if not r.ok]
     add("iteration-load-bounds", not bad_rows, f"iterations over bound: {bad_rows}" if bad_rows else "")

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import GuardError, OracleInvariantError, UniverseMismatchError
@@ -62,13 +63,7 @@ class NodeSet:
         return cls(n, mask)
 
     def members(self) -> tuple[int, ...]:
-        out = []
-        rest = self.mask
-        while rest:
-            low = rest & -rest
-            out.append(low.bit_length() - 1)
-            rest ^= low
-        return tuple(out)
+        return tuple(bits(self.mask))
 
     def sort_key(self) -> tuple[int, ...]:
         # Canonical order used everywhere: lexicographic on sorted members.
@@ -110,6 +105,16 @@ class NodeSet:
             raise UniverseMismatchError(f"universe mismatch: {self.n} vs {other.n}")
 
 
+def bits(mask: int) -> list[int]:
+    """Indexes of the set bits of a nonnegative mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def crosses(a: NodeSet, b: NodeSet) -> bool:
     """True when all four of a&b, a-b, b-a, V-(a|b) are nonempty."""
     a._check(b)
@@ -140,6 +145,27 @@ def edge_crosses_mask(mask: int, u: int, v: int) -> bool:
 def coverage(s: NodeSet, edges: Sequence[Edge]) -> int:
     """d_J(S): number of edges with exactly one endpoint in S (multiplicity counts)."""
     return sum(1 for u, v in edges if edge_crosses_mask(s.mask, u, v))
+
+
+def incidence(n: int, masks: Iterable[int]) -> list[int]:
+    """Per vertex, the bitmask of the indexes of the sets holding it.
+
+    Edge (u, v) crosses set i exactly when bit i of inc[u] ^ inc[v] is set.
+    This holds for any list of sets, overlapping or repeated ones included.
+    """
+    inc = [0] * n
+    for i, m in enumerate(masks):
+        bit = 1 << i
+        while m:
+            low = m & -m
+            inc[low.bit_length() - 1] |= bit
+            m ^= low
+    return inc
+
+
+def degree_sum(inc: Sequence[int], edges: Sequence[Edge]) -> int:
+    """Summed d_J(S) over the sets behind the incidence list `inc`."""
+    return sum((inc[u] ^ inc[v]).bit_count() for u, v in edges)
 
 
 @dataclass(frozen=True)
@@ -188,7 +214,8 @@ class ExplicitFamily:
         for callers that want the family itself.
         """
         validate_edges(self.n, edges)
-        kept = [s for s in self.members if coverage(s, edges) == 0]
+        covered = _CoverageKernel(self.n, self.masks()).covered(edges)
+        kept = [s for i, s in enumerate(self.members) if not covered >> i & 1]
         return ExplicitFamily(self.n, tuple(kept))
 
 
@@ -203,28 +230,26 @@ def _minimal_masks(masks: Sequence[int]) -> list[int]:
 
 
 class _CoverageKernel:
-    """One family's member masks and, per edge, the members it covers.
+    """One family's member masks and their incidence list.
 
     The coverage mask of an edge (bit i set when the edge crosses member i)
-    is computed on first use and kept for the kernel's lifetime, so a
-    residual query costs one OR per edge of J plus one pass over the members.
+    is one XOR of two incidence entries, so a residual query costs one XOR
+    and one OR per edge of J plus one pass over the members.  The incidence
+    list is built at the first nonempty query.
     """
 
     def __init__(self, n: int, masks: Sequence[int]) -> None:
         self.n = n
         self.masks = tuple(masks)
-        self._edge_masks: dict[Edge, int] = {}
 
-    def edge_mask(self, u: int, v: int) -> int:
-        cm = self._edge_masks.get((u, v))
-        if cm is None:
-            cm = self._edge_masks[(u, v)] = _coverage_mask(self.masks, u, v)
-        return cm
+    @cached_property
+    def inc(self) -> list[int]:
+        return incidence(self.n, self.masks)
 
     def covered(self, edges: Sequence[Edge]) -> int:
         out = 0
         for u, v in edges:
-            out |= self.edge_mask(u, v)
+            out |= self.inc[u] ^ self.inc[v]
         return out
 
     def alive(self, covered: int) -> list[int]:
@@ -342,15 +367,6 @@ def all_pairs(n: int) -> list[Edge]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-def _coverage_mask(f_masks: Sequence[int], u: int, v: int) -> int:
-    """Which family members (by index bit) does edge (u,v) cover."""
-    out = 0
-    for i, m in enumerate(f_masks):
-        if edge_crosses_mask(m, u, v):
-            out |= 1 << i
-    return out
-
-
 def _reachable_residuals(
     kernel: _CoverageKernel, edge_universe: Sequence[Edge], what: str
 ) -> dict[int, list[Edge]]:
@@ -358,7 +374,7 @@ def _reachable_residuals(
     coverage masks, each with one representative edge set realizing it."""
     gen: dict[int, Edge] = {}
     for u, v in edge_universe:
-        cm = kernel.edge_mask(u, v)
+        cm = kernel.inc[u] ^ kernel.inc[v]
         if cm not in gen:
             gen[cm] = (u, v)
     reached: dict[int, list[Edge]] = {0: []}
@@ -566,12 +582,14 @@ class FamilyOracle:
 
     cores(J) returns the inclusion-minimal uncovered members, pairwise
     disjoint for the families this package targets.  Every call re-verifies
-    minimality and disjointness and fails loudly on a violation instead of
-    letting a bad family corrupt a run; checkers never assume either.
+    that they are nonempty and pairwise disjoint (hence minimal) and fails
+    loudly on a violation instead of letting a bad family corrupt a run;
+    checkers never assume either.
 
-    Both backends enumerate their family once per oracle instance and
-    answer every call from a `_CoverageKernel`, whose per-edge coverage
-    masks live as long as the oracle does.
+    Both backends answer every call from a `_CoverageKernel` over their
+    family's incidence list: the explicit backend builds it once per oracle,
+    the small-cut backend reads the one its graph builds from a single cut
+    scan.
     """
 
     def universe_size(self) -> int:
@@ -589,19 +607,21 @@ class FamilyOracle:
         return not self.cores(edges)
 
     def _validate_cores(self, cores: list[NodeSet]) -> None:
-        for i, a in enumerate(cores):
-            for b in cores[i + 1 :]:
-                if a.mask & b.mask:
-                    raise OracleInvariantError(
-                        f"cores not pairwise disjoint: {sorted(a.members())} and {sorted(b.members())}"
-                    )
-                if a.mask & ~b.mask == 0 or b.mask & ~a.mask == 0:
-                    raise OracleInvariantError("cores not inclusion-minimal")
+        seen = 0
+        for i, b in enumerate(cores):
+            if b.is_empty():
+                raise OracleInvariantError("cores not inclusion-minimal: an empty core")
+            if b.mask & seen:
+                a = next(a for a in cores[:i] if a.mask & b.mask)
+                raise OracleInvariantError(
+                    f"cores not pairwise disjoint: {sorted(a.members())} and {sorted(b.members())}"
+                )
+            seen |= b.mask
 
 
 class ExplicitFamilyOracle(FamilyOracle):
     """Oracle over an explicit member list, which is read once, when the
-    oracle is built; later calls reuse the coverage masks of earlier ones."""
+    oracle is built, into the kernel that answers every call."""
 
     def __init__(self, family: ExplicitFamily) -> None:
         self.family = family

@@ -10,16 +10,17 @@ a small-cuts family.
 Cut values are computed exactly: capacities are scaled by their common
 denominator once, after which everything is integer arithmetic, enumerated
 over subsets with Gray-code incremental updates.  The scan does not depend
-on J, so `SmallCutsOracle` enumerates the family once per oracle and
-derives every residual from it.
+on J, so it runs once per graph, at the first use of the family or of the
+edge connectivity, and every residual is derived from its result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, lcm
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import GuardError
 from .setfam import (
@@ -55,6 +56,12 @@ class CapGraph:
     def build(cls, n: int, edges: Sequence[tuple[int, int, Fraction | int]], k: Fraction | int) -> "CapGraph":
         return cls(n, tuple((u, v, Fraction(c)) for u, v, c in edges), Fraction(k))
 
+    @cached_property
+    def _cuts(self) -> tuple[_CoverageKernel, Fraction]:
+        """The small cuts' coverage kernel and the edge connectivity."""
+        masks, lam = _enumerate_cut_masks(self)
+        return _CoverageKernel(self.n, masks), lam
+
 
 def cut_value(h: CapGraph, s: NodeSet) -> Fraction:
     """Total capacity of edges with exactly one endpoint in s."""
@@ -67,27 +74,25 @@ def cut_value(h: CapGraph, s: NodeSet) -> Fraction:
     return total
 
 
-def _scaled_int_caps(h: CapGraph) -> tuple[list[tuple[int, int, int]], int]:
-    """Capacities scaled to integers by the common denominator (with k)."""
-    denom = lcm(h.k.denominator, *(c.denominator for _, _, c in h.edges)) if h.edges else h.k.denominator
-    scaled = [(u, v, int(c * denom)) for u, v, c in h.edges]
-    return scaled, denom
+def _enumerate_cut_masks(h: CapGraph) -> tuple[tuple[int, ...], Fraction]:
+    """Masks of all S with cut_H(S) < k, in Gray-code order, and the least
+    cut value over proper nonempty subsets (0 if disconnected).
 
-
-def _enumerate_cut_masks(h: CapGraph) -> list[tuple[int, int]]:
-    """(mask, scaled cut value) for every proper nonempty subset.
-
-    Gray-code order: each step flips one node, so the cut value is updated
-    from that node's incidence list only.
+    Capacities are scaled to integers by their common denominator with k.
+    Each Gray-code step flips one node, so the cut value is updated from
+    that node's neighbour list only.
     """
     if h.n > MAX_CUT_ENUM_NODES:
         raise GuardError(f"instance too large for cut enumeration: n = {h.n} > {MAX_CUT_ENUM_NODES}")
-    scaled, _ = _scaled_int_caps(h)
-    incidence: list[list[tuple[int, int]]] = [[] for _ in range(h.n)]
+    denom = lcm(h.k.denominator, *(c.denominator for _, _, c in h.edges))
+    k_scaled = int(h.k * denom)
+    scaled = [(u, v, int(c * denom)) for u, v, c in h.edges]
+    neighbours: list[list[tuple[int, int]]] = [[] for _ in range(h.n)]
     for u, v, c in scaled:
-        incidence[u].append((v, c))
-        incidence[v].append((u, c))
-    out: list[tuple[int, int]] = []
+        neighbours[u].append((v, c))
+        neighbours[v].append((u, c))
+    small: list[int] = []
+    least = sum(c for _, _, c in scaled)  # no cut exceeds the total capacity
     full = (1 << h.n) - 1
     mask = 0
     cut = 0
@@ -98,49 +103,40 @@ def _enumerate_cut_masks(h: CapGraph) -> list[tuple[int, int]]:
         prev_gray = gray
         entering = not (mask >> bit & 1)
         delta = 0
-        for other, c in incidence[bit]:
+        for other, c in neighbours[bit]:
             inside = bool(mask >> other & 1)
             # edge (bit, other): flipping `bit` toggles whether it crosses
             delta += -c if inside else c
         cut += delta if entering else -delta
         mask ^= 1 << bit
         if mask != full:
-            out.append((mask, cut))
-    return out
+            if cut < k_scaled:
+                small.append(mask)
+            if cut < least:
+                least = cut
+    return tuple(small), Fraction(least, denom)
 
 
 def small_cut_masks(h: CapGraph, j: Sequence[Edge] = ()) -> list[int]:
     """Masks of all S with cut_H(S) < k and d_J(S) = 0."""
     validate_edges(h.n, j)
-    _, denom = _scaled_int_caps(h)
-    k_scaled = int(h.k * denom)
-    out = []
-    for mask, cut in _enumerate_cut_masks(h):
-        if cut < k_scaled and all(not edge_crosses_mask(mask, u, v) for u, v in j):
-            out.append(mask)
-    return out
+    kernel = h._cuts[0]
+    return kernel.alive(kernel.covered(j))
 
 
 def small_cut_cores(h: CapGraph, j: Sequence[Edge] = ()) -> list[NodeSet]:
     """Inclusion-minimal members of the residual small-cuts family."""
-    return _CoverageKernel(h.n, small_cut_masks(h)).cores(j)
+    return h._cuts[0].cores(j)
 
 
 def materialize_family(h: CapGraph) -> ExplicitFamily:
     """The small-cuts family as an explicit family (guarded by n)."""
-    masks = small_cut_masks(h)
-    return ExplicitFamily(h.n, tuple(NodeSet(h.n, m) for m in masks))
+    return ExplicitFamily(h.n, tuple(NodeSet(h.n, m) for m in h._cuts[0].masks))
 
 
 def edge_connectivity(h: CapGraph) -> Fraction:
     """Minimum cut value over proper nonempty subsets (0 if disconnected)."""
-    _, denom = _scaled_int_caps(h)
-    best: Optional[int] = None
-    for _, cut in _enumerate_cut_masks(h):
-        if best is None or cut < best:
-            best = cut
-    assert best is not None
-    return Fraction(best, denom)
+    return h._cuts[1]
 
 
 def beta_bound(h: CapGraph) -> int:
@@ -160,18 +156,16 @@ def beta_bound(h: CapGraph) -> int:
 class SmallCutsOracle(FamilyOracle):
     """Family oracle backed by cut enumeration rather than an explicit list.
 
-    The first `cores` call scans the 2^n cuts once (and raises GuardError
-    past MAX_CUT_ENUM_NODES); every call answers from the small cuts found.
+    Every call answers from the graph's small cuts, which come from one scan
+    of the 2^n cuts per graph, at its first use (GuardError past
+    MAX_CUT_ENUM_NODES).
     """
 
     def __init__(self, h: CapGraph) -> None:
         self.h = h
-        self._kernel: Optional[_CoverageKernel] = None
 
     def universe_size(self) -> int:
         return self.h.n
 
     def _cores_impl(self, edges: Sequence[Edge]) -> list[NodeSet]:
-        if self._kernel is None:
-            self._kernel = _CoverageKernel(self.h.n, small_cut_masks(self.h))
-        return self._kernel.cores(edges)
+        return self.h._cuts[0].cores(edges)

@@ -37,7 +37,8 @@ from .errors import (
     TreeInvariantError,
 )
 from .exact import guarantee_factor
-from .setfam import Edge, ExplicitFamily, NodeSet, edge_crosses_mask, family_cores
+from .setfam import Edge, ExplicitFamily, NodeSet, bits, degree_sum, edge_crosses_mask
+from .setfam import family_cores, incidence
 from .witness import laminar_tree, laminar_witness
 from .wgmv import CostedGraph, RunTrace
 
@@ -83,29 +84,6 @@ class ChainEdge:
         return tuple(sorted(self.cover_edges))
 
 
-def _vertex_cores(cores: Sequence[NodeSet]) -> dict[int, int]:
-    """Vertex -> index of the first core holding it."""
-    out: dict[int, int] = {}
-    for i, c in enumerate(cores):
-        for v in c.members():
-            out.setdefault(v, i)
-    return out
-
-
-def _core_degree(core_at: dict[int, int], pairs: Sequence[Edge]) -> int:
-    """Summed d_J(C) over pairwise-disjoint cores, `core_at` their vertex map.
-
-    Edge (u, v) crosses at most the two cores holding u and v, and neither
-    when one core holds both.
-    """
-    total = 0
-    for u, v in pairs:
-        cu, cv = core_at.get(u), core_at.get(v)
-        if cu != cv:
-            total += (cu is not None) + (cv is not None)
-    return total
-
-
 @dataclass(frozen=True)
 class ShortcutTree:
     """A shortcut tree with its cores, which are pairwise disjoint.
@@ -148,15 +126,17 @@ class ShortcutTree:
         return out
 
     @cached_property
-    def _core_at(self) -> dict[int, int]:
-        return _vertex_cores(self.cores)
+    def _core_incidence(self) -> list[int]:
+        return incidence(self.n, (c.mask for c in self.cores))
 
     def parent_edge(self, node: int) -> ChainEdge | None:
         i = self._edge_below.get(node)
         return None if i is None else self.edges[i]
 
     def core_of_vertex(self, v: int) -> int | None:
-        return self._core_at.get(v)
+        """Index of the first core holding v, or None."""
+        held = self._core_incidence[v]
+        return bits(held)[0] if held else None
 
     def in_core_union(self, v: int) -> bool:
         return self.core_of_vertex(v) is not None
@@ -216,7 +196,7 @@ def build_tree(
         owned[owner].append(ci)
 
     pair_of: dict[int, Edge] = {eid: pr for eid, pr in cover}
-    core_at = _vertex_cores(cores)
+    core_inc = incidence(n, (c.mask for c in cores))
     nodes: list[TreeNode] = []
     for i, s in enumerate(sets):
         black = bool(owned[i])
@@ -266,7 +246,7 @@ def build_tree(
                 break
             interior.append(nxt.index)
             cur = nxt
-        weight = _core_degree(core_at, [pair_of[eid] for eid in cover_ids])
+        weight = degree_sum(core_inc, [pair_of[eid] for eid in cover_ids])
         edges.append(
             ChainEdge(
                 lower=node.index,
@@ -545,7 +525,7 @@ def verify_bounds(
     if len(blacks) > num_c:
         violations.append(f"more black nodes ({len(blacks)}) than cores ({num_c})")
 
-    recount = _core_degree(tree._core_at, [pr for _, pr in tree.cover])
+    recount = degree_sum(tree._core_incidence, [pr for _, pr in tree.cover])
     if recount != w_total:
         violations.append(f"edge weights sum to {w_total}, cover core-degree is {recount}")
 
@@ -761,11 +741,8 @@ def analyze_trace(
         probs: list[str] = []
         j0 = set(additions[:idx])
         i_prime = [e for e in trace.solution if e not in j0]
-        i_cover = [
-            e
-            for e in i_prime
-            if any(edge_crosses_mask(c.mask, *g.pair(e)) for c in it.cores)
-        ]
+        inc = incidence(g.n, (c.mask for c in it.cores))
+        i_cover = [e for e in i_prime if degree_sum(inc, [g.pair(e)])]
         outside = sorted(j0 | (set(i_prime) - set(i_cover)))
         residual = f.residual([g.pair(e) for e in outside])
         report: BoundReport | None = None

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InfeasibleError
-from .setfam import Edge, FamilyOracle, NodeSet, edge_crosses_mask, validate_edges
+from .setfam import Edge, FamilyOracle, NodeSet, bits, incidence, validate_edges
 
 
 @dataclass(frozen=True)
@@ -86,12 +86,9 @@ class RunTrace:
 
 def edge_loads(g: CostedGraph, values: Iterable[tuple[NodeSet, Fraction]]) -> list[Fraction]:
     """Per-edge load: the summed dual value of the sets each edge crosses."""
-    loads = [Fraction(0)] * len(g.edges)
-    for s, y in values:
-        for eid, (u, v, _) in enumerate(g.edges):
-            if edge_crosses_mask(s.mask, u, v):
-                loads[eid] += y
-    return loads
+    values = list(values)
+    inc = incidence(g.n, (s.mask for s, _ in values))
+    return [sum((values[i][1] for i in bits(inc[u] ^ inc[v])), Fraction(0)) for u, v, _ in g.edges]
 
 
 def phase1(g: CostedGraph, oracle: FamilyOracle) -> tuple[list[int], list[IterationRecord], dict[NodeSet, Fraction]]:
@@ -114,21 +111,17 @@ def phase1(g: CostedGraph, oracle: FamilyOracle) -> tuple[list[int], list[Iterat
             break
         # Edges already picked never cover a residual core (its d_J is 0),
         # so candidates are exactly the unpicked edges crossing some core.
+        inc = incidence(g.n, (core.mask for core in cores))
         cov: dict[int, int] = {}
-        core_hit = [False] * len(cores)
+        hit = 0
         for eid, (u, v, _) in enumerate(g.edges):
-            if eid in picked_set:
-                continue
-            c = 0
-            for i, core in enumerate(cores):
-                if edge_crosses_mask(core.mask, u, v):
-                    c += 1
-                    core_hit[i] = True
-            if c:
-                cov[eid] = c
-        for i, hit in enumerate(core_hit):
-            if not hit:
-                raise InfeasibleError(cores[i])
+            crossed = inc[u] ^ inc[v]
+            if crossed and eid not in picked_set:
+                cov[eid] = crossed.bit_count()
+                hit |= crossed
+        unhit = ~hit & ((1 << len(cores)) - 1)
+        if unhit:
+            raise InfeasibleError(cores[bits(unhit)[0]])
         eps = min((g.cost(e) - loads[e]) / c for e, c in cov.items())
         assert eps >= 0, "dual feasibility violated before the raise"
         if eps:  # zero raises leave no dual variable behind

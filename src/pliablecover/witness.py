@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import CoverNotMinimalError, GuardError, NoLaminarWitnessError
-from .setfam import Edge, ExplicitFamily, NodeSet, edge_crosses_mask
+from .setfam import Edge, ExplicitFamily, NodeSet, bits, incidence, validate_edges
 
 MAX_WITNESS_EDGES = 20
 
@@ -56,17 +56,22 @@ def witness_candidates(f: ExplicitFamily, cover: Sequence[Edge]) -> list[tuple[N
     by construction.  Raises CoverNotMinimalError when some edge has no
     candidate, and ValueError when the edges do not even cover the family.
     """
-    cands: list[list[NodeSet]] = [[] for _ in cover]
-    for s in f.members:
-        crossing = [i for i, (u, v) in enumerate(cover) if edge_crosses_mask(s.mask, u, v)]
-        if not crossing:
-            raise ValueError(f"edges do not cover the family: {sorted(s.members())} is uncovered")
-        if len(crossing) == 1:
-            cands[crossing[0]].append(s)
+    validate_edges(f.n, cover)
+    inc = incidence(f.n, f.masks())
+    crossed = [inc[u] ^ inc[v] for u, v in cover]
+    once = twice = 0
+    for x in crossed:
+        twice |= once & x
+        once |= x
+    uncovered = ~once & ((1 << len(f)) - 1)
+    if uncovered:
+        s = f.members[bits(uncovered)[0]]
+        raise ValueError(f"edges do not cover the family: {sorted(s.members())} is uncovered")
+    cands = [tuple(f.members[i] for i in bits(x & ~twice)) for x in crossed]
     for i, lst in enumerate(cands):
         if not lst:
             raise CoverNotMinimalError(i)
-    return [tuple(sorted(lst, key=NodeSet.sort_key)) for lst in cands]
+    return cands
 
 
 def laminar_witness(f: ExplicitFamily, cover: Sequence[Edge]) -> tuple[NodeSet, ...]:

@@ -349,6 +349,22 @@ def test_directory_input_exits_2(tmp_path):
     assert "error:" in r.stderr and "Traceback" not in r.stderr
 
 
+def test_closed_stdout_exits_141_silently():
+    # The read end is closed before the command writes, so its first write
+    # fails with EPIPE, as when `head` has read all it wants.
+    proc = subprocess.Popen(
+        CMD + ["gen", "--kind", "tight6", "--leaves", "4"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=ENV,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+
+
 def test_guard_refusal_exits_3():
     big = {"kind": "explicit", "n": 18, "members": [[0]]}
     r = run_cli("check-family", "--property", "gamma", stdin=json.dumps(big))

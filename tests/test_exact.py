@@ -1,6 +1,7 @@
 """Brute-force optimum and certificate checker tests."""
 
 import dataclasses
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,7 +16,7 @@ from pliablecover.exact import (
     iteration_load_bound,
 )
 from pliablecover.gens import instance_rng, random_instance
-from pliablecover.setfam import ExplicitFamily, ExplicitFamilyOracle
+from pliablecover.setfam import ExplicitFamily, ExplicitFamilyOracle, NodeSet, coverage
 from pliablecover.smallcuts import CapGraph, SmallCutsOracle
 from pliablecover.wgmv import CostedGraph, solve
 
@@ -317,3 +318,26 @@ def test_certify_is_deterministic():
     a = certify(g, oracle, trace, "gamma")
     b = certify(g, oracle, trace, "gamma")
     assert a == b
+
+
+def test_iteration_loads_stay_exact_on_overlapping_forged_cores():
+    # A forged trace may list cores that overlap or repeat; each row's load
+    # is still the summed d(C) over the solution of the cores it lists.
+    rng = random.Random(19)
+    total = 0
+    for i in range(10):
+        g, f, oracle, trace = solved("gamma", 209, i, n=5)
+        iterations = []
+        for it in trace.iterations:
+            first = it.cores[0]
+            grown = NodeSet(g.n, first.mask | 1 << rng.randrange(g.n))
+            iterations.append(dataclasses.replace(it, cores=it.cores + (grown, first)))
+        forged = dataclasses.replace(trace, iterations=tuple(iterations))
+        cert = certify(g, oracle, forged, "gamma")
+        sol_pairs = [g.pair(e) for e in trace.solution]
+        assert len(cert.iteration_rows) == len(iterations)
+        for row, it in zip(cert.iteration_rows, iterations):
+            assert row.num_cores == len(it.cores)
+            assert row.load == sum(coverage(c, sol_pairs) for c in it.cores)
+            total += row.load
+    assert total > 0

@@ -24,7 +24,10 @@ from pliablecover.setfam import (
     coverage,
     crosses,
     crossing_number,
+    degree_sum,
+    edge_crosses_mask,
     family_cores,
+    incidence,
     is_gamma_pliable,
     is_pliable,
     is_proper_family,
@@ -544,16 +547,55 @@ def test_oracle_still_validates_edges_it_has_seen():
         oracle.cores([(0, 1), (2, 2)])
 
 
-class _BrokenOracle(FamilyOracle):
-    """Returns overlapping cores to exercise the output validation."""
+class _ListOracle(FamilyOracle):
+    """Returns a fixed list of cores, whatever the edges, to exercise the
+    output validation."""
+
+    def __init__(self, n, *cores):
+        self.n = n
+        self.answer = [NodeSet.from_members(n, c) for c in cores]
 
     def universe_size(self):
-        return 4
+        return self.n
 
     def _cores_impl(self, edges):
-        return [NodeSet.from_members(4, [0, 1]), NodeSet.from_members(4, [1, 2])]
+        return list(self.answer)
 
 
 def test_oracle_output_validation():
     with pytest.raises(OracleInvariantError):
-        _BrokenOracle().cores(())
+        _ListOracle(4, [0, 1], [1, 2]).cores(())
+
+
+def test_oracle_refuses_a_single_empty_core():
+    with pytest.raises(OracleInvariantError, match="empty core"):
+        _ListOracle(3, []).cores(())
+    with pytest.raises(OracleInvariantError, match="empty core"):
+        _ListOracle(3, [0], [], [2]).cores(())
+
+
+def test_oracle_overlap_error_names_two_overlapping_cores():
+    with pytest.raises(OracleInvariantError, match=r"disjoint: \[0, 1\] and \[1, 3\]$"):
+        _ListOracle(4, [0, 1], [2], [1, 3]).cores(())
+    assert [c.members() for c in _ListOracle(4, [0, 1], [2], [3]).cores(())] == [(0, 1), (2,), (3,)]
+
+
+# --- incidence -------------------------------------------------------------------
+
+
+def test_incidence_matches_per_set_crossing_tests():
+    assert incidence(3, []) == [0, 0, 0]
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        masks = [rng.randrange(1 << n) for _ in range(rng.randint(0, 6))]
+        masks += rng.sample(masks, rng.randint(0, len(masks)))  # repeated sets
+        rng.shuffle(masks)
+        inc = incidence(n, masks)
+        assert len(inc) == n
+        edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 5))]
+        edges += [(v, u) for u, v in edges] + rng.sample(edges, rng.randint(0, len(edges)))
+        for u, v in edges:
+            crossed = [i for i, m in enumerate(masks) if edge_crosses_mask(m, u, v)]
+            assert inc[u] ^ inc[v] == sum(1 << i for i in crossed)
+        assert degree_sum(inc, edges) == sum(coverage(NodeSet(n, m), edges) for m in masks)

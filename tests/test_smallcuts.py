@@ -240,6 +240,34 @@ def test_oracle_scans_the_cuts_once(monkeypatch):
     assert scans == [3]
 
 
+def test_graph_scans_its_cuts_once(monkeypatch):
+    scans = []
+    enumerate_cut_masks = smallcuts._enumerate_cut_masks
+
+    def counting(h):
+        scans.append(h.n)
+        return enumerate_cut_masks(h)
+
+    monkeypatch.setattr(smallcuts, "_enumerate_cut_masks", counting)
+    # a 4-cycle with capacities 2, 1, 2, 1: cuts {0,1} and {2,3} have value 2
+    h = CapGraph.build(4, [(0, 1, 2), (1, 2, 1), (2, 3, 2), (3, 0, 1)], 3)
+    oracle = SmallCutsOracle(h)
+    assert [s.members() for s in oracle.cores([])] == [(0, 1), (2, 3)]
+    assert edge_connectivity(h) == 2
+    assert beta_bound(h) == 1
+    assert [s.members() for s in materialize_family(h)] == [(0, 1), (2, 3)]
+    assert small_cut_masks(h, [(1, 2)]) == []
+    assert [s.members() for s in small_cut_cores(h, [(0, 1)])] == [(0, 1), (2, 3)]
+    assert SmallCutsOracle(h).is_covered([(0, 3), (1, 2)])
+    assert scans == [4]
+
+    big = CapGraph.build(23, [(0, 1, 1)], 1)
+    for _ in range(2):
+        with pytest.raises(GuardError, match=r"cut enumeration: n = 23 > 22$"):
+            edge_connectivity(big)
+    assert scans == [4, 23, 23]
+
+
 def test_oracle_guard_fires_at_the_first_call():
     oracle = SmallCutsOracle(CapGraph.build(23, [(0, 1, 1)], 1))
     assert oracle.universe_size() == 23

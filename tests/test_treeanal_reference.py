@@ -12,7 +12,7 @@ and on hand-built `ShortcutTree`s whose edges are listed in random order.
 import dataclasses
 import random
 
-from pliablecover.setfam import NodeSet, coverage
+from pliablecover.setfam import NodeSet, coverage, degree_sum, incidence
 from pliablecover.treeanal import (
     HEAVY_WEIGHT,
     BadPair,
@@ -20,7 +20,6 @@ from pliablecover.treeanal import (
     ShortcutTree,
     TreeNode,
     _bad_pairs,
-    _core_degree,
     _token_sets,
     build_tree,
     find_bad_pairs,
@@ -293,19 +292,22 @@ def test_path_findings_and_their_order_match():
 
 
 def test_core_degree_matches_coverage_on_disjoint_cores():
+    # The tree weights count through `degree_sum`; overlapping sets are
+    # checked too, since the count does not rely on disjointness.
     rng = random.Random(15)
     for _ in range(200):
         n = rng.randint(2, 10)
         vertices = rng.sample(range(n), rng.randint(0, n))
-        cores, at = [], {}
+        cores = []
         while vertices:
             size = rng.randint(1, 3)
-            for v in vertices[:size]:
-                at[v] = len(cores)
             cores.append(NodeSet.from_members(n, vertices[:size]))
             vertices = vertices[size:]
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 8))]
-        assert _core_degree(at, pairs) == sum(coverage(c, pairs) for c in cores)
+        overlapping = cores + [NodeSet(n, rng.randrange(1 << n)) for _ in range(rng.randint(1, 4))]
+        for sets in (cores, overlapping):
+            inc = incidence(n, [c.mask for c in sets])
+            assert degree_sum(inc, pairs) == sum(coverage(c, pairs) for c in sets)
 
 
 def test_laminar_tree_matches_the_pairwise_definition():

@@ -12,8 +12,8 @@ import pytest
 
 from pliablecover.errors import InfeasibleError
 from pliablecover.gens import instance_rng, random_instance
-from pliablecover.setfam import ExplicitFamily, ExplicitFamilyOracle, NodeSet
-from pliablecover.wgmv import CostedGraph, phase1, phase2, solve
+from pliablecover.setfam import ExplicitFamily, ExplicitFamilyOracle, NodeSet, edge_crosses_mask
+from pliablecover.wgmv import CostedGraph, edge_loads, phase1, phase2, solve
 
 
 def ref_cores(members, edge_pairs):
@@ -193,12 +193,50 @@ def test_infeasible_carries_the_core():
     assert exc.value.core.members() == (0,)
 
 
+def test_infeasible_names_the_first_uncrossed_core():
+    f = ExplicitFamily.from_sets(5, [[0], [2], [4]])
+    for edge, first in (((2, 3), (0,)), ((0, 1), (2,)), ((1, 0), (2,)), ((4, 3), (0,))):
+        with pytest.raises(InfeasibleError) as exc:
+            solve(CostedGraph.build(5, [(*edge, 1)]), ExplicitFamilyOracle(f))
+        assert exc.value.core.members() == first
+
+
 def test_infeasible_after_partial_progress():
     g = CostedGraph.build(4, [(0, 1, 1)])
     f = ExplicitFamily.from_sets(4, [[0], [3]])
     with pytest.raises(InfeasibleError) as exc:
         solve(g, ExplicitFamilyOracle(f))
     assert exc.value.core.members() == (3,)
+
+
+# --- edge loads ---------------------------------------------------------------------
+
+
+def ref_edge_loads(g, values):
+    """Reference loads: each set adds its value to every edge crossing it."""
+    loads = [Fraction(0)] * len(g.edges)
+    for s, y in values:
+        for eid, (u, v, _) in enumerate(g.edges):
+            if edge_crosses_mask(s.mask, u, v):
+                loads[eid] += y
+    return loads
+
+
+def test_edge_loads_match_the_per_set_loop():
+    rng = random.Random(18)
+    for _ in range(200):
+        n = rng.randint(2, 7)
+        edges = [(*rng.sample(range(n), 2), 1) for _ in range(rng.randint(0, 8))]
+        edges += [(v, u, c) for u, v, c in rng.sample(edges, rng.randint(0, len(edges)))]
+        g = CostedGraph.build(n, edges)
+        values = [
+            (NodeSet(n, rng.randrange(1 << n)), Fraction(rng.randint(-3, 9), rng.randint(1, 6)))
+            for _ in range(rng.randint(0, 6))
+        ]
+        values += rng.sample(values, rng.randint(0, len(values)))  # repeated sets
+        expected = ref_edge_loads(g, values)
+        assert edge_loads(g, values) == expected
+        assert edge_loads(g, iter(values)) == expected
 
 
 # --- solver invariants across random instances -----------------------------------
