@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GuardError, InfeasibleError
-from .setfam import FamilyOracle, bits, degree_sum, incidence
+from .setfam import Edge, FamilyOracle, bits, degree_sum, incidence
 from .wgmv import CostedGraph, RunTrace, edge_loads
 
 MAX_BRUTE_EDGES = 24
@@ -34,36 +34,44 @@ def brute_force_opt(g: CostedGraph, oracle: FamilyOracle) -> tuple[Fraction, tup
     leftover = oracle.cores(pairs)
     if leftover:
         raise InfeasibleError(leftover[0])
-    best: tuple[Fraction, tuple[int, ...]] | None = None
-
-    def rec(chosen: list[int], cost: Fraction) -> None:
-        nonlocal best
-        cores = oracle.cores([pairs[e] for e in chosen])
-        if not cores:
-            best = (cost, tuple(chosen))  # the test below let in only cheaper covers
-            return
-        inc = incidence(g.n, (c.mask for c in cores))
-        crossers: list[list[int]] = [[] for _ in cores]
-        for e, (u, v) in enumerate(pairs):
-            for i in bits(inc[u] ^ inc[v]):
-                crossers[i].append(e)
-        for e in range(chosen[-1] + 1 if chosen else 0, m):
-            # Every edge after e has a larger id, so a core that e misses
-            # must be crossed by a later edge, at no less than its cheapest.
-            need = Fraction(0)
-            for ids in crossers:
-                if e not in ids:
-                    later = [costs[x] for x in ids if x > e]
-                    if not later:
-                        return  # no later edge crosses this core, nor after any later child
-                    need = max(need, min(later))
-            if best is None or cost + costs[e] + need < best[0]:
-                chosen.append(e)
-                rec(chosen, cost + costs[e])
-                chosen.pop()
-
-    rec([], Fraction(0))
+    best = _search(g.n, oracle, pairs, costs, [], Fraction(0), None)
     assert best is not None
+    return best
+
+
+def _search(
+    n: int,
+    oracle: FamilyOracle,
+    pairs: list[Edge],
+    costs: list[Fraction],
+    chosen: list[int],
+    cost: Fraction,
+    best: tuple[Fraction, tuple[int, ...]] | None,
+) -> tuple[Fraction, tuple[int, ...]] | None:
+    """The best cover found so far, after searching the covers that extend
+    `chosen` (ids ascending, costing `cost`) with larger ids."""
+    cores = oracle.cores([pairs[e] for e in chosen])
+    if not cores:
+        return (cost, tuple(chosen))  # the caller let in only cheaper covers
+    inc = incidence(n, (c.mask for c in cores))
+    crossers: list[list[int]] = [[] for _ in cores]
+    for e, (u, v) in enumerate(pairs):
+        for i in bits(inc[u] ^ inc[v]):
+            crossers[i].append(e)
+    for e in range(chosen[-1] + 1 if chosen else 0, len(pairs)):
+        # Every edge after e has a larger id, so a core that e misses
+        # must be crossed by a later edge, at no less than its cheapest.
+        need = Fraction(0)
+        for ids in crossers:
+            if e not in ids:
+                later = [costs[x] for x in ids if x > e]
+                if not later:
+                    return best  # no later edge crosses this core, nor after any later child
+                need = max(need, min(later))
+        if best is None or cost + costs[e] + need < best[0]:
+            chosen.append(e)
+            best = _search(n, oracle, pairs, costs, chosen, cost + costs[e], best)
+            chosen.pop()
     return best
 
 

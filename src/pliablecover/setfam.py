@@ -63,6 +63,11 @@ class NodeSet:
         return cls(n, mask)
 
     def members(self) -> tuple[int, ...]:
+        """Sorted members, computed at the first call and then cached."""
+        return self._members
+
+    @cached_property
+    def _members(self) -> tuple[int, ...]:
         return tuple(bits(self.mask))
 
     def sort_key(self) -> tuple[int, ...]:
@@ -220,12 +225,30 @@ class ExplicitFamily:
 
 
 def _minimal_masks(masks: Sequence[int]) -> list[int]:
-    """Inclusion-minimal masks, ascending by popcount then value."""
+    """Inclusion-minimal masks, ascending by popcount then value.
+
+    The kept masks are indexed by their least bit: a kept k lies inside m
+    only if least(k) is in m, so m is tested only against the kept masks
+    whose least bit is in `m & lows`.
+    """
     order = sorted(masks, key=lambda m: (m.bit_count(), m))
+    if order and not order[0]:
+        return [0]  # the empty mask lies inside every other one
     kept: list[int] = []
+    by_low: dict[int, list[int]] = {}
+    lows = 0
     for m in order:
-        if not any(k & ~m == 0 for k in kept):
+        hits = m & lows
+        while hits:
+            low = hits & -hits
+            if any(k & ~m == 0 for k in by_low[low]):
+                break
+            hits ^= low
+        else:
             kept.append(m)
+            low = m & -m
+            by_low.setdefault(low, []).append(m)
+            lows |= low
     return kept
 
 
@@ -235,12 +258,16 @@ class _CoverageKernel:
     The coverage mask of an edge (bit i set when the edge crosses member i)
     is one XOR of two incidence entries, so a residual query costs one XOR
     and one OR per edge of J plus one pass over the members.  The incidence
-    list is built at the first nonempty query.
+    list is built at the first nonempty query.  A query that covers every
+    member returns no cores after that OR; otherwise each core's NodeSet is
+    built the first time `cores` returns it, and later calls return that
+    same object.
     """
 
     def __init__(self, n: int, masks: Sequence[int]) -> None:
         self.n = n
         self.masks = tuple(masks)
+        self._nodesets: dict[int, NodeSet] = {}
 
     @cached_property
     def inc(self) -> list[int]:
@@ -259,8 +286,15 @@ class _CoverageKernel:
     def cores(self, edges: Sequence[Edge]) -> list[NodeSet]:
         """Inclusion-minimal members uncovered by `edges`, canonical order."""
         validate_edges(self.n, edges)
-        mins = _minimal_masks(self.alive(self.covered(edges)))
-        return sorted((NodeSet(self.n, m) for m in mins), key=NodeSet.sort_key)
+        covered = self.covered(edges)
+        if covered == (1 << len(self.masks)) - 1:
+            return []
+        mins = _minimal_masks(self.alive(covered))
+        sets = self._nodesets
+        for m in mins:
+            if m not in sets:
+                sets[m] = NodeSet(self.n, m)
+        return sorted((sets[m] for m in mins), key=NodeSet.sort_key)
 
 
 def residual_cores(f: ExplicitFamily, edges: Sequence[Edge]) -> list[NodeSet]:
@@ -537,22 +571,20 @@ def is_sparse(
 def _max_disjoint_packing(cands: list[int]) -> int:
     """Maximum number of pairwise-disjoint masks, by branch and bound."""
     cands = sorted(cands, key=lambda m: bin(m).count("1"))
-    best = 0
+    return _packing(cands, 0, 0, 0, 0)
 
-    def rec(idx: int, used: int, count: int) -> None:
-        nonlocal best
-        if count + (len(cands) - idx) <= best:
-            return
-        if idx == len(cands):
-            best = max(best, count)
-            return
-        m = cands[idx]
-        if m & used == 0:
-            rec(idx + 1, used | m, count + 1)
-        rec(idx + 1, used, count)
 
-    rec(0, 0, 0)
-    return best
+def _packing(cands: list[int], idx: int, used: int, count: int, best: int) -> int:
+    """The larger of `best` and the largest packing that extends `count`
+    masks of union `used`, taken from cands[:idx], by masks from cands[idx:]."""
+    if count + (len(cands) - idx) <= best:
+        return best
+    if idx == len(cands):
+        return max(best, count)
+    m = cands[idx]
+    if m & used == 0:
+        best = _packing(cands, idx + 1, used | m, count + 1, best)
+    return _packing(cands, idx + 1, used, count, best)
 
 
 def crossing_number(
@@ -604,6 +636,9 @@ class FamilyOracle:
         return out
 
     def is_covered(self, edges: Sequence[Edge]) -> bool:
+        """True when `edges` leave no core.  The answer comes from `cores`,
+        so the cores behind every False are validated; on the kernel-backed
+        oracles a True costs the edge check and one OR per edge."""
         return not self.cores(edges)
 
     def _validate_cores(self, cores: list[NodeSet]) -> None:

@@ -96,17 +96,25 @@ def phase1(g: CostedGraph, oracle: FamilyOracle) -> tuple[list[int], list[Iterat
 
     Returns (picked edge ids in order of addition, iteration records, dual
     values).  Raises InfeasibleError carrying an uncoverable core.
+
+    The edges whose load equals their cost are kept as a set: the cost-0
+    edges, plus the tight candidates of each positive raise (loads change
+    nowhere else).  When a candidate is in it, the raise is zero and its
+    ties are the tight candidates, found without any division.
     """
     if oracle.universe_size() != g.n:
         raise ValueError("oracle universe does not match the graph")
+    costs = [c for _, _, c in g.edges]
     loads = [Fraction(0)] * len(g.edges)
+    tight_edges = {e for e, c in enumerate(costs) if not c}
     values: dict[NodeSet, Fraction] = {}
     picked: list[int] = []
     picked_set: set[int] = set()
+    picked_pairs: list[Edge] = []
     records: list[IterationRecord] = []
 
     while True:
-        cores = oracle.cores([g.pair(e) for e in picked])
+        cores = oracle.cores(picked_pairs)
         if not cores:
             break
         # Edges already picked never cover a residual core (its d_J is 0),
@@ -122,19 +130,25 @@ def phase1(g: CostedGraph, oracle: FamilyOracle) -> tuple[list[int], list[Iterat
         unhit = ~hit & ((1 << len(cores)) - 1)
         if unhit:
             raise InfeasibleError(cores[bits(unhit)[0]])
-        eps = min((g.cost(e) - loads[e]) / c for e, c in cov.items())
-        assert eps >= 0, "dual feasibility violated before the raise"
-        if eps:  # zero raises leave no dual variable behind
+        tight = tuple(e for e in cov if e in tight_edges)
+        if tight:
+            eps = Fraction(0)
+            assert all(loads[e] <= costs[e] for e in cov), "dual feasibility violated before the raise"
+        else:
+            eps = min((costs[e] - loads[e]) / c for e, c in cov.items())
+            assert eps >= 0, "dual feasibility violated before the raise"
             for core in cores:
                 values[core] = values.get(core, Fraction(0)) + eps
             for e, c in cov.items():
                 loads[e] += eps * c
-                assert loads[e] <= g.cost(e), "edge load exceeded its cost"
-        tight = tuple(e for e in sorted(cov) if loads[e] == g.cost(e))
+                assert loads[e] <= costs[e], "edge load exceeded its cost"
+            tight = tuple(e for e in cov if loads[e] == costs[e])
+            tight_edges.update(tight)
         assert tight, "the minimizing edge must be tight after the raise"
         added = tight[0]
         picked.append(added)
         picked_set.add(added)
+        picked_pairs.append(g.pair(added))
         records.append(IterationRecord(tuple(cores), eps, added, tight))
 
     return picked, records, values

@@ -87,27 +87,22 @@ def laminar_witness(f: ExplicitFamily, cover: Sequence[Edge]) -> tuple[NodeSet, 
         )
     cands = witness_candidates(f, cover)
     chosen: list[NodeSet] = []
-
-    def compatible(s: NodeSet) -> bool:
-        for t in chosen:
-            inter = s.mask & t.mask
-            if inter and inter != s.mask and inter != t.mask:
-                return False
-        return True
-
-    def dfs(i: int) -> bool:
-        if i == len(cands):
-            return True
-        for s in cands[i]:
-            if compatible(s):
-                chosen.append(s)
-                if dfs(i + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if not dfs(0):
+    if not _extend(cands, chosen):
         raise NoLaminarWitnessError(
             "no laminar witness assignment exists for this cover"
         )
     return tuple(chosen)
+
+
+def _extend(cands: list[tuple[NodeSet, ...]], chosen: list[NodeSet]) -> bool:
+    """Depth-first: extend `chosen` by one candidate of each remaining edge,
+    crossing none chosen before it; False (chosen restored) if impossible."""
+    if len(chosen) == len(cands):
+        return True
+    for s in cands[len(chosen)]:
+        if all((s.mask & t.mask) in (0, s.mask, t.mask) for t in chosen):
+            chosen.append(s)
+            if _extend(cands, chosen):
+                return True
+            chosen.pop()
+    return False

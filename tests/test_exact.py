@@ -1,7 +1,9 @@
 """Brute-force optimum and certificate checker tests."""
 
 import dataclasses
+import gc
 import random
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
@@ -341,3 +343,19 @@ def test_iteration_loads_stay_exact_on_overlapping_forged_cores():
             assert row.load == sum(coverage(c, sol_pairs) for c in it.cores)
             total += row.load
     assert total > 0
+
+
+def test_search_leaves_no_reference_cycle():
+    # The search must not keep the oracle alive through a cycle that only
+    # the cyclic collector could free.
+    g, f = random_instance("gamma", instance_rng(207, 0), n=5)
+    oracle = ExplicitFamilyOracle(f)
+    ref = weakref.ref(oracle)
+    gc.disable()
+    try:
+        opt = brute_force_opt(g, oracle)
+        del oracle
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert opt == brute_force_opt(g, ExplicitFamilyOracle(f))

@@ -5,6 +5,7 @@ implementations at the top of this file, which use plain Python sets and a
 filter-then-minimize shape on purpose (different code path than the package).
 """
 
+import gc
 import itertools
 import json
 import random
@@ -14,6 +15,7 @@ import pytest
 import pliablecover.setfam as setfam
 from pliablecover.cli import main as cli_main
 from pliablecover.errors import GuardError, OracleInvariantError, UniverseMismatchError
+from pliablecover.gens import random_cap_graph
 from pliablecover.setfam import (
     CheckResult,
     ExplicitFamily,
@@ -37,6 +39,7 @@ from pliablecover.setfam import (
     residual_cores,
     validate_edges,
 )
+from pliablecover.smallcuts import SmallCutsOracle
 
 
 # --- reference implementations (independent oracles) -----------------------
@@ -599,3 +602,116 @@ def test_incidence_matches_per_set_crossing_tests():
             crossed = [i for i, m in enumerate(masks) if edge_crosses_mask(m, u, v)]
             assert inc[u] ^ inc[v] == sum(1 << i for i in crossed)
         assert degree_sum(inc, edges) == sum(coverage(NodeSet(n, m), edges) for m in masks)
+
+
+# --- coverage kernel -------------------------------------------------------------
+
+
+def ref_minimal_masks(masks):
+    """The quadratic scan the least-vertex index replaced."""
+    order = sorted(masks, key=lambda m: (m.bit_count(), m))
+    kept = []
+    for m in order:
+        if not any(k & ~m == 0 for k in kept):
+            kept.append(m)
+    return kept
+
+
+def mask_lists(rng, count=400):
+    """Mask lists with duplicates, nested chains, disjoint sets and many
+    masks sharing a least vertex, plus the empty list and the empty mask."""
+    yield []
+    yield [0]
+    yield [0b110, 0, 0b1]
+    for _ in range(count):
+        n = rng.randint(1, 9)
+        masks = [rng.randrange(1, 1 << n) for _ in range(rng.randint(0, 12))]
+        chain = 0
+        for v in rng.sample(range(n), rng.randint(0, n)):
+            chain |= 1 << v
+            masks.append(chain)
+        low = 1 << rng.randrange(n)
+        masks += [low | rng.randrange(1 << n) for _ in range(rng.randint(0, 6))]
+        start = 0
+        while start < n:  # a partition into disjoint blocks
+            width = rng.randint(1, n - start)
+            masks.append(((1 << width) - 1) << start)
+            start += width
+        masks += rng.sample(masks, rng.randint(0, len(masks)))
+        rng.shuffle(masks)
+        yield masks
+
+
+def test_minimal_masks_match_the_quadratic_scan():
+    for masks in mask_lists(random.Random(23)):
+        assert setfam._minimal_masks(masks) == ref_minimal_masks(masks)
+
+
+def test_kernel_reuses_its_core_nodesets():
+    f = fam(5, [0], [1], [0, 1], [2, 3], [3], [4])
+    kernel = setfam._CoverageKernel(f.n, f.masks())
+    for edges in ([], [(0, 2)], [(3, 4), (1, 2)]):
+        first, second = kernel.cores(edges), kernel.cores(edges)
+        assert first == second and first
+        assert all(a is b for a, b in zip(first, second))
+    assert kernel.cores([(0, 2)])[0] is kernel.cores([])[1]  # core {1} in both
+    oracle = ExplicitFamilyOracle(f)
+    assert all(a is b for a, b in zip(oracle.cores([(4, 0)]), oracle.cores([(4, 0)])))
+
+
+def test_cached_members_leave_equality_and_hash_alone():
+    rng = random.Random(29)
+    for _ in range(100):
+        n = rng.randint(0, 200)
+        mask = rng.randrange(1 << n) if n else 0
+        cached, fresh = NodeSet(n, mask), NodeSet(n, mask)
+        assert cached.members() == tuple(setfam.bits(mask))
+        assert cached.members() is cached.members()
+        assert cached.sort_key() == cached.members()
+        assert cached == fresh and hash(cached) == hash(fresh)
+        assert {cached: 1}[fresh] == 1
+        assert fresh.members() == cached.members()
+        assert NodeSet(n + 1, mask) != cached
+
+
+def test_is_covered_agrees_with_cores_on_both_oracles():
+    rng = random.Random(31)
+    checked = 0
+    while checked < 40:
+        n = rng.randint(2, 7)
+        f = random_family(rng, n, rng.randint(0, 10))
+        if not is_pliable(f):
+            continue
+        checked += 1
+        oracles = [ExplicitFamilyOracle(f), SmallCutsOracle(random_cap_graph(rng, n))]
+        for oracle in oracles:
+            for edges in edge_set_queries(rng, n) + [all_pairs(n)]:
+                assert oracle.is_covered(edges) == (not oracle.cores(edges))
+
+
+def test_is_covered_still_validates_cores_and_edges():
+    f = fam(4, [0, 1], [1, 2], [0, 1, 2])  # not pliable: its cores {0,1}, {1,2} overlap
+    assert not is_pliable(f)
+    oracle = ExplicitFamilyOracle(f)
+    with pytest.raises(OracleInvariantError, match="disjoint"):
+        oracle.is_covered([])
+    assert not oracle.is_covered([(0, 3)])  # only the core {1,2} is left
+    assert oracle.is_covered([(1, 3), (0, 2), (2, 3)])
+    with pytest.raises(ValueError, match="is a loop"):
+        oracle.is_covered([(1, 3), (0, 2), (2, 3), (1, 1)])
+    with pytest.raises(ValueError, match="outside universe"):
+        oracle.is_covered([(1, 3), (0, 2), (2, 3), (0, 4)])
+
+
+def test_packing_search_leaves_no_reference_cycle():
+    # Integers take no weak reference, so count what only the cyclic
+    # collector could free.
+    masks = [0b11, 0b110, 0b1100, 0b1, 0b1000, 0b10000, 0b110000]
+    gc.disable()
+    try:
+        gc.collect()
+        assert setfam._max_disjoint_packing(masks) == 4
+        assert crossing_number(fam(4, [0], [1], [0, 1], [2], [3], [2, 3])) >= 1
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

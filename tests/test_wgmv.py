@@ -11,9 +11,16 @@ from fractions import Fraction
 import pytest
 
 from pliablecover.errors import InfeasibleError
-from pliablecover.gens import instance_rng, random_instance
-from pliablecover.setfam import ExplicitFamily, ExplicitFamilyOracle, NodeSet, edge_crosses_mask
-from pliablecover.wgmv import CostedGraph, edge_loads, phase1, phase2, solve
+from pliablecover.gens import instance_rng, random_instance, tight_beta, tight_seven, tight_six
+from pliablecover.setfam import (
+    ExplicitFamily,
+    ExplicitFamilyOracle,
+    NodeSet,
+    bits,
+    edge_crosses_mask,
+    incidence,
+)
+from pliablecover.wgmv import CostedGraph, IterationRecord, edge_loads, phase1, phase2, solve
 
 
 def ref_cores(members, edge_pairs):
@@ -325,3 +332,95 @@ def test_oracle_universe_mismatch_is_rejected():
     f = ExplicitFamily.from_sets(4, [[0]])
     with pytest.raises(ValueError):
         solve(g, ExplicitFamilyOracle(f))
+
+
+# --- phase 1 against its division-per-candidate form ------------------------------
+
+
+def ref_phase1(g, oracle):
+    """Phase 1 as it was before zero raises skipped the divisions: every
+    iteration divides each candidate's slack by its crossing count."""
+    loads = [Fraction(0)] * len(g.edges)
+    values = {}
+    picked = []
+    picked_set = set()
+    records = []
+    while True:
+        cores = oracle.cores([g.pair(e) for e in picked])
+        if not cores:
+            break
+        inc = incidence(g.n, (core.mask for core in cores))
+        cov = {}
+        hit = 0
+        for eid, (u, v, _) in enumerate(g.edges):
+            crossed = inc[u] ^ inc[v]
+            if crossed and eid not in picked_set:
+                cov[eid] = crossed.bit_count()
+                hit |= crossed
+        unhit = ~hit & ((1 << len(cores)) - 1)
+        if unhit:
+            raise InfeasibleError(cores[bits(unhit)[0]])
+        eps = min((g.cost(e) - loads[e]) / c for e, c in cov.items())
+        assert eps >= 0
+        if eps:
+            for core in cores:
+                values[core] = values.get(core, Fraction(0)) + eps
+            for e, c in cov.items():
+                loads[e] += eps * c
+        tight = tuple(e for e in sorted(cov) if loads[e] == g.cost(e))
+        added = tight[0]
+        picked.append(added)
+        picked_set.add(added)
+        records.append(IterationRecord(tuple(cores), eps, added, tight))
+    return picked, records, values
+
+
+def tie_heavy_copies(g):
+    """The instance, a unit-cost copy (ties from the first raise), and
+    copies with cost-0 edges (zero raises from the first iteration)."""
+    yield g
+    yield CostedGraph(g.n, tuple((u, v, Fraction(1)) for u, v, _ in g.edges))
+    yield CostedGraph(g.n, tuple((u, v, Fraction(0) if i % 3 == 0 else c) for i, (u, v, c) in enumerate(g.edges)))
+    yield CostedGraph(g.n, ((0, g.n - 1, Fraction(0)),) + g.edges + ((g.n - 1, 0, Fraction(0)),))
+
+
+def assert_phase1_matches_reference(g, f):
+    got = phase1(g, ExplicitFamilyOracle(f))
+    assert got == ref_phase1(g, ExplicitFamilyOracle(f))
+    assert [type(it.eps) for it in got[1]] == [Fraction] * len(got[1])
+    return got
+
+
+def test_phase1_matches_the_reference_loop_on_random_instances():
+    zero_raises = 0
+    for kind in ("gamma", "sparse", "uncrossable"):
+        for i in range(15):
+            g, f = random_instance(kind, instance_rng(105, i))
+            for h in tie_heavy_copies(g):
+                _, records, _ = assert_phase1_matches_reference(h, f)
+                zero_raises += sum(1 for it in records if it.eps == 0)
+    assert zero_raises > 100
+
+
+def test_phase1_matches_the_reference_loop_on_tight_constructions():
+    for leaves in (2, 4, 8, 16):
+        betas = [b for b in (2, 4) if b <= leaves]
+        for bundle in [tight_six(leaves), tight_seven(leaves)] + [tight_beta(leaves, b) for b in betas]:
+            picked, records, values = assert_phase1_matches_reference(bundle.graph, bundle.family)
+            assert sum(values.values()) == bundle.dual_objective
+
+
+def test_phase1_infeasible_names_the_reference_core():
+    checked = 0
+    for i in range(20):
+        g, f = random_instance("gamma", instance_rng(106, i))
+        for h in tie_heavy_copies(g):
+            cut = CostedGraph(h.n, h.edges[: len(h.edges) // 2])
+            try:
+                ref_phase1(cut, ExplicitFamilyOracle(f))
+            except InfeasibleError as exc:
+                with pytest.raises(InfeasibleError) as got:
+                    phase1(cut, ExplicitFamilyOracle(f))
+                assert got.value.core == exc.core
+                checked += 1
+    assert checked > 10

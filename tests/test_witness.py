@@ -1,6 +1,8 @@
 """Tests for witness selection: per-edge candidates and laminar assignments."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -233,3 +235,19 @@ def test_witness_on_solver_output_is_laminar_and_unique_per_edge():
             assert all(s in f.members for s in w)
             solved += 1
     assert solved >= 40
+
+
+def test_witness_search_leaves_no_reference_cycle():
+    # The candidate lists hold the family's members; no cycle may keep
+    # them alive once the caller drops the family and the witness.
+    f = fam(4, [0], [0, 1], [2])
+    cover = [(0, 1), (1, 3), (2, 3)]
+    refs = [weakref.ref(s) for s in f.members]
+    gc.disable()
+    try:
+        wit = laminar_witness(f, cover)
+        assert [s.members() for s in wit] == [(0,), (0, 1), (2,)]
+        del f, wit
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
