@@ -8,10 +8,13 @@ at least k the two views coincide, which is why the residual family is again
 a small-cuts family.
 
 Cut values are computed exactly: capacities are scaled by their common
-denominator once, after which everything is integer arithmetic, enumerated
-over subsets with Gray-code incremental updates.  The scan does not depend
-on J, so it runs once per graph, at the first use of the family or of the
-edge connectivity, and every residual is derived from its result.
+denominator once, after which everything is integer arithmetic.  The 2^n
+cuts come from a meet-in-the-middle table scan: the cut values of one half
+of the nodes form a row that is shifted by one precomputed table per step
+through the other half's subsets, so each subset costs O(1) list work.
+The scan does not depend on J, so it runs once per graph, at the first use
+of the family or of the edge connectivity, and every residual is derived
+from its result.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, lcm
+from operator import add, sub
 from typing import Sequence
 
 from .errors import GuardError
@@ -74,47 +78,75 @@ def cut_value(h: CapGraph, s: NodeSet) -> Fraction:
     return total
 
 
+def _subset_sums(weights: Sequence[int]) -> list[int]:
+    """Sum of the chosen weights for every subset, indexed by subset mask."""
+    table = [0]
+    for weight in weights:
+        table += [x + weight for x in table]
+    return table
+
+
+def _cut_table(w: list[list[int]], nodes: Sequence[int]) -> list[int]:
+    """cut(A) in the whole graph for every A of `nodes`, indexed by A's mask
+    over `nodes`: adding node u to A ⊆ nodes[:i] adds deg(u) - 2·w(u, A)."""
+    table = [0]
+    for i, u in enumerate(nodes):
+        inner = _subset_sums([2 * w[u][v] for v in nodes[:i]])
+        deg = sum(w[u])
+        table += [x + deg - y for x, y in zip(table, inner)]
+    return table
+
+
 def _enumerate_cut_masks(h: CapGraph) -> tuple[tuple[int, ...], Fraction]:
-    """Masks of all S with cut_H(S) < k, in Gray-code order, and the least
+    """Masks of all S with cut_H(S) < k, in ascending order, and the least
     cut value over proper nonempty subsets (0 if disconnected).
 
     Capacities are scaled to integers by their common denominator with k.
-    Each Gray-code step flips one node, so the cut value is updated from
-    that node's neighbour list only.
+    The nodes split into a low block L = {0..b-1}, b = ceil(n/2), and a
+    high block R = {b..n-1}; S = A ∪ B with A ⊆ L, B ⊆ R has
+    cut(S) = cut(A) + cut(B) - 2·w(A, B).  The subsets B are visited in
+    reflected-binary order, each step adding or removing one node r of R,
+    so the row c_B[A] = cut(A) - 2·w(A, B) over all A changes by r's table
+    2·w(r, A) alone; the row is then filtered against k - cut(B).
     """
-    if h.n > MAX_CUT_ENUM_NODES:
-        raise GuardError(f"instance too large for cut enumeration: n = {h.n} > {MAX_CUT_ENUM_NODES}")
+    n = h.n
+    if n > MAX_CUT_ENUM_NODES:
+        raise GuardError(f"instance too large for cut enumeration: n = {n} > {MAX_CUT_ENUM_NODES}")
     denom = lcm(h.k.denominator, *(c.denominator for _, _, c in h.edges))
-    k_scaled = int(h.k * denom)
-    scaled = [(u, v, int(c * denom)) for u, v, c in h.edges]
-    neighbours: list[list[tuple[int, int]]] = [[] for _ in range(h.n)]
-    for u, v, c in scaled:
-        neighbours[u].append((v, c))
-        neighbours[v].append((u, c))
-    small: list[int] = []
-    least = sum(c for _, _, c in scaled)  # no cut exceeds the total capacity
-    full = (1 << h.n) - 1
-    mask = 0
-    cut = 0
-    prev_gray = 0
-    for g in range(1, 1 << h.n):
-        gray = g ^ (g >> 1)
-        bit = (gray ^ prev_gray).bit_length() - 1
-        prev_gray = gray
-        entering = not (mask >> bit & 1)
-        delta = 0
-        for other, c in neighbours[bit]:
-            inside = bool(mask >> other & 1)
-            # edge (bit, other): flipping `bit` toggles whether it crosses
-            delta += -c if inside else c
-        cut += delta if entering else -delta
-        mask ^= 1 << bit
-        if mask != full:
-            if cut < k_scaled:
-                small.append(mask)
-            if cut < least:
-                least = cut
-    return tuple(small), Fraction(least, denom)
+    k_scaled = h.k.numerator * (denom // h.k.denominator)
+    w = [[0] * n for _ in range(n)]
+    for u, v, cap in h.edges:
+        scaled = cap.numerator * (denom // cap.denominator)
+        w[u][v] += scaled
+        w[v][u] += scaled
+    b = (n + 1) // 2
+    low, high = range(b), range(b, n)
+    row = _cut_table(w, low)
+    cut_high = _cut_table(w, high)
+    pair_tables = [_subset_sums([2 * w[u][a] for a in low]) for u in high]
+    full_high = (1 << len(high)) - 1
+    rows: list[list[int]] = [[]] * (full_high + 1)
+    row_least: list[int] = []
+    for step in range(full_high + 1):
+        bmask = step ^ (step >> 1)  # B, one high node away from the previous B
+        if step:
+            bit = (step & -step).bit_length() - 1  # the high node that moved
+            row = list(map(sub if bmask >> bit & 1 else add, row, pair_tables[bit]))
+        start = 1 if bmask == 0 else 0  # S = ∅ is not proper
+        stop = len(row) - 1 if bmask == full_high else len(row)  # nor is S = V
+        row_min = min(row[start:stop])
+        cut_b = cut_high[bmask]
+        row_least.append(row_min + cut_b)
+        threshold = k_scaled - cut_b
+        if row_min < threshold:  # most rows hold no small cut
+            rows[bmask] = [a | bmask << b for a, x in enumerate(row) if x < threshold]
+    # ∅ and V (cut 0) sort first and last; they are not proper subsets
+    small = [m for r in rows for m in r]
+    if small and small[0] == 0:
+        small.pop(0)
+    if small and small[-1] == (1 << n) - 1:
+        small.pop()
+    return tuple(small), Fraction(min(row_least), denom)
 
 
 def small_cut_masks(h: CapGraph, j: Sequence[Edge] = ()) -> list[int]:
@@ -156,9 +188,9 @@ def beta_bound(h: CapGraph) -> int:
 class SmallCutsOracle(FamilyOracle):
     """Family oracle backed by cut enumeration rather than an explicit list.
 
-    Every call answers from the graph's small cuts, which come from one scan
-    of the 2^n cuts per graph, at its first use (GuardError past
-    MAX_CUT_ENUM_NODES).
+    Every call answers from the graph's small cuts, which come from one
+    blocked table scan of the 2^n cuts per graph, at its first use
+    (GuardError past MAX_CUT_ENUM_NODES).
     """
 
     def __init__(self, h: CapGraph) -> None:

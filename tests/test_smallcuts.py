@@ -140,6 +140,52 @@ def test_cut_enumeration_guard():
         small_cut_masks(h)
 
 
+def ref_cuts(h: CapGraph) -> list:
+    """cut_H(S) of every mask, recomputed per subset from the edge list;
+    integer capacities are summed as ints to keep n = 16 fast."""
+    if any(cap.denominator != 1 for _, _, cap in h.edges):
+        return [ref_cut(h, mask) for mask in range(1 << h.n)]
+    edges = [(u, v, int(cap)) for u, v, cap in h.edges]
+    return [sum([c for u, v, c in edges if (mask >> u ^ mask >> v) & 1]) for mask in range(1 << h.n)]
+
+
+def differential_graph(rng, n, kind) -> CapGraph:
+    if kind == "random":  # rational capacities up to n = 12
+        return random_graph(rng, n, rational=n <= 12)
+    if kind == "multi":  # parallel copies and zero-capacity edges
+        edges = []
+        for _ in range(2 * n):
+            u, v = rng.sample(range(n), 2)
+            edges.append((u, v, rng.randint(0, 4)))
+        edges += edges[: n // 2] + [(u, v, 0) for u, v, _ in edges[-2:]]
+        return CapGraph.build(n, edges, rng.randint(1, 12))
+    # disconnected: no edge joins the two sides of a random split
+    order = rng.sample(range(n), n)
+    split = rng.randint(1, n - 1)
+    edges = []
+    for part in (order[:split], order[split:]):
+        for _ in range(len(part) if len(part) > 1 else 0):
+            u, v = rng.sample(part, 2)
+            edges.append((u, v, Fraction(rng.randint(1, 8), rng.choice([1, 2]))))
+    return CapGraph.build(n, edges, Fraction(rng.randint(1, 10), rng.choice([1, 3])))
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_enumerated_cuts_match_per_subset_recomputation(n):
+    rng = random.Random(n)
+    kinds = ("random", "multi", "disconnected")
+    # every kind up to n = 12; past it one kind per n keeps the test fast
+    for kind in kinds if n <= 12 else kinds[n % 3 : n % 3 + 1]:
+        h = differential_graph(rng, n, kind)
+        cuts = ref_cuts(h)
+        proper = cuts[1:-1]
+        masks, lam = smallcuts._enumerate_cut_masks(h)
+        assert list(masks) == [m for m, cut in enumerate(cuts) if 0 < m < len(cuts) - 1 and cut < h.k], kind
+        assert lam == min(proper) and type(lam) is Fraction, kind
+        if kind == "disconnected":
+            assert lam == 0
+
+
 # --- connectivity and the beta bound ------------------------------------------
 
 
