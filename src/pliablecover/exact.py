@@ -6,6 +6,14 @@ tuple, compared element by element with a shorter prefix winning).  One
 depth-first search adds edge ids in increasing order; its pre-order is tuple
 order, so the first cover it finds at the optimum cost is that edge set.
 
+The costs are scaled once by their common denominator, so the search runs
+on integers and only the optimum becomes a Fraction again.  A node whose
+edge set J leaves cores bounds each child e from below by the cheapest
+crosser with id > e of every core e misses; one walk down the ids gives
+these suffix minima for all children.  A child that crosses no core of J
+has the same cores, because F^{J+e} is a subfamily of F^J that still holds
+every core, so the oracle is asked only when the child crosses one.
+
 `certify` re-derives everything checkable about a finished run from first
 principles: dual feasibility, tightness of the solution, per-iteration load
 bounds for the claimed family class, and the approximation-factor inequality
@@ -18,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GuardError, InfeasibleError
-from .setfam import Edge, FamilyOracle, bits, degree_sum, incidence
+from .setfam import Edge, FamilyOracle, NodeSet, bits, degree_sum, incidence, over_common_denominator
 from .wgmv import CostedGraph, RunTrace, edge_loads
 
 MAX_BRUTE_EDGES = 24
@@ -30,47 +38,59 @@ def brute_force_opt(g: CostedGraph, oracle: FamilyOracle) -> tuple[Fraction, tup
     if m > MAX_BRUTE_EDGES:
         raise GuardError(f"instance too large for exhaustive optimum: {m} edges > {MAX_BRUTE_EDGES}")
     pairs = [g.pair(e) for e in range(m)]
-    costs = [g.cost(e) for e in range(m)]
     leftover = oracle.cores(pairs)
     if leftover:
         raise InfeasibleError(leftover[0])
-    best = _search(g.n, oracle, pairs, costs, [], Fraction(0), None)
+    costs, denom = over_common_denominator(c for _, _, c in g.edges)
+    best = _search(g.n, oracle, pairs, costs, [], 0, None, oracle.cores([]))
     assert best is not None
-    return best
+    return Fraction(best[0], denom), best[1]
 
 
 def _search(
     n: int,
     oracle: FamilyOracle,
     pairs: list[Edge],
-    costs: list[Fraction],
+    costs: list[int],
     chosen: list[int],
-    cost: Fraction,
-    best: tuple[Fraction, tuple[int, ...]] | None,
-) -> tuple[Fraction, tuple[int, ...]] | None:
+    cost: int,
+    best: tuple[int, tuple[int, ...]] | None,
+    cores: list[NodeSet],
+) -> tuple[int, tuple[int, ...]] | None:
     """The best cover found so far, after searching the covers that extend
-    `chosen` (ids ascending, costing `cost`) with larger ids."""
-    cores = oracle.cores([pairs[e] for e in chosen])
+    `chosen` (ids ascending, costing `cost`, leaving `cores`) with larger ids."""
     if not cores:
         return (cost, tuple(chosen))  # the caller let in only cheaper covers
     inc = incidence(n, (c.mask for c in cores))
-    crossers: list[list[int]] = [[] for _ in cores]
-    for e, (u, v) in enumerate(pairs):
-        for i in bits(inc[u] ^ inc[v]):
-            crossers[i].append(e)
-    for e in range(chosen[-1] + 1 if chosen else 0, len(pairs)):
-        # Every edge after e has a larger id, so a core that e misses
-        # must be crossed by a later edge, at no less than its cheapest.
-        need = Fraction(0)
-        for ids in crossers:
-            if e not in ids:
-                later = [costs[x] for x in ids if x > e]
-                if not later:
-                    return best  # no later edge crosses this core, nor after any later child
-                need = max(need, min(later))
-        if best is None or cost + costs[e] + need < best[0]:
+    crossed = [inc[u] ^ inc[v] for u, v in pairs]
+    first = chosen[-1] + 1 if chosen else 0
+    # Every edge after child e has a larger id, so a core that e misses must
+    # be crossed by a later edge, at no less than its cheapest.  Walking the
+    # ids down, low[i] is the cheapest crosser of core i after e (above every
+    # cost while there is none) and `later` the cores crossed after e.  A
+    # child that misses a core with no later crosser is hopeless, and so is
+    # every later child; `need` bounds the children before the first of them.
+    full = (1 << len(cores)) - 1
+    low = [sum(costs) + 1] * len(cores)
+    later = 0
+    need: dict[int, int] = {}
+    for e in range(len(pairs) - 1, first - 1, -1):
+        c = crossed[e]
+        if later | c == full:
+            need[e] = max((low[i] for i in bits(full & ~c)), default=0)
+        for i in bits(c):
+            if costs[e] < low[i]:
+                low[i] = costs[e]
+        later |= c
+    for e in range(first, len(pairs)):
+        if e not in need:
+            break
+        if best is None or cost + costs[e] + need[e] < best[0]:
             chosen.append(e)
-            best = _search(n, oracle, pairs, costs, chosen, cost + costs[e], best)
+            # A child that crosses no core of J leaves them all minimal and
+            # uncovered, so J + e has the same cores.
+            child = oracle.cores([pairs[x] for x in chosen]) if crossed[e] else cores
+            best = _search(n, oracle, pairs, costs, chosen, cost + costs[e], best, child)
             chosen.pop()
     return best
 

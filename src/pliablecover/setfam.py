@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import GuardError, OracleInvariantError, UniverseMismatchError
@@ -166,6 +168,16 @@ def incidence(n: int, masks: Iterable[int]) -> list[int]:
             inc[low.bit_length() - 1] |= bit
             m ^= low
     return inc
+
+
+def over_common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators over the least common denominator of `values`:
+    value i equals nums[i] / denom.  No values give ([], 1)."""
+    values = list(values)
+    # Unpack a list, not a generator: unpacking a generator here made peak
+    # RSS grow with the number of calls (CPython 3.11).
+    denom = lcm(*[x.denominator for x in values])
+    return [x.numerator * (denom // x.denominator) for x in values], denom
 
 
 def degree_sum(inc: Sequence[int], edges: Sequence[Edge]) -> int:

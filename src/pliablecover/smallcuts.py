@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, lcm
+from math import ceil
 from operator import add, sub
 from typing import Sequence
 
@@ -34,6 +34,7 @@ from .setfam import (
     NodeSet,
     _CoverageKernel,
     edge_crosses_mask,
+    over_common_denominator,
     validate_edges,
 )
 
@@ -112,11 +113,9 @@ def _enumerate_cut_masks(h: CapGraph) -> tuple[tuple[int, ...], Fraction]:
     n = h.n
     if n > MAX_CUT_ENUM_NODES:
         raise GuardError(f"instance too large for cut enumeration: n = {n} > {MAX_CUT_ENUM_NODES}")
-    denom = lcm(h.k.denominator, *(c.denominator for _, _, c in h.edges))
-    k_scaled = h.k.numerator * (denom // h.k.denominator)
+    (k_scaled, *caps), denom = over_common_denominator([h.k, *(c for _, _, c in h.edges)])
     w = [[0] * n for _ in range(n)]
-    for u, v, cap in h.edges:
-        scaled = cap.numerator * (denom // cap.denominator)
+    for (u, v, _), scaled in zip(h.edges, caps):
         w[u][v] += scaled
         w[v][u] += scaled
     b = (n + 1) // 2

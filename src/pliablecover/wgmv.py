@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InfeasibleError
-from .setfam import Edge, FamilyOracle, NodeSet, bits, incidence, validate_edges
+from .setfam import Edge, FamilyOracle, NodeSet, bits, incidence, over_common_denominator, validate_edges
 
 
 @dataclass(frozen=True)
@@ -85,10 +85,14 @@ class RunTrace:
 
 
 def edge_loads(g: CostedGraph, values: Iterable[tuple[NodeSet, Fraction]]) -> list[Fraction]:
-    """Per-edge load: the summed dual value of the sets each edge crosses."""
+    """Per-edge load: the summed dual value of the sets each edge crosses.
+
+    The values are summed as integer numerators over their common
+    denominator, so each edge makes one Fraction."""
     values = list(values)
+    nums, denom = over_common_denominator(y for _, y in values)
     inc = incidence(g.n, (s.mask for s, _ in values))
-    return [sum((values[i][1] for i in bits(inc[u] ^ inc[v])), Fraction(0)) for u, v, _ in g.edges]
+    return [Fraction(sum(nums[i] for i in bits(inc[u] ^ inc[v])), denom) for u, v, _ in g.edges]
 
 
 def phase1(g: CostedGraph, oracle: FamilyOracle) -> tuple[list[int], list[IterationRecord], dict[NodeSet, Fraction]]:

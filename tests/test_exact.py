@@ -17,8 +17,17 @@ from pliablecover.exact import (
     guarantee_factor,
     iteration_load_bound,
 )
-from pliablecover.gens import instance_rng, random_instance
-from pliablecover.setfam import ExplicitFamily, ExplicitFamilyOracle, NodeSet, coverage
+from pliablecover.gens import instance_rng, random_cap_graph, random_instance
+from pliablecover.setfam import (
+    ExplicitFamily,
+    ExplicitFamilyOracle,
+    FamilyOracle,
+    NodeSet,
+    all_pairs,
+    bits,
+    coverage,
+    incidence,
+)
 from pliablecover.smallcuts import CapGraph, SmallCutsOracle
 from pliablecover.wgmv import CostedGraph, solve
 
@@ -104,6 +113,88 @@ def test_matches_reference_scan_including_tie_breaks():
                     assert brute_force_opt(h, oracle) == (cost, min(argmins))
                     checked += 1
     assert checked == 600
+
+
+def ref_search(n, oracle, pairs, costs, chosen, cost, best):
+    """The search as it stood before integer costs, suffix minima and reused
+    cores: Fraction costs, one oracle call per node, and a min over each
+    core's crosser list for every child."""
+    cores = oracle.cores([pairs[e] for e in chosen])
+    if not cores:
+        return (cost, tuple(chosen))
+    inc = incidence(n, (c.mask for c in cores))
+    crossers = [[] for _ in cores]
+    for e, (u, v) in enumerate(pairs):
+        for i in bits(inc[u] ^ inc[v]):
+            crossers[i].append(e)
+    for e in range(chosen[-1] + 1 if chosen else 0, len(pairs)):
+        need = Fraction(0)
+        for ids in crossers:
+            if e not in ids:
+                later = [costs[x] for x in ids if x > e]
+                if not later:
+                    return best
+                need = max(need, min(later))
+        if best is None or cost + costs[e] + need < best[0]:
+            chosen.append(e)
+            best = ref_search(n, oracle, pairs, costs, chosen, cost + costs[e], best)
+            chosen.pop()
+    return best
+
+
+def ref_brute_force(g: CostedGraph, oracle):
+    pairs = [g.pair(e) for e in range(len(g.edges))]
+    assert not oracle.cores(pairs)
+    return ref_search(g.n, oracle, pairs, [g.cost(e) for e in range(len(g.edges))], [], Fraction(0), None)
+
+
+class CountingOracle(FamilyOracle):
+    """Delegates to `inner` and counts its `cores` calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def universe_size(self):
+        return self.inner.universe_size()
+
+    def cores(self, edges):
+        self.calls += 1
+        return self.inner.cores(edges)
+
+
+def _cost_copies(g: CostedGraph):
+    """The tie-heavy copies plus one with costs over mixed denominators."""
+    yield from _tie_heavy_copies(g)
+    yield CostedGraph(
+        g.n, tuple((u, v, c * Fraction(e % 4 + 1, e % 5 + 2)) for e, (u, v, c) in enumerate(g.edges))
+    )
+
+
+def _matches_reference_search(g: CostedGraph, oracle) -> None:
+    ref, new = CountingOracle(oracle), CountingOracle(oracle)
+    assert brute_force_opt(g, new) == ref_brute_force(g, ref)
+    assert new.calls <= ref.calls
+
+
+def test_search_matches_the_reference_search_with_no_more_oracle_calls():
+    for kind in ("gamma", "sparse", "uncrossable"):
+        for n in (4, 5, 6, 7):
+            for i in range(3):
+                g, f = random_instance(kind, instance_rng(213, i), n=n)
+                for h in _cost_copies(g):
+                    _matches_reference_search(h, ExplicitFamilyOracle(f))
+    rng = random.Random(214)
+    cut_instances = 0
+    while cut_instances < 20:
+        n = rng.randint(4, 7)
+        oracle = SmallCutsOracle(random_cap_graph(rng, n))
+        pairs = rng.sample(all_pairs(n), min(n * (n - 1) // 2, 2 * n))
+        g = CostedGraph.build(n, [(u, v, rng.randint(0, 9)) for u, v in sorted(pairs)])
+        if oracle.cores([]) and oracle.is_covered(pairs):
+            for h in _cost_copies(g):
+                _matches_reference_search(h, oracle)
+            cut_instances += 1
 
 
 # (kind, seed, index, n, edge count, optimum, least optimal edge set) for

@@ -2,10 +2,10 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pliablecover.errors import InfeasibleError
+from pliablecover.errors import InfeasibleError, OracleInvariantError
 from pliablecover.exact import brute_force_opt
 from pliablecover.gens import instance_rng, random_instance
 from pliablecover.jsonio import (
@@ -25,11 +25,12 @@ from pliablecover.setfam import (
     ExplicitFamily,
     ExplicitFamilyOracle,
     NodeSet,
+    all_pairs,
     edge_crosses_mask,
     family_cores,
     is_pliable,
 )
-from pliablecover.smallcuts import CapGraph, cut_value, small_cut_masks
+from pliablecover.smallcuts import CapGraph, SmallCutsOracle, cut_value, small_cut_masks
 from pliablecover.wgmv import CostedGraph, solve
 
 
@@ -196,6 +197,30 @@ def test_residual_cuts_shrink_when_edges_are_added(h, data):
     base = set(small_cut_masks(h, ()))
     fewer = set(small_cut_masks(h, edges))
     assert fewer <= base
+
+
+def assert_uncrossing_edges_keep_the_cores(oracle, edges):
+    """An edge that crosses no core of J leaves F^{J+e} a subfamily of F^J
+    that still holds every core, so J + e has the same cores."""
+    try:
+        cores = oracle.cores(edges)
+    except OracleInvariantError:
+        assume(False)  # overlapping minimal members: the oracle refuses J itself
+    for u, v in all_pairs(oracle.universe_size()):
+        if not any(edge_crosses_mask(c.mask, u, v) for c in cores):
+            assert oracle.cores(edges + [(u, v)]) == cores
+
+
+@given(families(), st.data())
+@settings(deadline=None)
+def test_uncrossing_edge_keeps_the_explicit_cores(f, data):
+    assert_uncrossing_edges_keep_the_cores(ExplicitFamilyOracle(f), data.draw(edge_lists(f.n)))
+
+
+@given(cap_graphs(), st.data())
+@settings(deadline=None, max_examples=60)
+def test_uncrossing_edge_keeps_the_small_cut_cores(h, data):
+    assert_uncrossing_edges_keep_the_cores(SmallCutsOracle(h), data.draw(edge_lists(h.n, max_edges=3)))
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,14 @@ def ref_edge_loads(g, values):
 
 
 def test_edge_loads_match_the_per_set_loop():
+    g = CostedGraph.build(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1), (1, 2, 1)])
+    a, b = NodeSet.from_members(4, [0, 1]), NodeSet.from_members(4, [1])
+    mixed = [(a, Fraction(1, 2)), (b, Fraction(-2, 3)), (a, Fraction(3, 5)), (b, Fraction(1, 7))]
+    both = Fraction(1, 2) - Fraction(2, 3) + Fraction(3, 5) + Fraction(1, 7)
+    assert edge_loads(g, mixed) == ref_edge_loads(g, mixed) == [Fraction(-11, 21), both, 0, Fraction(11, 10), both]
+    assert edge_loads(g, []) == [0] * 5
+    assert all(type(x) is Fraction for x in edge_loads(g, mixed) + edge_loads(g, []))
+
     rng = random.Random(18)
     for _ in range(200):
         n = rng.randint(2, 7)
