@@ -21,14 +21,12 @@ from .setfam import (
     NodeSet,
     crossing_number,
     crosses,
-    family_cores,
     is_gamma_pliable,
     is_pliable,
     is_proper_family,
     is_sparse,
     is_uncrossable,
     pliability_counterexample,
-    residual_cores,
 )
 from .smallcuts import (
     CapGraph,
@@ -36,7 +34,6 @@ from .smallcuts import (
     beta_bound,
     edge_connectivity,
     materialize_family,
-    small_cut_cores,
 )
 from .wgmv import CostedGraph, DualState, IterationRecord, RunTrace, phase1, phase2, solve
 from .exact import Certificate, brute_force_opt, certify, guarantee_factor

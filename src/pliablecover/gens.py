@@ -130,6 +130,25 @@ class _TreeSkeleton:
         return members
 
 
+def _gadget_edges(
+    sk: _TreeSkeleton, n: int, drop_cost: Fraction
+) -> tuple[list[tuple[int, int, Fraction]], list[NodeSet]]:
+    """Each gadget's three edges and their witness sets, gadget by gadget;
+    the last edge drops from the gadget to its region at `drop_cost`."""
+    edges: list[tuple[int, int, Fraction]] = []
+    witness: list[NodeSet] = []
+    for g in range(sk.leaves):
+        slot = sk.leaves + g
+        a0, b1, a1, b2 = sk.slot_gadget_nodes(slot)
+        edges.append((a0, b1, Fraction(2)))
+        witness.append(NodeSet.from_members(n, [a0]))
+        edges.append((a1, b2, Fraction(1)))
+        witness.append(NodeSet.from_members(n, [a0, b1, a1]))
+        edges.append((b2, sk.drop_from[slot], drop_cost))
+        witness.append(NodeSet.from_members(n, [a0, b1, a1, b2]))
+    return edges, witness
+
+
 def tight_seven(leaves: int) -> TightBundle:
     """Gadget chains worth 5 plus weight-2 spine edges; ratio (7L-2)/(L+2).
 
@@ -158,17 +177,7 @@ def tight_seven(leaves: int) -> TightBundle:
     for parity in (0, 1):
         cores.append(NodeSet.from_members(n, [v for v, c in color.items() if c == parity]))
 
-    edges: list[tuple[int, int, Fraction]] = []
-    witness: list[NodeSet] = []
-    for g in range(leaves):
-        slot = sk.leaves + g
-        a0, b1, a1, b2 = sk.slot_gadget_nodes(slot)
-        edges.append((a0, b1, Fraction(2)))
-        witness.append(NodeSet.from_members(n, [a0]))
-        edges.append((a1, b2, Fraction(1)))
-        witness.append(NodeSet.from_members(n, [a0, b1, a1]))
-        edges.append((b2, sk.drop_from[slot], Fraction(2)))
-        witness.append(NodeSet.from_members(n, [a0, b1, a1, b2]))
+    edges, witness = _gadget_edges(sk, n, Fraction(2))
     for j in range(1, leaves):
         first_drop = sk.drop_from[2 * j]
         edges.append((first_drop, sk.drop_from[j], Fraction(2)))
@@ -180,21 +189,11 @@ def tight_seven(leaves: int) -> TightBundle:
 def _tight_six_edges(
     sk: _TreeSkeleton, n: int, c_node: dict[int, int]
 ) -> tuple[list[tuple[int, int, Fraction]], list[NodeSet]]:
-    edges: list[tuple[int, int, Fraction]] = []
-    witness: list[NodeSet] = []
     extra: dict[int, list[int]] = {}
     for j, c in c_node.items():  # c_j lives in the parent's region
         extra.setdefault(j // 2, []).append(c)
 
-    for g in range(sk.leaves):
-        slot = sk.leaves + g
-        a0, b1, a1, b2 = sk.slot_gadget_nodes(slot)
-        edges.append((a0, b1, Fraction(2)))
-        witness.append(NodeSet.from_members(n, [a0]))
-        edges.append((a1, b2, Fraction(1)))
-        witness.append(NodeSet.from_members(n, [a0, b1, a1]))
-        edges.append((b2, sk.drop_from[slot], Fraction(1)))
-        witness.append(NodeSet.from_members(n, [a0, b1, a1, b2]))
+    edges, witness = _gadget_edges(sk, n, Fraction(1))
     for j in range(1, sk.leaves):
         region = sk.region_set_members(j, extra)
         first_drop = sk.drop_from[2 * j]

@@ -224,17 +224,6 @@ class ExplicitFamily:
     def masks(self) -> tuple[int, ...]:
         return tuple(m.mask for m in self.members)
 
-    def residual(self, edges: Sequence[Edge]) -> "ExplicitFamily":
-        """Materialize the residual family {S in F : d_J(S) = 0}.
-
-        Derived views are usually enough (see residual_cores); this exists
-        for callers that want the family itself.
-        """
-        validate_edges(self.n, edges)
-        covered = _CoverageKernel(self.n, self.masks()).covered(edges)
-        kept = [s for i, s in enumerate(self.members) if not covered >> i & 1]
-        return ExplicitFamily(self.n, tuple(kept))
-
 
 def _minimal_masks(masks: Sequence[int]) -> list[int]:
     """Inclusion-minimal masks, ascending by popcount then value.
@@ -307,15 +296,6 @@ class _CoverageKernel:
             if m not in sets:
                 sets[m] = NodeSet(self.n, m)
         return sorted((sets[m] for m in mins), key=NodeSet.sort_key)
-
-
-def residual_cores(f: ExplicitFamily, edges: Sequence[Edge]) -> list[NodeSet]:
-    """Inclusion-minimal members of F uncovered by `edges`, canonical order."""
-    return _CoverageKernel(f.n, f.masks()).cores(edges)
-
-
-def family_cores(f: ExplicitFamily) -> list[NodeSet]:
-    return residual_cores(f, ())
 
 
 def is_pliable(f: ExplicitFamily) -> bool:

@@ -148,18 +148,6 @@ def _enumerate_cut_masks(h: CapGraph) -> tuple[tuple[int, ...], Fraction]:
     return tuple(small), Fraction(min(row_least), denom)
 
 
-def small_cut_masks(h: CapGraph, j: Sequence[Edge] = ()) -> list[int]:
-    """Masks of all S with cut_H(S) < k and d_J(S) = 0."""
-    validate_edges(h.n, j)
-    kernel = h._cuts[0]
-    return kernel.alive(kernel.covered(j))
-
-
-def small_cut_cores(h: CapGraph, j: Sequence[Edge] = ()) -> list[NodeSet]:
-    """Inclusion-minimal members of the residual small-cuts family."""
-    return h._cuts[0].cores(j)
-
-
 def materialize_family(h: CapGraph) -> ExplicitFamily:
     """The small-cuts family as an explicit family (guarded by n)."""
     return ExplicitFamily(h.n, tuple(NodeSet(h.n, m) for m in h._cuts[0].masks))

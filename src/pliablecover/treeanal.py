@@ -37,8 +37,8 @@ from .errors import (
     TreeInvariantError,
 )
 from .exact import guarantee_factor
-from .setfam import Edge, ExplicitFamily, NodeSet, bits, degree_sum, edge_crosses_mask
-from .setfam import family_cores, incidence
+from .setfam import Edge, ExplicitFamily, NodeSet, _CoverageKernel, bits, degree_sum
+from .setfam import edge_crosses_mask, incidence
 from .witness import laminar_tree, laminar_witness
 from .wgmv import CostedGraph, RunTrace
 
@@ -736,6 +736,7 @@ def analyze_trace(
     outside I, and its witness tree certifies the iteration's load bound.
     """
     additions = trace.additions()
+    kernel = _CoverageKernel(f.n, f.masks())
     out: list[IterationAnalysis] = []
     for idx, it in enumerate(trace.iterations):
         probs: list[str] = []
@@ -743,12 +744,14 @@ def analyze_trace(
         i_prime = [e for e in trace.solution if e not in j0]
         inc = incidence(g.n, (c.mask for c in it.cores))
         i_cover = [e for e in i_prime if degree_sum(inc, [g.pair(e)])]
-        outside = sorted(j0 | (set(i_prime) - set(i_cover)))
-        residual = f.residual([g.pair(e) for e in outside])
+        outside = [g.pair(e) for e in sorted(j0 | (set(i_prime) - set(i_cover)))]
         report: BoundReport | None = None
-        if tuple(family_cores(residual)) != tuple(it.cores):
+        # unlike an oracle, the kernel returns overlapping cores, unvalidated
+        if tuple(kernel.cores(outside)) != tuple(it.cores):
             probs.append("recomputed residual cores disagree with the recorded iteration")
         else:
+            covered = kernel.covered(outside)
+            residual = ExplicitFamily(f.n, tuple(s for i, s in enumerate(f) if not covered >> i & 1))
             pairs = [g.pair(e) for e in i_cover]
             try:
                 wit = laminar_witness(residual, pairs)

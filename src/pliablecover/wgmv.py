@@ -95,11 +95,15 @@ def edge_loads(g: CostedGraph, values: Iterable[tuple[NodeSet, Fraction]]) -> li
     return [Fraction(sum(nums[i] for i in bits(inc[u] ^ inc[v])), denom) for u, v, _ in g.edges]
 
 
-def phase1(g: CostedGraph, oracle: FamilyOracle) -> tuple[list[int], list[IterationRecord], dict[NodeSet, Fraction]]:
+def phase1(
+    g: CostedGraph, oracle: FamilyOracle
+) -> tuple[list[int], list[IterationRecord], dict[NodeSet, Fraction], list[Fraction]]:
     """Grow duals until the picked edges cover the family.
 
     Returns (picked edge ids in order of addition, iteration records, dual
-    values).  Raises InfeasibleError carrying an uncoverable core.
+    values, edge loads).  Raises InfeasibleError carrying an uncoverable
+    core.  Each raise is charged to the unpicked edges only, and a picked
+    edge crosses no later core, so the loads equal edge_loads of the values.
 
     The edges whose load equals their cost are kept as a set: the cost-0
     edges, plus the tight candidates of each positive raise (loads change
@@ -155,7 +159,7 @@ def phase1(g: CostedGraph, oracle: FamilyOracle) -> tuple[list[int], list[Iterat
         picked_pairs.append(g.pair(added))
         records.append(IterationRecord(tuple(cores), eps, added, tight))
 
-    return picked, records, values
+    return picked, records, values, loads
 
 
 def phase2(g: CostedGraph, oracle: FamilyOracle, picked: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -172,8 +176,8 @@ def phase2(g: CostedGraph, oracle: FamilyOracle, picked: Sequence[int]) -> tuple
 
 def solve(g: CostedGraph, oracle: FamilyOracle) -> RunTrace:
     """Run both phases and assemble the full trace."""
-    picked, records, values = phase1(g, oracle)
+    picked, records, values, loads = phase1(g, oracle)
     solution, deleted = phase2(g, oracle, picked)
     ordered = tuple(sorted(values.items(), key=lambda kv: kv[0].sort_key()))
-    dual = DualState(values=ordered, loads=tuple(edge_loads(g, ordered)))
+    dual = DualState(values=ordered, loads=tuple(loads))
     return RunTrace(tuple(records), tuple(deleted), tuple(solution), dual)

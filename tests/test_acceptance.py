@@ -26,7 +26,6 @@ from pliablecover.setfam import (
     ExplicitFamilyOracle,
     all_pairs,
     crossing_number,
-    family_cores,
     is_sparse,
 )
 from pliablecover.smallcuts import SmallCutsOracle
@@ -213,9 +212,9 @@ def test_criterion_8_cut_oracle_matches_the_explicit_route():
             h = gens.random_cap_graph(rng, n)
             uni = all_pairs(n)
             j = rng.sample(uni, rng.randint(0, min(4, len(uni))))
-            direct = sorted(s.mask for s in smallcuts.small_cut_cores(h, j))
+            direct = sorted(s.mask for s in SmallCutsOracle(h).cores(j))
             fam = smallcuts.materialize_family(h)
-            explicit = sorted(s.mask for s in family_cores(fam.residual(j)))
+            explicit = sorted(s.mask for s in ExplicitFamilyOracle(fam).cores(j))
             assert direct == explicit, (h, j)
 
             if trial % 4 == 0:

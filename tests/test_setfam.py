@@ -28,7 +28,6 @@ from pliablecover.setfam import (
     crossing_number,
     degree_sum,
     edge_crosses_mask,
-    family_cores,
     incidence,
     is_gamma_pliable,
     is_pliable,
@@ -36,7 +35,6 @@ from pliablecover.setfam import (
     is_sparse,
     is_uncrossable,
     pliability_counterexample,
-    residual_cores,
     validate_edges,
 )
 from pliablecover.smallcuts import SmallCutsOracle
@@ -91,6 +89,18 @@ def random_family(rng, n, k) -> ExplicitFamily:
     while len(masks) < min(k, (1 << n) - 2):
         masks.add(rng.randint(1, (1 << n) - 2))
     return ExplicitFamily(n, tuple(NodeSet(n, m) for m in masks))
+
+
+def kernel_cores(f: ExplicitFamily, edges) -> list[NodeSet]:
+    """Cores of F^J from the coverage kernel, which, unlike the oracle,
+    returns overlapping cores instead of refusing them."""
+    return setfam._CoverageKernel(f.n, f.masks()).cores(edges)
+
+
+def kernel_residual(f: ExplicitFamily, edges) -> ExplicitFamily:
+    """F^J: the members the kernel's covered mask leaves alive."""
+    covered = setfam._CoverageKernel(f.n, f.masks()).covered(edges)
+    return ExplicitFamily(f.n, tuple(s for i, s in enumerate(f) if not covered >> i & 1))
 
 
 # --- NodeSet ----------------------------------------------------------------
@@ -204,16 +214,17 @@ def test_family_contains_and_masks():
 
 def test_residual_cores_examples():
     f = fam(3, [0], [1], [0, 1])
-    assert [s.members() for s in residual_cores(f, ())] == [(0,), (1,)]
-    assert [s.members() for s in residual_cores(f, [(0, 2)])] == [(1,)]
-    assert [s.members() for s in family_cores(f)] == [(0,), (1,)]
+    oracle = ExplicitFamilyOracle(f)
+    assert [s.members() for s in oracle.cores(())] == [(0,), (1,)]
+    assert [s.members() for s in oracle.cores([(0, 2)])] == [(1,)]
+    assert [s.members() for s in oracle.cores([])] == [(0,), (1,)]
 
 
 def test_residual_keeps_only_uncovered_members():
     f = fam(3, [0], [1], [0, 1])
-    r = f.residual([(0, 2)])
+    r = kernel_residual(f, [(0, 2)])
     assert [s.members() for s in r] == [(1,)]
-    assert len(f.residual([(0, 1), (0, 2), (1, 2)])) == 0
+    assert len(kernel_residual(f, [(0, 1), (0, 2), (1, 2)])) == 0
 
 
 def test_residual_cores_match_reference():
@@ -227,7 +238,7 @@ def test_residual_cores_match_reference():
         expected = ref_cores(
             [frozenset(s.members()) for s in f], edges
         )
-        got = [frozenset(s.members()) for s in residual_cores(f, edges)]
+        got = [frozenset(s.members()) for s in kernel_cores(f, edges)]
         assert got == expected
 
 
@@ -238,8 +249,8 @@ def test_residual_composition():
         f = random_family(rng, n, rng.randint(2, 8))
         j = [tuple(rng.sample(range(n), 2)) for _ in range(4)]
         split = rng.randint(0, 4)
-        lhs = residual_cores(f, j)
-        rhs = residual_cores(f.residual(j[:split]), j[split:])
+        lhs = kernel_cores(f, j)
+        rhs = kernel_cores(kernel_residual(f, j[:split]), j[split:])
         assert [s.members() for s in lhs] == [s.members() for s in rhs]
 
 
@@ -503,9 +514,9 @@ def test_explicit_family_oracle_matches_residual_cores():
         assert oracle.universe_size() == n
         edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 5))]
         assert [s.members() for s in oracle.cores(edges)] == [
-            s.members() for s in residual_cores(f, edges)
+            s.members() for s in kernel_cores(f, edges)
         ]
-        assert oracle.is_covered(edges) == (len(residual_cores(f, edges)) == 0)
+        assert oracle.is_covered(edges) == (len(kernel_cores(f, edges)) == 0)
 
 
 def edge_set_queries(rng, n, count=12):

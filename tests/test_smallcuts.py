@@ -11,15 +11,16 @@ from fractions import Fraction
 
 import pytest
 
+import pliablecover.setfam as setfam
 import pliablecover.smallcuts as smallcuts
 from pliablecover.errors import GuardError, OracleInvariantError
 from pliablecover.setfam import (
+    ExplicitFamilyOracle,
     NodeSet,
     crossing_number,
     is_gamma_pliable,
     is_pliable,
     is_sparse,
-    residual_cores,
 )
 from pliablecover.smallcuts import (
     CapGraph,
@@ -28,8 +29,6 @@ from pliablecover.smallcuts import (
     cut_value,
     edge_connectivity,
     materialize_family,
-    small_cut_cores,
-    small_cut_masks,
 )
 
 
@@ -48,6 +47,13 @@ def ref_small_cut_masks(h: CapGraph, j=()) -> list[int]:
         if ref_cut(h, mask) < h.k and crossing_j == 0:
             out.append(mask)
     return out
+
+
+def residual_cut_masks(h: CapGraph, j=()) -> list[int]:
+    """Masks of the residual small-cuts family F^J, read off a coverage
+    kernel over the materialized family."""
+    kernel = setfam._CoverageKernel(h.n, materialize_family(h).masks())
+    return kernel.alive(kernel.covered(j))
 
 
 def triangle(k) -> CapGraph:
@@ -103,16 +109,17 @@ def test_cut_values_match_reference():
 
 def test_small_cut_cores_triangle():
     h = triangle(3)
-    assert [s.members() for s in small_cut_cores(h)] == [(0,), (1,), (2,)]
+    oracle = SmallCutsOracle(h)
+    assert [s.members() for s in oracle.cores([])] == [(0,), (1,), (2,)]
     # after picking (0,1): the members {0} and {1} are covered, leaving the
     # incomparable uncovered members {0,1} and {2} as the residual cores
-    assert [s.members() for s in small_cut_cores(h, [(0, 1)])] == [(0, 1), (2,)]
+    assert [s.members() for s in oracle.cores([(0, 1)])] == [(0, 1), (2,)]
 
 
 def test_picked_edge_covers_its_cut_whatever_the_threshold():
     h = CapGraph.build(2, [(0, 1, 1)], 5)
     # covering semantics: the picked edge crosses both sides, nothing remains
-    assert small_cut_cores(h, [(0, 1)]) == []
+    assert SmallCutsOracle(h).cores([(0, 1)]) == []
 
 
 def test_small_cut_masks_match_reference():
@@ -121,7 +128,7 @@ def test_small_cut_masks_match_reference():
         n = rng.randint(2, 6)
         h = random_graph(rng, n, rational=rng.random() < 0.4)
         j = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3))]
-        assert sorted(small_cut_masks(h, j)) == ref_small_cut_masks(h, j)
+        assert sorted(residual_cut_masks(h, j)) == ref_small_cut_masks(h, j)
 
 
 def test_adding_edges_never_grows_the_family():
@@ -131,13 +138,13 @@ def test_adding_edges_never_grows_the_family():
         h = random_graph(rng, n)
         j = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3))]
         extra = tuple(rng.sample(range(n), 2))
-        assert set(small_cut_masks(h, j + [extra])) <= set(small_cut_masks(h, j))
+        assert set(residual_cut_masks(h, j + [extra])) <= set(residual_cut_masks(h, j))
 
 
 def test_cut_enumeration_guard():
     h = CapGraph.build(23, [(0, 1, 1)], 1)
     with pytest.raises(GuardError):
-        small_cut_masks(h)
+        materialize_family(h)
 
 
 def ref_cuts(h: CapGraph) -> list:
@@ -232,7 +239,7 @@ def test_oracle_agrees_with_materialized_route():
         assert oracle.universe_size() == n
         j = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3))]
         direct = [s.members() for s in oracle.cores(j)]
-        explicit = [s.members() for s in residual_cores(fam, j)]
+        explicit = [s.members() for s in ExplicitFamilyOracle(fam).cores(j)]
         assert direct == explicit
 
 
@@ -302,8 +309,8 @@ def test_graph_scans_its_cuts_once(monkeypatch):
     assert edge_connectivity(h) == 2
     assert beta_bound(h) == 1
     assert [s.members() for s in materialize_family(h)] == [(0, 1), (2, 3)]
-    assert small_cut_masks(h, [(1, 2)]) == []
-    assert [s.members() for s in small_cut_cores(h, [(0, 1)])] == [(0, 1), (2, 3)]
+    assert residual_cut_masks(h, [(1, 2)]) == []
+    assert [s.members() for s in SmallCutsOracle(h).cores([(0, 1)])] == [(0, 1), (2, 3)]
     assert SmallCutsOracle(h).is_covered([(0, 3), (1, 2)])
     assert scans == [4]
 

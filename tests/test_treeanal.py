@@ -6,8 +6,15 @@ from fractions import Fraction
 import pytest
 
 from pliablecover.errors import TreeInvariantError
-from pliablecover.gens import random_instances, tight_beta, tight_seven, tight_six
-from pliablecover.setfam import ExplicitFamilyOracle, NodeSet
+from pliablecover.gens import (
+    instance_rng,
+    random_instance,
+    random_instances,
+    tight_beta,
+    tight_seven,
+    tight_six,
+)
+from pliablecover.setfam import ExplicitFamily, ExplicitFamilyOracle, NodeSet
 from pliablecover.treeanal import (
     HEAVY_WEIGHT,
     ChainEdge,
@@ -393,6 +400,30 @@ def test_analyze_trace_clean_on_generated_instances():
             assert rep.ok, [it.violations for it in rep.iterations]
             assert len(rep.iterations) == len(trace.iterations)
             assert all(it.report is not None for it in rep.iterations)
+
+
+def test_analyze_trace_reports_altered_cores_and_analyzes_the_rest():
+    disagree = ("recomputed residual cores disagree with the recorded iteration",)
+    g, f = random_instance("gamma", instance_rng(0, 1), 5)
+    trace = solve(g, ExplicitFamilyOracle(f))
+    first, *later = trace.iterations
+    assert len(first.cores) == 3 and later
+    for cores in (first.cores[1:], first.cores[:-1], first.cores + later[-1].cores):
+        forged = dataclasses.replace(
+            trace, iterations=(dataclasses.replace(first, cores=cores), *later)
+        )
+        rep = analyze_trace(g, f, forged, "gamma")
+        assert not rep.ok
+        assert rep.iterations[0].violations == disagree
+        assert rep.iterations[0].report is None
+        assert rep.iterations[0].cores == cores
+        assert all(it.ok and it.report is not None for it in rep.iterations[1:])
+        assert len(rep.iterations) == len(trace.iterations)
+    # The recomputed cores are compared, never validated: residual cores
+    # that overlap give the same finding, not an OracleInvariantError.
+    overlapping = ExplicitFamily.from_sets(5, [[0, 1], [1, 2], [0, 1, 2]])
+    rep = analyze_trace(g, overlapping, trace, "gamma")
+    assert [it.violations for it in rep.iterations] == [disagree] * len(trace.iterations)
 
 
 def test_heavy_weight_threshold():

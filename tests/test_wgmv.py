@@ -91,6 +91,7 @@ def assert_trace_matches_reference(g: CostedGraph, f: ExplicitFamily):
     got_dual = {frozenset(s.members()): v for s, v in trace.dual.values}
     want_dual = {s: v for s, v in y.items() if v != 0}
     assert {s: v for s, v in got_dual.items() if v != 0} == want_dual
+    assert list(trace.dual.loads) == ref_edge_loads(g, trace.dual.values)
     return trace
 
 
@@ -317,10 +318,11 @@ def test_solver_is_deterministic():
 def test_phase_functions_compose_to_solve():
     g, f = random_instance("gamma", instance_rng(104, 1))
     oracle = ExplicitFamilyOracle(f)
-    picked, records, values = phase1(g, oracle)
+    picked, records, values, loads = phase1(g, oracle)
     keep, deleted = phase2(g, oracle, picked)
     trace = solve(g, oracle)
     assert trace.additions() == tuple(picked)
+    assert trace.dual.loads == tuple(loads)
     assert trace.solution == tuple(keep)
     assert trace.deleted == tuple(deleted)
 
@@ -380,7 +382,7 @@ def ref_phase1(g, oracle):
         picked.append(added)
         picked_set.add(added)
         records.append(IterationRecord(tuple(cores), eps, added, tight))
-    return picked, records, values
+    return picked, records, values, loads
 
 
 def tie_heavy_copies(g):
@@ -405,7 +407,7 @@ def test_phase1_matches_the_reference_loop_on_random_instances():
         for i in range(15):
             g, f = random_instance(kind, instance_rng(105, i))
             for h in tie_heavy_copies(g):
-                _, records, _ = assert_phase1_matches_reference(h, f)
+                _, records, _, _ = assert_phase1_matches_reference(h, f)
                 zero_raises += sum(1 for it in records if it.eps == 0)
     assert zero_raises > 100
 
@@ -414,7 +416,7 @@ def test_phase1_matches_the_reference_loop_on_tight_constructions():
     for leaves in (2, 4, 8, 16):
         betas = [b for b in (2, 4) if b <= leaves]
         for bundle in [tight_six(leaves), tight_seven(leaves)] + [tight_beta(leaves, b) for b in betas]:
-            picked, records, values = assert_phase1_matches_reference(bundle.graph, bundle.family)
+            picked, records, values, _ = assert_phase1_matches_reference(bundle.graph, bundle.family)
             assert sum(values.values()) == bundle.dual_objective
 
 
