@@ -19,14 +19,10 @@ from .setfam import (
     ExplicitFamilyOracle,
     FamilyOracle,
     NodeSet,
+    PROPERTIES,
+    check_family,
     crossing_number,
     crosses,
-    is_gamma_pliable,
-    is_pliable,
-    is_proper_family,
-    is_sparse,
-    is_uncrossable,
-    pliability_counterexample,
 )
 from .smallcuts import (
     CapGraph,

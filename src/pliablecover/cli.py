@@ -47,24 +47,17 @@ from .jsonio import (
     trace_from_json,
     trace_to_json,
 )
-from .setfam import (
-    ExplicitFamily,
-    crossing_number,
-    is_gamma_pliable,
-    is_pliable,
-    is_proper_family,
-    is_sparse,
-    is_uncrossable,
-    CheckResult,
-)
+from .setfam import PROPERTIES, ExplicitFamily, check_family, crossing_number
 from .treeanal import analyze_trace, build_tree, emit_dot, verify_bounds
 from .wgmv import solve
 from .witness import laminar_witness
 
 
 def _read_json(path: str):
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
-    return json.loads(text)
+    if path == "-":
+        return json.loads(sys.stdin.read())
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.loads(fh.read())
 
 
 def _emit(doc) -> None:
@@ -130,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--property",
         required=True,
-        choices=["pliable", "gamma", "sparse", "proper", "uncrossable", "crossing-number"],
+        choices=[*PROPERTIES, "crossing-number"],
     )
     p.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
     p.add_argument("--samples", type=int, default=200)
@@ -217,6 +210,8 @@ def _cmd_analyze(args) -> int:
             }
         )
         return 0 if report.ok else 1
+    if args.dot:
+        raise SchemaError("--dot applies to bundle input only, not to an instance")
     inst = instance_from_json(doc)
     trace = solve(inst.graph, inst.oracle())
     report = analyze_trace(inst.graph, inst.explicit_family(), trace, args.family_class, args.beta)
@@ -253,16 +248,7 @@ def _cmd_check_family(args) -> int:
         beta = crossing_number(fam, mode=args.mode, samples=args.samples, seed=args.seed)
         _emit({"version": SCHEMA_VERSION, "crossing_number": beta, "mode": args.mode})
         return 0
-    if args.property == "pliable":
-        result = CheckResult("pliable", is_pliable(fam), None, "exhaustive")
-    elif args.property == "proper":
-        result = CheckResult("proper", is_proper_family(fam), None, "exhaustive")
-    elif args.property == "uncrossable":
-        result = CheckResult("uncrossable", is_uncrossable(fam), None, "exhaustive")
-    elif args.property == "gamma":
-        result = is_gamma_pliable(fam, mode=args.mode, samples=args.samples, seed=args.seed)
-    else:
-        result = is_sparse(fam, mode=args.mode, samples=args.samples, seed=args.seed)
+    result = check_family(fam, args.property, mode=args.mode, samples=args.samples, seed=args.seed)
     _emit(check_result_to_json(result))
     return 0 if result.holds else 1
 

@@ -28,16 +28,21 @@ from .setfam import (
     Edge,
     ExplicitFamily,
     NodeSet,
+    _first_bad_pair,
+    _pliable_pair,
+    check_family,
     edge_crosses_mask,
-    is_gamma_pliable,
-    is_pliable,
-    is_proper_family,
-    is_sparse,
 )
 from .smallcuts import CapGraph, materialize_family
 from .wgmv import CostedGraph, edge_loads
 
 GENERATION_BUDGET = 400
+# The properties a proposal of each kind must have, checked in this order.
+_ACCEPT = {
+    "gamma": ("pliable", "gamma"),
+    "sparse": ("pliable", "sparse", "gamma"),
+    "uncrossable": ("proper", "pliable"),
+}
 
 
 @dataclass(frozen=True)
@@ -338,7 +343,12 @@ def _random_group_split_masks(rng: random.Random, n: int) -> list[int]:
 
 
 def _random_repaired_masks(rng: random.Random, n: int) -> list[int] | None:
-    """Random seed sets, then add derived sets until the family is pliable."""
+    """Random seed sets, then add derived sets until the family is pliable.
+
+    Each round repairs the first non-pliable pair of the sorted masks.  A
+    family past the pair scan's guard is given up: it could not pass the
+    class checks anyway.
+    """
     if n < 3:
         return None  # fewer than three proper nonempty subsets to seed with
     full = (1 << n) - 1
@@ -346,28 +356,20 @@ def _random_repaired_masks(rng: random.Random, n: int) -> list[int] | None:
     while len(masks) < rng.randint(3, 5):
         masks.add(rng.randint(1, full - 1))
     for _ in range(600):
-        fixed = True
-        lst = sorted(masks)
-        for ai, a in enumerate(lst):
-            for b in lst[ai + 1 :]:
-                inter = a & b
-                if not inter or inter == a or inter == b:
-                    continue  # only crossing pairs can violate pliability
-                derived = [a & b, a | b, a & ~b, b & ~a]
-                present = sum(1 for d in derived if d in masks)
-                if present >= 2:
-                    continue
-                addable = [d for d in derived if d not in masks and d != 0 and d != full]
-                if len(addable) < 2 - present:
-                    return None
-                for d in rng.sample(addable, 2 - present):
-                    masks.add(d)
-                fixed = False
-                break
-            if not fixed:
-                break
-        if fixed:
+        try:
+            pair = _first_bad_pair(sorted(masks), _pliable_pair, "pliability")
+        except GuardError:
+            return None
+        if pair is None:
             return sorted(masks)
+        a, b = pair
+        derived = [a & b, a | b, a & ~b, b & ~a]
+        present = sum(1 for d in derived if d in masks)
+        addable = [d for d in derived if d not in masks and d != 0 and d != full]
+        if len(addable) < 2 - present:
+            return None
+        for d in rng.sample(addable, 2 - present):
+            masks.add(d)
     return None
 
 
@@ -430,13 +432,13 @@ def random_instance(
     retried; exceeding the retry budget raises GenerationError.  A size at
     which no proposal can pass its checker raises GuardError before drawing.
     """
-    if kind not in ("gamma", "sparse", "uncrossable"):
+    if kind not in _ACCEPT:
         raise ValueError(f"unknown instance kind {kind!r}")
     if n is not None and n < 2:
         raise ValueError(f"universe size n = {n} is below 2")
     # Sizes at which no proposal can pass its checker: every gamma proposal
     # goes to the exhaustive gamma check, and a group-split proposal has at
-    # least 2^(n-1) members, past is_pliable's 1000-member scan from n = 11.
+    # least 2^(n-1) members, past the pair scan's 1000-member guard from n = 11.
     limit = {"gamma": MAX_EXHAUSTIVE_UNIVERSE, "uncrossable": 10}.get(kind)
     if n is not None and limit is not None and n > limit:
         raise GuardError(f"instance too large for verified {kind} generation: n = {n} > {limit}")
@@ -466,19 +468,8 @@ def random_instance(
         except ValueError:
             continue
         try:
-            if kind == "gamma":
-                if not (is_pliable(fam) and is_gamma_pliable(fam).holds):
-                    continue
-            elif kind == "sparse":
-                if not (
-                    is_pliable(fam)
-                    and is_sparse(fam).holds
-                    and is_gamma_pliable(fam).holds
-                ):
-                    continue
-            else:
-                if not (is_proper_family(fam) and is_pliable(fam)):
-                    continue
+            if not all(check_family(fam, prop).holds for prop in _ACCEPT[kind]):
+                continue
         except GuardError:
             continue
         return _attach_edges(rng, fam), fam

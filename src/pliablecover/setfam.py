@@ -1,17 +1,20 @@
 """Set families over a finite universe and their structural checkers.
 
 Universes are ``{0, ..., n-1}`` and node sets are stored as bitmasks, so all
-set algebra is integer arithmetic and therefore exact.  The checkers in this
-module decide, for an explicit family:
+set algebra is integer arithmetic and therefore exact.  `check_family`
+decides, for an explicit family, each property in the `PROPERTIES` table
+and reports the first violation it finds:
 
 * pliability (every pair of members leaves at least two of the four derived
-  sets inside the family),
+  sets inside the family) and uncrossability, both by one pair scan,
+* properness (symmetric, and no member splits into two non-members),
 * the residual-family property we call "gamma" here: for any edge set I and
   nested members S1 < S2 of the residual family, a residual core crossing
-  both forces S2 - (S1 | C) to be empty or a residual member,
-* sparseness (no residual member crosses two distinct residual cores), and
-* the crossing number (the least beta such that in every residual family
-  every core crosses at most beta pairwise disjoint members).
+  both forces S2 - (S1 | C) to be empty or a residual member, and
+* sparseness (no residual member crosses two distinct residual cores).
+
+`crossing_number` computes the least beta such that in every residual
+family every core crosses at most beta pairwise disjoint members.
 
 The quantifier "for any edge set I" ranges over subsets of a caller-supplied
 edge universe (default: all node pairs).  Two edge sets with the same covered
@@ -27,9 +30,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import lcm
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import GuardError, OracleInvariantError, UniverseMismatchError
 
@@ -40,6 +43,8 @@ MAX_EXHAUSTIVE_UNIVERSE = 16
 MAX_EXHAUSTIVE_FAMILY = 256
 MAX_EXHAUSTIVE_EDGE_UNIVERSE = 140
 MAX_CLOSURE_SIZE = 120_000
+# The pairwise scans (pliable, uncrossable) test at most 10^6 pairs.
+MAX_PAIR_SCAN_FAMILY = 1000
 
 
 @dataclass(frozen=True, order=False)
@@ -298,70 +303,6 @@ class _CoverageKernel:
         return sorted((sets[m] for m in mins), key=NodeSet.sort_key)
 
 
-def is_pliable(f: ExplicitFamily) -> bool:
-    """Every pair A,B in F leaves at least two of A&B, A|B, A-B, B-A in F.
-
-    The empty set and the universe are never members, so membership tests
-    exclude them automatically.
-    """
-    if len(f) * len(f) > 1_000_000:
-        raise GuardError("family too large for the pairwise pliability scan")
-    return pliability_counterexample(f) is None
-
-
-def pliability_counterexample(f: ExplicitFamily) -> Optional[tuple[NodeSet, NodeSet]]:
-    """First pair (A, B) violating pliability, or None."""
-    present = set(f.masks())
-    ms = f.masks()
-    for i, a in enumerate(ms):
-        for b in ms[i + 1 :]:
-            hits = 0
-            for derived in (a & b, a | b, a & ~b, b & ~a):
-                if derived in present:
-                    hits += 1
-            if hits < 2:
-                return (NodeSet(f.n, a), NodeSet(f.n, b))
-    return None
-
-
-def is_uncrossable(f: ExplicitFamily) -> bool:
-    """A&B, A|B in F or A-B, B-A in F, for every pair. Implies pliable."""
-    present = set(f.masks())
-    ms = f.masks()
-    for i, a in enumerate(ms):
-        for b in ms[i + 1 :]:
-            if (a & b in present and a | b in present) or (a & ~b in present and b & ~a in present):
-                continue
-            return False
-    return True
-
-
-def is_proper_family(f: ExplicitFamily) -> bool:
-    """Symmetric (complements are members) plus the disjointness property:
-    whenever disjoint nonempty A, B have A | B in F, one of A, B is in F.
-
-    The disjointness quantifier ranges over all splits of each member into
-    two nonempty halves, so it is checked per member by subset enumeration
-    (members are small at desk scale).
-    """
-    present = set(f.masks())
-    full = (1 << f.n) - 1
-    for m in f.masks():
-        if full & ~m not in present:
-            return False
-    for m in f.masks():
-        if bin(m).count("1") < 2:
-            continue
-        # enumerate sub-splits a | b = m, a & b = 0, both nonempty
-        sub = (m - 1) & m
-        while sub:
-            a, b = sub, m & ~sub
-            if b and a not in present and b not in present:
-                return False
-            sub = (sub - 1) & m
-    return True
-
-
 @dataclass(frozen=True)
 class CheckResult:
     """Outcome of a family checker run.
@@ -482,14 +423,64 @@ def _residuals(
             yield alive, _minimal_masks(alive), edges
 
 
-def _result(name: str, counterexample: Optional[dict], mode: str, samples: int) -> CheckResult:
-    return CheckResult(
-        name, counterexample is None, counterexample, mode, samples if mode == "sampled" else 0
-    )
+def _pliable_pair(a: int, b: int, present: set[int]) -> bool:
+    """At least two of A&B, A|B, A-B, B-A are members."""
+    # The empty set and the universe are never members, so a derived set
+    # equal to either one counts as missing.
+    return (a & b in present) + (a | b in present) + (a & ~b in present) + (b & ~a in present) >= 2
 
 
-def _members(n: int, mask: int) -> list[int]:
-    return sorted(NodeSet(n, mask).members())
+def _uncrossable_pair(a: int, b: int, present: set[int]) -> bool:
+    """A&B and A|B are members, or A-B and B-A are."""
+    return (a & b in present and a | b in present) or (a & ~b in present and b & ~a in present)
+
+
+def _first_bad_pair(
+    masks: Sequence[int], ok: Callable[[int, int, set[int]], bool], what: str
+) -> Optional[tuple[int, int]]:
+    """First pair (a, b) of `masks`, a before b, with not ok(a, b, present).
+
+    Only overlapping pairs that are not nested are tested: for a disjoint
+    or nested pair, A-B and B-A (or A&B and A|B) are the pair itself, so
+    both pair properties hold.
+    """
+    if len(masks) > MAX_PAIR_SCAN_FAMILY:
+        raise GuardError(
+            f"instance too large for exhaustive {what} check: "
+            f"|F| = {len(masks)} > {MAX_PAIR_SCAN_FAMILY}"
+        )
+    present = set(masks)
+    for i, a in enumerate(masks):
+        for b in masks[i + 1 :]:
+            inter = a & b
+            if inter and inter != a and inter != b and not ok(a, b, present):
+                return a, b
+    return None
+
+
+def _pair_violation(ok, what: str, f: ExplicitFamily) -> Optional[dict]:
+    pair = _first_bad_pair(f.masks(), ok, what)
+    return None if pair is None else {"a": bits(pair[0]), "b": bits(pair[1])}
+
+
+def _proper_violation(f: ExplicitFamily) -> Optional[dict]:
+    """A member whose complement is missing, or else a split of a member
+    into two disjoint nonempty halves neither of which is a member.
+
+    Splits are enumerated per member (members are small at desk scale).
+    """
+    present = set(f.masks())
+    full = (1 << f.n) - 1
+    for m in f.masks():
+        if full & ~m not in present:
+            return {"s": bits(m), "complement": bits(full & ~m)}
+    for m in f.masks():
+        sub = (m - 1) & m
+        while sub:
+            if sub not in present and m & ~sub not in present:
+                return {"s": bits(m), "a": bits(sub), "b": bits(m & ~sub)}
+            sub = (sub - 1) & m
+    return None
 
 
 def _gamma_violation(
@@ -509,55 +500,92 @@ def _gamma_violation(
                 if d != 0 and d not in present:
                     return {
                         "edges": [list(e) for e in edges],
-                        "s1": _members(n, s1),
-                        "s2": _members(n, s2),
-                        "core": _members(n, c),
-                        "d": _members(n, d),
+                        "s1": bits(s1),
+                        "s2": bits(s2),
+                        "core": bits(c),
+                        "d": bits(d),
                     }
     return None
 
 
-def is_gamma_pliable(
+def _sparse_violation(
+    n: int, alive: list[int], cores: list[int], edges: list[Edge]
+) -> Optional[dict]:
+    """A residual member crossing two distinct residual cores."""
+    full = (1 << n) - 1
+    for s in alive:
+        crossed = [c for c in cores if _crosses_masks(s, c, full)]
+        if len(crossed) >= 2:
+            return {
+                "edges": [list(e) for e in edges],
+                "s": bits(s),
+                "core1": bits(crossed[0]),
+                "core2": bits(crossed[1]),
+            }
+    return None
+
+
+def _residual_violation(
+    violation, what: str, f: ExplicitFamily, edge_universe, mode: str, samples: int, seed: int
+) -> Optional[dict]:
+    """The first violation(n, alive, cores, edges) over `_residuals`."""
+    for alive, cores, edges in _residuals(f, edge_universe, mode, samples, seed, what):
+        found = violation(f.n, alive, cores, edges)
+        if found is not None:
+            return found
+    return None
+
+
+@dataclass(frozen=True)
+class FamilyProperty:
+    """One row of PROPERTIES.  An exact property quantifies over members
+    only, so every mode decides it and its finder takes the family alone;
+    the others' finders take (f, edge_universe, mode, samples, seed).  A
+    finder returns the first violation as a JSON-ready dict, or None."""
+
+    name: str  # as CheckResult reports it
+    exact: bool
+    find: Callable[..., Optional[dict]]
+
+
+# The family properties `check_family` decides, by the name callers pass.
+PROPERTIES: dict[str, FamilyProperty] = {
+    "pliable": FamilyProperty("pliable", True, partial(_pair_violation, _pliable_pair, "pliability")),
+    "gamma": FamilyProperty(
+        "gamma-pliable", False, partial(_residual_violation, _gamma_violation, "gamma-pliability")
+    ),
+    "sparse": FamilyProperty(
+        "sparse", False, partial(_residual_violation, _sparse_violation, "sparseness")
+    ),
+    "proper": FamilyProperty("proper", True, _proper_violation),
+    "uncrossable": FamilyProperty(
+        "uncrossable", True, partial(_pair_violation, _uncrossable_pair, "uncrossability")
+    ),
+}
+
+
+def check_family(
     f: ExplicitFamily,
+    prop: str,
     edge_universe: Optional[Sequence[Edge]] = None,
     mode: str = "exhaustive",
     samples: int = 200,
     seed: int = 0,
 ) -> CheckResult:
-    """Check the residual-core property over all edge sets from the universe.
-
-    Exhaustive mode enumerates the distinct reachable residual families and
-    is a decision procedure for the fixed edge universe; sampled mode only
-    reports "no counterexample found in N samples".
-    """
-    for alive, cores, edges in _residuals(f, edge_universe, mode, samples, seed, "gamma-pliability"):
-        violation = _gamma_violation(f.n, alive, cores, edges)
-        if violation is not None:
-            return _result("gamma-pliable", violation, mode, samples)
-    return _result("gamma-pliable", None, mode, samples)
-
-
-def is_sparse(
-    f: ExplicitFamily,
-    edge_universe: Optional[Sequence[Edge]] = None,
-    mode: str = "exhaustive",
-    samples: int = 200,
-    seed: int = 0,
-) -> CheckResult:
-    """No residual member may cross two distinct residual cores."""
-    full = (1 << f.n) - 1
-    for alive, cores, edges in _residuals(f, edge_universe, mode, samples, seed, "sparseness"):
-        for s in alive:
-            crossed = [c for c in cores if _crosses_masks(s, c, full)]
-            if len(crossed) >= 2:
-                violation = {
-                    "edges": [list(e) for e in edges],
-                    "s": _members(f.n, s),
-                    "core1": _members(f.n, crossed[0]),
-                    "core2": _members(f.n, crossed[1]),
-                }
-                return _result("sparse", violation, mode, samples)
-    return _result("sparse", None, mode, samples)
+    """Decide property `prop`, a key of PROPERTIES, of `f`, with the first
+    violation found.  The exact properties (pliable, uncrossable, proper)
+    ignore the other arguments and report mode "exhaustive".  gamma and
+    sparse range over the edge sets from `edge_universe` (default: all node
+    pairs); only exhaustive mode decides them, sampled mode reports "no
+    counterexample found in `samples` draws"."""
+    if prop not in PROPERTIES:
+        raise ValueError(f"unknown family property {prop!r}")
+    p = PROPERTIES[prop]
+    if p.exact:
+        found = p.find(f)
+        return CheckResult(p.name, found is None, found, "exhaustive")
+    found = p.find(f, edge_universe, mode, samples, seed)
+    return CheckResult(p.name, found is None, found, mode, samples if mode == "sampled" else 0)
 
 
 def _max_disjoint_packing(cands: list[int]) -> int:

@@ -317,7 +317,12 @@ def find_bad_pairs(tree: ShortcutTree) -> list[BadPair]:
     in between are white by construction, so only surviving nodes need the
     check.
     """
-    pairs = _bad_pairs(tree, [e.weight for e in tree.edges])
+    return _token_ordered_pairs(tree, _white_climbs(tree, [e.weight for e in tree.edges]))
+
+
+def _token_ordered_pairs(tree: ShortcutTree, climbs: dict[int, list[int]]) -> list[BadPair]:
+    """The bad pairs behind `_white_climbs`, by upper then lower edge token."""
+    pairs = [BadPair(lower=lo, upper=hi) for lo, climb in climbs.items() for hi in sorted(climb)]
     pairs.sort(key=lambda p: (tree.edges[p.upper].sort_token(), tree.edges[p.lower].sort_token()))
     return pairs
 
@@ -552,8 +557,8 @@ def verify_bounds(
                 f"heavy edge {tree.edges[i].cover_edges} matches no structural case"
             )
 
-    pairs = find_bad_pairs(tree)
     climbs = _white_climbs(tree, [e.weight for e in tree.edges])
+    pairs = _token_ordered_pairs(tree, climbs)
     in_u = tree.in_core_union
     for p in pairs:
         lo, hi = tree.edges[p.lower], tree.edges[p.upper]

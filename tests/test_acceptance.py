@@ -25,8 +25,8 @@ from pliablecover.jsonio import (
 from pliablecover.setfam import (
     ExplicitFamilyOracle,
     all_pairs,
+    check_family,
     crossing_number,
-    is_sparse,
 )
 from pliablecover.smallcuts import SmallCutsOracle
 from pliablecover.treeanal import analyze_trace
@@ -163,7 +163,7 @@ def test_criterion_6_small_cut_families_are_sparse_with_bounded_crossing():
             n = rng.randint(3, 8)
             h = gens.random_cap_graph(rng, n)
             fam = smallcuts.materialize_family(h)
-            res = is_sparse(fam)
+            res = check_family(fam, "sparse")
             assert res.holds, (h, res.counterexample)
             graphs += 1
 

@@ -221,6 +221,20 @@ def test_analyze_writes_dot_output(tmp_path):
     assert text.endswith("}\n")
 
 
+def test_analyze_refuses_dot_for_an_instance_before_solving(tmp_path, monkeypatch, capsys):
+    def no_solve(*args):
+        raise AssertionError("solve must not run")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    dot_path = tmp_path / "tree.dot"
+    code = cli.main(["analyze", write(tmp_path, "i.json", TRIANGLE), "--dot", str(dot_path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "--dot applies to bundle input only" in err
+    assert not dot_path.exists()
+
+
 def test_analyze_a_1024_leaf_bundle_in_process(monkeypatch, capsys):
     # A scaling smoke test with no time limit: an analyzer quadratic in the
     # tree size needs tens of seconds here, which shows in the suite time.
@@ -249,6 +263,34 @@ def test_check_family_accepts_and_rejects(tmp_path):
     doc = json.loads(r.stdout)
     assert doc["holds"] is False
     assert doc["counterexample"]["d"] == [2, 3]
+
+
+def test_reading_a_file_leaves_no_unclosed_handle(tmp_path):
+    laminar = {"kind": "explicit", "n": 4, "members": [[0], [0, 1]]}
+    path = write(tmp_path, "f.json", laminar)
+    r = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "pliablecover", "check-family", path, "--property", "pliable"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=ENV,
+    )
+    assert r.returncode == 0, r.stderr
+    assert "ResourceWarning" not in r.stderr
+
+
+def test_check_family_reports_pairwise_counterexamples():
+    crossing = json.dumps({"kind": "explicit", "n": 4, "members": [[0, 1], [1, 2]]})
+    expected = {
+        "pliable": {"a": [0, 1], "b": [1, 2]},
+        "uncrossable": {"a": [0, 1], "b": [1, 2]},
+        "proper": {"complement": [2, 3], "s": [0, 1]},
+    }
+    for prop, counterexample in expected.items():
+        r = run_cli("check-family", "--property", prop, stdin=crossing)
+        assert r.returncode == 1, (prop, r.stderr)
+        doc = json.loads(r.stdout)
+        assert doc["holds"] is False and doc["counterexample"] == counterexample
 
 
 def test_check_family_refuses_nonpositive_samples():

@@ -17,13 +17,10 @@ from pliablecover.gens import (
 )
 from pliablecover.jsonio import bundle_to_json, dumps_canonical
 from pliablecover.setfam import (
+    check_family,
     crosses,
     crossing_number,
     edge_crosses_mask,
-    is_gamma_pliable,
-    is_pliable,
-    is_proper_family,
-    is_sparse,
 )
 from pliablecover.treeanal import build_tree, verify_bounds
 from pliablecover.witness import is_laminar, laminar_witness
@@ -183,12 +180,12 @@ def test_random_instances_are_reproducible_and_index_stable():
 
 def test_random_instances_satisfy_their_class_checkers():
     for g, f in random_instances("gamma", 8, seed=11):
-        assert is_pliable(f) and is_gamma_pliable(f).holds
+        assert check_family(f, "pliable").holds and check_family(f, "gamma").holds
         assert g.n == f.n
     for g, f in random_instances("sparse", 8, seed=12):
-        assert is_pliable(f) and is_sparse(f).holds
+        assert check_family(f, "pliable").holds and check_family(f, "sparse").holds
     for g, f in random_instances("uncrossable", 8, seed=13):
-        assert is_proper_family(f) and is_pliable(f)
+        assert check_family(f, "proper").holds and check_family(f, "pliable").holds
 
 
 def test_random_instance_rejects_unknown_kind():
@@ -219,7 +216,7 @@ def test_random_instance_refuses_sizes_no_proposal_can_pass_before_drawing():
             random_instance(kind, rng, n=n)
         assert rng.getstate() == state
     g, f = random_instance("uncrossable", random.Random(0), n=10)
-    assert f.n == 10 and is_proper_family(f) and is_pliable(f)
+    assert f.n == 10 and check_family(f, "proper").holds and check_family(f, "pliable").holds
 
 
 def test_random_instance_gives_up_after_the_proposal_budget(monkeypatch):

@@ -35,7 +35,7 @@ from pliablecover.setfam import (
     ExplicitFamily,
     ExplicitFamilyOracle,
     NodeSet,
-    is_gamma_pliable,
+    check_family,
 )
 from pliablecover.smallcuts import CapGraph
 from pliablecover.treeanal import analyze_trace, build_tree, verify_bounds
@@ -266,7 +266,7 @@ def test_analysis_to_json_shape():
 
 
 def test_check_result_to_json_carries_the_version():
-    doc = check_result_to_json(is_gamma_pliable(ExplicitFamily.from_sets(3, [[0]])))
+    doc = check_result_to_json(check_family(ExplicitFamily.from_sets(3, [[0]]), "gamma"))
     assert doc["version"] == "1"
     assert doc["property"] == "gamma-pliable"
     assert doc["holds"] is True

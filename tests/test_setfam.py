@@ -23,18 +23,13 @@ from pliablecover.setfam import (
     FamilyOracle,
     NodeSet,
     all_pairs,
+    check_family,
     coverage,
     crosses,
     crossing_number,
     degree_sum,
     edge_crosses_mask,
     incidence,
-    is_gamma_pliable,
-    is_pliable,
-    is_proper_family,
-    is_sparse,
-    is_uncrossable,
-    pliability_counterexample,
     validate_edges,
 )
 from pliablecover.smallcuts import SmallCutsOracle
@@ -259,19 +254,18 @@ def test_residual_composition():
 
 def test_pliable_examples():
     full = fam(3, [0], [1], [2], [0, 1], [0, 2], [1, 2])
-    assert is_pliable(full)
+    assert check_family(full, "pliable").holds
     bad = fam(4, [0, 1], [1, 2])
-    assert not is_pliable(bad)
-    a, b = pliability_counterexample(bad)
-    assert (a.members(), b.members()) == ((0, 1), (1, 2))
+    assert not check_family(bad, "pliable").holds
+    assert check_family(bad, "pliable").counterexample == {"a": [0, 1], "b": [1, 2]}
 
 
 def test_laminar_family_is_pliable_and_uncrossable():
     f = fam(6, [0], [0, 1], [0, 1, 2], [3], [3, 4])
-    assert is_pliable(f)
-    assert is_uncrossable(f)
-    assert is_gamma_pliable(f).holds
-    assert is_sparse(f).holds
+    assert check_family(f, "pliable").holds
+    assert check_family(f, "uncrossable").holds
+    assert check_family(f, "gamma").holds
+    assert check_family(f, "sparse").holds
     assert crossing_number(f) == 1
 
 
@@ -281,7 +275,7 @@ def test_pliable_matches_reference():
         n = rng.randint(2, 6)
         f = random_family(rng, n, rng.randint(1, 8))
         members = [frozenset(s.members()) for s in f]
-        assert is_pliable(f) == ref_pliable(members, n)
+        assert check_family(f, "pliable").holds == ref_pliable(members, n)
 
 
 def test_uncrossable_implies_pliable():
@@ -290,9 +284,9 @@ def test_uncrossable_implies_pliable():
     for _ in range(400):
         n = rng.randint(2, 5)
         f = random_family(rng, n, rng.randint(1, 6))
-        if is_uncrossable(f):
+        if check_family(f, "uncrossable").holds:
             seen += 1
-            assert is_pliable(f)
+            assert check_family(f, "pliable").holds
     assert seen > 10
 
 
@@ -305,8 +299,8 @@ PLIABLE_NOT_GAMMA = ((4,), (2, 3), (3, 4), (0, 4), (0, 3, 4), (2, 3, 4), (0, 2, 
 
 def test_pliable_but_not_gamma_fixture():
     f = fam(5, *PLIABLE_NOT_GAMMA)
-    assert is_pliable(f)
-    res = is_gamma_pliable(f)
+    assert check_family(f, "pliable").holds
+    res = check_family(f, "gamma")
     assert not res.holds
     assert res.mode == "exhaustive"
     assert res.counterexample == {
@@ -328,17 +322,20 @@ def test_pliable_but_not_gamma_fixture():
 
 def test_gamma_pliable_sampled_mode():
     f = fam(5, *PLIABLE_NOT_GAMMA)
-    res = is_gamma_pliable(f, mode="sampled", samples=50, seed=0)
+    res = check_family(f, "gamma", mode="sampled", samples=50, seed=0)
     assert res.mode == "sampled"
     assert res.samples == 50
     # the empty edge set is always sampled first, so the violation is found
     assert not res.holds
     with pytest.raises(ValueError):
-        is_gamma_pliable(f, mode="fancy")
-    for checker in (is_gamma_pliable, is_sparse, crossing_number):
+        check_family(f, "gamma", mode="fancy")
+    for prop in ("gamma", "sparse"):
         for samples in (0, -5):
             with pytest.raises(ValueError, match="samples must be at least 1"):
-                checker(f, mode="sampled", samples=samples)
+                check_family(f, prop, mode="sampled", samples=samples)
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            crossing_number(f, mode="sampled", samples=samples)
 
 
 def test_checkresult_json_shape():
@@ -362,7 +359,7 @@ SPARSE_VIOLATION = ((0, 2), (1, 3), (0, 1, 4))
 
 def test_sparse_violation_fixture():
     f = fam(5, *SPARSE_VIOLATION)
-    res = is_sparse(f)
+    res = check_family(f, "sparse")
     assert not res.holds
     cx = res.counterexample
     assert cx["s"] == [0, 1, 4]
@@ -370,7 +367,7 @@ def test_sparse_violation_fixture():
 
 
 def test_sparse_empty_family_is_vacuous():
-    assert is_sparse(ExplicitFamily(4, ())).holds
+    assert check_family(ExplicitFamily(4, ()), "sparse").holds
     assert crossing_number(ExplicitFamily(4, ())) == 1
 
 
@@ -381,7 +378,7 @@ BETA_TWO = ((0, 1, 2), (0, 1, 2, 3), (0, 1, 2, 4), (0, 2, 3), (1, 4), (3,), (4,)
 
 def test_crossing_number_fixture():
     f = fam(5, *BETA_TWO)
-    assert is_sparse(f).holds
+    assert check_family(f, "sparse").holds
     assert crossing_number(f) == 2
     # lower bound witnessed at the empty edge set
     members = [frozenset(s.members()) for s in f]
@@ -399,23 +396,23 @@ def test_crossing_number_fixture():
 def test_exhaustive_guards():
     big = fam(18, [0], [1])
     with pytest.raises(GuardError, match=r"too large for exhaustive gamma-pliability check: n = 18 > 16$"):
-        is_gamma_pliable(big)
+        check_family(big, "gamma")
     with pytest.raises(GuardError, match=r"too large for exhaustive sparseness check: n = 18 > 16$"):
-        is_sparse(big)
+        check_family(big, "sparse")
     with pytest.raises(GuardError, match=r"too large for exhaustive crossing-number check: n = 18 > 16$"):
         crossing_number(big)
     crowded = ExplicitFamily(9, tuple(NodeSet(9, m) for m in range(1, 258)))
     with pytest.raises(GuardError, match=r"too large for exhaustive sparseness check: \|F\| = 257 > 256$"):
-        is_sparse(crowded)
+        check_family(crowded, "sparse")
     # explicit edge universe over the limit (parallel edges allowed)
     small = fam(4, [0], [1])
     with pytest.raises(
         GuardError,
         match=r"too large for exhaustive gamma-pliability check: \|edge universe\| = 141 > 140$",
     ):
-        is_gamma_pliable(small, edge_universe=[(0, 1)] * 141)
+        check_family(small, "gamma", edge_universe=[(0, 1)] * 141)
     # sampled mode is the escape hatch
-    assert is_gamma_pliable(big, mode="sampled", samples=10).holds
+    assert check_family(big, "gamma", mode="sampled", samples=10).holds
 
 
 def test_closure_guard_names_the_measured_value(monkeypatch):
@@ -425,7 +422,21 @@ def test_closure_guard_names_the_measured_value(monkeypatch):
         match=r"too large for exhaustive sparseness check: "
         r"residual families found before stopping = 3 > 2$",
     ):
-        is_sparse(fam(4, [0], [1], [2]))
+        check_family(fam(4, [0], [1], [2]), "sparse")
+
+
+def test_pair_scan_guard_names_the_measured_value(monkeypatch):
+    crowded = ExplicitFamily(10, tuple(NodeSet(10, m) for m in range(1, 1002)))
+    for prop, what in (("pliable", "pliability"), ("uncrossable", "uncrossability")):
+        with pytest.raises(
+            GuardError, match=rf"too large for exhaustive {what} check: \|F\| = 1001 > 1000$"
+        ):
+            check_family(crowded, prop)
+    monkeypatch.setattr(setfam, "MAX_PAIR_SCAN_FAMILY", 2)
+    for prop, what in (("pliable", "pliability"), ("uncrossable", "uncrossability")):
+        assert check_family(fam(4, [0], [1]), prop).holds  # at the limit
+        with pytest.raises(GuardError, match=rf"{what} check: \|F\| = 3 > 2$"):
+            check_family(fam(4, [0], [1], [2]), prop)
 
 
 # Frozen fixture from seeded search: its sparseness counterexamples lie at
@@ -434,6 +445,16 @@ def test_closure_guard_names_the_measured_value(monkeypatch):
 RESIDUAL_ORDER = (
     (0, 1, 2), (0, 1, 2, 3), (0, 1, 5), (0, 2, 3, 4, 5), (0, 2, 4), (1,), (1, 2, 5), (1, 3, 4, 5), (1, 3, 5)
 )
+
+# One failing fixture per member-only property, all over n = 4.  For {0,1}
+# and {1,2}, none of A&B, A|B, A-B, B-A is a member: not pliable.  Adding
+# {0} and {1} makes that pair pliable (A&B and A-B) but not uncrossable.
+# {0,1} and {2,3} are each other's complement, but {0,1} splits into {0}
+# and {1}, neither a member: not proper.  Their sampled rows below pin that
+# these exact checks report mode "exhaustive" whatever the mode asked.
+NOT_PLIABLE = ((0, 1), (1, 2))
+NOT_UNCROSSABLE = ((0,), (1,), (0, 1), (1, 2))
+NOT_PROPER = ((0, 1), (2, 3))
 
 # Canonical `check-family` output for the fixtures above.  The bytes are
 # pinned: any difference is a behaviour change of the checkers or the CLI.
@@ -462,6 +483,36 @@ CHECK_FAMILY_GOLDEN = {
     ("RESIDUAL_ORDER", "sparse", "sampled"): '{"counterexample":{"core1":[0,2,4],"core2":[1,2,5],"edges":[[1,5]],"s":[0,1,5]},"holds":false,"mode":"sampled","property":"sparse","samples":200,"version":"1"}',
     ("RESIDUAL_ORDER", "crossing-number", "exhaustive"): '{"crossing_number":2,"mode":"exhaustive","version":"1"}',
     ("RESIDUAL_ORDER", "crossing-number", "sampled"): '{"crossing_number":2,"mode":"sampled","version":"1"}',
+    ("PLIABLE_NOT_GAMMA", "pliable", "exhaustive"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"pliable","version":"1"}',
+    ("PLIABLE_NOT_GAMMA", "uncrossable", "exhaustive"): '{"counterexample":{"a":[0,3,4],"b":[2,3]},"holds":false,"mode":"exhaustive","property":"uncrossable","version":"1"}',
+    ("PLIABLE_NOT_GAMMA", "proper", "exhaustive"): '{"counterexample":{"complement":[1],"s":[0,2,3,4]},"holds":false,"mode":"exhaustive","property":"proper","version":"1"}',
+    ("BETA_TWO", "pliable", "exhaustive"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"pliable","version":"1"}',
+    ("BETA_TWO", "uncrossable", "exhaustive"): '{"counterexample":{"a":[0,1,2],"b":[0,2,3]},"holds":false,"mode":"exhaustive","property":"uncrossable","version":"1"}',
+    ("BETA_TWO", "proper", "exhaustive"): '{"counterexample":{"complement":[3,4],"s":[0,1,2]},"holds":false,"mode":"exhaustive","property":"proper","version":"1"}',
+    ("SPARSE_VIOLATION", "pliable", "exhaustive"): '{"counterexample":{"a":[0,1,4],"b":[0,2]},"holds":false,"mode":"exhaustive","property":"pliable","version":"1"}',
+    ("SPARSE_VIOLATION", "uncrossable", "exhaustive"): '{"counterexample":{"a":[0,1,4],"b":[0,2]},"holds":false,"mode":"exhaustive","property":"uncrossable","version":"1"}',
+    ("SPARSE_VIOLATION", "proper", "exhaustive"): '{"counterexample":{"complement":[2,3],"s":[0,1,4]},"holds":false,"mode":"exhaustive","property":"proper","version":"1"}',
+    ("RESIDUAL_ORDER", "pliable", "exhaustive"): '{"counterexample":{"a":[0,1,2],"b":[0,1,5]},"holds":false,"mode":"exhaustive","property":"pliable","version":"1"}',
+    ("RESIDUAL_ORDER", "uncrossable", "exhaustive"): '{"counterexample":{"a":[0,1,2],"b":[0,1,5]},"holds":false,"mode":"exhaustive","property":"uncrossable","version":"1"}',
+    ("RESIDUAL_ORDER", "proper", "exhaustive"): '{"counterexample":{"complement":[3,4,5],"s":[0,1,2]},"holds":false,"mode":"exhaustive","property":"proper","version":"1"}',
+    ("NOT_PLIABLE", "pliable", "exhaustive"): '{"counterexample":{"a":[0,1],"b":[1,2]},"holds":false,"mode":"exhaustive","property":"pliable","version":"1"}',
+    ("NOT_PLIABLE", "pliable", "sampled"): '{"counterexample":{"a":[0,1],"b":[1,2]},"holds":false,"mode":"exhaustive","property":"pliable","version":"1"}',
+    ("NOT_PLIABLE", "uncrossable", "exhaustive"): '{"counterexample":{"a":[0,1],"b":[1,2]},"holds":false,"mode":"exhaustive","property":"uncrossable","version":"1"}',
+    ("NOT_PLIABLE", "uncrossable", "sampled"): '{"counterexample":{"a":[0,1],"b":[1,2]},"holds":false,"mode":"exhaustive","property":"uncrossable","version":"1"}',
+    ("NOT_PLIABLE", "proper", "exhaustive"): '{"counterexample":{"complement":[2,3],"s":[0,1]},"holds":false,"mode":"exhaustive","property":"proper","version":"1"}',
+    ("NOT_PLIABLE", "proper", "sampled"): '{"counterexample":{"complement":[2,3],"s":[0,1]},"holds":false,"mode":"exhaustive","property":"proper","version":"1"}',
+    ("NOT_UNCROSSABLE", "pliable", "exhaustive"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"pliable","version":"1"}',
+    ("NOT_UNCROSSABLE", "pliable", "sampled"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"pliable","version":"1"}',
+    ("NOT_UNCROSSABLE", "uncrossable", "exhaustive"): '{"counterexample":{"a":[0,1],"b":[1,2]},"holds":false,"mode":"exhaustive","property":"uncrossable","version":"1"}',
+    ("NOT_UNCROSSABLE", "uncrossable", "sampled"): '{"counterexample":{"a":[0,1],"b":[1,2]},"holds":false,"mode":"exhaustive","property":"uncrossable","version":"1"}',
+    ("NOT_UNCROSSABLE", "proper", "exhaustive"): '{"counterexample":{"complement":[1,2,3],"s":[0]},"holds":false,"mode":"exhaustive","property":"proper","version":"1"}',
+    ("NOT_UNCROSSABLE", "proper", "sampled"): '{"counterexample":{"complement":[1,2,3],"s":[0]},"holds":false,"mode":"exhaustive","property":"proper","version":"1"}',
+    ("NOT_PROPER", "pliable", "exhaustive"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"pliable","version":"1"}',
+    ("NOT_PROPER", "pliable", "sampled"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"pliable","version":"1"}',
+    ("NOT_PROPER", "uncrossable", "exhaustive"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"uncrossable","version":"1"}',
+    ("NOT_PROPER", "uncrossable", "sampled"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"uncrossable","version":"1"}',
+    ("NOT_PROPER", "proper", "exhaustive"): '{"counterexample":{"a":[1],"b":[0],"s":[0,1]},"holds":false,"mode":"exhaustive","property":"proper","version":"1"}',
+    ("NOT_PROPER", "proper", "sampled"): '{"counterexample":{"a":[1],"b":[0],"s":[0,1]},"holds":false,"mode":"exhaustive","property":"proper","version":"1"}',
 }
 
 
@@ -471,6 +522,9 @@ def test_check_family_golden_json(tmp_path, capsys):
         "BETA_TWO": (5, BETA_TWO),
         "SPARSE_VIOLATION": (5, SPARSE_VIOLATION),
         "RESIDUAL_ORDER": (6, RESIDUAL_ORDER),
+        "NOT_PLIABLE": (4, NOT_PLIABLE),
+        "NOT_UNCROSSABLE": (4, NOT_UNCROSSABLE),
+        "NOT_PROPER": (4, NOT_PROPER),
     }
     for (name, prop, mode), expected in CHECK_FAMILY_GOLDEN.items():
         n, members = fixtures[name]
@@ -491,9 +545,115 @@ def test_all_pairs():
 
 def test_proper_family_examples():
     singles_and_complements = fam(4, [0], [1], [2], [3], [1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2])
-    assert is_proper_family(singles_and_complements)
-    assert not is_proper_family(fam(4, [0, 1]))  # no complement
-    assert not is_proper_family(fam(4, [0, 1], [2, 3]))  # partition of {0,1} misses
+    assert check_family(singles_and_complements, "proper").holds
+    assert not check_family(fam(4, [0, 1]), "proper").holds  # no complement
+    assert not check_family(fam(4, [0, 1], [2, 3]), "proper").holds  # partition of {0,1} misses
+
+
+def ref_uncrossable(members: list[frozenset]) -> bool:
+    fam = set(members)
+    return all(
+        (a & b in fam and a | b in fam) or (a - b in fam and b - a in fam)
+        for a in members
+        for b in members
+        if a != b
+    )
+
+
+def ref_proper(members: list[frozenset], n: int) -> bool:
+    fam = set(members)
+    if any(frozenset(range(n)) - s not in fam for s in members):
+        return False
+    return all(
+        frozenset(half) in fam or s - frozenset(half) in fam
+        for s in members
+        for k in range(1, len(s))
+        for half in itertools.combinations(sorted(s), k)
+    )
+
+
+def ref_gamma_violated(members: list[frozenset], n: int, edges) -> bool:
+    alive = ref_residual_members(members, edges)
+    cores = ref_minimal(alive)
+    return any(
+        (s2 - (s1 | c)) and (s2 - (s1 | c)) not in alive
+        for s1 in alive
+        for s2 in alive
+        if s1 < s2
+        for c in cores
+        if ref_crosses(c, s1, n) and ref_crosses(c, s2, n)
+    )
+
+
+def ref_sparse_violated(members: list[frozenset], n: int, edges) -> bool:
+    alive = ref_residual_members(members, edges)
+    cores = ref_minimal(alive)
+    return any(sum(ref_crosses(s, c, n) for c in cores) >= 2 for s in alive)
+
+
+def assert_violates(prop: str, members: list[frozenset], n: int, cx: dict) -> None:
+    """`cx` breaks `prop` by the property's definition."""
+    fam = set(members)
+    if prop in ("pliable", "uncrossable"):
+        a, b = frozenset(cx["a"]), frozenset(cx["b"])
+        assert a in fam and b in fam and a != b
+        if prop == "pliable":
+            assert sum(d in fam for d in (a & b, a | b, a - b, b - a)) < 2
+        else:
+            assert not (a & b in fam and a | b in fam) and not (a - b in fam and b - a in fam)
+    elif prop == "proper":
+        s = frozenset(cx["s"])
+        assert s in fam
+        if "complement" in cx:
+            assert frozenset(cx["complement"]) == frozenset(range(n)) - s
+            assert frozenset(cx["complement"]) not in fam
+        else:
+            a, b = frozenset(cx["a"]), frozenset(cx["b"])
+            assert a and b and not a & b and a | b == s
+            assert a not in fam and b not in fam
+    else:
+        edges = [tuple(e) for e in cx["edges"]]
+        alive = ref_residual_members(members, edges)
+        cores = ref_minimal(alive)
+        if prop == "gamma":
+            s1, s2, c = frozenset(cx["s1"]), frozenset(cx["s2"]), frozenset(cx["core"])
+            assert s1 in alive and s2 in alive and s1 < s2 and c in cores
+            assert ref_crosses(c, s1, n) and ref_crosses(c, s2, n)
+            d = frozenset(cx["d"])
+            assert d == s2 - (s1 | c) and d and d not in alive
+        else:
+            s, c1, c2 = frozenset(cx["s"]), frozenset(cx["core1"]), frozenset(cx["core2"])
+            assert s in alive and c1 in cores and c2 in cores and c1 != c2
+            assert ref_crosses(s, c1, n) and ref_crosses(s, c2, n)
+
+
+def test_check_family_agrees_with_the_references_and_its_counterexamples_violate():
+    rng = random.Random(41)
+    failed = dict.fromkeys(setfam.PROPERTIES, 0)
+    edge_sets = {
+        n: [c for k in range(len(all_pairs(n)) + 1) for c in itertools.combinations(all_pairs(n), k)]
+        for n in range(2, 5)
+    }
+    for i in range(400):
+        n = rng.randint(2, 6) if i % 2 else rng.randint(2, 4)
+        f = random_family(rng, n, rng.randint(0, 8))
+        members = [frozenset(s.members()) for s in f]
+        expected = {
+            "pliable": ref_pliable(members, n),
+            "uncrossable": ref_uncrossable(members),
+            "proper": ref_proper(members, n),
+        }
+        if n <= 4:  # every edge subset of all_pairs(n); past that, counterexamples only
+            expected["gamma"] = not any(ref_gamma_violated(members, n, j) for j in edge_sets[n])
+            expected["sparse"] = not any(ref_sparse_violated(members, n, j) for j in edge_sets[n])
+        for prop in setfam.PROPERTIES:
+            res = check_family(f, prop)
+            assert res.holds == expected.get(prop, res.holds), (prop, members)
+            assert (res.counterexample is None) == res.holds
+            if not res.holds:
+                failed[prop] += 1
+                assert_violates(prop, members, n, res.counterexample)
+    assert min(failed.values()) >= 10, failed
 
 
 # --- oracles -----------------------------------------------------------------------
@@ -507,7 +667,7 @@ def test_explicit_family_oracle_matches_residual_cores():
     while checked < 50:
         n = rng.randint(2, 6)
         f = random_family(rng, n, rng.randint(1, 8))
-        if not is_pliable(f):
+        if not check_family(f, "pliable").holds:
             continue
         checked += 1
         oracle = ExplicitFamilyOracle(f)
@@ -691,7 +851,7 @@ def test_is_covered_agrees_with_cores_on_both_oracles():
     while checked < 40:
         n = rng.randint(2, 7)
         f = random_family(rng, n, rng.randint(0, 10))
-        if not is_pliable(f):
+        if not check_family(f, "pliable").holds:
             continue
         checked += 1
         oracles = [ExplicitFamilyOracle(f), SmallCutsOracle(random_cap_graph(rng, n))]
@@ -702,7 +862,7 @@ def test_is_covered_agrees_with_cores_on_both_oracles():
 
 def test_is_covered_still_validates_cores_and_edges():
     f = fam(4, [0, 1], [1, 2], [0, 1, 2])  # not pliable: its cores {0,1}, {1,2} overlap
-    assert not is_pliable(f)
+    assert not check_family(f, "pliable").holds
     oracle = ExplicitFamilyOracle(f)
     with pytest.raises(OracleInvariantError, match="disjoint"):
         oracle.is_covered([])

@@ -17,10 +17,8 @@ from pliablecover.errors import GuardError, OracleInvariantError
 from pliablecover.setfam import (
     ExplicitFamilyOracle,
     NodeSet,
+    check_family,
     crossing_number,
-    is_gamma_pliable,
-    is_pliable,
-    is_sparse,
 )
 from pliablecover.smallcuts import (
     CapGraph,
@@ -340,9 +338,9 @@ def test_materialized_family_structure():
         if not fam.members:
             continue
         checked += 1
-        assert is_pliable(fam)
-        assert is_gamma_pliable(fam).holds
-        assert is_sparse(fam).holds
+        assert check_family(fam, "pliable").holds
+        assert check_family(fam, "gamma").holds
+        assert check_family(fam, "sparse").holds
         if checked >= 25:
             break
     assert checked >= 25
