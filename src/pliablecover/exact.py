@@ -15,9 +15,11 @@ has the same cores, because F^{J+e} is a subfamily of F^J that still holds
 every core, so the oracle is asked only when the child crosses one.
 
 `certify` re-derives everything checkable about a finished run from first
-principles: dual feasibility, tightness of the solution, per-iteration load
-bounds for the claimed family class, and the approximation-factor inequality
-against the dual objective (and against the true optimum when supplied).
+principles: dual feasibility (every dual set a member and no edge over
+its cost, so by weak duality the dual objective is at most OPT), tightness
+of the solution, per-iteration load bounds for the claimed family class, and
+the approximation-factor inequality against the dual objective (and against
+the true optimum when supplied).
 """
 
 from __future__ import annotations
@@ -180,7 +182,14 @@ def certify(
     neg = [s for s, y in trace.dual.values if y < 0]
     add("dual-nonnegative", not neg, f"{len(neg)} negative dual values" if neg else "")
     over = [e for e in range(len(g.edges)) if loads[e] > g.cost(e)]
-    add("dual-feasible", not over, f"edges over cost: {over}" if over else "")
+    # Weak duality (dual objective <= OPT) needs every dual set to be a member.
+    strays = [list(s.members()) for s, _ in trace.dual.values if not oracle.contains(s)]
+    found = []
+    if over:
+        found.append(f"edges over cost: {over}")
+    if strays:
+        found.append(f"dual values on non-members: {strays}")
+    add("dual-feasible", not found, "; ".join(found))
     slack = [e for e in trace.solution if loads[e] != g.cost(e)]
     add("solution-tight", not slack, f"non-tight solution edges: {slack}" if slack else "")
 

@@ -24,6 +24,7 @@ from typing import Iterator
 
 from .errors import GenerationError, GuardError
 from .setfam import (
+    MAX_EXHAUSTIVE_FAMILY,
     MAX_EXHAUSTIVE_UNIVERSE,
     Edge,
     ExplicitFamily,
@@ -346,8 +347,9 @@ def _random_repaired_masks(rng: random.Random, n: int) -> list[int] | None:
     """Random seed sets, then add derived sets until the family is pliable.
 
     Each round repairs the first non-pliable pair of the sorted masks.  A
-    family past the pair scan's guard is given up: it could not pass the
-    class checks anyway.
+    family past the pair scan's guard, or still unrepaired past the gamma
+    check's member guard, is given up: it could not pass the class checks
+    anyway.
     """
     if n < 3:
         return None  # fewer than three proper nonempty subsets to seed with
@@ -362,6 +364,8 @@ def _random_repaired_masks(rng: random.Random, n: int) -> list[int] | None:
             return None
         if pair is None:
             return sorted(masks)
+        if len(masks) > MAX_EXHAUSTIVE_FAMILY:
+            return None  # repairs only add members, and gamma refuses this many
         a, b = pair
         derived = [a & b, a | b, a & ~b, b & ~a]
         present = sum(1 for d in derived if d in masks)
@@ -393,22 +397,22 @@ def _attach_edges(rng: random.Random, fam: ExplicitFamily) -> CostedGraph:
     return CostedGraph(n, tuple(edges))
 
 
-def random_cap_graph(rng: random.Random, n: int, max_cap: int = 4) -> CapGraph:
-    """Random integer-capacity multigraph with a random integer threshold."""
+def random_cap_graph(rng: random.Random, n: int) -> CapGraph:
+    """Random multigraph with capacities in 1..4 and a threshold in 1..8."""
     edges: list[tuple[int, int, Fraction]] = []
     order = list(range(n))
     rng.shuffle(order)
     for i in range(1, n):  # random spanning tree keeps most instances connected
         u = order[rng.randint(0, i - 1)]
         v = order[i]
-        edges.append((min(u, v), max(u, v), Fraction(rng.randint(1, max_cap))))
+        edges.append((min(u, v), max(u, v), Fraction(rng.randint(1, 4))))
     for _ in range(rng.randint(0, n)):
         u, v = rng.sample(range(n), 2)
-        edges.append((min(u, v), max(u, v), Fraction(rng.randint(1, max_cap))))
+        edges.append((min(u, v), max(u, v), Fraction(rng.randint(1, 4))))
     if rng.random() < 0.15 and edges:
         edges.pop(rng.randrange(len(edges)))  # occasionally disconnect
     edges.sort(key=lambda e: (e[0], e[1], e[2]))
-    return CapGraph(n, tuple(edges), Fraction(rng.randint(1, 2 * max_cap)))
+    return CapGraph(n, tuple(edges), Fraction(rng.randint(1, 8)))
 
 
 def _smallcut_masks(rng: random.Random, n: int) -> list[int] | None:

@@ -18,7 +18,7 @@ from typing import Any
 from .exact import Certificate
 from .setfam import CheckResult, ExplicitFamily, FamilyOracle, ExplicitFamilyOracle, NodeSet
 from .smallcuts import CapGraph, SmallCutsOracle, materialize_family
-from .treeanal import AnalysisReport, BoundReport, ShortcutTree
+from .treeanal import AnalysisReport, BoundReport
 from .wgmv import CostedGraph, DualState, IterationRecord, RunTrace
 
 SCHEMA_VERSION = "1"
@@ -134,15 +134,15 @@ def graph_to_json(g: CostedGraph) -> dict:
     }
 
 
-def graph_from_json(doc: Any, where: str = "graph") -> CostedGraph:
-    n = _get(doc, "n", where)
+def graph_from_json(doc: Any) -> CostedGraph:
+    n = _get(doc, "n", "graph")
     if not isinstance(n, int) or n < 0:
-        raise SchemaError(f"{where}.n: expected a nonnegative integer")
-    edges = _rational_edges(_get(doc, "edges", where), f"{where}.edges", "cost")
+        raise SchemaError("graph.n: expected a nonnegative integer")
+    edges = _rational_edges(_get(doc, "edges", "graph"), "graph.edges", "cost")
     try:
         return CostedGraph(n, tuple(edges))
     except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+        raise SchemaError(f"graph: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -366,36 +366,6 @@ def analysis_to_json(report: AnalysisReport) -> dict:
             }
             for it in report.iterations
         ],
-    }
-
-
-def tree_to_json(tree: ShortcutTree) -> dict:
-    return {
-        "nodes": [
-            {
-                "index": x.index,
-                "set": nodeset_to_json(x.node_set),
-                "parent": x.parent,
-                "black": x.black,
-                "owned_cores": list(x.owned_cores),
-                "edge_id": x.edge_id,
-                "contracted": x.contracted,
-            }
-            for x in tree.nodes
-        ],
-        "edges": [
-            {
-                "lower": e.lower,
-                "upper": e.upper,
-                "interior": list(e.interior),
-                "cover_edges": list(e.cover_edges),
-                "labels": [list(lab) for lab in e.labels],
-                "weight": e.weight,
-            }
-            for e in tree.edges
-        ],
-        "cores": [nodeset_to_json(c) for c in tree.cores],
-        "root": tree.root,
     }
 
 

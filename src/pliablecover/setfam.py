@@ -16,8 +16,8 @@ and reports the first violation it finds:
 `crossing_number` computes the least beta such that in every residual
 family every core crosses at most beta pairwise disjoint members.
 
-The quantifier "for any edge set I" ranges over subsets of a caller-supplied
-edge universe (default: all node pairs).  Two edge sets with the same covered
+The quantifier "for any edge set I" ranges over every edge set on V, that
+is over the subsets of all node pairs.  Two edge sets with the same covered
 members induce the same residual family, so the exhaustive mode enumerates
 the distinct reachable residual families (the union closure of the per-edge
 coverage masks) instead of all 2^|I| subsets.  A sampled mode draws random
@@ -41,7 +41,6 @@ from .errors import GuardError, OracleInvariantError, UniverseMismatchError
 # keep the per-residual scans (quadratic and cubic in |F|) at desk scale.
 MAX_EXHAUSTIVE_UNIVERSE = 16
 MAX_EXHAUSTIVE_FAMILY = 256
-MAX_EXHAUSTIVE_EDGE_UNIVERSE = 140
 MAX_CLOSURE_SIZE = 120_000
 # The pairwise scans (pliable, uncrossable) test at most 10^6 pairs.
 MAX_PAIR_SCAN_FAMILY = 1000
@@ -87,30 +86,11 @@ class NodeSet:
     def __contains__(self, v: int) -> bool:
         return 0 <= v < self.n and bool(self.mask >> v & 1)
 
-    def __or__(self, other: "NodeSet") -> "NodeSet":
-        self._check(other)
-        return NodeSet(self.n, self.mask | other.mask)
-
-    def __and__(self, other: "NodeSet") -> "NodeSet":
-        self._check(other)
-        return NodeSet(self.n, self.mask & other.mask)
-
-    def __sub__(self, other: "NodeSet") -> "NodeSet":
-        self._check(other)
-        return NodeSet(self.n, self.mask & ~other.mask)
-
-    def complement(self) -> "NodeSet":
-        return NodeSet(self.n, ~self.mask & ((1 << self.n) - 1))
-
     def is_empty(self) -> bool:
         return self.mask == 0
 
     def is_full(self) -> bool:
         return self.mask == (1 << self.n) - 1
-
-    def issubset(self, other: "NodeSet") -> bool:
-        self._check(other)
-        return self.mask & ~other.mask == 0
 
     def _check(self, other: "NodeSet") -> None:
         if self.n != other.n:
@@ -335,12 +315,12 @@ def all_pairs(n: int) -> list[Edge]:
 
 
 def _reachable_residuals(
-    kernel: _CoverageKernel, edge_universe: Sequence[Edge], what: str
+    kernel: _CoverageKernel, pairs: Sequence[Edge], what: str
 ) -> dict[int, list[Edge]]:
     """All distinct covered-member masks reachable as unions of per-edge
     coverage masks, each with one representative edge set realizing it."""
     gen: dict[int, Edge] = {}
-    for u, v in edge_universe:
+    for u, v in pairs:
         cm = kernel.inc[u] ^ kernel.inc[v]
         if cm not in gen:
             gen[cm] = (u, v)
@@ -362,11 +342,10 @@ def _reachable_residuals(
     return reached
 
 
-def _exhaustive_guard(f: ExplicitFamily, edge_universe: Sequence[Edge], what: str) -> None:
+def _exhaustive_guard(f: ExplicitFamily, what: str) -> None:
     for label, value, limit in (
         ("n", f.n, MAX_EXHAUSTIVE_UNIVERSE),
         ("|F|", len(f), MAX_EXHAUSTIVE_FAMILY),
-        ("|edge universe|", len(edge_universe), MAX_EXHAUSTIVE_EDGE_UNIVERSE),
     ):
         if value > limit:
             raise GuardError(
@@ -374,47 +353,38 @@ def _exhaustive_guard(f: ExplicitFamily, edge_universe: Sequence[Edge], what: st
             )
 
 
-def _sampled_edge_sets(
-    edge_universe: Sequence[Edge], samples: int, seed: int
-) -> Iterator[list[Edge]]:
+def _sampled_edge_sets(pairs: list[Edge], samples: int, seed: int) -> Iterator[list[Edge]]:
     rng = random.Random(seed)
-    universe = list(edge_universe)
     yield []
     for _ in range(samples - 1):
-        k = rng.randint(0, len(universe))
-        yield rng.sample(universe, k)
+        k = rng.randint(0, len(pairs))
+        yield rng.sample(pairs, k)
 
 
 def _residuals(
-    f: ExplicitFamily,
-    edge_universe: Optional[Sequence[Edge]],
-    mode: str,
-    samples: int,
-    seed: int,
-    what: str,
+    f: ExplicitFamily, mode: str, samples: int, seed: int, what: str
 ) -> Iterator[tuple[list[int], list[int], list[Edge]]]:
     """The residual families the checkers scan, each as (alive member
-    masks, their cores, a representative edge set realizing it).
+    masks, their cores, a representative edge set on V realizing it).
 
     Exhaustive mode yields every distinct reachable residual family;
     sampled mode yields the residual of each sampled edge set, the empty
     set first.  Empty residual families are skipped: they have no cores.
     """
-    universe = all_pairs(f.n) if edge_universe is None else list(edge_universe)
-    validate_edges(f.n, universe)
+    pairs = all_pairs(f.n)
     kernel = _CoverageKernel(f.n, f.masks())
     if mode == "exhaustive":
-        _exhaustive_guard(f, universe, what)
+        _exhaustive_guard(f, what)
         residuals = (
             (kernel.alive(covered), rep)
-            for covered, rep in _reachable_residuals(kernel, universe, what).items()
+            for covered, rep in _reachable_residuals(kernel, pairs, what).items()
         )
     elif mode == "sampled":
         if samples < 1:
             raise ValueError(f"samples must be at least 1, got {samples}")
         residuals = (
             (kernel.alive(kernel.covered(edges)), edges)
-            for edges in _sampled_edge_sets(universe, samples, seed)
+            for edges in _sampled_edge_sets(pairs, samples, seed)
         )
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -526,10 +496,10 @@ def _sparse_violation(
 
 
 def _residual_violation(
-    violation, what: str, f: ExplicitFamily, edge_universe, mode: str, samples: int, seed: int
+    violation, what: str, f: ExplicitFamily, mode: str, samples: int, seed: int
 ) -> Optional[dict]:
     """The first violation(n, alive, cores, edges) over `_residuals`."""
-    for alive, cores, edges in _residuals(f, edge_universe, mode, samples, seed, what):
+    for alive, cores, edges in _residuals(f, mode, samples, seed, what):
         found = violation(f.n, alive, cores, edges)
         if found is not None:
             return found
@@ -540,7 +510,7 @@ def _residual_violation(
 class FamilyProperty:
     """One row of PROPERTIES.  An exact property quantifies over members
     only, so every mode decides it and its finder takes the family alone;
-    the others' finders take (f, edge_universe, mode, samples, seed).  A
+    the others' finders take (f, mode, samples, seed).  A
     finder returns the first violation as a JSON-ready dict, or None."""
 
     name: str  # as CheckResult reports it
@@ -565,26 +535,21 @@ PROPERTIES: dict[str, FamilyProperty] = {
 
 
 def check_family(
-    f: ExplicitFamily,
-    prop: str,
-    edge_universe: Optional[Sequence[Edge]] = None,
-    mode: str = "exhaustive",
-    samples: int = 200,
-    seed: int = 0,
+    f: ExplicitFamily, prop: str, mode: str = "exhaustive", samples: int = 200, seed: int = 0
 ) -> CheckResult:
     """Decide property `prop`, a key of PROPERTIES, of `f`, with the first
     violation found.  The exact properties (pliable, uncrossable, proper)
     ignore the other arguments and report mode "exhaustive".  gamma and
-    sparse range over the edge sets from `edge_universe` (default: all node
-    pairs); only exhaustive mode decides them, sampled mode reports "no
-    counterexample found in `samples` draws"."""
+    sparse range over every edge set on V; only exhaustive mode decides
+    them, sampled mode reports "no counterexample found in `samples`
+    draws"."""
     if prop not in PROPERTIES:
         raise ValueError(f"unknown family property {prop!r}")
     p = PROPERTIES[prop]
     if p.exact:
         found = p.find(f)
         return CheckResult(p.name, found is None, found, "exhaustive")
-    found = p.find(f, edge_universe, mode, samples, seed)
+    found = p.find(f, mode, samples, seed)
     return CheckResult(p.name, found is None, found, mode, samples if mode == "sampled" else 0)
 
 
@@ -607,21 +572,15 @@ def _packing(cands: list[int], idx: int, used: int, count: int, best: int) -> in
     return _packing(cands, idx + 1, used, count, best)
 
 
-def crossing_number(
-    f: ExplicitFamily,
-    edge_universe: Optional[Sequence[Edge]] = None,
-    mode: str = "exhaustive",
-    samples: int = 200,
-    seed: int = 0,
-) -> int:
-    """Least beta such that every residual core crosses at most beta
-    pairwise disjoint residual members.  Clamped to >= 1 so that the result
-    is always a usable ratio parameter.  In sampled mode this is only a
-    lower-bound estimate over the sampled residuals.
+def crossing_number(f: ExplicitFamily, mode: str = "exhaustive", samples: int = 200, seed: int = 0) -> int:
+    """Least beta such that, for every edge set on V, every residual core
+    crosses at most beta pairwise disjoint residual members.  Clamped to
+    >= 1 so that the result is always a usable ratio parameter.  In sampled
+    mode this is only a lower-bound estimate over the sampled residuals.
     """
     full = (1 << f.n) - 1
     best = 0
-    for alive, cores, _ in _residuals(f, edge_universe, mode, samples, seed, "crossing-number"):
+    for alive, cores, _ in _residuals(f, mode, samples, seed, "crossing-number"):
         for c in cores:
             cands = [s for s in alive if _crosses_masks(c, s, full)]
             if len(cands) > best:  # packing can only be <= len(cands)
@@ -661,6 +620,21 @@ class FamilyOracle:
         oracles a True costs the edge check and one OR per edge."""
         return not self.cores(edges)
 
+    def contains(self, s: NodeSet) -> bool:
+        """True when `s` is a member of the family.
+
+        One `cores` call answers it: a path through s plus a path through
+        V - s crosses every set except s and V - s, which are disjoint, so
+        s is a member exactly when it is a core of that edge set.  Both
+        kernel-backed oracles answer with a lookup in their member masks.
+        """
+        n = self.universe_size()
+        if s.n != n:
+            return False
+        inside, outside = bits(s.mask), bits(~s.mask & ((1 << n) - 1))
+        path = [*zip(inside, inside[1:]), *zip(outside, outside[1:])]
+        return any(c.mask == s.mask for c in self.cores(path))
+
     def _validate_cores(self, cores: list[NodeSet]) -> None:
         seen = 0
         for i, b in enumerate(cores):
@@ -684,6 +658,9 @@ class ExplicitFamilyOracle(FamilyOracle):
 
     def universe_size(self) -> int:
         return self.family.n
+
+    def contains(self, s: NodeSet) -> bool:
+        return s.n == self.family.n and s.mask in self._kernel.masks
 
     def _cores_impl(self, edges: Sequence[Edge]) -> list[NodeSet]:
         return self._kernel.cores(edges)

@@ -186,5 +186,8 @@ class SmallCutsOracle(FamilyOracle):
     def universe_size(self) -> int:
         return self.h.n
 
+    def contains(self, s: NodeSet) -> bool:
+        return s.n == self.h.n and s.mask in self.h._cuts[0].masks
+
     def _cores_impl(self, edges: Sequence[Edge]) -> list[NodeSet]:
         return self.h._cuts[0].cores(edges)

@@ -112,6 +112,33 @@ TWO_EDGES = {
 }
 
 
+def test_certify_refuses_duals_on_non_members(tmp_path):
+    # {2} is not a member, so its dual value bounds nothing: OPT is 1, not 100
+    forged = {
+        "version": "1",
+        "instance_digest": "",
+        "iterations": [],
+        "deleted": [],
+        "solution": [1],
+        "dual": {"values": [[[0], [1, 1]], [[2], [99, 1]]], "loads": [[1, 1], [1, 1]]},
+        "cost": [1, 1],
+        "dual_objective": [1, 1],
+    }
+    inst = write(tmp_path, "i.json", TWO_EDGES)
+    r = run_cli("certify", inst, "--trace", write(tmp_path, "t.json", forged), "--family-class", "uncrossable")
+    assert r.returncode == 1, r.stderr
+    out = json.loads(r.stdout)
+    assert out["verdict"] is False
+    assert [c for c in out["checks"] if not c["ok"]] == [
+        {"name": "dual-feasible", "ok": False, "detail": "dual values on non-members: [[2]]"}
+    ]
+
+    forged["dual"]["values"][0][1] = [2, 1]  # loads: edge 0 carries 2 > 1, edge 1 101 > 100
+    r = run_cli("certify", inst, "--trace", write(tmp_path, "t.json", forged), "--family-class", "uncrossable")
+    row = next(c for c in json.loads(r.stdout)["checks"] if c["name"] == "dual-feasible")
+    assert row["detail"] == "edges over cost: [0, 1]; dual values on non-members: [[2]]"
+
+
 def test_certify_refuses_a_trace_of_another_instance(tmp_path):
     inst = write(tmp_path, "i.json", TRIANGLE)
     honest = run_cli("solve", inst).stdout

@@ -225,6 +225,17 @@ def test_random_instance_gives_up_after_the_proposal_budget(monkeypatch):
         random_instance("gamma", random.Random(0))
 
 
+def test_repair_gives_up_past_the_gamma_member_guard(monkeypatch):
+    # A repair that ends above limit + 2 members had a bad pair above the
+    # limit one round earlier, since a round adds at most two members.
+    limit, n = 8, 6
+    grown = [i for i in range(40) if len(gens._random_repaired_masks(random.Random(i), n) or ()) > limit + 2]
+    assert grown
+    monkeypatch.setattr(gens, "MAX_EXHAUSTIVE_FAMILY", limit)
+    for i in grown:
+        assert gens._random_repaired_masks(random.Random(i), n) is None
+
+
 def test_random_cap_graph_shape():
     rng = random.Random(77)
     for _ in range(30):
