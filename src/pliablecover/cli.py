@@ -25,8 +25,10 @@ from .errors import (
     GuardError,
     InfeasibleError,
     NoLaminarWitnessError,
+    OracleInvariantError,
+    TreeInvariantError,
 )
-from .exact import FAMILY_CLASSES, brute_force_opt, certify
+from .exact import FAMILY_CLASSES, brute_force_opt, certify, guarantee_factor
 from .gens import instance_rng, random_instance, tight_beta, tight_seven, tight_six
 from .jsonio import (
     SCHEMA_VERSION,
@@ -65,6 +67,9 @@ def _emit(doc) -> None:
     print(dumps_canonical(doc), flush=True)
 
 
+_TIGHT_KINDS = {"tight7": tight_seven, "tight6": tight_six, "tight-beta": tight_beta}
+
+
 def _power_of_two(text: str) -> int:
     value = int(text)
     if value < 1 or value & (value - 1):
@@ -79,7 +84,7 @@ def _add_class_args(p: argparse.ArgumentParser) -> None:
         default="gamma",
         help="family class whose guarantee is checked (default: gamma)",
     )
-    p.add_argument("--beta", type=int, help="crossing number, required for class 'beta'")
+    p.add_argument("--beta", type=int, help="crossing number: class 'beta' needs it, the others refuse it")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -133,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kind",
         required=True,
-        choices=["tight7", "tight6", "tight-beta", "gamma", "sparse", "uncrossable"],
+        choices=[*_TIGHT_KINDS, "gamma", "sparse", "uncrossable"],
     )
     p.add_argument("--leaves", type=_power_of_two, help="gadget count for the tight kinds")
     p.add_argument("--beta", type=_power_of_two, help="group size for kind tight-beta")
@@ -166,6 +171,7 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    guarantee_factor(args.family_class, args.beta)  # refuses a bad pair before any solving
     inst = instance_from_json(_read_json(args.instance))
     oracle = inst.oracle()
     digest = instance_digest(inst)
@@ -189,12 +195,16 @@ def _cmd_certify(args) -> int:
 
 def _cmd_analyze(args) -> int:
     doc = _read_json(args.input)
-    if isinstance(doc, dict) and "witness" in doc:
+    bundle = isinstance(doc, dict) and "witness" in doc
+    beta = args.beta
+    if bundle and beta is None and args.family_class == "beta":
+        beta = doc.get("beta")  # a class-beta bundle carries its crossing number
+    guarantee_factor(args.family_class, beta)
+    if bundle:
         graph, fam, witness, cores = bundle_parts_from_json(doc)
         tree = build_tree(
             graph.n, [(i, graph.pair(i)) for i in range(len(graph.edges))], witness, cores
         )
-        beta = args.beta if args.beta is not None else doc.get("beta")
         report = verify_bounds(tree, args.family_class, beta)
         if args.dot:
             with open(args.dot, "w", encoding="utf-8") as fh:
@@ -214,7 +224,7 @@ def _cmd_analyze(args) -> int:
         raise SchemaError("--dot applies to bundle input only, not to an instance")
     inst = instance_from_json(doc)
     trace = solve(inst.graph, inst.oracle())
-    report = analyze_trace(inst.graph, inst.explicit_family(), trace, args.family_class, args.beta)
+    report = analyze_trace(inst.graph, inst.explicit_family(), trace, args.family_class, beta)
     out = analysis_to_json(report)
     out["mode"] = "trace"
     _emit(out)
@@ -259,19 +269,20 @@ def _gen_random_one(kind: str, seed: int, index: int, n: int | None) -> dict:
 
 
 def _cmd_gen(args) -> int:
-    if args.kind in ("tight7", "tight6", "tight-beta"):
+    if args.jobs < 1:
+        raise SchemaError("--jobs must be at least 1")
+    if args.kind in _TIGHT_KINDS:
+        if args.n is not None:
+            raise SchemaError("--n applies to the random kinds only, not to the tight kinds")
         if not args.leaves:
             raise SchemaError("--leaves is required for the tight kinds")
-        if args.kind == "tight7":
-            bundle = tight_seven(args.leaves)
-        elif args.kind == "tight6":
-            bundle = tight_six(args.leaves)
-        else:
-            if not args.beta:
-                raise SchemaError("--beta is required for kind tight-beta")
-            bundle = tight_beta(args.leaves, args.beta)
-        _emit(bundle_to_json(bundle))
+        if (args.beta is None) == (args.kind == "tight-beta"):
+            raise SchemaError("--beta is required for kind tight-beta, and applies to it only")
+        extra = () if args.beta is None else (args.beta,)
+        _emit(bundle_to_json(_TIGHT_KINDS[args.kind](args.leaves, *extra)))
         return 0
+    if args.leaves is not None or args.beta is not None:
+        raise SchemaError("--leaves and --beta apply to the tight kinds only, not to the random kinds")
     if args.count < 1:
         raise SchemaError("--count must be at least 1")
     if args.jobs > 1:
@@ -326,10 +337,7 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (OSError, TreeInvariantError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GuardError as exc:
@@ -344,15 +352,12 @@ def main(argv: list[str] | None = None) -> int:
             }
         )
         return 1
-    except (CoverNotMinimalError, NoLaminarWitnessError) as exc:
+    except (CoverNotMinimalError, NoLaminarWitnessError, OracleInvariantError) as exc:
         _emit({"version": SCHEMA_VERSION, "error": "finding", "detail": str(exc)})
         return 1
     except GenerationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception:  # a crash is never a negative verdict
         traceback.print_exc()
         return 4

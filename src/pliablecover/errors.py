@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: guard violations exit with 3,
-findings and infeasibility with 1, malformed input with 2.  Any other
-exception is a crash: it exits with 4 after printing its traceback, never
-with 1, which means a negative verdict.
+The CLI maps these onto exit codes: guard violations exit with 3, findings
+(oracle cores that break their contract among them) and infeasibility with
+1, malformed input (a bundle that breaks the shortcut tree's preconditions
+among them) with 2.  Any other exception is a crash: it exits with 4 after
+printing its traceback, never with 1, which means a negative verdict.
 """
 
 from __future__ import annotations

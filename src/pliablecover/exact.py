@@ -97,35 +97,39 @@ def _search(
     return best
 
 
-FAMILY_CLASSES = ("gamma", "sparse", "beta", "uncrossable")
+# Per family class: the approximation factor (None for class beta, whose
+# factor 6 - 1/(beta+1) depends on the crossing number) and the slack of the
+# per-iteration load bound factor * #cores - slack.
+_GUARANTEES: dict[str, tuple[Fraction | None, int]] = {
+    "gamma": (Fraction(7), 0),
+    "sparse": (Fraction(6), 2),
+    "beta": (None, 0),
+    "uncrossable": (Fraction(2), 0),
+}
+FAMILY_CLASSES = tuple(_GUARANTEES)
 
 
 def guarantee_factor(family_class: str, beta: int | None = None) -> Fraction:
-    """Approximation factor the run is certified against, per family class."""
-    if family_class == "gamma":
-        return Fraction(7)
-    if family_class == "sparse":
-        return Fraction(6)
-    if family_class == "beta":
-        if beta is None or beta < 1:
-            raise ValueError("family class 'beta' needs a crossing number >= 1")
-        return Fraction(6) - Fraction(1, beta + 1)
-    if family_class == "uncrossable":
-        return Fraction(2)
-    raise ValueError(f"unknown family class {family_class!r}")
+    """Approximation factor the run is certified against, per family class.
+
+    The one check of a (class, beta) pair: it refuses an unknown class,
+    class beta without a crossing number >= 1, and a beta with any other class.
+    """
+    if family_class not in _GUARANTEES:
+        raise ValueError(f"unknown family class {family_class!r}")
+    factor = _GUARANTEES[family_class][0]
+    if factor is not None:
+        if beta is not None:
+            raise ValueError(f"family class {family_class!r} takes no crossing number; only 'beta' does")
+        return factor
+    if not isinstance(beta, int) or isinstance(beta, bool) or beta < 1:
+        raise ValueError("family class 'beta' needs a crossing number >= 1")
+    return 6 - Fraction(1, beta + 1)
 
 
 def iteration_load_bound(family_class: str, num_cores: int, beta: int | None = None) -> Fraction:
     """Upper bound on the summed final-solution degree of one iteration's cores."""
-    if family_class == "gamma":
-        return Fraction(7 * num_cores)
-    if family_class == "sparse":
-        return Fraction(6 * num_cores - 2)
-    if family_class == "beta":
-        return guarantee_factor("beta", beta) * num_cores
-    if family_class == "uncrossable":
-        return Fraction(2 * num_cores)
-    raise ValueError(f"unknown family class {family_class!r}")
+    return guarantee_factor(family_class, beta) * num_cores - _GUARANTEES[family_class][1]
 
 
 @dataclass(frozen=True)

@@ -36,12 +36,13 @@ def frac_to_json(x: Fraction) -> list[int]:
     return [x.numerator, x.denominator]
 
 
+def _is_int(v: Any) -> bool:
+    """True for a JSON integer; booleans, though Python ints, are not."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def frac_from_json(v: Any, where: str) -> Fraction:
-    if (
-        not isinstance(v, list)
-        or len(v) != 2
-        or not all(isinstance(t, int) and not isinstance(t, bool) for t in v)
-    ):
+    if not isinstance(v, list) or len(v) != 2 or not all(map(_is_int, v)):
         raise SchemaError(f"{where}: expected [numerator, denominator], got {v!r}")
     if v[1] <= 0:
         raise SchemaError(f"{where}: denominator must be positive")
@@ -53,9 +54,18 @@ def nodeset_to_json(s: NodeSet) -> list[int]:
 
 
 def _int_list(v: Any, where: str) -> list[int]:
-    if not isinstance(v, list) or not all(isinstance(t, int) and not isinstance(t, bool) for t in v):
+    if not isinstance(v, list) or not all(map(_is_int, v)):
         raise SchemaError(f"{where}: expected a list of integers")
     return v
+
+
+def _nodeset(v: Any, where: str, n: int) -> NodeSet:
+    """A node-set list over universe size n; a bad node names `where`."""
+    members = _int_list(v, where)
+    try:
+        return NodeSet.from_members(n, members)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
 
 
 def _get(d: Any, key: str, where: str) -> Any:
@@ -75,7 +85,7 @@ def _rational_edges(rows: Any, where: str, value: str) -> list[tuple[int, int, F
         if not isinstance(row, list) or len(row) != 3:
             raise SchemaError(f"{where}[{i}]: expected [u, v, {value}]")
         u, v = row[0], row[1]
-        if not isinstance(u, int) or not isinstance(v, int):
+        if not _is_int(u) or not _is_int(v):
             raise SchemaError(f"{where}[{i}]: endpoints must be integers")
         edges.append((u, v, frac_from_json(row[2], f"{where}[{i}].{value}")))
     return edges
@@ -105,7 +115,7 @@ def capgraph_to_json(h: CapGraph) -> dict:
 def family_spec_from_json(doc: Any, where: str = "family") -> ExplicitFamily | CapGraph:
     kind = _get(doc, "kind", where)
     n = _get(doc, "n", where)
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise SchemaError(f"{where}.n: expected a nonnegative integer")
     if kind == "explicit":
         members = _get(doc, "members", where)
@@ -136,7 +146,7 @@ def graph_to_json(g: CostedGraph) -> dict:
 
 def graph_from_json(doc: Any) -> CostedGraph:
     n = _get(doc, "n", "graph")
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise SchemaError("graph.n: expected a nonnegative integer")
     edges = _rational_edges(_get(doc, "edges", "graph"), "graph.edges", "cost")
     try:
@@ -229,7 +239,7 @@ def trace_to_json(g: CostedGraph, trace: RunTrace, digest: str = "") -> dict:
 
 
 def _edge_id(v: Any, where: str, m: int) -> int:
-    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < m:
+    if not _is_int(v) or not 0 <= v < m:
         raise SchemaError(f"{where}: {v!r} is not an edge id of a graph with {m} edges")
     return v
 
@@ -257,8 +267,7 @@ def trace_from_json(doc: Any, g: CostedGraph, digest: str | None = None) -> RunT
     for i, row in enumerate(_get(doc, "iterations", "trace")):
         where = f"trace.iterations[{i}]"
         cores = tuple(
-            NodeSet.from_members(n, _int_list(c, f"{where}.cores"))
-            for c in _get(row, "cores", where)
+            _nodeset(c, f"{where}.cores[{j}]", n) for j, c in enumerate(_get(row, "cores", where))
         )
         iters.append(
             IterationRecord(
@@ -275,7 +284,7 @@ def trace_from_json(doc: Any, g: CostedGraph, digest: str | None = None) -> RunT
             raise SchemaError(f"trace.dual.values[{i}]: expected [members, value]")
         values.append(
             (
-                NodeSet.from_members(n, _int_list(row[0], f"trace.dual.values[{i}]")),
+                _nodeset(row[0], f"trace.dual.values[{i}][0]", n),
                 frac_from_json(row[1], f"trace.dual.values[{i}]"),
             )
         )
@@ -370,8 +379,15 @@ def analysis_to_json(report: AnalysisReport) -> dict:
 
 
 def check_result_to_json(result: CheckResult) -> dict:
-    out = result.to_json_dict()
-    out["version"] = SCHEMA_VERSION
+    out = {
+        "property": result.property_name,
+        "holds": result.holds,
+        "counterexample": result.counterexample,
+        "mode": result.mode,
+        "version": SCHEMA_VERSION,
+    }
+    if result.mode == "sampled":
+        out["samples"] = result.samples
     return out
 
 
@@ -404,11 +420,7 @@ def bundle_parts_from_json(doc: Any) -> tuple[CostedGraph, ExplicitFamily, list[
     if not isinstance(fam, ExplicitFamily):
         raise SchemaError("bundle.family: expected an explicit family")
     witness = [
-        NodeSet.from_members(graph.n, _int_list(w, f"bundle.witness[{i}]"))
-        for i, w in enumerate(_get(doc, "witness", "bundle"))
+        _nodeset(w, f"bundle.witness[{i}]", graph.n) for i, w in enumerate(_get(doc, "witness", "bundle"))
     ]
-    cores = [
-        NodeSet.from_members(graph.n, _int_list(c, f"bundle.cores[{i}]"))
-        for i, c in enumerate(_get(doc, "cores", "bundle"))
-    ]
+    cores = [_nodeset(c, f"bundle.cores[{i}]", graph.n) for i, c in enumerate(_get(doc, "cores", "bundle"))]
     return graph, fam, witness, cores

@@ -298,17 +298,6 @@ class CheckResult:
     mode: str
     samples: int = 0
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "property": self.property_name,
-            "holds": self.holds,
-            "counterexample": self.counterexample,
-            "mode": self.mode,
-        }
-        if self.mode == "sampled":
-            out["samples"] = self.samples
-        return out
-
 
 def all_pairs(n: int) -> list[Edge]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]

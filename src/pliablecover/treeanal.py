@@ -36,7 +36,7 @@ from .errors import (
     NoLaminarWitnessError,
     TreeInvariantError,
 )
-from .exact import guarantee_factor
+from .exact import guarantee_factor, iteration_load_bound
 from .setfam import Edge, ExplicitFamily, NodeSet, _CoverageKernel, bits, degree_sum
 from .setfam import edge_crosses_mask, incidence
 from .witness import laminar_tree, laminar_witness
@@ -504,6 +504,7 @@ def verify_bounds(
     tree: ShortcutTree, family_class: str, beta: int | None = None
 ) -> BoundReport:
     """Check the structural lemmas and totals for the given family class."""
+    factor = guarantee_factor(family_class, beta)
     violations: list[str] = []
     info: list[str] = []
     nodes = tree.nodes
@@ -641,24 +642,19 @@ def verify_bounds(
         violations.append(
             f"{len(tree.edges)} tree edges but {num_ws} surviving white + {num_b} black nodes"
         )
-    if family_class == "gamma":
-        bounds.append(BoundRow("total-weight-gamma", Fraction(w_total), Fraction(7 * num_b - 2)))
-    elif family_class in ("sparse", "beta"):
-        bounds.append(BoundRow("total-weight-gamma", Fraction(w_total), Fraction(7 * num_b - 2)))
+    total = Fraction(w_total)
+    if family_class != "uncrossable":
+        bounds.append(BoundRow("total-weight-gamma", total, guarantee_factor("gamma") * num_b - 2))
+    if sparse_like:
         token_rhs = 3 * num_b + num_l + 2 * len(b_star) - 2
-        bounds.append(BoundRow("total-weight-token", Fraction(w_total), Fraction(token_rhs)))
+        bounds.append(BoundRow("total-weight-token", total, Fraction(token_rhs)))
         info.append(
             f"tighter token variant: {w_total} <= {token_rhs - 2} is "
             f"{'true' if w_total <= token_rhs - 2 else 'false'}"
         )
-        bounds.append(BoundRow("total-weight-sparse", Fraction(w_total), Fraction(6 * num_c - 2)))
-        if family_class == "beta":
-            factor = guarantee_factor("beta", beta)
-            bounds.append(BoundRow("total-weight-beta", Fraction(w_total), factor * num_c))
-    elif family_class == "uncrossable":
-        bounds.append(BoundRow("total-weight-uncrossable", Fraction(w_total), Fraction(2 * num_c)))
-    else:
-        raise ValueError(f"unknown family class {family_class!r}")
+        bounds.append(BoundRow("total-weight-sparse", total, iteration_load_bound("sparse", num_c)))
+    if family_class in ("beta", "uncrossable"):
+        bounds.append(BoundRow(f"total-weight-{family_class}", total, factor * num_c))
 
     return BoundReport(
         family_class=family_class,
@@ -740,6 +736,7 @@ def analyze_trace(
     I is an inclusion-minimal cover of the family left residual by everything
     outside I, and its witness tree certifies the iteration's load bound.
     """
+    guarantee_factor(family_class, beta)
     additions = trace.additions()
     kernel = _CoverageKernel(f.n, f.masks())
     out: list[IterationAnalysis] = []

@@ -229,6 +229,93 @@ def test_analyze_bundle_uses_its_own_beta(tmp_path):
     assert "total-weight-beta" in names
 
 
+@pytest.mark.parametrize("cls", ["gamma", "sparse", "uncrossable"])
+def test_analyze_bundle_takes_its_beta_only_for_class_beta(cls, monkeypatch, capsys):
+    assert cli.main(["gen", "--kind", "tight-beta", "--leaves", "4", "--beta", "2"]) == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(capsys.readouterr().out))
+    # the 6-ratio construction is over the uncrossable bound of 2
+    assert cli.main(["analyze", "-", "--family-class", cls]) == (1 if cls == "uncrossable" else 0)
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["beta"] is None and doc["report"]["beta"] is None
+    assert "total-weight-beta" not in {b["name"] for b in doc["report"]["bounds"]}
+
+
+EMPTY = {
+    "version": "1",
+    "graph": {"n": 3, "edges": []},
+    "family": {"kind": "explicit", "n": 3, "members": []},
+}
+
+
+def _no_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no work may run before the (class, beta) check")
+
+    for name in ("solve", "brute_force_opt", "build_tree", "analyze_trace", "certify"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["analyze", "{inst}", "--family-class", "beta"], "needs a crossing number"),
+        (["analyze", "{inst}", "--family-class", "sparse", "--beta", "2"], "takes no crossing number"),
+        (["certify", "{inst}", "--family-class", "gamma", "--beta", "3"], "takes no crossing number"),
+        (["certify", "{inst}", "--family-class", "beta", "--with-opt"], "needs a crossing number"),
+        (["certify", "{inst}", "--family-class", "beta", "--beta", "0"], "needs a crossing number"),
+    ],
+    ids=["analyze-beta", "analyze-sparse-beta", "certify-gamma-beta", "certify-beta-opt", "certify-beta-0"],
+)
+def test_class_and_beta_are_checked_before_any_work(argv, message, tmp_path, monkeypatch, capsys):
+    # The empty family gives a run with no iterations, where nothing later
+    # would look at the crossing number.
+    _no_work(monkeypatch)
+    inst = write(tmp_path, "i.json", EMPTY)
+    assert cli.main([inst if a == "{inst}" else a for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err and "Traceback" not in err
+
+
+def test_analyze_bundle_checks_its_beta_before_building_the_tree(monkeypatch, capsys):
+    assert cli.main(["gen", "--kind", "tight6", "--leaves", "2"]) == 0
+    bundle = capsys.readouterr().out  # a tight6 bundle carries beta null
+    _no_work(monkeypatch)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(bundle))
+    assert cli.main(["analyze", "-", "--family-class", "beta"]) == 2
+    assert "needs a crossing number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,index", [("witness", 1), ("cores", 1)])
+def test_analyze_malformed_bundle_exits_2(field, index, monkeypatch, capsys):
+    # a repeated witness set, or a core repeated so that two cores overlap
+    assert cli.main(["gen", "--kind", "tight6", "--leaves", "4"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc[field][index] = doc[field][0]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert cli.main(["analyze", "-", "--family-class", "sparse"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "pairwise" in err and "Traceback" not in err
+
+
+def test_overlapping_residual_cores_are_a_finding(monkeypatch, capsys):
+    doc = {
+        "version": "1",
+        "graph": {"n": 4, "edges": [[0, 1, [1, 1]], [1, 2, [1, 1]], [2, 3, [1, 1]]]},
+        "family": {"kind": "explicit", "n": 4, "members": [[0, 1], [1, 2]]},
+    }
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert cli.main(["solve", "-"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {
+        "version": "1",
+        "error": "finding",
+        "detail": "cores not pairwise disjoint: [0, 1] and [1, 2]",
+    }
+    assert err == ""
+
+
 def test_analyze_instance_mode(tmp_path):
     r = run_cli("analyze", write(tmp_path, "i.json", TRIANGLE))
     assert r.returncode == 0
@@ -369,6 +456,31 @@ def test_gen_usage_errors():
     assert run_cli("gen", "--kind", "tight-beta", "--leaves", "4").returncode == 2
     assert run_cli("gen", "--kind", "tight7", "--leaves", "3").returncode == 2
     assert run_cli("gen", "--kind", "gamma", "--count", "0").returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--kind", "gamma", "--jobs", "0"], "--jobs must be at least 1"),
+        (["--kind", "sparse", "--jobs", "-3"], "--jobs must be at least 1"),
+        (["--kind", "tight6", "--leaves", "4", "--n", "5"], "--n applies to the random kinds only"),
+        (["--kind", "gamma", "--leaves", "4"], "--leaves and --beta apply to the tight kinds only"),
+        (["--kind", "uncrossable", "--beta", "2"], "--leaves and --beta apply to the tight kinds only"),
+        (["--kind", "tight6", "--leaves", "4", "--beta", "2"], "applies to it only"),
+        (["--kind", "tight7", "--leaves", "4", "--beta", "2"], "applies to it only"),
+    ],
+)
+def test_gen_refuses_arguments_of_another_kind(argv, message, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("generation must not start")
+
+    monkeypatch.setattr(cli, "random_instance", refuse)
+    for kind in cli._TIGHT_KINDS:
+        monkeypatch.setitem(cli._TIGHT_KINDS, kind, refuse)
+    assert cli.main(["gen", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("kind", ["gamma", "sparse", "uncrossable"])

@@ -295,6 +295,14 @@ def test_guarantee_factors():
         guarantee_factor("beta")
     with pytest.raises(ValueError):
         guarantee_factor("magic")
+    for bad in (0, -2, True, "3"):
+        with pytest.raises(ValueError, match="needs a crossing number"):
+            guarantee_factor("beta", bad)
+    for cls in ("gamma", "sparse", "uncrossable"):
+        with pytest.raises(ValueError, match="takes no crossing number"):
+            guarantee_factor(cls, 3)
+        with pytest.raises(ValueError, match="takes no crossing number"):
+            iteration_load_bound(cls, 3, 2)
     assert FAMILY_CLASSES == ("gamma", "sparse", "beta", "uncrossable")
 
 

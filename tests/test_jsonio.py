@@ -118,6 +118,21 @@ def test_graph_round_trip_and_errors():
         graph_from_json({"n": 2, "edges": [[0, 0, [1, 1]]]})  # self-loop
 
 
+def test_booleans_are_not_json_integers():
+    # True == 1 in Python, so a boolean endpoint or size would read as an
+    # integer yet serialize differently from it, with a different digest.
+    with pytest.raises(SchemaError, match="graph.edges\\[0\\]: endpoints must be integers"):
+        graph_from_json({"n": 2, "edges": [[False, True, [1, 1]]]})
+    with pytest.raises(SchemaError, match="capacities\\[0\\]: endpoints must be integers"):
+        family_spec_from_json(
+            {"kind": "small-cuts", "n": 2, "capacities": [[0, True, [1, 1]]], "threshold": [1, 1]}
+        )
+    with pytest.raises(SchemaError, match="graph.n: expected a nonnegative integer"):
+        graph_from_json({"n": True, "edges": []})
+    with pytest.raises(SchemaError, match="family.n: expected a nonnegative integer"):
+        family_spec_from_json({"kind": "explicit", "n": True, "members": []})
+
+
 # ---------------------------------------------------------------------------
 # instances and digests
 
@@ -211,6 +226,20 @@ def test_trace_from_json_schema_errors():
             trace_from_json(bad, g)
 
 
+def test_trace_node_sets_outside_the_universe_name_their_path():
+    g, _f, trace = solved_instance()
+    doc = trace_to_json(g, trace)
+    bad = json.loads(dumps_canonical(doc))
+    bad["iterations"][0]["cores"][-1] = [0, 99]
+    where = "trace.iterations\\[0\\].cores\\[1\\]"
+    with pytest.raises(SchemaError, match=f"{where}: node 99 outside universe of size 4"):
+        trace_from_json(bad, g)
+    bad = json.loads(dumps_canonical(doc))
+    bad["dual"]["values"][1][0] = [99]
+    with pytest.raises(SchemaError, match="trace.dual.values\\[1\\]\\[0\\]: node 99 outside universe"):
+        trace_from_json(bad, g)
+
+
 def test_certificate_to_json_shape():
     g, f, trace = solved_instance()
     oracle = ExplicitFamilyOracle(f)
@@ -280,6 +309,14 @@ def test_bundle_round_trip_rebuilds_a_verifiable_tree():
     assert tuple(witness) == b.witness and tuple(cores) == b.cores
     tree = build_tree(graph.n, [(i, graph.pair(i)) for i in range(len(graph.edges))], witness, cores)
     assert verify_bounds(tree, "sparse").ok
+
+
+@pytest.mark.parametrize("key", ["witness", "cores"])
+def test_bundle_node_sets_outside_the_universe_name_their_path(key):
+    doc = json.loads(dumps_canonical(bundle_to_json(tight_six(2))))
+    doc[key][1] = [0, 99]
+    with pytest.raises(SchemaError, match=f"bundle.{key}\\[1\\]: node 99 outside universe of size"):
+        bundle_parts_from_json(doc)
 
 
 def test_bundle_rejects_smallcut_family():

@@ -16,6 +16,7 @@ import pliablecover.setfam as setfam
 from pliablecover.cli import main as cli_main
 from pliablecover.errors import GuardError, OracleInvariantError, UniverseMismatchError
 from pliablecover.gens import random_cap_graph
+from pliablecover.jsonio import check_result_to_json
 from pliablecover.setfam import (
     CheckResult,
     ExplicitFamily,
@@ -331,14 +332,15 @@ def test_gamma_pliable_sampled_mode():
 
 def test_checkresult_json_shape():
     res = CheckResult("gamma-pliable", True, None, "exhaustive")
-    assert res.to_json_dict() == {
+    assert check_result_to_json(res) == {
         "property": "gamma-pliable",
         "holds": True,
         "counterexample": None,
         "mode": "exhaustive",
+        "version": "1",
     }
     sampled = CheckResult("sparse", False, {"s": [0]}, "sampled", 99)
-    assert sampled.to_json_dict()["samples"] == 99
+    assert check_result_to_json(sampled)["samples"] == 99
 
 
 # --- sparseness and crossing number --------------------------------------------

@@ -340,6 +340,21 @@ def test_verify_bounds_rejects_unknown_class_and_missing_beta():
         verify_bounds(t, "laminar")
     with pytest.raises(ValueError, match="crossing number"):
         verify_bounds(t, "beta")
+    with pytest.raises(ValueError, match="takes no crossing number"):
+        verify_bounds(t, "sparse", 2)
+
+
+def test_analyze_trace_checks_the_class_before_the_first_iteration():
+    g, f = random_instance("gamma", instance_rng(0, 1), 5)
+    trace = solve(g, ExplicitFamilyOracle(f))
+    with pytest.raises(ValueError, match="unknown family class 'magic'"):
+        analyze_trace(g, f, trace, "magic")
+    # a run without iterations refuses an unusable pair all the same
+    empty = dataclasses.replace(trace, iterations=())
+    with pytest.raises(ValueError, match="needs a crossing number"):
+        analyze_trace(g, f, empty, "beta")
+    with pytest.raises(ValueError, match="takes no crossing number"):
+        analyze_trace(g, f, empty, "gamma", 3)
 
 
 # ---------------------------------------------------------------------------
