@@ -34,6 +34,7 @@ from .jsonio import (
     SCHEMA_VERSION,
     SchemaError,
     analysis_to_json,
+    as_explicit_family,
     bound_report_to_json,
     bundle_parts_from_json,
     bundle_to_json,
@@ -49,7 +50,7 @@ from .jsonio import (
     trace_from_json,
     trace_to_json,
 )
-from .setfam import PROPERTIES, ExplicitFamily, check_family, crossing_number
+from .setfam import PROPERTIES, check_family, crossing_number
 from .treeanal import analyze_trace, build_tree, emit_dot, verify_bounds
 from .wgmv import solve
 from .witness import laminar_witness
@@ -249,11 +250,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_check_family(args) -> int:
-    fam = family_spec_from_json(_read_json(args.family))
-    if not isinstance(fam, ExplicitFamily):
-        from .smallcuts import materialize_family
-
-        fam = materialize_family(fam)
+    fam = as_explicit_family(family_spec_from_json(_read_json(args.family)))
     if args.property == "crossing-number":
         beta = crossing_number(fam, mode=args.mode, samples=args.samples, seed=args.seed)
         _emit({"version": SCHEMA_VERSION, "crossing_number": beta, "mode": args.mode})

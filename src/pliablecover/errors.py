@@ -18,6 +18,12 @@ class GuardError(PliableCoverError):
     """An operation refused to run because the instance exceeds its size guard."""
 
 
+def guard(what: str, label: str, value: int, limit: int) -> None:
+    """Refuse `what` when the instance's `label`, `value`, exceeds `limit`."""
+    if value > limit:
+        raise GuardError(f"instance too large for {what}: {label} = {value} > {limit}")
+
+
 class UniverseMismatchError(PliableCoverError):
     """Two objects over different universes were combined."""
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GuardError, InfeasibleError
+from .errors import InfeasibleError, guard
 from .setfam import Edge, FamilyOracle, NodeSet, bits, degree_sum, incidence, over_common_denominator
 from .wgmv import CostedGraph, RunTrace, edge_loads
 
@@ -37,8 +37,7 @@ MAX_BRUTE_EDGES = 24
 def brute_force_opt(g: CostedGraph, oracle: FamilyOracle) -> tuple[Fraction, tuple[int, ...]]:
     """Exact optimum cost and the lexicographically least optimal edge set."""
     m = len(g.edges)
-    if m > MAX_BRUTE_EDGES:
-        raise GuardError(f"instance too large for exhaustive optimum: {m} edges > {MAX_BRUTE_EDGES}")
+    guard("exhaustive optimum", "edges", m, MAX_BRUTE_EDGES)
     pairs = [g.pair(e) for e in range(m)]
     leftover = oracle.cores(pairs)
     if leftover:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import GenerationError, GuardError
+from .errors import GenerationError, GuardError, guard
 from .setfam import (
     MAX_EXHAUSTIVE_FAMILY,
     MAX_EXHAUSTIVE_UNIVERSE,
@@ -444,8 +444,8 @@ def random_instance(
     # goes to the exhaustive gamma check, and a group-split proposal has at
     # least 2^(n-1) members, past the pair scan's 1000-member guard from n = 11.
     limit = {"gamma": MAX_EXHAUSTIVE_UNIVERSE, "uncrossable": 10}.get(kind)
-    if n is not None and limit is not None and n > limit:
-        raise GuardError(f"instance too large for verified {kind} generation: n = {n} > {limit}")
+    if n is not None and limit is not None:
+        guard(f"verified {kind} generation", "n", n, limit)
     for _ in range(GENERATION_BUDGET):
         size = n if n is not None else rng.randint(4, 7)
         roll = rng.random()

@@ -13,7 +13,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from .exact import Certificate
 from .setfam import CheckResult, ExplicitFamily, FamilyOracle, ExplicitFamilyOracle, NodeSet
@@ -53,6 +53,17 @@ def nodeset_to_json(s: NodeSet) -> list[int]:
     return sorted(s.members())
 
 
+def _list(v: Any, where: str) -> list:
+    if not isinstance(v, list):
+        raise SchemaError(f"{where}: expected a list")
+    return v
+
+
+def _each(v: Any, where: str, read: Callable[..., Any], *args: Any) -> list:
+    """`read(x, f"{where}[{i}]", *args)` for each element x of the list `v`."""
+    return [read(x, f"{where}[{i}]", *args) for i, x in enumerate(_list(v, where))]
+
+
 def _int_list(v: Any, where: str) -> list[int]:
     if not isinstance(v, list) or not all(map(_is_int, v)):
         raise SchemaError(f"{where}: expected a list of integers")
@@ -76,19 +87,21 @@ def _get(d: Any, key: str, where: str) -> Any:
     return d[key]
 
 
-def _rational_edges(rows: Any, where: str, value: str) -> list[tuple[int, int, Fraction]]:
-    """Parse ``[u, v, rational]`` rows; `value` names the third field."""
-    if not isinstance(rows, list):
-        raise SchemaError(f"{where}: expected a list")
-    edges = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != 3:
-            raise SchemaError(f"{where}[{i}]: expected [u, v, {value}]")
-        u, v = row[0], row[1]
-        if not _is_int(u) or not _is_int(v):
-            raise SchemaError(f"{where}[{i}]: endpoints must be integers")
-        edges.append((u, v, frac_from_json(row[2], f"{where}[{i}].{value}")))
-    return edges
+def _size(doc: Any, where: str) -> int:
+    n = _get(doc, "n", where)
+    if not _is_int(n) or n < 0:
+        raise SchemaError(f"{where}.n: expected a nonnegative integer")
+    return n
+
+
+def _rational_edge(row: Any, where: str, value: str) -> tuple[int, int, Fraction]:
+    """One ``[u, v, rational]`` row; `value` names the third field."""
+    if not isinstance(row, list) or len(row) != 3:
+        raise SchemaError(f"{where}: expected [u, v, {value}]")
+    u, v = row[0], row[1]
+    if not _is_int(u) or not _is_int(v):
+        raise SchemaError(f"{where}: endpoints must be integers")
+    return u, v, frac_from_json(row[2], f"{where}.{value}")
 
 
 # ---------------------------------------------------------------------------
@@ -114,27 +127,26 @@ def capgraph_to_json(h: CapGraph) -> dict:
 
 def family_spec_from_json(doc: Any, where: str = "family") -> ExplicitFamily | CapGraph:
     kind = _get(doc, "kind", where)
-    n = _get(doc, "n", where)
-    if not _is_int(n) or n < 0:
-        raise SchemaError(f"{where}.n: expected a nonnegative integer")
+    n = _size(doc, where)
     if kind == "explicit":
-        members = _get(doc, "members", where)
-        if not isinstance(members, list):
-            raise SchemaError(f"{where}.members: expected a list")
-        try:
-            return ExplicitFamily.from_sets(
-                n, [_int_list(m, f"{where}.members[{i}]") for i, m in enumerate(members)]
-            )
+        members = _list(_get(doc, "members", where), f"{where}.members")
+        try:  # a bad member, like a set that from_sets refuses, is reported under `where`
+            return ExplicitFamily.from_sets(n, _each(members, f"{where}.members", _int_list))
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from exc
     if kind == "small-cuts":
-        edges = _rational_edges(_get(doc, "capacities", where), f"{where}.capacities", "cap")
+        edges = _each(_get(doc, "capacities", where), f"{where}.capacities", _rational_edge, "cap")
         k = frac_from_json(_get(doc, "threshold", where), f"{where}.threshold")
         try:
             return CapGraph(n, tuple(edges), k)
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from exc
     raise SchemaError(f"{where}.kind: unknown family kind {kind!r}")
+
+
+def as_explicit_family(spec: ExplicitFamily | CapGraph) -> ExplicitFamily:
+    """The family itself, or the member list of a small-cut family."""
+    return spec if isinstance(spec, ExplicitFamily) else materialize_family(spec)
 
 
 def graph_to_json(g: CostedGraph) -> dict:
@@ -145,10 +157,8 @@ def graph_to_json(g: CostedGraph) -> dict:
 
 
 def graph_from_json(doc: Any) -> CostedGraph:
-    n = _get(doc, "n", "graph")
-    if not _is_int(n) or n < 0:
-        raise SchemaError("graph.n: expected a nonnegative integer")
-    edges = _rational_edges(_get(doc, "edges", "graph"), "graph.edges", "cost")
+    n = _size(doc, "graph")
+    edges = _each(_get(doc, "edges", "graph"), "graph.edges", _rational_edge, "cost")
     try:
         return CostedGraph(n, tuple(edges))
     except ValueError as exc:
@@ -172,9 +182,7 @@ class Instance:
         return SmallCutsOracle(self.family)
 
     def explicit_family(self) -> ExplicitFamily:
-        if isinstance(self.family, ExplicitFamily):
-            return self.family
-        return materialize_family(self.family)
+        return as_explicit_family(self.family)
 
 
 def instance_to_json(inst: Instance) -> dict:
@@ -244,8 +252,20 @@ def _edge_id(v: Any, where: str, m: int) -> int:
     return v
 
 
-def _edge_ids(v: Any, where: str, m: int) -> list[int]:
-    return [_edge_id(x, where, m) for x in _int_list(v, where)]
+def _iteration(row: Any, where: str, n: int, m: int) -> IterationRecord:
+    ties = f"{where}.ties"
+    return IterationRecord(
+        cores=tuple(_each(_get(row, "cores", where), f"{where}.cores", _nodeset, n)),
+        eps=frac_from_json(_get(row, "eps", where), f"{where}.eps"),
+        added=_edge_id(_get(row, "added", where), f"{where}.added", m),
+        ties=tuple(_edge_id(x, ties, m) for x in _int_list(_get(row, "ties", where), ties)),
+    )
+
+
+def _dual_value(row: Any, where: str, n: int) -> tuple[NodeSet, Fraction]:
+    if not isinstance(row, list) or len(row) != 2:
+        raise SchemaError(f"{where}: expected [members, value]")
+    return _nodeset(row[0], f"{where}[0]", n), frac_from_json(row[1], where)
 
 
 def trace_from_json(doc: Any, g: CostedGraph, digest: str | None = None) -> RunTrace:
@@ -263,40 +283,19 @@ def trace_from_json(doc: Any, g: CostedGraph, digest: str | None = None) -> RunT
             raise SchemaError(
                 f"trace.instance_digest: the trace is of instance {claimed}, not of this one ({digest})"
             )
-    iters = []
-    for i, row in enumerate(_get(doc, "iterations", "trace")):
-        where = f"trace.iterations[{i}]"
-        cores = tuple(
-            _nodeset(c, f"{where}.cores[{j}]", n) for j, c in enumerate(_get(row, "cores", where))
-        )
-        iters.append(
-            IterationRecord(
-                cores=cores,
-                eps=frac_from_json(_get(row, "eps", where), f"{where}.eps"),
-                added=_edge_id(_get(row, "added", where), f"{where}.added", m),
-                ties=tuple(_edge_ids(_get(row, "ties", where), f"{where}.ties", m)),
-            )
-        )
-    values = []
+    iters = _each(_get(doc, "iterations", "trace"), "trace.iterations", _iteration, n, m)
     dual = _get(doc, "dual", "trace")
-    for i, row in enumerate(_get(dual, "values", "trace.dual")):
-        if not isinstance(row, list) or len(row) != 2:
-            raise SchemaError(f"trace.dual.values[{i}]: expected [members, value]")
-        values.append(
-            (
-                _nodeset(row[0], f"trace.dual.values[{i}][0]", n),
-                frac_from_json(row[1], f"trace.dual.values[{i}]"),
-            )
-        )
-    loads = tuple(
-        frac_from_json(x, f"trace.dual.loads[{i}]")
-        for i, x in enumerate(_get(dual, "loads", "trace.dual"))
+    values = _each(_get(dual, "values", "trace.dual"), "trace.dual.values", _dual_value, n)
+    loads = _each(_get(dual, "loads", "trace.dual"), "trace.dual.loads", frac_from_json)
+    deleted, solution = (
+        tuple(_edge_id(x, f"trace.{key}", m) for x in _int_list(_get(doc, key, "trace"), f"trace.{key}"))
+        for key in ("deleted", "solution")
     )
     return RunTrace(
         iterations=tuple(iters),
-        deleted=tuple(_edge_ids(_get(doc, "deleted", "trace"), "trace.deleted", m)),
-        solution=tuple(_edge_ids(_get(doc, "solution", "trace"), "trace.solution", m)),
-        dual=DualState(values=tuple(values), loads=loads),
+        deleted=deleted,
+        solution=solution,
+        dual=DualState(values=tuple(values), loads=tuple(loads)),
     )
 
 
@@ -419,8 +418,6 @@ def bundle_parts_from_json(doc: Any) -> tuple[CostedGraph, ExplicitFamily, list[
     fam = family_spec_from_json(_get(doc, "family", "bundle"), "bundle.family")
     if not isinstance(fam, ExplicitFamily):
         raise SchemaError("bundle.family: expected an explicit family")
-    witness = [
-        _nodeset(w, f"bundle.witness[{i}]", graph.n) for i, w in enumerate(_get(doc, "witness", "bundle"))
-    ]
-    cores = [_nodeset(c, f"bundle.cores[{i}]", graph.n) for i, c in enumerate(_get(doc, "cores", "bundle"))]
+    witness = _each(_get(doc, "witness", "bundle"), "bundle.witness", _nodeset, graph.n)
+    cores = _each(_get(doc, "cores", "bundle"), "bundle.cores", _nodeset, graph.n)
     return graph, fam, witness, cores

@@ -34,7 +34,7 @@ from functools import cached_property, partial
 from math import lcm
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .errors import GuardError, OracleInvariantError, UniverseMismatchError
+from .errors import OracleInvariantError, UniverseMismatchError, guard
 
 # Hard guards for the exhaustive checkers.  Enumeration cost is governed by
 # the union-closure size, which is capped explicitly; the remaining guards
@@ -308,6 +308,7 @@ def _reachable_residuals(
 ) -> dict[int, list[Edge]]:
     """All distinct covered-member masks reachable as unions of per-edge
     coverage masks, each with one representative edge set realizing it."""
+    check = f"exhaustive {what} check"
     gen: dict[int, Edge] = {}
     for u, v in pairs:
         cm = kernel.inc[u] ^ kernel.inc[v]
@@ -321,25 +322,10 @@ def _reachable_residuals(
         for cm, edge in gen.items():
             nxt = cur | cm
             if nxt not in reached:
-                if len(reached) >= MAX_CLOSURE_SIZE:
-                    raise GuardError(
-                        f"instance too large for exhaustive {what} check: residual "
-                        f"families found before stopping = {len(reached) + 1} > {MAX_CLOSURE_SIZE}"
-                    )
+                guard(check, "residual families found before stopping", len(reached) + 1, MAX_CLOSURE_SIZE)
                 reached[nxt] = base + [edge]
                 frontier.append(nxt)
     return reached
-
-
-def _exhaustive_guard(f: ExplicitFamily, what: str) -> None:
-    for label, value, limit in (
-        ("n", f.n, MAX_EXHAUSTIVE_UNIVERSE),
-        ("|F|", len(f), MAX_EXHAUSTIVE_FAMILY),
-    ):
-        if value > limit:
-            raise GuardError(
-                f"instance too large for exhaustive {what} check: {label} = {value} > {limit}"
-            )
 
 
 def _sampled_edge_sets(pairs: list[Edge], samples: int, seed: int) -> Iterator[list[Edge]]:
@@ -363,7 +349,8 @@ def _residuals(
     pairs = all_pairs(f.n)
     kernel = _CoverageKernel(f.n, f.masks())
     if mode == "exhaustive":
-        _exhaustive_guard(f, what)
+        guard(f"exhaustive {what} check", "n", f.n, MAX_EXHAUSTIVE_UNIVERSE)
+        guard(f"exhaustive {what} check", "|F|", len(f), MAX_EXHAUSTIVE_FAMILY)
         residuals = (
             (kernel.alive(covered), rep)
             for covered, rep in _reachable_residuals(kernel, pairs, what).items()
@@ -403,11 +390,7 @@ def _first_bad_pair(
     or nested pair, A-B and B-A (or A&B and A|B) are the pair itself, so
     both pair properties hold.
     """
-    if len(masks) > MAX_PAIR_SCAN_FAMILY:
-        raise GuardError(
-            f"instance too large for exhaustive {what} check: "
-            f"|F| = {len(masks)} > {MAX_PAIR_SCAN_FAMILY}"
-        )
+    guard(f"exhaustive {what} check", "|F|", len(masks), MAX_PAIR_SCAN_FAMILY)
     present = set(masks)
     for i, a in enumerate(masks):
         for b in masks[i + 1 :]:

@@ -26,7 +26,7 @@ from math import ceil
 from operator import add, sub
 from typing import Sequence
 
-from .errors import GuardError
+from .errors import guard
 from .setfam import (
     Edge,
     ExplicitFamily,
@@ -111,8 +111,7 @@ def _enumerate_cut_masks(h: CapGraph) -> tuple[tuple[int, ...], Fraction]:
     2·w(r, A) alone; the row is then filtered against k - cut(B).
     """
     n = h.n
-    if n > MAX_CUT_ENUM_NODES:
-        raise GuardError(f"instance too large for cut enumeration: n = {n} > {MAX_CUT_ENUM_NODES}")
+    guard("cut enumeration", "n", n, MAX_CUT_ENUM_NODES)
     (k_scaled, *caps), denom = over_common_denominator([h.k, *(c for _, _, c in h.edges)])
     w = [[0] * n for _ in range(n)]
     for (u, v, _), scaled in zip(h.edges, caps):

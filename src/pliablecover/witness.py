@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import CoverNotMinimalError, GuardError, NoLaminarWitnessError
+from .errors import CoverNotMinimalError, NoLaminarWitnessError, guard
 from .setfam import Edge, ExplicitFamily, NodeSet, bits, incidence, validate_edges
 
 MAX_WITNESS_EDGES = 20
@@ -81,10 +81,7 @@ def laminar_witness(f: ExplicitFamily, cover: Sequence[Edge]) -> tuple[NodeSet, 
     pruning as soon as a crossing appears; the first complete assignment is
     returned.  Raises NoLaminarWitnessError when no assignment exists.
     """
-    if len(cover) > MAX_WITNESS_EDGES:
-        raise GuardError(
-            f"instance too large for exhaustive witness search: {len(cover)} edges > {MAX_WITNESS_EDGES}"
-        )
+    guard("exhaustive witness search", "cover edges", len(cover), MAX_WITNESS_EDGES)
     cands = witness_candidates(f, cover)
     chosen: list[NodeSet] = []
     if not _extend(cands, chosen):

@@ -163,6 +163,16 @@ def test_certify_refuses_a_trace_of_another_instance(tmp_path):
     assert (r.returncode, r.stdout) == (0, expected.stdout)
 
 
+@pytest.mark.parametrize("forged", [{}, 5], ids=["object", "number"])
+def test_certify_refuses_iterations_that_are_not_a_list(tmp_path, forged):
+    # an object once read as no iterations (exit 0), a number crashed (exit 4)
+    inst = write(tmp_path, "i.json", TRIANGLE)
+    doc = json.loads(run_cli("solve", inst).stdout)
+    doc["iterations"] = forged
+    r = run_cli("certify", inst, "--trace", write(tmp_path, "t.json", doc))
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", "error: trace.iterations: expected a list\n")
+
+
 @pytest.mark.parametrize(
     "field, forged",
     [
@@ -297,6 +307,18 @@ def test_analyze_malformed_bundle_exits_2(field, index, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and "pairwise" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field,forged", [("witness", 5), ("cores", {})], ids=["witness-number", "cores-object"])
+def test_analyze_bundle_with_a_field_that_is_not_a_list_exits_2(field, forged, monkeypatch, capsys):
+    # a number witness list crashed (exit 4); an object core list read as no
+    # cores, a negative verdict (exit 1)
+    assert cli.main(["gen", "--kind", "tight6", "--leaves", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc[field] = forged
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert cli.main(["analyze", "-", "--family-class", "sparse"]) == 2
+    assert capsys.readouterr() == ("", f"error: bundle.{field}: expected a list\n")
 
 
 def test_overlapping_residual_cores_are_a_finding(monkeypatch, capsys):

@@ -84,7 +84,7 @@ def test_empty_family_costs_nothing():
 def test_brute_force_guard_and_infeasibility():
     g = CostedGraph.build(6, [(u, v, 1) for u, v in combinations(range(6), 2)] * 2)
     assert len(g.edges) == 30
-    with pytest.raises(GuardError):
+    with pytest.raises(GuardError, match=r"^instance too large for exhaustive optimum: edges = 30 > 24$"):
         brute_force_opt(g, ExplicitFamilyOracle(ExplicitFamily(6, ())))
     tiny = CostedGraph.build(3, [(1, 2, 1)])
     with pytest.raises(InfeasibleError):

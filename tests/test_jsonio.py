@@ -1,6 +1,7 @@
 """Tests for the wire formats: canonical bytes, round trips, schema errors."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -325,3 +326,50 @@ def test_bundle_rejects_smallcut_family():
     doc["family"] = capgraph_to_json(CapGraph(b.n, (), Fraction(1)))
     with pytest.raises(SchemaError, match="expected an explicit family"):
         bundle_parts_from_json(doc)
+
+
+# ---------------------------------------------------------------------------
+# every array field
+
+
+def _trace_doc():
+    g, _f, trace = solved_instance()
+    return json.loads(dumps_canonical(trace_to_json(g, trace))), lambda doc: trace_from_json(doc, g)
+
+
+def _bundle_doc():
+    return json.loads(dumps_canonical(bundle_to_json(tight_six(2)))), bundle_parts_from_json
+
+
+# JSON path of each array field -> (a valid document and its reader, the
+# keys that lead from the document to the field)
+ARRAY_FIELDS = {
+    "family.members": (lambda: (family_to_json(small_instance().family), family_spec_from_json), ["members"]),
+    "family.capacities": (
+        lambda: (capgraph_to_json(CapGraph(3, ((0, 1, Fraction(1)),), Fraction(2))), family_spec_from_json),
+        ["capacities"],
+    ),
+    "graph.edges": (lambda: (graph_to_json(small_instance().graph), graph_from_json), ["edges"]),
+    "trace.iterations": (_trace_doc, ["iterations"]),
+    "trace.iterations[0].cores": (_trace_doc, ["iterations", 0, "cores"]),
+    "trace.dual.values": (_trace_doc, ["dual", "values"]),
+    "trace.dual.loads": (_trace_doc, ["dual", "loads"]),
+    "bundle.witness": (_bundle_doc, ["witness"]),
+    "bundle.cores": (_bundle_doc, ["cores"]),
+}
+
+
+@pytest.mark.parametrize("bad", [5, {}, ""], ids=["number", "object", "string"])
+@pytest.mark.parametrize("where", list(ARRAY_FIELDS))
+def test_every_array_field_must_be_a_list(where, bad):
+    # six of these fields once read an object or a string as an empty list
+    # and crashed on a number
+    make, keys = ARRAY_FIELDS[where]
+    doc, read = make()
+    read(doc)  # the untouched document is valid
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = bad
+    with pytest.raises(SchemaError, match=f"^{re.escape(where)}: expected a list$"):
+        read(doc)
