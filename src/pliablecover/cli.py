@@ -3,7 +3,9 @@
 Subcommands: solve, exact, certify, analyze, witness, check-family, gen.
 All output is canonical JSON on stdout.  Exit codes: 0 success (and "the
 property holds" / "the certificate verifies"), 1 negative verdict, finding,
-or infeasible instance, 2 usage errors and malformed or unreadable input, 3
+infeasible instance, or a random `gen` that accepted no instance within its
+400-proposal budget, 2 usage errors (a size the tight constructions cannot
+take among them) and malformed or unreadable input, 3
 an exhaustive guard refused the computation, 4 an unexpected internal error
 (the traceback goes to stderr), 141 (128 + SIGPIPE) the reader closed stdout
 before the output was written.
@@ -71,13 +73,6 @@ def _emit(doc) -> None:
 _TIGHT_KINDS = {"tight7": tight_seven, "tight6": tight_six, "tight-beta": tight_beta}
 
 
-def _power_of_two(text: str) -> int:
-    value = int(text)
-    if value < 1 or value & (value - 1):
-        raise argparse.ArgumentTypeError(f"{value} is not a power of two")
-    return value
-
-
 def _add_class_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--family-class",
@@ -141,8 +136,8 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=[*_TIGHT_KINDS, "gamma", "sparse", "uncrossable"],
     )
-    p.add_argument("--leaves", type=_power_of_two, help="gadget count for the tight kinds")
-    p.add_argument("--beta", type=_power_of_two, help="group size for kind tight-beta")
+    p.add_argument("--leaves", type=int, help="gadget count for the tight kinds (a power of two, at least 2)")
+    p.add_argument("--beta", type=int, help="group size for kind tight-beta (a power of two, at most --leaves)")
     p.add_argument("--count", type=int, default=1, help="number of random instances")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, help="universe size for random instances")
@@ -271,7 +266,7 @@ def _cmd_gen(args) -> int:
     if args.kind in _TIGHT_KINDS:
         if args.n is not None:
             raise SchemaError("--n applies to the random kinds only, not to the tight kinds")
-        if not args.leaves:
+        if args.leaves is None:
             raise SchemaError("--leaves is required for the tight kinds")
         if (args.beta is None) == (args.kind == "tight-beta"):
             raise SchemaError("--beta is required for kind tight-beta, and applies to it only")

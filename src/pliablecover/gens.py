@@ -73,12 +73,6 @@ class TightBundle:
         return self.total_cost / self.dual_objective
 
 
-def _check_power_of_two(value: int, name: str) -> int:
-    if value < 1 or value & (value - 1):
-        raise GenerationError(f"{name} must be a power of two, got {value}")
-    return value.bit_length() - 1
-
-
 class _TreeSkeleton:
     """Shared scaffolding: heap-indexed region tree with one gadget per leaf.
 
@@ -89,6 +83,8 @@ class _TreeSkeleton:
     """
 
     def __init__(self, leaves: int) -> None:
+        if leaves < 2 or leaves & (leaves - 1):
+            raise ValueError(f"leaves must be a power of two and at least 2, got {leaves}")
         self.leaves = leaves
         # Gadget g occupies node ids 4g..4g+3: a0, b1, a1, b2.
         self.drop_from: dict[int, int] = {}
@@ -163,9 +159,6 @@ def tight_seven(leaves: int) -> TightBundle:
     odd-parity vertex in the root region keeps both global cores owned by
     the full vertex set.
     """
-    _check_power_of_two(leaves, "leaves")
-    if leaves < 2:
-        raise GenerationError("the construction needs at least 2 leaves")
     sk = _TreeSkeleton(leaves)
     isolated_odd = sk.alloc()
     n = sk.next_id
@@ -192,79 +185,60 @@ def tight_seven(leaves: int) -> TightBundle:
     return _assemble("tight7", n, edges, witness, cores, leaves, None)
 
 
-def _tight_six_edges(
-    sk: _TreeSkeleton, n: int, c_node: dict[int, int]
-) -> tuple[list[tuple[int, int, Fraction]], list[NodeSet]]:
-    extra: dict[int, list[int]] = {}
-    for j, c in c_node.items():  # c_j lives in the parent's region
-        extra.setdefault(j // 2, []).append(c)
-
-    edges, witness = _gadget_edges(sk, n, Fraction(1))
-    for j in range(1, sk.leaves):
-        region = sk.region_set_members(j, extra)
-        first_drop = sk.drop_from[2 * j]
-        edges.append((first_drop, c_node[j], Fraction(1)))
-        witness.append(NodeSet.from_members(n, region))
-        edges.append((c_node[j], sk.drop_from[j], Fraction(1)))
-        witness.append(NodeSet.from_members(n, region + [c_node[j]]))
-    return edges, witness
-
-
 def tight_six(leaves: int) -> TightBundle:
     """One global core through every gadget and spine; ratio (6L-2)/(L+1)."""
-    _check_power_of_two(leaves, "leaves")
-    if leaves < 2:
-        raise GenerationError("the construction needs at least 2 leaves")
-    sk = _TreeSkeleton(leaves)
-    c_node = {j: sk.alloc() for j in range(1, leaves)}
-    rooted = sk.alloc()  # isolated member of the global core, root region
-    n = sk.next_id
-
-    global_core = sorted(
-        [4 * g + 1 for g in range(leaves)]
-        + [4 * g + 3 for g in range(leaves)]
-        + list(c_node.values())
-        + [rooted]
-    )
-    cores = [NodeSet.from_members(n, [4 * g]) for g in range(leaves)]
-    cores.append(NodeSet.from_members(n, global_core))
-    edges, witness = _tight_six_edges(sk, n, c_node)
-    return _assemble("tight6", n, edges, witness, cores, leaves, None)
+    return _weight_six(leaves, None)
 
 
 def tight_beta(leaves: int, beta: int) -> TightBundle:
     """The weight-6 geometry with the global core split into one core per
     group of `beta` consecutive gadgets; ratio (6L-2)/(L+L/beta)."""
-    i = _check_power_of_two(leaves, "leaves")
-    j = _check_power_of_two(beta, "beta")
-    if leaves < 2:
-        raise GenerationError("the construction needs at least 2 leaves")
-    if j > i:
-        raise GenerationError("beta cannot exceed the number of leaves")
+    return _weight_six(leaves, beta)
+
+
+def _weight_six(leaves: int, beta: int | None) -> TightBundle:
+    """The weight-6 geometry: spine node c_j sits in the parent of region j,
+    every edge costs 1 except the gadgets' weight-2 first edges, and one core
+    per group of `beta` gadgets holds the groups' b-nodes and c-nodes.
+    beta None is tight6: one group of every gadget, plus an isolated
+    root-region vertex allocated after the c-nodes."""
     sk = _TreeSkeleton(leaves)
-    c_node = {x: sk.alloc() for x in range(1, leaves)}
+    if beta is not None and (beta < 1 or beta & (beta - 1) or beta > leaves):
+        raise ValueError(f"beta must be a power of two and at most leaves = {leaves}, got {beta}")
+    c_node = {j: sk.alloc() for j in range(1, leaves)}
+    groups = 1 if beta is None else leaves // beta
+    group_members: dict[int, list[int]] = {s: [] for s in range(groups, 2 * groups)}
+    if beta is None:
+        group_members[1].append(sk.alloc())  # isolated member of the global core
     n = sk.next_id
 
-    group_roots = list(range(leaves // beta, 2 * leaves // beta))
-    group_members: dict[int, list[int]] = {s: [] for s in group_roots}
-    for s in group_roots:
+    for s, members in group_members.items():
         for x in sk.subtree(s):
-            if x >= sk.leaves:
-                g = x - sk.leaves
-                group_members[s] += [4 * g + 1, 4 * g + 3]
+            if x >= leaves:
+                g = x - leaves
+                members += [4 * g + 1, 4 * g + 3]
             if x in c_node:
-                group_members[s].append(c_node[x])
-    for x in range(1, leaves // beta):  # spine vertices above the groups
+                members.append(c_node[x])
+    for x in range(1, groups):  # spine vertices above the groups
         s = x
-        while s < leaves // beta:
+        while s < groups:
             s = 2 * s
         group_members[s].append(c_node[x])
-
     cores = [NodeSet.from_members(n, [4 * g]) for g in range(leaves)]
-    for s in group_roots:
-        cores.append(NodeSet.from_members(n, sorted(group_members[s])))
-    edges, witness = _tight_six_edges(sk, n, c_node)
-    return _assemble("tight-beta", n, edges, witness, cores, leaves, beta)
+    cores += [NodeSet.from_members(n, sorted(m)) for m in group_members.values()]
+
+    extra: dict[int, list[int]] = {}
+    for j, c in c_node.items():  # c_j lives in the parent's region
+        extra.setdefault(j // 2, []).append(c)
+    edges, witness = _gadget_edges(sk, n, Fraction(1))
+    for j in range(1, leaves):
+        region = sk.region_set_members(j, extra)
+        edges.append((sk.drop_from[2 * j], c_node[j], Fraction(1)))
+        witness.append(NodeSet.from_members(n, region))
+        edges.append((c_node[j], sk.drop_from[j], Fraction(1)))
+        witness.append(NodeSet.from_members(n, region + [c_node[j]]))
+    kind = "tight6" if beta is None else "tight-beta"
+    return _assemble(kind, n, edges, witness, cores, leaves, beta)
 
 
 def _assemble(

@@ -87,6 +87,15 @@ def _get(d: Any, key: str, where: str) -> Any:
     return d[key]
 
 
+def _check_version(doc: Any, where: str) -> None:
+    """Refuse a document whose `version` is missing or not this schema's."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where}: expected an object")
+    if doc.get("version") != SCHEMA_VERSION:
+        got = repr(doc["version"]) if "version" in doc else "no version"
+        raise SchemaError(f"{where}.version: expected {SCHEMA_VERSION!r}, got {got}")
+
+
 def _size(doc: Any, where: str) -> int:
     n = _get(doc, "n", where)
     if not _is_int(n) or n < 0:
@@ -129,9 +138,9 @@ def family_spec_from_json(doc: Any, where: str = "family") -> ExplicitFamily | C
     kind = _get(doc, "kind", where)
     n = _size(doc, where)
     if kind == "explicit":
-        members = _list(_get(doc, "members", where), f"{where}.members")
-        try:  # a bad member, like a set that from_sets refuses, is reported under `where`
-            return ExplicitFamily.from_sets(n, _each(members, f"{where}.members", _int_list))
+        members = _each(_get(doc, "members", where), f"{where}.members", _int_list)
+        try:  # a set that from_sets refuses is reported under `where`
+            return ExplicitFamily.from_sets(n, members)
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from exc
     if kind == "small-cuts":
@@ -199,6 +208,7 @@ def instance_to_json(inst: Instance) -> dict:
 
 
 def instance_from_json(doc: Any) -> Instance:
+    _check_version(doc, "instance")
     graph = graph_from_json(_get(doc, "graph", "instance"))
     family = family_spec_from_json(_get(doc, "family", "instance"))
     fam_n = family.n
@@ -274,9 +284,10 @@ def trace_from_json(doc: Any, g: CostedGraph, digest: str | None = None) -> RunT
     When `digest` is given, the trace's `instance_digest` must be it or
     empty (as `trace_to_json` writes by default).
     """
+    _check_version(doc, "trace")
     n, m = g.n, len(g.edges)
     if digest is not None:
-        claimed = doc.get("instance_digest", "") if isinstance(doc, dict) else ""
+        claimed = doc.get("instance_digest", "")
         if not isinstance(claimed, str):
             raise SchemaError("trace.instance_digest: expected a string")
         if claimed and claimed != digest:
@@ -414,6 +425,7 @@ def bundle_to_json(bundle) -> dict:
 
 def bundle_parts_from_json(doc: Any) -> tuple[CostedGraph, ExplicitFamily, list[NodeSet], list[NodeSet]]:
     """Graph, family, witness list, core list of a serialized bundle."""
+    _check_version(doc, "bundle")
     graph = graph_from_json(_get(doc, "graph", "bundle"))
     fam = family_spec_from_json(_get(doc, "family", "bundle"), "bundle.family")
     if not isinstance(fam, ExplicitFamily):

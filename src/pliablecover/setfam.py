@@ -21,8 +21,9 @@ is over the subsets of all node pairs.  Two edge sets with the same covered
 members induce the same residual family, so the exhaustive mode enumerates
 the distinct reachable residual families (the union closure of the per-edge
 coverage masks) instead of all 2^|I| subsets.  A sampled mode draws random
-edge subsets with a fixed seed for instances past the guards; a sampled "no
-counterexample" is reported as such and never as a proof.
+edge subsets with a fixed seed for instances past the guards; a sampled
+pass reports `holds` true with mode "sampled" and its sample count, which
+means no counterexample was found in those draws and is not a proof.
 """
 
 from __future__ import annotations
@@ -513,8 +514,8 @@ def check_family(
     violation found.  The exact properties (pliable, uncrossable, proper)
     ignore the other arguments and report mode "exhaustive".  gamma and
     sparse range over every edge set on V; only exhaustive mode decides
-    them, sampled mode reports "no counterexample found in `samples`
-    draws"."""
+    them; a sampled result with `holds` true means no counterexample was
+    found in `samples` draws, not a proof."""
     if prop not in PROPERTIES:
         raise ValueError(f"unknown family property {prop!r}")
     p = PROPERTIES[prop]

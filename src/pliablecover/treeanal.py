@@ -362,15 +362,6 @@ def _white_climbs(tree: ShortcutTree, weights: Sequence[int]) -> dict[int, list[
     return climbs
 
 
-def _bad_pairs(tree: ShortcutTree, weights: Sequence[int]) -> list[BadPair]:
-    """Bad pairs when edge i weighs weights[i], by (lower, upper) index."""
-    return [
-        BadPair(lower=lo, upper=hi)
-        for lo, climb in _white_climbs(tree, weights).items()
-        for hi in sorted(climb)
-    ]
-
-
 @dataclass(frozen=True)
 class Reassignment:
     chosen: tuple[tuple[int, int], ...]  # (upper edge idx, lower edge idx)
@@ -592,7 +583,7 @@ def verify_bounds(
             violations.append(
                 f"edge {tree.edges[i].cover_edges} has weight {w} > 5 after reassignment"
             )
-    if _bad_pairs(tree, reass.weights_after):
+    if any(_white_climbs(tree, reass.weights_after).values()):
         violations.append("bad pairs remain after weight reassignment")
     if reass.max_after != reass.max_before:
         info.append(

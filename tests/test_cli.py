@@ -429,6 +429,13 @@ def test_check_family_reports_pairwise_counterexamples():
         assert doc["holds"] is False and doc["counterexample"] == counterexample
 
 
+def test_check_family_names_a_bad_member_by_its_path():
+    doc = json.dumps({"kind": "explicit", "n": 3, "members": [[0], "x"]})
+    r = run_cli("check-family", "--property", "pliable", stdin=doc)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "error: family.members[1]: expected a list of integers\n"
+
+
 def test_check_family_refuses_nonpositive_samples():
     laminar = json.dumps({"kind": "explicit", "n": 4, "members": [[0], [0, 1]]})
     for prop in ("gamma", "sparse", "crossing-number"):
@@ -503,6 +510,22 @@ def test_gen_refuses_arguments_of_another_kind(argv, message, monkeypatch, capsy
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["tight6", "--leaves", "1"], "leaves must be a power of two and at least 2, got 1"),
+        (["tight-beta", "--leaves", "2", "--beta", "4"], "beta must be a power of two and at most leaves = 2, got 4"),
+        (["tight7", "--leaves", "3"], "leaves must be a power of two and at least 2, got 3"),
+        (["tight6", "--leaves", "0"], "leaves must be a power of two and at least 2, got 0"),
+    ],
+)
+def test_gen_refuses_sizes_the_tight_constructions_cannot_take(argv, message):
+    r = run_cli("gen", "--kind", *argv)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("kind", ["gamma", "sparse", "uncrossable"])

@@ -76,15 +76,13 @@ def test_ratios_approach_their_limits_at_64_leaves():
 
 
 def test_tight_constructions_reject_bad_sizes():
-    with pytest.raises(GenerationError):
-        tight_seven(3)
-    with pytest.raises(GenerationError):
-        tight_seven(1)
-    with pytest.raises(GenerationError):
-        tight_six(0)
-    with pytest.raises(GenerationError):
+    leaves = "leaves must be a power of two and at least 2"
+    for build, args in [(tight_seven, (3,)), (tight_seven, (1,)), (tight_six, (0,)), (tight_beta, (6, 2))]:
+        with pytest.raises(ValueError, match=f"{leaves}, got {args[0]}"):
+            build(*args)
+    with pytest.raises(ValueError, match="beta must be a power of two and at most leaves = 4, got 3"):
         tight_beta(4, 3)
-    with pytest.raises(GenerationError):
+    with pytest.raises(ValueError, match="beta must be a power of two and at most leaves = 2, got 4"):
         tight_beta(2, 4)
 
 

@@ -1,10 +1,16 @@
-"""Golden `gen` batches of the verified random kinds.
+"""Golden `gen` output: batches of the verified random kinds and bundles of
+the tight constructions.
 
 Each entry is the SHA-256 of the canonical stdout of one `pliablecover gen
 --kind KIND --seed SEED --count COUNT [--n N]` run.  The digests were
 captured before the family checkers were folded into `check_family`, so
 any change to a proposal, to the order in which its class properties are
 checked, or to the pliability repair of random families shows up here.
+
+The tight digests, of `pliablecover gen --kind KIND --leaves L [--beta B]`,
+were captured while `tight_six` and `tight_beta` still had separate
+builders, so they pin every node id, edge order and core order of the
+shared weight-6 construction.
 """
 
 import hashlib
@@ -26,6 +32,19 @@ GOLDEN = {
     ("uncrossable", 2, 3, 9): "6fd7facb09ea5ad688b22cdb2e199d745ae5d778b1a9ed4eae1113832ae83579",
 }
 
+# (kind, leaves, beta): sha256 of the stdout
+TIGHT_GOLDEN = {
+    ("tight6", 2, None): "91956ab3801d7a1289149a697d280d5f8d3f9921557e374fa4d198c749d5f113",
+    ("tight6", 8, None): "307440e507f9c5aa9b58587764e8b0b407b4d7f59dc6b31171c7d4d4384d17d6",
+    ("tight6", 64, None): "122e1cedf78755739222edea04da456f5340e8a531f3268572c23108e43eafcd",
+    ("tight7", 2, None): "6a94b76aee9a577ffd166fa61a69891fda5a773c29531dc57703b3607e311898",
+    ("tight7", 8, None): "bf2e5d5f6f2c0dc0faa5a02539126b6d51808ea4817629563763def47fc36ab1",
+    ("tight-beta", 8, 1): "31ddba83ce16447af8effcae7db896f9a4d3b60aa1c96fd4a34fffcd850cd5a0",
+    ("tight-beta", 8, 2): "176dbed2e09afc56076f2e9deec689f559ba1152a68cb0d57995c853b08be347",
+    ("tight-beta", 8, 8): "ba4bf552d8120affade44e2d94acfa5493e1f1d3984e140fc44e07f7dfe3175a",
+    ("tight-beta", 64, 4): "d4cacf8a7102de6d97483e73e94d14b291851836b9a576252b7893198e4c7f17",
+}
+
 
 @pytest.mark.parametrize("kind,seed,count,n", sorted(GOLDEN, key=str))
 def test_gen_batch_matches_its_digest(kind, seed, count, n, capsys):
@@ -35,3 +54,13 @@ def test_gen_batch_matches_its_digest(kind, seed, count, n, capsys):
     assert cli_main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[kind, seed, count, n]
+
+
+@pytest.mark.parametrize("kind,leaves,beta", sorted(TIGHT_GOLDEN, key=str))
+def test_gen_tight_bundle_matches_its_digest(kind, leaves, beta, capsys):
+    argv = ["gen", "--kind", kind, "--leaves", str(leaves)]
+    if beta is not None:
+        argv += ["--beta", str(beta)]
+    assert cli_main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TIGHT_GOLDEN[kind, leaves, beta]

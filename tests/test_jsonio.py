@@ -373,3 +373,50 @@ def test_every_array_field_must_be_a_list(where, bad):
     node[keys[-1]] = bad
     with pytest.raises(SchemaError, match=f"^{re.escape(where)}: expected a list$"):
         read(doc)
+
+
+# ---------------------------------------------------------------------------
+# member paths and schema versions
+
+
+def test_a_bad_member_is_named_by_its_path_once():
+    doc = {"kind": "explicit", "n": 3, "members": [[0], "x"]}
+    with pytest.raises(SchemaError) as exc:
+        family_spec_from_json(doc)
+    assert str(exc.value) == "family.members[1]: expected a list of integers"
+    bundle, _ = _bundle_doc()
+    bundle["family"]["members"][2] = "x"
+    with pytest.raises(SchemaError) as exc:
+        bundle_parts_from_json(bundle)
+    assert str(exc.value) == "bundle.family.members[2]: expected a list of integers"
+    # a set that from_sets refuses keeps its single family prefix
+    doc["members"] = [[0], [5]]
+    with pytest.raises(SchemaError) as exc:
+        family_spec_from_json(doc)
+    assert str(exc.value) == "family: node 5 outside universe of size 3"
+
+
+# document name -> a valid document and its reader
+VERSIONED = {
+    "instance": lambda: (instance_to_json(small_instance()), instance_from_json),
+    "trace": _trace_doc,
+    "bundle": _bundle_doc,
+}
+
+
+@pytest.mark.parametrize(
+    "version,got",
+    [(None, "no version"), (5, "5"), ({}, "{}"), ("2", "'2'")],
+    ids=["missing", "number", "object", "other"],
+)
+@pytest.mark.parametrize("where", list(VERSIONED))
+def test_readers_refuse_a_missing_or_foreign_version(where, version, got):
+    doc, read = VERSIONED[where]()
+    read(doc)  # the untouched document is valid
+    if version is None:
+        del doc["version"]
+    else:
+        doc["version"] = version
+    with pytest.raises(SchemaError) as exc:
+        read(doc)
+    assert str(exc.value) == f"{where}.version: expected '1', got {got}"

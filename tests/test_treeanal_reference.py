@@ -19,8 +19,8 @@ from pliablecover.treeanal import (
     ChainEdge,
     ShortcutTree,
     TreeNode,
-    _bad_pairs,
     _token_sets,
+    _white_climbs,
     build_tree,
     find_bad_pairs,
     verify_bounds,
@@ -266,7 +266,9 @@ def test_bad_pairs_match_the_pairwise_search():
     for tree in random_trees(12, 80):
         weights = [rng.choice((1, 2, 3, 4, 5)) for _ in tree.edges]
         for w in (weights, [e.weight for e in tree.edges]):
-            assert _bad_pairs(tree, w) == ref_bad_pairs(tree, w)
+            climbs = _white_climbs(tree, w).items()
+            flat = sorted((lo, hi) for lo, climb in climbs for hi in climb)
+            assert [BadPair(lower=lo, upper=hi) for lo, hi in flat] == ref_bad_pairs(tree, w)
         assert find_bad_pairs(tree) == ref_find_bad_pairs(tree)
         found += len(ref_bad_pairs(tree, weights))
     assert found > 100
