@@ -10,9 +10,11 @@ The costs are scaled once by their common denominator, so the search runs
 on integers and only the optimum becomes a Fraction again.  A node whose
 edge set J leaves cores bounds each child e from below by the cheapest
 crosser with id > e of every core e misses; one walk down the ids gives
-these suffix minima for all children.  A child that crosses no core of J
-has the same cores, because F^{J+e} is a subfamily of F^J that still holds
-every core, so the oracle is asked only when the child crosses one.
+these suffix minima for all children.  Each child's residual is its
+parent's plus one `add` (`FamilyOracle.residual`), so the search needs no
+undo.  A child that crosses no core of J has the same cores, because
+F^{J+e} is a subfamily of F^J that still holds every core, so the default
+residual asks the oracle only when the child crosses one.
 
 `certify` re-derives everything checkable about a finished run from first
 principles: dual feasibility (every dual set a member and no edge over
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfeasibleError, guard
-from .setfam import Edge, FamilyOracle, NodeSet, bits, degree_sum, incidence, over_common_denominator
+from .setfam import Edge, FamilyOracle, Residual, bits, incidence, over_common_denominator
 from .wgmv import CostedGraph, RunTrace, edge_loads
 
 MAX_BRUTE_EDGES = 24
@@ -43,23 +45,24 @@ def brute_force_opt(g: CostedGraph, oracle: FamilyOracle) -> tuple[Fraction, tup
     if leftover:
         raise InfeasibleError(leftover[0])
     costs, denom = over_common_denominator(c for _, _, c in g.edges)
-    best = _search(g.n, oracle, pairs, costs, [], 0, None, oracle.cores([]))
+    best = _search(g.n, pairs, costs, [], 0, None, oracle.residual())
     assert best is not None
     return Fraction(best[0], denom), best[1]
 
 
 def _search(
     n: int,
-    oracle: FamilyOracle,
     pairs: list[Edge],
     costs: list[int],
     chosen: list[int],
     cost: int,
     best: tuple[int, tuple[int, ...]] | None,
-    cores: list[NodeSet],
+    residual: Residual,
 ) -> tuple[int, tuple[int, ...]] | None:
     """The best cover found so far, after searching the covers that extend
-    `chosen` (ids ascending, costing `cost`, leaving `cores`) with larger ids."""
+    `chosen` (ids ascending, costing `cost`, whose residual is `residual`)
+    with larger ids."""
+    cores = residual.cores
     if not cores:
         return (cost, tuple(chosen))  # the caller let in only cheaper covers
     inc = incidence(n, (c.mask for c in cores))
@@ -88,10 +91,7 @@ def _search(
             break
         if best is None or cost + costs[e] + need[e] < best[0]:
             chosen.append(e)
-            # A child that crosses no core of J leaves them all minimal and
-            # uncovered, so J + e has the same cores.
-            child = oracle.cores([pairs[x] for x in chosen]) if crossed[e] else cores
-            best = _search(n, oracle, pairs, costs, chosen, cost + costs[e], best, child)
+            best = _search(n, pairs, costs, chosen, cost + costs[e], best, residual.add(*pairs[e]))
             chosen.pop()
     return best
 
@@ -206,9 +206,18 @@ def certify(
     ]
     add("solution-minimal", not loose, f"removable edges: {loose}" if loose else "")
 
+    # Consecutive iterations share most cores, so d_J(C) is counted once per
+    # distinct core, from one incidence list over them all.
+    masks = list(dict.fromkeys(c.mask for it in trace.iterations for c in it.cores))
+    index = {m: i for i, m in enumerate(masks)}
+    degree = [0] * len(masks)
+    inc = incidence(g.n, masks)
+    for u, v in sol_pairs:
+        for i in bits(inc[u] ^ inc[v]):
+            degree[i] += 1
     rows: list[IterationRow] = []
     for idx, it in enumerate(trace.iterations):
-        load = degree_sum(incidence(g.n, (c.mask for c in it.cores)), sol_pairs)
+        load = sum(degree[index[c.mask]] for c in it.cores)
         rows.append(IterationRow(idx, len(it.cores), load, iteration_load_bound(family_class, len(it.cores), beta)))
     bad_rows = [r.index for r in rows if not r.ok]
     add("iteration-load-bounds", not bad_rows, f"iterations over bound: {bad_rows}" if bad_rows else "")

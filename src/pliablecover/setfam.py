@@ -249,16 +249,31 @@ class _CoverageKernel:
     member returns no cores after that OR; otherwise each core's NodeSet is
     built the first time `cores` returns it, and later calls return that
     same object.
+
+    `root` is the incremental residual of the empty edge set (see
+    `_KernelResidual`); it is immutable, so one per kernel serves every
+    run.  The holders of member i (the members that contain it, itself
+    included: the AND of `inc` over i's nodes) are computed the first time
+    a residual asks for them and then kept, so no per-family index is built
+    up front.
     """
 
     def __init__(self, n: int, masks: Sequence[int]) -> None:
         self.n = n
         self.masks = tuple(masks)
         self._nodesets: dict[int, NodeSet] = {}
+        self._holders: dict[int, int] = {}
 
     @cached_property
     def inc(self) -> list[int]:
         return incidence(self.n, self.masks)
+
+    @cached_property
+    def root(self) -> "_KernelResidual":
+        index = {m: i for i, m in enumerate(self.masks)}
+        core_bits = sum(1 << index[m] for m in _minimal_masks(self.masks))
+        full = (1 << len(self.masks)) - 1
+        return _KernelResidual(self, (), full, 0, core_bits)
 
     def covered(self, edges: Sequence[Edge]) -> int:
         out = 0
@@ -270,18 +285,136 @@ class _CoverageKernel:
         """Masks of the members whose bit in `covered` is clear, in order."""
         return [m for i, m in enumerate(self.masks) if not covered >> i & 1]
 
+    def nodesets(self, masks: Sequence[int]) -> list[NodeSet]:
+        """One NodeSet per mask, the same object on every call, in canonical order."""
+        sets = self._nodesets
+        for m in masks:
+            if m not in sets:
+                sets[m] = NodeSet(self.n, m)
+        return sorted((sets[m] for m in masks), key=NodeSet.sort_key)
+
     def cores(self, edges: Sequence[Edge]) -> list[NodeSet]:
         """Inclusion-minimal members uncovered by `edges`, canonical order."""
         validate_edges(self.n, edges)
         covered = self.covered(edges)
         if covered == (1 << len(self.masks)) - 1:
             return []
-        mins = _minimal_masks(self.alive(covered))
-        sets = self._nodesets
-        for m in mins:
-            if m not in sets:
-                sets[m] = NodeSet(self.n, m)
-        return sorted((sets[m] for m in mins), key=NodeSet.sort_key)
+        return self.nodesets(_minimal_masks(self.alive(covered)))
+
+    def holders(self, i: int) -> int:
+        """Bitmask of the members that contain member i, i included."""
+        out = self._holders.get(i)
+        if out is None:
+            out = -1
+            for v in bits(self.masks[i]):
+                out &= self.inc[v]
+            self._holders[i] = out
+        return out
+
+    def least(self, kept: int, cands: int) -> int:
+        """The members of `kept`, plus the members of `cands` that contain
+        no member of `kept` and no smaller kept candidate.
+
+        Candidates are taken by popcount: a member strictly inside another
+        is smaller, so it is decided first and then blocks its holders.
+        """
+        if not cands:
+            return kept
+        blocked = 0
+        for i in bits(kept):
+            blocked |= self.holders(i)
+        masks = self.masks
+        for j in sorted(bits(cands & ~blocked), key=lambda j: masks[j].bit_count()):
+            if not blocked >> j & 1:
+                kept |= 1 << j
+                blocked |= self.holders(j)
+        return kept
+
+
+class _KernelResidual:
+    """The residual of an edge multiset J, as bitmasks over the members of
+    one `_CoverageKernel`: the members J leaves uncovered (`alive`), those
+    it covers at least twice, and the cores.  Immutable: `add` and `remove`
+    return a new residual and leave this one as it was.
+
+    `add(e)`: F^{J+e} is F^J less the members e crosses.  A core that e
+    misses stays a minimal member.  A new core m is a member of F^J but
+    not one of its cores, so m holds a core of F^J, and that core must be
+    one e covers ("killed"), or m would not be minimal.  So the new cores
+    are the kept cores plus the minimal alive holders of a killed core.
+
+    `remove(e)`: F^{J-e} is F^J plus the members that only e crossed
+    (covered once, by e).  Every member of F^J holds a core of F^J, so the
+    new cores are the minimal members of the cores and those members.  The
+    "at least twice" mask is recounted from J only when a residual made by
+    `remove` is itself asked to remove an edge.
+    """
+
+    __slots__ = ("_kernel", "edges", "alive", "_twice", "_core_bits", "_cores")
+
+    def __init__(
+        self,
+        kernel: _CoverageKernel,
+        edges: tuple[Edge, ...],
+        alive: int,
+        twice: int | None,
+        core_bits: int,
+        cores: tuple[NodeSet, ...] | None = None,
+    ) -> None:
+        self._kernel = kernel
+        self.edges = edges
+        self.alive = alive
+        self._twice = twice
+        self._core_bits = core_bits
+        self._cores = cores
+
+    @property
+    def cores(self) -> tuple[NodeSet, ...]:
+        """The cores in canonical order, validated as `FamilyOracle.cores` is."""
+        if self._cores is None:
+            masks = self._kernel.masks
+            cores = tuple(self._kernel.nodesets([masks[i] for i in bits(self._core_bits)]))
+            _validate_cores(cores)
+            self._cores = cores
+        return self._cores
+
+    @property
+    def covered(self) -> bool:
+        return not self.cores
+
+    def _twice_covered(self) -> int:
+        if self._twice is None:
+            inc = self._kernel.inc
+            once = twice = 0
+            for u, v in self.edges:
+                c = inc[u] ^ inc[v]
+                twice |= once & c
+                once |= c
+            self._twice = twice
+        return self._twice
+
+    def add(self, u: int, v: int) -> "_KernelResidual":
+        k = self._kernel
+        validate_edges(k.n, ((u, v),))
+        c = k.inc[u] ^ k.inc[v]
+        twice = None if self._twice is None else self._twice | (c & ~self.alive)
+        alive = self.alive & ~c
+        killed = self._core_bits & c
+        if not killed:
+            return _KernelResidual(k, self.edges + ((u, v),), alive, twice, self._core_bits, self._cores)
+        holders = 0
+        for i in bits(killed):
+            holders |= k.holders(i)
+        core_bits = k.least(self._core_bits & ~c, alive & holders)
+        return _KernelResidual(k, self.edges + ((u, v),), alive, twice, core_bits)
+
+    def remove(self, u: int, v: int) -> "_KernelResidual":
+        k = self._kernel
+        edges = _without(self.edges, (u, v))
+        freed = (k.inc[u] ^ k.inc[v]) & ~self._twice_covered()
+        if not freed:
+            return _KernelResidual(k, edges, self.alive, None, self._core_bits, self._cores)
+        return _KernelResidual(k, edges, self.alive | freed, None, k.least(0, self._core_bits | freed))
 
 
 @dataclass(frozen=True)
@@ -561,6 +694,72 @@ def crossing_number(f: ExplicitFamily, mode: str = "exhaustive", samples: int = 
     return max(1, best)
 
 
+def _validate_cores(cores: Sequence[NodeSet]) -> None:
+    """Refuse a core list that is not nonempty sets, pairwise disjoint."""
+    seen = 0
+    for i, b in enumerate(cores):
+        if b.is_empty():
+            raise OracleInvariantError("cores not inclusion-minimal: an empty core")
+        if b.mask & seen:
+            a = next(a for a in cores[:i] if a.mask & b.mask)
+            raise OracleInvariantError(
+                f"cores not pairwise disjoint: {sorted(a.members())} and {sorted(b.members())}"
+            )
+        seen |= b.mask
+
+
+def _without(edges: tuple[Edge, ...], e: Edge) -> tuple[Edge, ...]:
+    """`edges` less its last copy of `e`."""
+    for i in range(len(edges) - 1, -1, -1):
+        if edges[i] == e:
+            return edges[:i] + edges[i + 1 :]
+    raise ValueError(f"edge {e} is not in the residual's edge set")
+
+
+class _StatelessResidual:
+    """The base-class residual: it keeps J and answers `cores` (kept once
+    read) and `covered` with the oracle's stateless `cores(J)` and
+    `is_covered(J)`, asked only when read.
+
+    `add(e)` for an e that crosses no core of J keeps those cores without
+    a call: F^{J+e} is a subfamily of F^J that still holds every core of
+    J, so they stay its minimal members.
+    """
+
+    __slots__ = ("_oracle", "edges", "_cores")
+
+    def __init__(
+        self, oracle: "FamilyOracle", edges: tuple[Edge, ...], cores: tuple[NodeSet, ...] | None = None
+    ) -> None:
+        self._oracle = oracle
+        self.edges = edges
+        self._cores = cores
+
+    @property
+    def cores(self) -> tuple[NodeSet, ...]:
+        if self._cores is None:
+            self._cores = tuple(self._oracle.cores(self.edges))
+        return self._cores
+
+    @property
+    def covered(self) -> bool:
+        return self._oracle.is_covered(self.edges)
+
+    def add(self, u: int, v: int) -> "_StatelessResidual":
+        validate_edges(self._oracle.universe_size(), ((u, v),))
+        cores = self._cores
+        if cores is not None and any(edge_crosses_mask(c.mask, u, v) for c in cores):
+            cores = None
+        return _StatelessResidual(self._oracle, self.edges + ((u, v),), cores)
+
+    def remove(self, u: int, v: int) -> "_StatelessResidual":
+        return _StatelessResidual(self._oracle, _without(self.edges, (u, v)))
+
+
+# What `FamilyOracle.residual` returns: the base class's or the kernel's.
+Residual = _StatelessResidual | _KernelResidual
+
+
 class FamilyOracle:
     """Contract shared by family backends.
 
@@ -570,10 +769,20 @@ class FamilyOracle:
     loudly on a violation instead of letting a bad family corrupt a run;
     checkers never assume either.
 
+    residual() is the same query made incremental: an immutable residual of
+    the empty edge set, whose `cores` (the validated canonical tuple) and
+    `covered` answer for its J, and whose `add(u, v)` and `remove(u, v)`
+    return the residual of J plus or less one copy of (u, v).  The solver
+    and the optimum search walk it one edge at a time.  This default keeps
+    J and asks `cores(J)` and `is_covered(J)`, so a wrapper that forwards
+    only those two sees exactly the stateless calls; an added edge that
+    crosses no current core keeps the current cores without a call.
+
     Both backends answer every call from a `_CoverageKernel` over their
     family's incidence list: the explicit backend builds it once per oracle,
     the small-cut backend reads the one its graph builds from a single cut
-    scan.
+    scan.  Their residual is the kernel's (`_KernelResidual`), which derives
+    each residual from the last one by bitmask updates.
     """
 
     def universe_size(self) -> int:
@@ -584,7 +793,7 @@ class FamilyOracle:
 
     def cores(self, edges: Sequence[Edge]) -> list[NodeSet]:
         out = self._cores_impl(edges)
-        self._validate_cores(out)
+        _validate_cores(out)
         return out
 
     def is_covered(self, edges: Sequence[Edge]) -> bool:
@@ -592,6 +801,9 @@ class FamilyOracle:
         so the cores behind every False are validated; on the kernel-backed
         oracles a True costs the edge check and one OR per edge."""
         return not self.cores(edges)
+
+    def residual(self) -> Residual:
+        return _StatelessResidual(self, ())
 
     def contains(self, s: NodeSet) -> bool:
         """True when `s` is a member of the family.
@@ -608,18 +820,6 @@ class FamilyOracle:
         path = [*zip(inside, inside[1:]), *zip(outside, outside[1:])]
         return any(c.mask == s.mask for c in self.cores(path))
 
-    def _validate_cores(self, cores: list[NodeSet]) -> None:
-        seen = 0
-        for i, b in enumerate(cores):
-            if b.is_empty():
-                raise OracleInvariantError("cores not inclusion-minimal: an empty core")
-            if b.mask & seen:
-                a = next(a for a in cores[:i] if a.mask & b.mask)
-                raise OracleInvariantError(
-                    f"cores not pairwise disjoint: {sorted(a.members())} and {sorted(b.members())}"
-                )
-            seen |= b.mask
-
 
 class ExplicitFamilyOracle(FamilyOracle):
     """Oracle over an explicit member list, which is read once, when the
@@ -634,6 +834,9 @@ class ExplicitFamilyOracle(FamilyOracle):
 
     def contains(self, s: NodeSet) -> bool:
         return s.n == self.family.n and s.mask in self._kernel.masks
+
+    def residual(self) -> _KernelResidual:
+        return self._kernel.root
 
     def _cores_impl(self, edges: Sequence[Edge]) -> list[NodeSet]:
         return self._kernel.cores(edges)

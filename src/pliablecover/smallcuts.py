@@ -33,6 +33,7 @@ from .setfam import (
     FamilyOracle,
     NodeSet,
     _CoverageKernel,
+    _KernelResidual,
     edge_crosses_mask,
     over_common_denominator,
     validate_edges,
@@ -187,6 +188,9 @@ class SmallCutsOracle(FamilyOracle):
 
     def contains(self, s: NodeSet) -> bool:
         return s.n == self.h.n and s.mask in self.h._cuts[0].masks
+
+    def residual(self) -> _KernelResidual:
+        return self.h._cuts[0].root
 
     def _cores_impl(self, edges: Sequence[Edge]) -> list[NodeSet]:
         return self.h._cuts[0].cores(edges)

@@ -1,15 +1,18 @@
 """Two-phase primal-dual edge cover of a set family.
 
-Phase 1 repeatedly asks the family oracle for the cores of the residual
-family, raises all their dual variables by the largest uniform amount that
-keeps every edge's accumulated load at or below its cost, and picks one
-newly tight edge.  Phase 2 walks the picked edges in exact reverse order and
-drops any edge whose removal keeps the family covered.
+Phase 1 repeatedly reads the cores of the residual family, raises all
+their dual variables by the largest uniform amount that keeps every edge's
+accumulated load at or below its cost, and picks one newly tight edge.
+Phase 2 walks the picked edges in exact reverse order and drops any edge
+whose removal keeps the family covered.  Both walk the oracle's incremental
+residual (`FamilyOracle.residual`): phase 1 adds each pick to it, and phase
+2 removes each edge from the residual phase 1 ended with, so no query
+starts again from the whole edge set.
 
 All arithmetic is over Fraction; tightness means exact equality of load and
 cost.  Determinism is pinned down explicitly: cores are listed in canonical
-order, candidate edges are scanned by id, and the lowest-id newly tight edge
-is picked (the full tie list is recorded in the trace).
+order, ties are listed by id, and the lowest-id newly tight edge is picked
+(the full tie list is recorded in the trace).
 """
 
 from __future__ import annotations
@@ -19,7 +22,16 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InfeasibleError
-from .setfam import Edge, FamilyOracle, NodeSet, bits, incidence, over_common_denominator, validate_edges
+from .setfam import (
+    Edge,
+    FamilyOracle,
+    NodeSet,
+    Residual,
+    bits,
+    incidence,
+    over_common_denominator,
+    validate_edges,
+)
 
 
 @dataclass(frozen=True)
@@ -95,15 +107,41 @@ def edge_loads(g: CostedGraph, values: Iterable[tuple[NodeSet, Fraction]]) -> li
     return [Fraction(sum(nums[i] for i in bits(inc[u] ^ inc[v])), denom) for u, v, _ in g.edges]
 
 
+def _count_crossers(nbrs: list[list[tuple[int, int]]], core: NodeSet, cov: dict[int, int], step: int) -> int:
+    """Add `step` to cov[e] for every edge e crossing `core` (an entry that
+    reaches 0 is dropped) and return how many edges cross it."""
+    m = core.mask
+    found = 0
+    for w in core.members():
+        for e, x in nbrs[w]:
+            if not m >> x & 1:
+                c = cov.get(e, 0) + step
+                if c:
+                    cov[e] = c
+                else:
+                    del cov[e]
+                found += 1
+    return found
+
+
 def phase1(
     g: CostedGraph, oracle: FamilyOracle
-) -> tuple[list[int], list[IterationRecord], dict[NodeSet, Fraction], list[Fraction]]:
+) -> tuple[list[int], list[IterationRecord], dict[NodeSet, Fraction], list[Fraction], Residual]:
     """Grow duals until the picked edges cover the family.
 
     Returns (picked edge ids in order of addition, iteration records, dual
-    values, edge loads).  Raises InfeasibleError carrying an uncoverable
-    core.  Each raise is charged to the unpicked edges only, and a picked
-    edge crosses no later core, so the loads equal edge_loads of the values.
+    values, edge loads, the oracle's residual of the picked edges).  Raises
+    InfeasibleError carrying an uncoverable core.  Each raise is charged to
+    the unpicked edges only, and a picked edge crosses no later core, so
+    the loads equal edge_loads of the values.
+
+    Each iteration is derived from the last one.  The residual grows by one
+    `add` per pick (`FamilyOracle.residual`).  The candidates, each with the
+    number of cores it crosses, are kept across iterations and updated only
+    for the cores that changed, through the edges at their nodes: a picked
+    edge covers every core it crosses, so it crosses no later core, and a
+    core that stays keeps its crossers.  For the same reason only a new
+    core can be left without a crosser.
 
     The edges whose load equals their cost are kept as a set: the cost-0
     edges, plus the tight candidates of each positive raise (loads change
@@ -117,28 +155,28 @@ def phase1(
     tight_edges = {e for e, c in enumerate(costs) if not c}
     values: dict[NodeSet, Fraction] = {}
     picked: list[int] = []
-    picked_set: set[int] = set()
-    picked_pairs: list[Edge] = []
     records: list[IterationRecord] = []
+    residual = oracle.residual()
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for eid, (u, v, _) in enumerate(g.edges):
+        nbrs[u].append((eid, v))
+        nbrs[v].append((eid, u))
+    cov: dict[int, int] = {}  # candidate edge -> number of cores it crosses
+    last: dict[int, NodeSet] = {}  # the last iteration's cores by mask
 
     while True:
-        cores = oracle.cores(picked_pairs)
+        cores = residual.cores
         if not cores:
             break
-        # Edges already picked never cover a residual core (its d_J is 0),
-        # so candidates are exactly the unpicked edges crossing some core.
-        inc = incidence(g.n, (core.mask for core in cores))
-        cov: dict[int, int] = {}
-        hit = 0
-        for eid, (u, v, _) in enumerate(g.edges):
-            crossed = inc[u] ^ inc[v]
-            if crossed and eid not in picked_set:
-                cov[eid] = crossed.bit_count()
-                hit |= crossed
-        unhit = ~hit & ((1 << len(cores)) - 1)
-        if unhit:
-            raise InfeasibleError(cores[bits(unhit)[0]])
-        tight = tuple(e for e in cov if e in tight_edges)
+        now = {core.mask: core for core in cores}
+        for m, core in last.items():
+            if m not in now:
+                _count_crossers(nbrs, core, cov, -1)
+        for core in cores:
+            if core.mask not in last and not _count_crossers(nbrs, core, cov, 1):
+                raise InfeasibleError(core)
+        last = now
+        tight = sorted(tight_edges.intersection(cov))
         if tight:
             eps = Fraction(0)
             assert all(loads[e] <= costs[e] for e in cov), "dual feasibility violated before the raise"
@@ -150,34 +188,35 @@ def phase1(
             for e, c in cov.items():
                 loads[e] += eps * c
                 assert loads[e] <= costs[e], "edge load exceeded its cost"
-            tight = tuple(e for e in cov if loads[e] == costs[e])
+            tight = sorted(e for e in cov if loads[e] == costs[e])
             tight_edges.update(tight)
         assert tight, "the minimizing edge must be tight after the raise"
         added = tight[0]
         picked.append(added)
-        picked_set.add(added)
-        picked_pairs.append(g.pair(added))
-        records.append(IterationRecord(tuple(cores), eps, added, tight))
+        residual = residual.add(*g.pair(added))
+        records.append(IterationRecord(cores, eps, added, tuple(tight)))
 
-    return picked, records, values, loads
+    return picked, records, values, loads, residual
 
 
-def phase2(g: CostedGraph, oracle: FamilyOracle, picked: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Reverse delete: drop each edge, newest first, if coverage survives."""
-    keep = list(picked)
+def phase2(g: CostedGraph, picked: Sequence[int], residual: Residual) -> tuple[list[int], list[int]]:
+    """Reverse delete: drop each edge, newest first, if coverage survives.
+
+    `residual` is the one phase 1 ended with, of the picked edges; each
+    probe removes one edge from the residual of the edges kept so far."""
     deleted: list[int] = []
     for e in reversed(picked):
-        without = [x for x in keep if x != e]
-        if oracle.is_covered([g.pair(x) for x in without]):
-            keep = without
+        probe = residual.remove(*g.pair(e))
+        if probe.covered:
+            residual = probe
             deleted.append(e)
-    return sorted(keep), deleted
+    return sorted(set(picked).difference(deleted)), deleted
 
 
 def solve(g: CostedGraph, oracle: FamilyOracle) -> RunTrace:
     """Run both phases and assemble the full trace."""
-    picked, records, values, loads = phase1(g, oracle)
-    solution, deleted = phase2(g, oracle, picked)
+    picked, records, values, loads, residual = phase1(g, oracle)
+    solution, deleted = phase2(g, picked, residual)
     ordered = tuple(sorted(values.items(), key=lambda kv: kv[0].sort_key()))
     dual = DualState(values=ordered, loads=tuple(loads))
     return RunTrace(tuple(records), tuple(deleted), tuple(solution), dual)
