@@ -24,8 +24,6 @@ from typing import Iterator
 
 from .errors import GenerationError, GuardError, guard
 from .setfam import (
-    MAX_EXHAUSTIVE_FAMILY,
-    MAX_EXHAUSTIVE_UNIVERSE,
     Edge,
     ExplicitFamily,
     NodeSet,
@@ -38,6 +36,10 @@ from .smallcuts import CapGraph, materialize_family
 from .wgmv import CostedGraph, edge_loads
 
 GENERATION_BUDGET = 400
+# A pliability repair still short of pliable past this many members is
+# given up.  The limit is the member guard the gamma check once had, kept
+# so that every `gen --kind gamma` draw keeps its bytes.
+MAX_REPAIRED_MEMBERS = 256
 # The properties a proposal of each kind must have, checked in this order.
 _ACCEPT = {
     "gamma": ("pliable", "gamma"),
@@ -321,9 +323,8 @@ def _random_repaired_masks(rng: random.Random, n: int) -> list[int] | None:
     """Random seed sets, then add derived sets until the family is pliable.
 
     Each round repairs the first non-pliable pair of the sorted masks.  A
-    family past the pair scan's guard, or still unrepaired past the gamma
-    check's member guard, is given up: it could not pass the class checks
-    anyway.
+    family past the pair scan's guard, or still unrepaired past
+    MAX_REPAIRED_MEMBERS, is given up.
     """
     if n < 3:
         return None  # fewer than three proper nonempty subsets to seed with
@@ -338,8 +339,8 @@ def _random_repaired_masks(rng: random.Random, n: int) -> list[int] | None:
             return None
         if pair is None:
             return sorted(masks)
-        if len(masks) > MAX_EXHAUSTIVE_FAMILY:
-            return None  # repairs only add members, and gamma refuses this many
+        if len(masks) > MAX_REPAIRED_MEMBERS:
+            return None
         a, b = pair
         derived = [a & b, a | b, a & ~b, b & ~a]
         present = sum(1 for d in derived if d in masks)
@@ -414,12 +415,11 @@ def random_instance(
         raise ValueError(f"unknown instance kind {kind!r}")
     if n is not None and n < 2:
         raise ValueError(f"universe size n = {n} is below 2")
-    # Sizes at which no proposal can pass its checker: every gamma proposal
-    # goes to the exhaustive gamma check, and a group-split proposal has at
-    # least 2^(n-1) members, past the pair scan's 1000-member guard from n = 11.
-    limit = {"gamma": MAX_EXHAUSTIVE_UNIVERSE, "uncrossable": 10}.get(kind)
-    if n is not None and limit is not None:
-        guard(f"verified {kind} generation", "n", n, limit)
+    # Sizes at which no proposal can pass its checker: a group-split
+    # proposal has at least 2^(n-1) members, past the pair scan's
+    # 1000-member guard from n = 11.
+    if kind == "uncrossable" and n is not None:
+        guard(f"verified {kind} generation", "n", n, 10)
     for _ in range(GENERATION_BUDGET):
         size = n if n is not None else rng.randint(4, 7)
         roll = rng.random()

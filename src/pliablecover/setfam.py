@@ -9,26 +9,31 @@ and reports the first violation it finds:
   sets inside the family) and uncrossability, both by one pair scan,
 * properness (symmetric, and no member splits into two non-members),
 * the residual-family property we call "gamma" here: for any edge set I and
-  nested members S1 < S2 of the residual family, a residual core crossing
-  both forces S2 - (S1 | C) to be empty or a residual member, and
-* sparseness (no residual member crosses two distinct residual cores).
+  nested members S1 < S2 of the residual family F^I, a core of F^I crossing
+  both forces S2 - (S1 | C) to be empty or a member of F^I, and
+* sparseness (no member of F^I crosses two distinct cores of F^I).
 
 `crossing_number` computes the least beta such that in every residual
 family every core crosses at most beta pairwise disjoint members.
 
-The quantifier "for any edge set I" ranges over every edge set on V, that
-is over the subsets of all node pairs.  Two edge sets with the same covered
-members induce the same residual family, so the exhaustive mode enumerates
-the distinct reachable residual families (the union closure of the per-edge
-coverage masks) instead of all 2^|I| subsets.  A sampled mode draws random
-edge subsets with a fixed seed for instances past the guards; a sampled
-pass reports `holds` true with mode "sampled" and its sample count, which
-means no counterexample was found in those draws and is not a proof.
+The quantifier "for any edge set I" ranges over every edge set on V, yet
+the checks list no residual family.  Fix the sets a violation names:
+(S1, S2, C) for gamma, (S, C1, C2) for sparseness, (C, P1..Pr) for the
+crossing number, and let I* be every node pair that crosses none of them.
+An I that shows the violation crosses none of them, so I lies inside I*,
+and F^{I*} is a subfamily of F^I that still holds the named sets: C stays
+minimal, and a missing D stays missing.  So a violation exists at some I
+exactly when it exists at I*.  The named sets cut V into atoms, and F^{I*}
+is the members that are unions of atoms: C is a core of F^{I*} exactly
+when no member strictly inside C is a union of the atoms inside C, and
+D = S2 - (S1 | C), an atom, is in F^{I*} exactly when it is in F.  Each
+check is then a scan over member tuples, exact at any n, and a reported
+counterexample carries as `edges` a path through each atom, whose residual
+family is F^{I*}.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -37,12 +42,11 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import OracleInvariantError, UniverseMismatchError, guard
 
-# Hard guards for the exhaustive checkers.  Enumeration cost is governed by
-# the union-closure size, which is capped explicitly; the remaining guards
-# keep the per-residual scans (quadratic and cubic in |F|) at desk scale.
-MAX_EXHAUSTIVE_UNIVERSE = 16
-MAX_EXHAUSTIVE_FAMILY = 256
-MAX_CLOSURE_SIZE = 120_000
+# The class checks (gamma, sparse, crossing number) count the candidate
+# tuples they examine: member pairs, then triples or packing branches.  A
+# packing search stopping at this limit takes about 10 s, a pair or triple
+# scan 0.3-1 s (2 vCPU, CPython 3.11).
+MAX_CHECK_STEPS = 2_000_000
 # The pairwise scans (pliable, uncrossable) test at most 10^6 pairs.
 MAX_PAIR_SCAN_FAMILY = 1000
 
@@ -419,88 +423,80 @@ class _KernelResidual:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of a family checker run.
-
-    `holds` under mode "sampled" means "no counterexample found in `samples`
-    draws", never a proof; `mode` travels with the result so downstream
-    consumers cannot lose that caveat.
-    """
+    """Outcome of a family checker run: whether the property holds, and the
+    first violation found when it does not."""
 
     property_name: str
     holds: bool
     counterexample: Optional[dict]
-    mode: str
-    samples: int = 0
 
 
 def all_pairs(n: int) -> list[Edge]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-def _reachable_residuals(
-    kernel: _CoverageKernel, pairs: Sequence[Edge], what: str
-) -> dict[int, list[Edge]]:
-    """All distinct covered-member masks reachable as unions of per-edge
-    coverage masks, each with one representative edge set realizing it."""
-    check = f"exhaustive {what} check"
-    gen: dict[int, Edge] = {}
-    for u, v in pairs:
-        cm = kernel.inc[u] ^ kernel.inc[v]
-        if cm not in gen:
-            gen[cm] = (u, v)
-    reached: dict[int, list[Edge]] = {0: []}
-    frontier = [0]
-    while frontier:
-        cur = frontier.pop()
-        base = reached[cur]
-        for cm, edge in gen.items():
-            nxt = cur | cm
-            if nxt not in reached:
-                guard(check, "residual families found before stopping", len(reached) + 1, MAX_CLOSURE_SIZE)
-                reached[nxt] = base + [edge]
-                frontier.append(nxt)
-    return reached
+class _Steps:
+    """The candidate tuples one class check has examined, refused past
+    MAX_CHECK_STEPS."""
+
+    __slots__ = ("check", "count")
+
+    def __init__(self, check: str) -> None:
+        self.check = check
+        self.count = 0
+
+    def take(self, k: int) -> None:
+        self.count += k
+        guard(self.check, "candidate tuples examined", self.count, MAX_CHECK_STEPS)
 
 
-def _sampled_edge_sets(pairs: list[Edge], samples: int, seed: int) -> Iterator[list[Edge]]:
-    rng = random.Random(seed)
-    yield []
-    for _ in range(samples - 1):
-        k = rng.randint(0, len(pairs))
-        yield rng.sample(pairs, k)
+def _atoms(whole: int, named: Iterable[int]) -> list[int]:
+    """The atoms the masks `named` cut `whole` into: its nonempty classes of
+    "on the same side of every named set"."""
+    atoms = [whole]
+    for s in named:
+        atoms = [a for p in atoms for a in (p & s, p & ~s) if a]
+    return atoms
 
 
-def _residuals(
-    f: ExplicitFamily, mode: str, samples: int, seed: int, what: str
-) -> Iterator[tuple[list[int], list[int], list[Edge]]]:
-    """The residual families the checkers scan, each as (alive member
-    masks, their cores, a representative edge set on V realizing it).
+def _stays_core(c: int, named: Sequence[int], inner: Sequence[int]) -> bool:
+    """C is a core of F^{I*} for the sets `named` with it: no member strictly
+    inside C (`inner`) is a union of the atoms they cut C into."""
+    atoms = _atoms(c, named)
+    return not any(all(m & a in (0, a) for a in atoms) for m in inner)
 
-    Exhaustive mode yields every distinct reachable residual family;
-    sampled mode yields the residual of each sampled edge set, the empty
-    set first.  Empty residual families are skipped: they have no cores.
-    """
-    pairs = all_pairs(f.n)
-    kernel = _CoverageKernel(f.n, f.masks())
-    if mode == "exhaustive":
-        guard(f"exhaustive {what} check", "n", f.n, MAX_EXHAUSTIVE_UNIVERSE)
-        guard(f"exhaustive {what} check", "|F|", len(f), MAX_EXHAUSTIVE_FAMILY)
-        residuals = (
-            (kernel.alive(covered), rep)
-            for covered, rep in _reachable_residuals(kernel, pairs, what).items()
-        )
-    elif mode == "sampled":
-        if samples < 1:
-            raise ValueError(f"samples must be at least 1, got {samples}")
-        residuals = (
-            (kernel.alive(kernel.covered(edges)), edges)
-            for edges in _sampled_edge_sets(pairs, samples, seed)
-        )
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    for alive, edges in residuals:
-        if alive:
-            yield alive, _minimal_masks(alive), edges
+
+def _partners(n: int, masks: Sequence[int], steps: _Steps) -> tuple[list[int], list[list[int]]]:
+    """Per member C, as a bitmask over member indexes, the members S that
+    cross C and keep C a core when named with it alone (neither C & S nor
+    C - S is a member); and the list of members strictly inside C.  Every set
+    a violation names next to a core C is among C's partners: C & S and
+    C - S are unions of atoms of any sets that name S."""
+    full = (1 << n) - 1
+    present = set(masks)
+    partners, inner = [], []
+    for c in masks:
+        steps.take(len(masks))
+        found, inside = 0, []
+        for j, s in enumerate(masks):
+            if s & ~c == 0:
+                if s != c:
+                    inside.append(s)
+            elif _crosses_masks(c, s, full) and c & s not in present and c & ~s not in present:
+                found |= 1 << j
+        partners.append(found)
+        inner.append(inside)
+    return partners, inner
+
+
+def _counterexample(n: int, named: dict[str, int]) -> dict:
+    """The named sets as member lists, with `edges`: a path through each atom
+    they cut V into.  Those edges cross exactly the sets that are not unions
+    of atoms, so their residual family is F^{I*}."""
+    out: dict = {key: bits(m) for key, m in named.items()}
+    atoms = [bits(a) for a in _atoms((1 << n) - 1, named.values())]
+    out["edges"] = sorted([u, v] for a in atoms for u, v in zip(a, a[1:]))
+    return out
 
 
 def _pliable_pair(a: int, b: int, present: set[int]) -> bool:
@@ -559,138 +555,122 @@ def _proper_violation(f: ExplicitFamily) -> Optional[dict]:
     return None
 
 
-def _gamma_violation(
-    n: int, alive: list[int], cores: list[int], edges: list[Edge]
-) -> Optional[dict]:
-    """A Property-violating (S1, S2, C, D) tuple in one residual family."""
-    full = (1 << n) - 1
-    present = set(alive)
-    for s1 in alive:
-        for s2 in alive:
-            if s1 == s2 or s1 & ~s2 != 0:
-                continue  # need S1 strictly inside S2
-            for c in cores:
-                if not (_crosses_masks(c, s1, full) and _crosses_masks(c, s2, full)):
-                    continue
+def _gamma_violation(f: ExplicitFamily) -> Optional[dict]:
+    """The first (C, S1, S2), C in member order and S1, S2 in C's partner
+    order, with S1 strictly inside S2, D = S2 - (S1 | C) nonempty and not a
+    member, and C still a core once S1 and S2 are named (D is an atom, so
+    it is in F^{I*} exactly when it is in F)."""
+    masks = f.masks()
+    present = set(masks)
+    steps = _Steps("exhaustive gamma-pliability check")
+    partners, inner = _partners(f.n, masks, steps)
+    for c, found, inside in zip(masks, partners, inner):
+        ss = [masks[j] for j in bits(found)]
+        for s1 in ss:
+            steps.take(len(ss))
+            for s2 in ss:
+                if s1 & ~s2 or s1 == s2:
+                    continue  # need S1 strictly inside S2
                 d = s2 & ~(s1 | c)
-                if d != 0 and d not in present:
-                    return {
-                        "edges": [list(e) for e in edges],
-                        "s1": bits(s1),
-                        "s2": bits(s2),
-                        "core": bits(c),
-                        "d": bits(d),
-                    }
+                if d and d not in present and _stays_core(c, (s1, s2), inside):
+                    return _counterexample(f.n, {"s1": s1, "s2": s2, "core": c, "d": d})
     return None
 
 
-def _sparse_violation(
-    n: int, alive: list[int], cores: list[int], edges: list[Edge]
-) -> Optional[dict]:
-    """A residual member crossing two distinct residual cores."""
-    full = (1 << n) - 1
-    for s in alive:
-        crossed = [c for c in cores if _crosses_masks(s, c, full)]
-        if len(crossed) >= 2:
-            return {
-                "edges": [list(e) for e in edges],
-                "s": bits(s),
-                "core1": bits(crossed[0]),
-                "core2": bits(crossed[1]),
-            }
-    return None
-
-
-def _residual_violation(
-    violation, what: str, f: ExplicitFamily, mode: str, samples: int, seed: int
-) -> Optional[dict]:
-    """The first violation(n, alive, cores, edges) over `_residuals`."""
-    for alive, cores, edges in _residuals(f, mode, samples, seed, what):
-        found = violation(f.n, alive, cores, edges)
-        if found is not None:
-            return found
+def _sparse_violation(f: ExplicitFamily) -> Optional[dict]:
+    """The first pair of members C1 before C2 and the first S among their
+    common partners with both still cores once S and the other are named."""
+    masks = f.masks()
+    steps = _Steps("exhaustive sparseness check")
+    partners, inner = _partners(f.n, masks, steps)
+    live = [i for i, found in enumerate(partners) if found]
+    for k, i in enumerate(live):
+        steps.take(len(live) - k)
+        for j in live[k + 1 :]:
+            common = partners[i] & partners[j]
+            if not common:
+                continue
+            c1, c2 = masks[i], masks[j]
+            steps.take(common.bit_count())
+            for s in (masks[x] for x in bits(common)):
+                if _stays_core(c1, (s, c2), inner[i]) and _stays_core(c2, (s, c1), inner[j]):
+                    return _counterexample(f.n, {"s": s, "core1": c1, "core2": c2})
     return None
 
 
 @dataclass(frozen=True)
 class FamilyProperty:
-    """One row of PROPERTIES.  An exact property quantifies over members
-    only, so every mode decides it and its finder takes the family alone;
-    the others' finders take (f, mode, samples, seed).  A
-    finder returns the first violation as a JSON-ready dict, or None."""
+    """One row of PROPERTIES: the name CheckResult reports, and a finder
+    that returns the family's first violation as a JSON-ready dict, or
+    None."""
 
-    name: str  # as CheckResult reports it
-    exact: bool
-    find: Callable[..., Optional[dict]]
+    name: str
+    find: Callable[[ExplicitFamily], Optional[dict]]
 
 
 # The family properties `check_family` decides, by the name callers pass.
 PROPERTIES: dict[str, FamilyProperty] = {
-    "pliable": FamilyProperty("pliable", True, partial(_pair_violation, _pliable_pair, "pliability")),
-    "gamma": FamilyProperty(
-        "gamma-pliable", False, partial(_residual_violation, _gamma_violation, "gamma-pliability")
-    ),
-    "sparse": FamilyProperty(
-        "sparse", False, partial(_residual_violation, _sparse_violation, "sparseness")
-    ),
-    "proper": FamilyProperty("proper", True, _proper_violation),
-    "uncrossable": FamilyProperty(
-        "uncrossable", True, partial(_pair_violation, _uncrossable_pair, "uncrossability")
-    ),
+    "pliable": FamilyProperty("pliable", partial(_pair_violation, _pliable_pair, "pliability")),
+    "gamma": FamilyProperty("gamma-pliable", _gamma_violation),
+    "sparse": FamilyProperty("sparse", _sparse_violation),
+    "proper": FamilyProperty("proper", _proper_violation),
+    "uncrossable": FamilyProperty("uncrossable", partial(_pair_violation, _uncrossable_pair, "uncrossability")),
 }
 
 
-def check_family(
-    f: ExplicitFamily, prop: str, mode: str = "exhaustive", samples: int = 200, seed: int = 0
-) -> CheckResult:
+def check_family(f: ExplicitFamily, prop: str) -> CheckResult:
     """Decide property `prop`, a key of PROPERTIES, of `f`, with the first
-    violation found.  The exact properties (pliable, uncrossable, proper)
-    ignore the other arguments and report mode "exhaustive".  gamma and
-    sparse range over every edge set on V; only exhaustive mode decides
-    them; a sampled result with `holds` true means no counterexample was
-    found in `samples` draws, not a proof."""
+    violation found."""
     if prop not in PROPERTIES:
         raise ValueError(f"unknown family property {prop!r}")
     p = PROPERTIES[prop]
-    if p.exact:
-        found = p.find(f)
-        return CheckResult(p.name, found is None, found, "exhaustive")
-    found = p.find(f, mode, samples, seed)
-    return CheckResult(p.name, found is None, found, mode, samples if mode == "sampled" else 0)
+    found = p.find(f)
+    return CheckResult(p.name, found is None, found)
 
 
-def _max_disjoint_packing(cands: list[int]) -> int:
-    """Maximum number of pairwise-disjoint masks, by branch and bound."""
-    cands = sorted(cands, key=lambda m: bin(m).count("1"))
-    return _packing(cands, 0, 0, 0, 0)
+def _max_disjoint_packing(cands: Sequence[int], core: int, inner: Sequence[int], best: int, steps: _Steps) -> int:
+    """The larger of `best` and the most pairwise-disjoint `cands` that keep
+    `core` a core: no mask of `inner` a union of the atoms they cut it into.
+
+    A search node keeps the masks of `inner` that every pick so far leaves
+    whole or untouched; any other one is split by a pick's atom for good.
+    A pick P splits the rest of the core, R, into R & P and R - P, so a kept
+    mask becomes a union of atoms exactly when it leaves both whole or
+    untouched, and then every extension fails as well: the search stops.
+    """
+    stack = [(0, 0, 0, tuple(inner))]  # (next candidate, union of picks, picks, kept masks)
+    while stack:
+        start, used, count, kept = stack.pop()
+        steps.take(1)
+        best = max(best, count)
+        for j in range(len(cands) - 1, start - 1, -1):
+            p = cands[j]
+            if p & used or count + len(cands) - j <= best:
+                continue
+            part, rest = core & p, core & ~(used | p)
+            still = tuple(m for m in kept if m & part in (0, part))
+            if not any(m & rest in (0, rest) for m in still):
+                stack.append((j + 1, used | p, count + 1, still))
+    return best
 
 
-def _packing(cands: list[int], idx: int, used: int, count: int, best: int) -> int:
-    """The larger of `best` and the largest packing that extends `count`
-    masks of union `used`, taken from cands[:idx], by masks from cands[idx:]."""
-    if count + (len(cands) - idx) <= best:
-        return best
-    if idx == len(cands):
-        return max(best, count)
-    m = cands[idx]
-    if m & used == 0:
-        best = _packing(cands, idx + 1, used | m, count + 1, best)
-    return _packing(cands, idx + 1, used, count, best)
-
-
-def crossing_number(f: ExplicitFamily, mode: str = "exhaustive", samples: int = 200, seed: int = 0) -> int:
+def crossing_number(f: ExplicitFamily) -> int:
     """Least beta such that, for every edge set on V, every residual core
     crosses at most beta pairwise disjoint residual members.  Clamped to
-    >= 1 so that the result is always a usable ratio parameter.  In sampled
-    mode this is only a lower-bound estimate over the sampled residuals.
+    >= 1 so that the result is always a usable ratio parameter.
+
+    For each member C, the largest packing of its partners that keeps C a
+    core of F^{I*}: adding a set only refines the atoms, so a branch stops
+    once a member strictly inside C becomes a union of atoms.
     """
-    full = (1 << f.n) - 1
+    masks = f.masks()
+    steps = _Steps("exhaustive crossing-number check")
+    partners, inner = _partners(f.n, masks, steps)
     best = 0
-    for alive, cores, _ in _residuals(f, mode, samples, seed, "crossing-number"):
-        for c in cores:
-            cands = [s for s in alive if _crosses_masks(c, s, full)]
-            if len(cands) > best:  # packing can only be <= len(cands)
-                best = max(best, _max_disjoint_packing(cands))
+    for c, found, inside in zip(masks, partners, inner):
+        if found.bit_count() > best:  # a packing is at most that large
+            cands = sorted((masks[j] for j in bits(found)), key=int.bit_count)
+            best = _max_disjoint_packing(cands, c, inside, best, steps)
     return max(1, best)
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import pliablecover
 import pliablecover.cli as cli
+from pliablecover.setfam import bits
 
 CMD = [sys.executable, "-m", "pliablecover"]
 # The subprocess imports the same package as these tests, installed or not.
@@ -436,17 +437,6 @@ def test_check_family_names_a_bad_member_by_its_path():
     assert r.stderr == "error: family.members[1]: expected a list of integers\n"
 
 
-def test_check_family_refuses_nonpositive_samples():
-    laminar = json.dumps({"kind": "explicit", "n": 4, "members": [[0], [0, 1]]})
-    for prop in ("gamma", "sparse", "crossing-number"):
-        r = run_cli(
-            "check-family", "--property", prop, "--mode", "sampled", "--samples", "-5", stdin=laminar
-        )
-        assert r.returncode == 2, (prop, r.stderr)
-        assert r.stdout == ""
-        assert "samples must be at least 1, got -5" in r.stderr
-
-
 def test_check_family_crossing_number():
     laminar = {"kind": "explicit", "n": 4, "members": [[0], [0, 1], [0, 1, 2]]}
     r = run_cli("check-family", "--property", "crossing-number", stdin=json.dumps(laminar))
@@ -537,12 +527,19 @@ def test_gen_refuses_universes_below_two(kind):
     assert run_cli("gen", "--kind", kind, "--n", "2").returncode == 0
 
 
-@pytest.mark.parametrize("kind,n,limit", [("gamma", 17, 16), ("uncrossable", 11, 10)])
+@pytest.mark.parametrize("kind,n,limit", [("uncrossable", 11, 10)])
 def test_gen_refuses_sizes_no_proposal_can_pass(kind, n, limit):
     r = run_cli("gen", "--kind", kind, "--n", str(n))
     assert r.returncode == 3
     assert r.stdout == ""
     assert r.stderr == f"error: instance too large for verified {kind} generation: n = {n} > {limit}\n"
+
+
+def test_gen_draws_gamma_families_past_sixteen_nodes():
+    # The gamma check has no universe guard, so neither has its generator.
+    r = run_cli("gen", "--kind", "gamma", "--n", "20", "--count", "4", "--seed", "0")
+    assert r.returncode == 0, r.stderr
+    assert [doc["family"]["n"] for doc in json.loads(r.stdout)["instances"]] == [20] * 4
 
 
 # ---------------------------------------------------------------------------
@@ -592,10 +589,10 @@ def test_closed_stdout_exits_141_silently():
 
 
 def test_guard_refusal_exits_3():
-    big = {"kind": "explicit", "n": 18, "members": [[0]]}
-    r = run_cli("check-family", "--property", "gamma", stdin=json.dumps(big))
+    crowded = {"kind": "explicit", "n": 10, "members": [bits(m) for m in range(1, 1002)]}
+    r = run_cli("check-family", "--property", "pliable", stdin=json.dumps(crowded))
     assert r.returncode == 3
-    assert "error:" in r.stderr
+    assert r.stderr == "error: instance too large for exhaustive pliability check: |F| = 1001 > 1000\n"
 
 
 @pytest.mark.parametrize("cmd", ["solve", "exact", "certify", "analyze", "witness"])

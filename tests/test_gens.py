@@ -147,11 +147,12 @@ def test_tight_six_members_cross_at_most_one_core():
 
 
 def test_tight_beta_crossing_number_matches_at_the_smallest_size():
-    b = tight_beta(2, 1)
-    assert crossing_number(b.family) == 1
-    # larger sizes exceed the exhaustive-search universe on purpose
-    with pytest.raises(GuardError):
-        crossing_number(tight_beta(4, 2).family)
+    # From the smallest size up to 64 leaves; the slowest, tight_beta(64, 8),
+    # takes about 0.5 s (2 vCPU, CPython 3.11).
+    for leaves in (2, 4, 8, 16, 32, 64):
+        for beta in (1, 2, 4, 8):
+            if beta <= leaves:
+                assert crossing_number(tight_beta(leaves, beta).family) == beta, (leaves, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +206,11 @@ def test_random_instance_refuses_universes_below_two_before_drawing():
 
 
 def test_random_instance_refuses_sizes_no_proposal_can_pass_before_drawing():
-    for kind, n, limit in (("gamma", 17, 16), ("uncrossable", 11, 10)):
-        rng = random.Random(0)
-        state = rng.getstate()
-        with pytest.raises(
-            GuardError, match=rf"verified {kind} generation: n = {n} > {limit}$"
-        ):
-            random_instance(kind, rng, n=n)
-        assert rng.getstate() == state
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(GuardError, match=r"verified uncrossable generation: n = 11 > 10$"):
+        random_instance("uncrossable", rng, n=11)
+    assert rng.getstate() == state
     g, f = random_instance("uncrossable", random.Random(0), n=10)
     assert f.n == 10 and check_family(f, "proper").holds and check_family(f, "pliable").holds
 
@@ -229,7 +227,7 @@ def test_repair_gives_up_past_the_gamma_member_guard(monkeypatch):
     limit, n = 8, 6
     grown = [i for i in range(40) if len(gens._random_repaired_masks(random.Random(i), n) or ()) > limit + 2]
     assert grown
-    monkeypatch.setattr(gens, "MAX_EXHAUSTIVE_FAMILY", limit)
+    monkeypatch.setattr(gens, "MAX_REPAIRED_MEMBERS", limit)
     for i in grown:
         assert gens._random_repaired_masks(random.Random(i), n) is None
 

@@ -12,10 +12,11 @@ import random
 
 import pytest
 
+import pliablecover.gens as gens
 import pliablecover.setfam as setfam
 from pliablecover.cli import main as cli_main
 from pliablecover.errors import GuardError, OracleInvariantError, UniverseMismatchError
-from pliablecover.gens import random_cap_graph
+from pliablecover.gens import random_cap_graph, tight_beta, tight_seven, tight_six
 from pliablecover.jsonio import check_result_to_json
 from pliablecover.setfam import (
     CheckResult,
@@ -294,7 +295,8 @@ def test_pliable_but_not_gamma_fixture():
     assert check_family(f, "pliable").holds
     res = check_family(f, "gamma")
     assert not res.holds
-    assert res.mode == "exhaustive"
+    # The named sets cut V into singletons, so the path through each atom
+    # has no edge.
     assert res.counterexample == {
         "edges": [],
         "s1": [3, 4],
@@ -312,26 +314,8 @@ def test_pliable_but_not_gamma_fixture():
     assert {0} not in members
 
 
-def test_gamma_pliable_sampled_mode():
-    f = fam(5, *PLIABLE_NOT_GAMMA)
-    res = check_family(f, "gamma", mode="sampled", samples=50, seed=0)
-    assert res.mode == "sampled"
-    assert res.samples == 50
-    # the empty edge set is always sampled first, so the violation is found
-    assert not res.holds
-    with pytest.raises(ValueError):
-        check_family(f, "gamma", mode="fancy")
-    for prop in ("gamma", "sparse"):
-        for samples in (0, -5):
-            with pytest.raises(ValueError, match="samples must be at least 1"):
-                check_family(f, prop, mode="sampled", samples=samples)
-    for samples in (0, -5):
-        with pytest.raises(ValueError, match="samples must be at least 1"):
-            crossing_number(f, mode="sampled", samples=samples)
-
-
 def test_checkresult_json_shape():
-    res = CheckResult("gamma-pliable", True, None, "exhaustive")
+    res = CheckResult("gamma-pliable", True, None)
     assert check_result_to_json(res) == {
         "property": "gamma-pliable",
         "holds": True,
@@ -339,8 +323,6 @@ def test_checkresult_json_shape():
         "mode": "exhaustive",
         "version": "1",
     }
-    sampled = CheckResult("sparse", False, {"s": [0]}, "sampled", 99)
-    assert check_result_to_json(sampled)["samples"] == 99
 
 
 # --- sparseness and crossing number --------------------------------------------
@@ -387,28 +369,44 @@ def test_crossing_number_fixture():
 
 
 def test_exhaustive_guards():
+    # The class checks have no universe or member-count guard: past the
+    # sizes the residual walk refused, they still decide.
     big = fam(18, [0], [1])
-    with pytest.raises(GuardError, match=r"too large for exhaustive gamma-pliability check: n = 18 > 16$"):
-        check_family(big, "gamma")
-    with pytest.raises(GuardError, match=r"too large for exhaustive sparseness check: n = 18 > 16$"):
-        check_family(big, "sparse")
-    with pytest.raises(GuardError, match=r"too large for exhaustive crossing-number check: n = 18 > 16$"):
-        crossing_number(big)
+    assert check_family(big, "gamma").holds and check_family(big, "sparse").holds
+    assert crossing_number(big) == 1
+    # Every nonempty part of a member with two or more nodes is a member, so
+    # once a set crosses it, it is no core; and no set crosses a singleton.
     crowded = ExplicitFamily(9, tuple(NodeSet(9, m) for m in range(1, 258)))
-    with pytest.raises(GuardError, match=r"too large for exhaustive sparseness check: \|F\| = 257 > 256$"):
-        check_family(crowded, "sparse")
-    # sampled mode is the escape hatch
-    assert check_family(big, "gamma", mode="sampled", samples=10).holds
+    assert check_family(crowded, "sparse").holds
 
 
-def test_closure_guard_names_the_measured_value(monkeypatch):
-    monkeypatch.setattr(setfam, "MAX_CLOSURE_SIZE", 2)
+def test_step_guard_names_the_measured_value(monkeypatch):
+    # Three singletons: a scan of 3 x 3 member pairs and nothing more.
+    monkeypatch.setattr(setfam, "MAX_CHECK_STEPS", 9)
+    singles = fam(4, [0], [1], [2])
+    assert check_family(singles, "gamma").holds and check_family(singles, "sparse").holds
+    assert crossing_number(singles) == 1
+    monkeypatch.setattr(setfam, "MAX_CHECK_STEPS", 8)
+    for what, check in (
+        ("gamma-pliability", lambda f: check_family(f, "gamma")),
+        ("sparseness", lambda f: check_family(f, "sparse")),
+        ("crossing-number", crossing_number),
+    ):
+        with pytest.raises(
+            GuardError, match=rf"too large for exhaustive {what} check: candidate tuples examined = 9 > 8$"
+        ):
+            check(singles)
+    # The packing search for tight_six(16) runs past any desk-scale limit
+    # (at MAX_CHECK_STEPS it stops after about 10 s); after the member-pair
+    # scan, every branch counts one step.
+    f = tight_six(16).family
+    assert len(f) ** 2 < 20_000
+    monkeypatch.setattr(setfam, "MAX_CHECK_STEPS", 20_000)
     with pytest.raises(
         GuardError,
-        match=r"too large for exhaustive sparseness check: "
-        r"residual families found before stopping = 3 > 2$",
+        match=r"too large for exhaustive crossing-number check: candidate tuples examined = 20001 > 20000$",
     ):
-        check_family(fam(4, [0], [1], [2]), "sparse")
+        crossing_number(f)
 
 
 def test_pair_scan_guard_names_the_measured_value(monkeypatch):
@@ -426,8 +424,8 @@ def test_pair_scan_guard_names_the_measured_value(monkeypatch):
 
 
 # Frozen fixture from seeded search: its sparseness counterexamples lie at
-# non-empty edge sets, so they pin the order in which both modes scan the
-# residual families and the sampled edge-set stream.
+# non-empty edge sets, so they pin the order of the pair scan and the edges
+# a counterexample reports.
 RESIDUAL_ORDER = (
     (0, 1, 2), (0, 1, 2, 3), (0, 1, 5), (0, 2, 3, 4, 5), (0, 2, 4), (1,), (1, 2, 5), (1, 3, 4, 5), (1, 3, 5)
 )
@@ -436,8 +434,7 @@ RESIDUAL_ORDER = (
 # and {1,2}, none of A&B, A|B, A-B, B-A is a member: not pliable.  Adding
 # {0} and {1} makes that pair pliable (A&B and A-B) but not uncrossable.
 # {0,1} and {2,3} are each other's complement, but {0,1} splits into {0}
-# and {1}, neither a member: not proper.  Their sampled rows below pin that
-# these exact checks report mode "exhaustive" whatever the mode asked.
+# and {1}, neither a member: not proper.
 NOT_PLIABLE = ((0, 1), (1, 2))
 NOT_UNCROSSABLE = ((0,), (1,), (0, 1), (1, 2))
 NOT_PROPER = ((0, 1), (2, 3))
@@ -445,60 +442,39 @@ NOT_PROPER = ((0, 1), (2, 3))
 # Canonical `check-family` output for the fixtures above.  The bytes are
 # pinned: any difference is a behaviour change of the checkers or the CLI.
 CHECK_FAMILY_GOLDEN = {
-    ("PLIABLE_NOT_GAMMA", "gamma", "exhaustive"): '{"counterexample":{"core":[2,3],"d":[0],"edges":[],"s1":[3,4],"s2":[0,3,4]},"holds":false,"mode":"exhaustive","property":"gamma-pliable","version":"1"}',
-    ("PLIABLE_NOT_GAMMA", "gamma", "sampled"): '{"counterexample":{"core":[2,3],"d":[0],"edges":[],"s1":[3,4],"s2":[0,3,4]},"holds":false,"mode":"sampled","property":"gamma-pliable","samples":200,"version":"1"}',
-    ("PLIABLE_NOT_GAMMA", "sparse", "exhaustive"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"sparse","version":"1"}',
-    ("PLIABLE_NOT_GAMMA", "sparse", "sampled"): '{"counterexample":null,"holds":true,"mode":"sampled","property":"sparse","samples":200,"version":"1"}',
-    ("PLIABLE_NOT_GAMMA", "crossing-number", "exhaustive"): '{"crossing_number":1,"mode":"exhaustive","version":"1"}',
-    ("PLIABLE_NOT_GAMMA", "crossing-number", "sampled"): '{"crossing_number":1,"mode":"sampled","version":"1"}',
-    ("BETA_TWO", "gamma", "exhaustive"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"gamma-pliable","version":"1"}',
-    ("BETA_TWO", "gamma", "sampled"): '{"counterexample":null,"holds":true,"mode":"sampled","property":"gamma-pliable","samples":200,"version":"1"}',
-    ("BETA_TWO", "sparse", "exhaustive"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"sparse","version":"1"}',
-    ("BETA_TWO", "sparse", "sampled"): '{"counterexample":null,"holds":true,"mode":"sampled","property":"sparse","samples":200,"version":"1"}',
-    ("BETA_TWO", "crossing-number", "exhaustive"): '{"crossing_number":2,"mode":"exhaustive","version":"1"}',
-    ("BETA_TWO", "crossing-number", "sampled"): '{"crossing_number":2,"mode":"sampled","version":"1"}',
-    ("SPARSE_VIOLATION", "gamma", "exhaustive"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"gamma-pliable","version":"1"}',
-    ("SPARSE_VIOLATION", "gamma", "sampled"): '{"counterexample":null,"holds":true,"mode":"sampled","property":"gamma-pliable","samples":200,"version":"1"}',
-    ("SPARSE_VIOLATION", "sparse", "exhaustive"): '{"counterexample":{"core1":[0,2],"core2":[1,3],"edges":[],"s":[0,1,4]},"holds":false,"mode":"exhaustive","property":"sparse","version":"1"}',
-    ("SPARSE_VIOLATION", "sparse", "sampled"): '{"counterexample":{"core1":[0,2],"core2":[1,3],"edges":[],"s":[0,1,4]},"holds":false,"mode":"sampled","property":"sparse","samples":200,"version":"1"}',
-    ("SPARSE_VIOLATION", "crossing-number", "exhaustive"): '{"crossing_number":2,"mode":"exhaustive","version":"1"}',
-    ("SPARSE_VIOLATION", "crossing-number", "sampled"): '{"crossing_number":2,"mode":"sampled","version":"1"}',
-    ("RESIDUAL_ORDER", "gamma", "exhaustive"): '{"counterexample":{"core":[0,2,4],"d":[3],"edges":[],"s1":[0,1,2],"s2":[0,1,2,3]},"holds":false,"mode":"exhaustive","property":"gamma-pliable","version":"1"}',
-    ("RESIDUAL_ORDER", "gamma", "sampled"): '{"counterexample":{"core":[0,2,4],"d":[3],"edges":[],"s1":[0,1,2],"s2":[0,1,2,3]},"holds":false,"mode":"sampled","property":"gamma-pliable","samples":200,"version":"1"}',
-    ("RESIDUAL_ORDER", "sparse", "exhaustive"): '{"counterexample":{"core1":[0,2,4],"core2":[1,3,5],"edges":[[1,3]],"s":[0,1,2,3]},"holds":false,"mode":"exhaustive","property":"sparse","version":"1"}',
-    ("RESIDUAL_ORDER", "sparse", "sampled"): '{"counterexample":{"core1":[0,2,4],"core2":[1,2,5],"edges":[[1,5]],"s":[0,1,5]},"holds":false,"mode":"sampled","property":"sparse","samples":200,"version":"1"}',
-    ("RESIDUAL_ORDER", "crossing-number", "exhaustive"): '{"crossing_number":2,"mode":"exhaustive","version":"1"}',
-    ("RESIDUAL_ORDER", "crossing-number", "sampled"): '{"crossing_number":2,"mode":"sampled","version":"1"}',
-    ("PLIABLE_NOT_GAMMA", "pliable", "exhaustive"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"pliable","version":"1"}',
-    ("PLIABLE_NOT_GAMMA", "uncrossable", "exhaustive"): '{"counterexample":{"a":[0,3,4],"b":[2,3]},"holds":false,"mode":"exhaustive","property":"uncrossable","version":"1"}',
-    ("PLIABLE_NOT_GAMMA", "proper", "exhaustive"): '{"counterexample":{"complement":[1],"s":[0,2,3,4]},"holds":false,"mode":"exhaustive","property":"proper","version":"1"}',
-    ("BETA_TWO", "pliable", "exhaustive"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"pliable","version":"1"}',
-    ("BETA_TWO", "uncrossable", "exhaustive"): '{"counterexample":{"a":[0,1,2],"b":[0,2,3]},"holds":false,"mode":"exhaustive","property":"uncrossable","version":"1"}',
-    ("BETA_TWO", "proper", "exhaustive"): '{"counterexample":{"complement":[3,4],"s":[0,1,2]},"holds":false,"mode":"exhaustive","property":"proper","version":"1"}',
-    ("SPARSE_VIOLATION", "pliable", "exhaustive"): '{"counterexample":{"a":[0,1,4],"b":[0,2]},"holds":false,"mode":"exhaustive","property":"pliable","version":"1"}',
-    ("SPARSE_VIOLATION", "uncrossable", "exhaustive"): '{"counterexample":{"a":[0,1,4],"b":[0,2]},"holds":false,"mode":"exhaustive","property":"uncrossable","version":"1"}',
-    ("SPARSE_VIOLATION", "proper", "exhaustive"): '{"counterexample":{"complement":[2,3],"s":[0,1,4]},"holds":false,"mode":"exhaustive","property":"proper","version":"1"}',
-    ("RESIDUAL_ORDER", "pliable", "exhaustive"): '{"counterexample":{"a":[0,1,2],"b":[0,1,5]},"holds":false,"mode":"exhaustive","property":"pliable","version":"1"}',
-    ("RESIDUAL_ORDER", "uncrossable", "exhaustive"): '{"counterexample":{"a":[0,1,2],"b":[0,1,5]},"holds":false,"mode":"exhaustive","property":"uncrossable","version":"1"}',
-    ("RESIDUAL_ORDER", "proper", "exhaustive"): '{"counterexample":{"complement":[3,4,5],"s":[0,1,2]},"holds":false,"mode":"exhaustive","property":"proper","version":"1"}',
-    ("NOT_PLIABLE", "pliable", "exhaustive"): '{"counterexample":{"a":[0,1],"b":[1,2]},"holds":false,"mode":"exhaustive","property":"pliable","version":"1"}',
-    ("NOT_PLIABLE", "pliable", "sampled"): '{"counterexample":{"a":[0,1],"b":[1,2]},"holds":false,"mode":"exhaustive","property":"pliable","version":"1"}',
-    ("NOT_PLIABLE", "uncrossable", "exhaustive"): '{"counterexample":{"a":[0,1],"b":[1,2]},"holds":false,"mode":"exhaustive","property":"uncrossable","version":"1"}',
-    ("NOT_PLIABLE", "uncrossable", "sampled"): '{"counterexample":{"a":[0,1],"b":[1,2]},"holds":false,"mode":"exhaustive","property":"uncrossable","version":"1"}',
-    ("NOT_PLIABLE", "proper", "exhaustive"): '{"counterexample":{"complement":[2,3],"s":[0,1]},"holds":false,"mode":"exhaustive","property":"proper","version":"1"}',
-    ("NOT_PLIABLE", "proper", "sampled"): '{"counterexample":{"complement":[2,3],"s":[0,1]},"holds":false,"mode":"exhaustive","property":"proper","version":"1"}',
-    ("NOT_UNCROSSABLE", "pliable", "exhaustive"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"pliable","version":"1"}',
-    ("NOT_UNCROSSABLE", "pliable", "sampled"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"pliable","version":"1"}',
-    ("NOT_UNCROSSABLE", "uncrossable", "exhaustive"): '{"counterexample":{"a":[0,1],"b":[1,2]},"holds":false,"mode":"exhaustive","property":"uncrossable","version":"1"}',
-    ("NOT_UNCROSSABLE", "uncrossable", "sampled"): '{"counterexample":{"a":[0,1],"b":[1,2]},"holds":false,"mode":"exhaustive","property":"uncrossable","version":"1"}',
-    ("NOT_UNCROSSABLE", "proper", "exhaustive"): '{"counterexample":{"complement":[1,2,3],"s":[0]},"holds":false,"mode":"exhaustive","property":"proper","version":"1"}',
-    ("NOT_UNCROSSABLE", "proper", "sampled"): '{"counterexample":{"complement":[1,2,3],"s":[0]},"holds":false,"mode":"exhaustive","property":"proper","version":"1"}',
-    ("NOT_PROPER", "pliable", "exhaustive"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"pliable","version":"1"}',
-    ("NOT_PROPER", "pliable", "sampled"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"pliable","version":"1"}',
-    ("NOT_PROPER", "uncrossable", "exhaustive"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"uncrossable","version":"1"}',
-    ("NOT_PROPER", "uncrossable", "sampled"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"uncrossable","version":"1"}',
-    ("NOT_PROPER", "proper", "exhaustive"): '{"counterexample":{"a":[1],"b":[0],"s":[0,1]},"holds":false,"mode":"exhaustive","property":"proper","version":"1"}',
-    ("NOT_PROPER", "proper", "sampled"): '{"counterexample":{"a":[1],"b":[0],"s":[0,1]},"holds":false,"mode":"exhaustive","property":"proper","version":"1"}',
+    ("PLIABLE_NOT_GAMMA", "gamma"): '{"counterexample":{"core":[2,3],"d":[0],"edges":[],"s1":[3,4],"s2":[0,3,4]},"holds":false,"mode":"exhaustive","property":"gamma-pliable","version":"1"}',
+    ("PLIABLE_NOT_GAMMA", "sparse"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"sparse","version":"1"}',
+    ("PLIABLE_NOT_GAMMA", "crossing-number"): '{"crossing_number":1,"mode":"exhaustive","version":"1"}',
+    ("BETA_TWO", "gamma"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"gamma-pliable","version":"1"}',
+    ("BETA_TWO", "sparse"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"sparse","version":"1"}',
+    ("BETA_TWO", "crossing-number"): '{"crossing_number":2,"mode":"exhaustive","version":"1"}',
+    ("SPARSE_VIOLATION", "gamma"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"gamma-pliable","version":"1"}',
+    ("SPARSE_VIOLATION", "sparse"): '{"counterexample":{"core1":[0,2],"core2":[1,3],"edges":[],"s":[0,1,4]},"holds":false,"mode":"exhaustive","property":"sparse","version":"1"}',
+    ("SPARSE_VIOLATION", "crossing-number"): '{"crossing_number":2,"mode":"exhaustive","version":"1"}',
+    ("RESIDUAL_ORDER", "gamma"): '{"counterexample":{"core":[0,1,5],"d":[3],"edges":[[0,1]],"s1":[0,1,2],"s2":[0,1,2,3]},"holds":false,"mode":"exhaustive","property":"gamma-pliable","version":"1"}',
+    ("RESIDUAL_ORDER", "sparse"): '{"counterexample":{"core1":[0,1,5],"core2":[0,2,4],"edges":[[1,5]],"s":[1,2,5]},"holds":false,"mode":"exhaustive","property":"sparse","version":"1"}',
+    ("RESIDUAL_ORDER", "crossing-number"): '{"crossing_number":2,"mode":"exhaustive","version":"1"}',
+    ("PLIABLE_NOT_GAMMA", "pliable"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"pliable","version":"1"}',
+    ("PLIABLE_NOT_GAMMA", "uncrossable"): '{"counterexample":{"a":[0,3,4],"b":[2,3]},"holds":false,"mode":"exhaustive","property":"uncrossable","version":"1"}',
+    ("PLIABLE_NOT_GAMMA", "proper"): '{"counterexample":{"complement":[1],"s":[0,2,3,4]},"holds":false,"mode":"exhaustive","property":"proper","version":"1"}',
+    ("BETA_TWO", "pliable"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"pliable","version":"1"}',
+    ("BETA_TWO", "uncrossable"): '{"counterexample":{"a":[0,1,2],"b":[0,2,3]},"holds":false,"mode":"exhaustive","property":"uncrossable","version":"1"}',
+    ("BETA_TWO", "proper"): '{"counterexample":{"complement":[3,4],"s":[0,1,2]},"holds":false,"mode":"exhaustive","property":"proper","version":"1"}',
+    ("SPARSE_VIOLATION", "pliable"): '{"counterexample":{"a":[0,1,4],"b":[0,2]},"holds":false,"mode":"exhaustive","property":"pliable","version":"1"}',
+    ("SPARSE_VIOLATION", "uncrossable"): '{"counterexample":{"a":[0,1,4],"b":[0,2]},"holds":false,"mode":"exhaustive","property":"uncrossable","version":"1"}',
+    ("SPARSE_VIOLATION", "proper"): '{"counterexample":{"complement":[2,3],"s":[0,1,4]},"holds":false,"mode":"exhaustive","property":"proper","version":"1"}',
+    ("RESIDUAL_ORDER", "pliable"): '{"counterexample":{"a":[0,1,2],"b":[0,1,5]},"holds":false,"mode":"exhaustive","property":"pliable","version":"1"}',
+    ("RESIDUAL_ORDER", "uncrossable"): '{"counterexample":{"a":[0,1,2],"b":[0,1,5]},"holds":false,"mode":"exhaustive","property":"uncrossable","version":"1"}',
+    ("RESIDUAL_ORDER", "proper"): '{"counterexample":{"complement":[3,4,5],"s":[0,1,2]},"holds":false,"mode":"exhaustive","property":"proper","version":"1"}',
+    ("NOT_PLIABLE", "pliable"): '{"counterexample":{"a":[0,1],"b":[1,2]},"holds":false,"mode":"exhaustive","property":"pliable","version":"1"}',
+    ("NOT_PLIABLE", "uncrossable"): '{"counterexample":{"a":[0,1],"b":[1,2]},"holds":false,"mode":"exhaustive","property":"uncrossable","version":"1"}',
+    ("NOT_PLIABLE", "proper"): '{"counterexample":{"complement":[2,3],"s":[0,1]},"holds":false,"mode":"exhaustive","property":"proper","version":"1"}',
+    ("NOT_UNCROSSABLE", "pliable"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"pliable","version":"1"}',
+    ("NOT_UNCROSSABLE", "uncrossable"): '{"counterexample":{"a":[0,1],"b":[1,2]},"holds":false,"mode":"exhaustive","property":"uncrossable","version":"1"}',
+    ("NOT_UNCROSSABLE", "proper"): '{"counterexample":{"complement":[1,2,3],"s":[0]},"holds":false,"mode":"exhaustive","property":"proper","version":"1"}',
+    ("NOT_PROPER", "pliable"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"pliable","version":"1"}',
+    ("NOT_PROPER", "uncrossable"): '{"counterexample":null,"holds":true,"mode":"exhaustive","property":"uncrossable","version":"1"}',
+    ("NOT_PROPER", "proper"): '{"counterexample":{"a":[1],"b":[0],"s":[0,1]},"holds":false,"mode":"exhaustive","property":"proper","version":"1"}',
 }
 
 
@@ -512,13 +488,13 @@ def test_check_family_golden_json(tmp_path, capsys):
         "NOT_UNCROSSABLE": (4, NOT_UNCROSSABLE),
         "NOT_PROPER": (4, NOT_PROPER),
     }
-    for (name, prop, mode), expected in CHECK_FAMILY_GOLDEN.items():
+    for (name, prop), expected in CHECK_FAMILY_GOLDEN.items():
         n, members = fixtures[name]
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({"kind": "explicit", "n": n, "members": members}))
-        code = cli_main(["check-family", str(path), "--property", prop, "--mode", mode])
-        assert capsys.readouterr().out == expected + "\n", (name, prop, mode)
-        assert code == (0 if '"holds":false' not in expected else 1), (name, prop, mode)
+        code = cli_main(["check-family", str(path), "--property", prop])
+        assert capsys.readouterr().out == expected + "\n", (name, prop)
+        assert code == (0 if '"holds":false' not in expected else 1), (name, prop)
 
 
 def test_all_pairs():
@@ -640,6 +616,128 @@ def test_check_family_agrees_with_the_references_and_its_counterexamples_violate
                 failed[prop] += 1
                 assert_violates(prop, members, n, res.counterexample)
     assert min(failed.values()) >= 10, failed
+
+
+def ref_reachable_residuals(n: int, masks: list[int]):
+    """Every residual family some edge set on V reaches, as its alive masks:
+    the union closure of the per-edge coverage masks, walked from the empty
+    edge set.  This is the walk the class checks made before they named
+    the maximal edge set I*."""
+    per_edge = {
+        sum(1 << i for i, m in enumerate(masks) if edge_crosses_mask(m, u, v)) for u, v in all_pairs(n)
+    }
+    reached, frontier = {0}, [0]
+    while frontier:
+        cur = frontier.pop()
+        for cm in per_edge:
+            if cur | cm not in reached:
+                reached.add(cur | cm)
+                frontier.append(cur | cm)
+    for covered in reached:
+        yield [m for i, m in enumerate(masks) if not covered >> i & 1]
+
+
+def ref_packing(sets: list[int]) -> int:
+    """Most pairwise-disjoint masks among `sets`, by plain recursion."""
+    if not sets:
+        return 0
+    first, rest = sets[0], sets[1:]
+    return max(ref_packing(rest), 1 + ref_packing([m for m in rest if not m & first]))
+
+
+def ref_class_checks(n: int, masks: list[int]) -> tuple[bool, bool, int]:
+    """(gamma holds, sparse holds, crossing number), each scanned in every
+    reachable residual family."""
+    full = (1 << n) - 1
+    gamma = sparse = True
+    beta = 0
+    for alive in ref_reachable_residuals(n, masks):
+        present = set(alive)
+        cores = [c for c in alive if not any(k != c and k & ~c == 0 for k in alive)]
+        for c in cores:
+            crossing = [s for s in alive if setfam._crosses_masks(c, s, full)]
+            gamma = gamma and not any(
+                s1 != s2 and s1 & ~s2 == 0 and s2 & ~(s1 | c) and s2 & ~(s1 | c) not in present
+                for s1 in crossing
+                for s2 in crossing
+            )
+            beta = max(beta, ref_packing(crossing))
+        sparse = sparse and not any(
+            sum(setfam._crosses_masks(s, c, full) for c in cores) >= 2 for s in alive
+        )
+    return gamma, sparse, max(1, beta)
+
+
+def test_class_checks_agree_with_the_residual_walk():
+    rng = random.Random(53)
+    failed = {"gamma": 0, "sparse": 0}
+    betas = set()
+    for i in range(1500):
+        n = rng.randint(4, 6)
+        if i % 3 == 0:
+            f = random_family(rng, n, rng.randint(0, 14))
+        else:  # pliable families, which fail the class checks less often
+            f = ExplicitFamily(n, tuple(NodeSet(n, m) for m in gens._random_repaired_masks(rng, n) or ()))
+        masks = list(f.masks())
+        gamma, sparse, beta = ref_class_checks(n, masks)
+        assert crossing_number(f) == beta, masks
+        betas.add(beta)
+        for prop, holds in (("gamma", gamma), ("sparse", sparse)):
+            res = check_family(f, prop)
+            assert res.holds == holds, (prop, masks)
+            if not holds:
+                failed[prop] += 1
+                assert_violates(prop, [frozenset(s.members()) for s in f], n, res.counterexample)
+    assert min(failed.values()) >= 100 and betas >= {1, 2, 3}, (failed, betas)
+
+
+# First violations of the weight-6 and weight-7 bundles at two leaves.  The
+# global core crosses the witness sets by design.
+TIGHT_COUNTEREXAMPLES = {
+    ("tight6", "gamma"): {
+        "s1": [0, 1, 2],
+        "s2": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9],
+        "core": [1, 3, 5, 7, 11, 12],
+        "d": [4, 6, 8, 9],
+        "edges": [[0, 2], [3, 5], [4, 6], [5, 7], [6, 8], [8, 9], [11, 12]],
+    },
+    ("tight6", "sparse"): {
+        "s": [1, 3, 5, 7, 11, 12],
+        "core1": [0, 1, 2],
+        "core2": [4, 5, 6],
+        "edges": [[0, 2], [3, 7], [4, 6], [7, 11], [8, 9], [9, 10], [11, 12]],
+    },
+    ("tight7", "gamma"): {
+        "s1": [0, 1, 2],
+        "s2": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9],
+        "core": [1, 3, 5, 7, 10],
+        "d": [4, 6, 8, 9],
+        "edges": [[0, 2], [3, 5], [4, 6], [5, 7], [6, 8], [8, 9]],
+    },
+    ("tight7", "sparse"): {
+        "s": [1, 3, 5, 7, 10],
+        "core1": [0, 1, 2],
+        "core2": [4, 5, 6],
+        "edges": [[0, 2], [3, 7], [4, 6], [7, 10], [8, 9], [9, 11]],
+    },
+}
+
+
+def test_tight_bundles_are_outside_gamma_and_sparse():
+    # The bundles show that the tree-weight count and cost/dual reach the
+    # ratio; they are not members of the classes whose ratio they reach.
+    for leaves in (2, 4, 8, 16, 32, 64):
+        bundles = [tight_six(leaves), tight_seven(leaves)]
+        if leaves >= 4:
+            bundles.append(tight_beta(leaves, 4))
+        for b in bundles:
+            members = [frozenset(s.members()) for s in b.family]
+            for prop in ("gamma", "sparse"):
+                res = check_family(b.family, prop)
+                assert not res.holds, (b.kind, leaves, prop)
+                assert_violates(prop, members, b.n, res.counterexample)
+                if leaves == 2:
+                    assert res.counterexample == TIGHT_COUNTEREXAMPLES[b.kind, prop]
 
 
 # --- oracles -----------------------------------------------------------------------
@@ -905,7 +1003,8 @@ def test_packing_search_leaves_no_reference_cycle():
     gc.disable()
     try:
         gc.collect()
-        assert setfam._max_disjoint_packing(masks) == 4
+        steps = setfam._Steps("packing")
+        assert setfam._max_disjoint_packing(sorted(masks, key=int.bit_count), 0, (), 0, steps) == 4
         assert crossing_number(fam(4, [0], [1], [0, 1], [2], [3], [2, 3])) >= 1
         assert gc.collect() == 0
     finally:
