@@ -138,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1, help="number of random instances")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, help="universe size for random instances")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for random batches")
+    p.add_argument("--jobs", type=int, default=1, help="most workers for random batches (capped by --count and CPUs)")
     return parser
 
 
@@ -273,8 +273,11 @@ def _cmd_gen(args) -> int:
         raise SchemaError("--leaves and --beta apply to the tight kinds only, not to the random kinds")
     if args.count < 1:
         raise SchemaError("--count must be at least 1")
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # A pool may start all its workers at the first submit (CPython 3.11
+    # with fork does), so --jobs is only an upper bound.
+    workers = min(args.jobs, args.count, os.cpu_count() or 1)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             docs = list(
                 pool.map(
                     _gen_random_one,

@@ -175,6 +175,17 @@ def degree_sum(inc: Sequence[int], edges: Sequence[Edge]) -> int:
     return sum((inc[u] ^ inc[v]).bit_count() for u, v in edges)
 
 
+def covered_masks(inc: Sequence[int], edges: Iterable[Edge]) -> tuple[int, int]:
+    """Bitmasks of the sets behind the incidence list `inc` that `edges`
+    cross at least once and at least twice (multiplicity counts)."""
+    once = twice = 0
+    for u, v in edges:
+        c = inc[u] ^ inc[v]
+        twice |= once & c
+        once |= c
+    return once, twice
+
+
 @dataclass(frozen=True)
 class ExplicitFamily:
     """A finite family of distinct node sets, none empty and none the full universe.
@@ -215,51 +226,22 @@ class ExplicitFamily:
         return tuple(m.mask for m in self.members)
 
 
-def _minimal_masks(masks: Sequence[int]) -> list[int]:
-    """Inclusion-minimal masks, ascending by popcount then value.
-
-    The kept masks are indexed by their least bit: a kept k lies inside m
-    only if least(k) is in m, so m is tested only against the kept masks
-    whose least bit is in `m & lows`.
-    """
-    order = sorted(masks, key=lambda m: (m.bit_count(), m))
-    if order and not order[0]:
-        return [0]  # the empty mask lies inside every other one
-    kept: list[int] = []
-    by_low: dict[int, list[int]] = {}
-    lows = 0
-    for m in order:
-        hits = m & lows
-        while hits:
-            low = hits & -hits
-            if any(k & ~m == 0 for k in by_low[low]):
-                break
-            hits ^= low
-        else:
-            kept.append(m)
-            low = m & -m
-            by_low.setdefault(low, []).append(m)
-            lows |= low
-    return kept
-
-
 class _CoverageKernel:
-    """One family's member masks and their incidence list.
+    """One family's distinct nonempty member masks and their incidence list.
 
     The coverage mask of an edge (bit i set when the edge crosses member i)
-    is one XOR of two incidence entries, so a residual query costs one XOR
-    and one OR per edge of J plus one pass over the members.  The incidence
-    list is built at the first nonempty query.  A query that covers every
-    member returns no cores after that OR; otherwise each core's NodeSet is
-    built the first time `cores` returns it, and later calls return that
-    same object.
+    is one XOR of two incidence entries.  `residual(J)` is the one query:
+    one pass over J gives the members it covers once and twice, and the
+    cores are `least(0, alive)`.  A J that covers every member leaves no
+    candidate, so that answer costs the pass alone.  Each core's NodeSet is
+    built the first time a residual lists it, and later listings return
+    that same object.
 
-    `root` is the incremental residual of the empty edge set (see
-    `_KernelResidual`); it is immutable, so one per kernel serves every
-    run.  The holders of member i (the members that contain it, itself
-    included: the AND of `inc` over i's nodes) are computed the first time
-    a residual asks for them and then kept, so no per-family index is built
-    up front.
+    `root` is `residual(())`; residuals are immutable (see
+    `_KernelResidual`), so one per kernel serves every run.  The holders of
+    member i (the members that contain it, itself included: the AND of
+    `inc` over i's nodes) are computed the first time `least` asks for them
+    and then kept, so no per-family index is built up front.
     """
 
     def __init__(self, n: int, masks: Sequence[int]) -> None:
@@ -274,20 +256,14 @@ class _CoverageKernel:
 
     @cached_property
     def root(self) -> "_KernelResidual":
-        index = {m: i for i, m in enumerate(self.masks)}
-        core_bits = sum(1 << index[m] for m in _minimal_masks(self.masks))
-        full = (1 << len(self.masks)) - 1
-        return _KernelResidual(self, (), full, 0, core_bits)
+        return self.residual(())
 
-    def covered(self, edges: Sequence[Edge]) -> int:
-        out = 0
-        for u, v in edges:
-            out |= self.inc[u] ^ self.inc[v]
-        return out
-
-    def alive(self, covered: int) -> list[int]:
-        """Masks of the members whose bit in `covered` is clear, in order."""
-        return [m for i, m in enumerate(self.masks) if not covered >> i & 1]
+    def residual(self, edges: Sequence[Edge]) -> "_KernelResidual":
+        """The residual of the edge multiset `edges`, built in one step."""
+        validate_edges(self.n, edges)
+        once, twice = covered_masks(self.inc, edges)
+        alive = ~once & ((1 << len(self.masks)) - 1)
+        return _KernelResidual(self, tuple(edges), alive, twice, self.least(0, alive))
 
     def nodesets(self, masks: Sequence[int]) -> list[NodeSet]:
         """One NodeSet per mask, the same object on every call, in canonical order."""
@@ -296,14 +272,6 @@ class _CoverageKernel:
             if m not in sets:
                 sets[m] = NodeSet(self.n, m)
         return sorted((sets[m] for m in masks), key=NodeSet.sort_key)
-
-    def cores(self, edges: Sequence[Edge]) -> list[NodeSet]:
-        """Inclusion-minimal members uncovered by `edges`, canonical order."""
-        validate_edges(self.n, edges)
-        covered = self.covered(edges)
-        if covered == (1 << len(self.masks)) - 1:
-            return []
-        return self.nodesets(_minimal_masks(self.alive(covered)))
 
     def holders(self, i: int) -> int:
         """Bitmask of the members that contain member i, i included."""
@@ -338,8 +306,10 @@ class _CoverageKernel:
 class _KernelResidual:
     """The residual of an edge multiset J, as bitmasks over the members of
     one `_CoverageKernel`: the members J leaves uncovered (`alive`), those
-    it covers at least twice, and the cores.  Immutable: `add` and `remove`
-    return a new residual and leave this one as it was.
+    it covers at least twice, and the cores.  `_CoverageKernel.residual`
+    builds one from J in one step; `add` and `remove` derive the next one
+    from this one.  Immutable: both return a new residual and leave this
+    one as it was.
 
     `add(e)`: F^{J+e} is F^J less the members e crosses.  A core that e
     misses stays a minimal member.  A new core m is a member of F^J but
@@ -352,6 +322,9 @@ class _KernelResidual:
     new cores are the minimal members of the cores and those members.  The
     "at least twice" mask is recounted from J only when a residual made by
     `remove` is itself asked to remove an edge.
+
+    `core_sets()` lists the cores unvalidated, as the stateless `cores(J)`
+    and `analyze_trace` read them; `cores` is that listing validated once.
     """
 
     __slots__ = ("_kernel", "edges", "alive", "_twice", "_core_bits", "_cores")
@@ -372,12 +345,16 @@ class _KernelResidual:
         self._core_bits = core_bits
         self._cores = cores
 
+    def core_sets(self) -> list[NodeSet]:
+        """The cores in canonical order, unvalidated."""
+        masks = self._kernel.masks
+        return self._kernel.nodesets([masks[i] for i in bits(self._core_bits)])
+
     @property
     def cores(self) -> tuple[NodeSet, ...]:
         """The cores in canonical order, validated as `FamilyOracle.cores` is."""
         if self._cores is None:
-            masks = self._kernel.masks
-            cores = tuple(self._kernel.nodesets([masks[i] for i in bits(self._core_bits)]))
+            cores = tuple(self.core_sets())
             _validate_cores(cores)
             self._cores = cores
         return self._cores
@@ -388,13 +365,7 @@ class _KernelResidual:
 
     def _twice_covered(self) -> int:
         if self._twice is None:
-            inc = self._kernel.inc
-            once = twice = 0
-            for u, v in self.edges:
-                c = inc[u] ^ inc[v]
-                twice |= once & c
-                once |= c
-            self._twice = twice
+            self._twice = covered_masks(self._kernel.inc, self.edges)[1]
         return self._twice
 
     def add(self, u: int, v: int) -> "_KernelResidual":
@@ -758,11 +729,13 @@ class FamilyOracle:
     only those two sees exactly the stateless calls; an added edge that
     crosses no current core keeps the current cores without a call.
 
-    Both backends answer every call from a `_CoverageKernel` over their
-    family's incidence list: the explicit backend builds it once per oracle,
-    the small-cut backend reads the one its graph builds from a single cut
-    scan.  Their residual is the kernel's (`_KernelResidual`), which derives
-    each residual from the last one by bitmask updates.
+    Both backends are `_KernelOracle`s: a `_CoverageKernel` over their
+    family's incidence list answers every call.  The explicit backend builds
+    it once per oracle, the small-cut backend reads the one its graph builds
+    from a single cut scan.  Their `cores(J)` lists the kernel's residual of
+    J, built in one step; their residual() is the kernel's root
+    (`_KernelResidual`), which derives each residual from the last one by
+    bitmask updates.
     """
 
     def universe_size(self) -> int:
@@ -779,7 +752,7 @@ class FamilyOracle:
     def is_covered(self, edges: Sequence[Edge]) -> bool:
         """True when `edges` leave no core.  The answer comes from `cores`,
         so the cores behind every False are validated; on the kernel-backed
-        oracles a True costs the edge check and one OR per edge."""
+        oracles a True costs the edge check and one pass over the edges."""
         return not self.cores(edges)
 
     def residual(self) -> Residual:
@@ -801,7 +774,24 @@ class FamilyOracle:
         return any(c.mask == s.mask for c in self.cores(path))
 
 
-class ExplicitFamilyOracle(FamilyOracle):
+class _KernelOracle(FamilyOracle):
+    """A family oracle whose `_kernel` answers every call: membership is a
+    lookup in its masks, `residual()` is its root, and the stateless
+    `cores(J)` lists its one-step residual of J."""
+
+    _kernel: _CoverageKernel
+
+    def contains(self, s: NodeSet) -> bool:
+        return s.n == self.universe_size() and s.mask in self._kernel.masks
+
+    def residual(self) -> _KernelResidual:
+        return self._kernel.root
+
+    def _cores_impl(self, edges: Sequence[Edge]) -> list[NodeSet]:
+        return self._kernel.residual(edges).core_sets()
+
+
+class ExplicitFamilyOracle(_KernelOracle):
     """Oracle over an explicit member list, which is read once, when the
     oracle is built, into the kernel that answers every call."""
 
@@ -811,12 +801,3 @@ class ExplicitFamilyOracle(FamilyOracle):
 
     def universe_size(self) -> int:
         return self.family.n
-
-    def contains(self, s: NodeSet) -> bool:
-        return s.n == self.family.n and s.mask in self._kernel.masks
-
-    def residual(self) -> _KernelResidual:
-        return self._kernel.root
-
-    def _cores_impl(self, edges: Sequence[Edge]) -> list[NodeSet]:
-        return self._kernel.cores(edges)

@@ -13,8 +13,8 @@ cuts come from a meet-in-the-middle table scan: the cut values of one half
 of the nodes form a row that is shifted by one precomputed table per step
 through the other half's subsets, so each subset costs O(1) list work.
 The scan does not depend on J, so it runs once per graph, at the first use
-of the family or of the edge connectivity, and every residual is derived
-from its result.
+of the family or of the edge connectivity.  Its result is a coverage kernel,
+and every residual, the stateless `cores(J)` included, is that kernel's.
 """
 
 from __future__ import annotations
@@ -28,12 +28,10 @@ from typing import Sequence
 
 from .errors import guard
 from .setfam import (
-    Edge,
     ExplicitFamily,
-    FamilyOracle,
     NodeSet,
     _CoverageKernel,
-    _KernelResidual,
+    _KernelOracle,
     edge_crosses_mask,
     over_common_denominator,
     validate_edges,
@@ -172,12 +170,12 @@ def beta_bound(h: CapGraph) -> int:
     return max(1, (k - 1) // denom)
 
 
-class SmallCutsOracle(FamilyOracle):
+class SmallCutsOracle(_KernelOracle):
     """Family oracle backed by cut enumeration rather than an explicit list.
 
-    Every call answers from the graph's small cuts, which come from one
-    blocked table scan of the 2^n cuts per graph, at its first use
-    (GuardError past MAX_CUT_ENUM_NODES).
+    Its kernel is the one the graph builds from its small cuts, by one
+    blocked table scan of the 2^n cuts per graph at the first call that
+    needs the family (GuardError past MAX_CUT_ENUM_NODES).
     """
 
     def __init__(self, h: CapGraph) -> None:
@@ -186,11 +184,6 @@ class SmallCutsOracle(FamilyOracle):
     def universe_size(self) -> int:
         return self.h.n
 
-    def contains(self, s: NodeSet) -> bool:
-        return s.n == self.h.n and s.mask in self.h._cuts[0].masks
-
-    def residual(self) -> _KernelResidual:
-        return self.h._cuts[0].root
-
-    def _cores_impl(self, edges: Sequence[Edge]) -> list[NodeSet]:
-        return self.h._cuts[0].cores(edges)
+    @property
+    def _kernel(self) -> _CoverageKernel:
+        return self.h._cuts[0]

@@ -739,12 +739,12 @@ def analyze_trace(
         i_cover = [e for e in i_prime if degree_sum(inc, [g.pair(e)])]
         outside = [g.pair(e) for e in sorted(j0 | (set(i_prime) - set(i_cover)))]
         report: BoundReport | None = None
-        # unlike an oracle, the kernel returns overlapping cores, unvalidated
-        if tuple(kernel.cores(outside)) != tuple(it.cores):
+        left = kernel.residual(outside)
+        # unlike an oracle, core_sets() returns overlapping cores, unvalidated
+        if tuple(left.core_sets()) != tuple(it.cores):
             probs.append("recomputed residual cores disagree with the recorded iteration")
         else:
-            covered = kernel.covered(outside)
-            residual = ExplicitFamily(f.n, tuple(s for i, s in enumerate(f) if not covered >> i & 1))
+            residual = ExplicitFamily(f.n, tuple(s for i, s in enumerate(f) if left.alive >> i & 1))
             pairs = [g.pair(e) for e in i_cover]
             try:
                 wit = laminar_witness(residual, pairs)

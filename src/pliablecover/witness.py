@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import CoverNotMinimalError, NoLaminarWitnessError, guard
-from .setfam import Edge, ExplicitFamily, NodeSet, bits, incidence, validate_edges
+from .setfam import Edge, ExplicitFamily, NodeSet, bits, covered_masks, incidence, validate_edges
 
 MAX_WITNESS_EDGES = 20
 
@@ -59,10 +59,7 @@ def witness_candidates(f: ExplicitFamily, cover: Sequence[Edge]) -> list[tuple[N
     validate_edges(f.n, cover)
     inc = incidence(f.n, f.masks())
     crossed = [inc[u] ^ inc[v] for u, v in cover]
-    once = twice = 0
-    for x in crossed:
-        twice |= once & x
-        once |= x
+    once, twice = covered_masks(inc, cover)
     uncovered = ~once & ((1 << len(f)) - 1)
     if uncovered:
         s = f.members[bits(uncovered)[0]]

@@ -470,6 +470,37 @@ def test_gen_random_batch_is_parallel_safe():
     assert doc["kind"] == "gamma" and len(doc["instances"]) == 4
 
 
+def test_gen_jobs_is_capped_by_count_and_cpus(monkeypatch, capsys):
+    sizes = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, starts no
+        process and maps serially."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    args = ["gen", "--kind", "gamma", "--count", "3", "--seed", "5"]
+    assert cli.main([*args, "--jobs", "1"]) == 0
+    serial = capsys.readouterr().out
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    for cpus, expected in ((8, [3]), (2, [2]), (None, [])):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        assert cli.main([*args, "--jobs", "100000"]) == 0
+        assert capsys.readouterr().out == serial
+        assert sizes == expected
+
+
 def test_gen_usage_errors():
     assert run_cli("gen", "--kind", "tight7").returncode == 2
     assert run_cli("gen", "--kind", "tight-beta", "--leaves", "4").returncode == 2

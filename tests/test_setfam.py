@@ -25,6 +25,7 @@ from pliablecover.setfam import (
     FamilyOracle,
     NodeSet,
     all_pairs,
+    bits,
     check_family,
     coverage,
     crosses,
@@ -34,7 +35,7 @@ from pliablecover.setfam import (
     incidence,
     validate_edges,
 )
-from pliablecover.smallcuts import SmallCutsOracle, cut_value
+from pliablecover.smallcuts import CapGraph, SmallCutsOracle, cut_value
 
 
 # --- reference implementations (independent oracles) -----------------------
@@ -89,15 +90,16 @@ def random_family(rng, n, k) -> ExplicitFamily:
 
 
 def kernel_cores(f: ExplicitFamily, edges) -> list[NodeSet]:
-    """Cores of F^J from the coverage kernel, which, unlike the oracle,
-    returns overlapping cores instead of refusing them."""
-    return setfam._CoverageKernel(f.n, f.masks()).cores(edges)
+    """Cores of F^J from the coverage kernel's residual, whose unvalidated
+    listing, unlike the oracle, returns overlapping cores instead of
+    refusing them."""
+    return setfam._CoverageKernel(f.n, f.masks()).residual(edges).core_sets()
 
 
 def kernel_residual(f: ExplicitFamily, edges) -> ExplicitFamily:
-    """F^J: the members the kernel's covered mask leaves alive."""
-    covered = setfam._CoverageKernel(f.n, f.masks()).covered(edges)
-    return ExplicitFamily(f.n, tuple(s for i, s in enumerate(f) if not covered >> i & 1))
+    """F^J: the members the kernel's residual of J leaves alive."""
+    alive = setfam._CoverageKernel(f.n, f.masks()).residual(edges).alive
+    return ExplicitFamily(f.n, tuple(s for i, s in enumerate(f) if alive >> i & 1))
 
 
 # --- NodeSet ----------------------------------------------------------------
@@ -863,7 +865,8 @@ def test_incidence_matches_per_set_crossing_tests():
 
 
 def ref_minimal_masks(masks):
-    """The quadratic scan the least-vertex index replaced."""
+    """The quadratic scan: inclusion-minimal masks, ascending by popcount
+    then value."""
     order = sorted(masks, key=lambda m: (m.bit_count(), m))
     kept = []
     for m in order:
@@ -873,11 +876,10 @@ def ref_minimal_masks(masks):
 
 
 def mask_lists(rng, count=400):
-    """Mask lists with duplicates, nested chains, disjoint sets and many
-    masks sharing a least vertex, plus the empty list and the empty mask."""
+    """Lists of distinct nonempty masks, as a kernel holds them: nested
+    chains, disjoint sets and many masks sharing a least vertex, plus the
+    empty list."""
     yield []
-    yield [0]
-    yield [0b110, 0, 0b1]
     for _ in range(count):
         n = rng.randint(1, 9)
         masks = [rng.randrange(1, 1 << n) for _ in range(rng.randint(0, 12))]
@@ -892,24 +894,42 @@ def mask_lists(rng, count=400):
             width = rng.randint(1, n - start)
             masks.append(((1 << width) - 1) << start)
             start += width
-        masks += rng.sample(masks, rng.randint(0, len(masks)))
+        masks = list(set(masks))
         rng.shuffle(masks)
         yield masks
 
 
 def test_minimal_masks_match_the_quadratic_scan():
     for masks in mask_lists(random.Random(23)):
-        assert setfam._minimal_masks(masks) == ref_minimal_masks(masks)
+        kernel = setfam._CoverageKernel(max(masks, default=0).bit_length(), masks)
+        kept = kernel.least(0, (1 << len(masks)) - 1)
+        found = sorted((masks[i] for i in bits(kept)), key=lambda m: (m.bit_count(), m))
+        assert found == ref_minimal_masks(masks)
+
+
+def test_is_covered_on_a_covering_edge_set_needs_no_holders(monkeypatch):
+    """A J that covers every member leaves no candidate core, so both
+    kernel-backed oracles answer True from the one pass over J."""
+
+    def refuse(self, i):
+        raise AssertionError("holders read for an edge set that covers the family")
+
+    monkeypatch.setattr(setfam._CoverageKernel, "holders", refuse)
+    triangle = CapGraph.build(3, [(0, 1, 1), (0, 2, 1), (1, 2, 1)], 3)  # every proper cut is small
+    for oracle, n in ((ExplicitFamilyOracle(fam(4, [0], [1], [0, 1], [2, 3])), 4), (SmallCutsOracle(triangle), 3)):
+        assert oracle.is_covered(all_pairs(n))
+        with pytest.raises(AssertionError, match="holders read"):
+            oracle.is_covered([])
 
 
 def test_kernel_reuses_its_core_nodesets():
     f = fam(5, [0], [1], [0, 1], [2, 3], [3], [4])
     kernel = setfam._CoverageKernel(f.n, f.masks())
     for edges in ([], [(0, 2)], [(3, 4), (1, 2)]):
-        first, second = kernel.cores(edges), kernel.cores(edges)
+        first, second = kernel.residual(edges).core_sets(), kernel.residual(edges).core_sets()
         assert first == second and first
         assert all(a is b for a, b in zip(first, second))
-    assert kernel.cores([(0, 2)])[0] is kernel.cores([])[1]  # core {1} in both
+    assert kernel.residual([(0, 2)]).cores[0] is kernel.root.cores[1]  # core {1} in both
     oracle = ExplicitFamilyOracle(f)
     assert all(a is b for a, b in zip(oracle.cores([(4, 0)]), oracle.cores([(4, 0)])))
 

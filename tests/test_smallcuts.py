@@ -49,9 +49,10 @@ def ref_small_cut_masks(h: CapGraph, j=()) -> list[int]:
 
 def residual_cut_masks(h: CapGraph, j=()) -> list[int]:
     """Masks of the residual small-cuts family F^J, read off a coverage
-    kernel over the materialized family."""
+    kernel's residual of J over the materialized family."""
     kernel = setfam._CoverageKernel(h.n, materialize_family(h).masks())
-    return kernel.alive(kernel.covered(j))
+    alive = kernel.residual(j).alive
+    return [m for i, m in enumerate(kernel.masks) if alive >> i & 1]
 
 
 def triangle(k) -> CapGraph:
