@@ -339,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
             {
                 "version": SCHEMA_VERSION,
                 "error": "infeasible",
-                "core": sorted(exc.core.members()),
+                "core": list(exc.core.members()),
             }
         )
         return 1

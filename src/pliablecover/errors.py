@@ -35,7 +35,7 @@ class InfeasibleError(PliableCoverError):
     """
 
     def __init__(self, core) -> None:
-        super().__init__(f"instance infeasible: no candidate edge covers core {sorted(core.members())}")
+        super().__init__(f"instance infeasible: no candidate edge covers core {list(core.members())}")
         self.core = core
 
 

@@ -358,7 +358,7 @@ def _attach_edges(rng: random.Random, fam: ExplicitFamily) -> CostedGraph:
     n = fam.n
     pairs: set[Edge] = set()
     for s in fam.members:
-        inside = sorted(s.members())
+        inside = s.members()
         outside = [v for v in range(n) if v not in s]
         u, v = rng.choice(inside), rng.choice(outside)
         pairs.add((min(u, v), max(u, v)))

@@ -50,7 +50,7 @@ def frac_from_json(v: Any, where: str) -> Fraction:
 
 
 def nodeset_to_json(s: NodeSet) -> list[int]:
-    return sorted(s.members())
+    return list(s.members())
 
 
 def _list(v: Any, where: str) -> list:
@@ -302,6 +302,8 @@ def trace_from_json(doc: Any, g: CostedGraph, digest: str | None = None) -> RunT
         tuple(_edge_id(x, f"trace.{key}", m) for x in _int_list(_get(doc, key, "trace"), f"trace.{key}"))
         for key in ("deleted", "solution")
     )
+    if any(a >= b for a, b in zip(solution, solution[1:])):
+        raise SchemaError(f"trace.solution: expected strictly ascending edge ids, got {list(solution)}")
     return RunTrace(
         iterations=tuple(iters),
         deleted=deleted,

@@ -205,7 +205,7 @@ class ExplicitFamily:
             if s.is_empty() or s.is_full():
                 raise ValueError("family members must be nonempty proper subsets")
             if s.mask in seen:
-                raise ValueError(f"duplicate family member {sorted(s.members())}")
+                raise ValueError(f"duplicate family member {list(s.members())}")
             seen.add(s.mask)
         object.__setattr__(self, "members", tuple(sorted(self.members, key=NodeSet.sort_key)))
 
@@ -654,7 +654,7 @@ def _validate_cores(cores: Sequence[NodeSet]) -> None:
         if b.mask & seen:
             a = next(a for a in cores[:i] if a.mask & b.mask)
             raise OracleInvariantError(
-                f"cores not pairwise disjoint: {sorted(a.members())} and {sorted(b.members())}"
+                f"cores not pairwise disjoint: {list(a.members())} and {list(b.members())}"
             )
         seen |= b.mask
 

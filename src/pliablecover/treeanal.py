@@ -218,7 +218,7 @@ def build_tree(
         u, v = pair_of[eid]
         if not edge_crosses_mask(inside.mask, u, v):
             raise TreeInvariantError(
-                f"cover edge {eid} does not cross its witness set {sorted(inside.members())}"
+                f"cover edge {eid} does not cross its witness set {list(inside.members())}"
             )
         return (u, v) if (inside.mask >> u) & 1 else (v, u)
 
@@ -508,7 +508,7 @@ def verify_bounds(
 
     for leaf in leaves:
         if not nodes[leaf].black:
-            violations.append(f"white leaf node {sorted(nodes[leaf].node_set.members())}")
+            violations.append(f"white leaf node {list(nodes[leaf].node_set.members())}")
     for x in nodes:
         if (
             x.index != tree.root
@@ -517,7 +517,7 @@ def verify_bounds(
             and len(x.children) == 1
         ):
             violations.append(
-                f"white single-child node {sorted(x.node_set.members())} survived contraction"
+                f"white single-child node {list(x.node_set.members())} survived contraction"
             )
     if len(blacks) > num_c:
         violations.append(f"more black nodes ({len(blacks)}) than cores ({num_c})")
@@ -672,7 +672,7 @@ def emit_dot(tree: ShortcutTree) -> str:
     for node in tree.nodes:
         if node.contracted:
             continue
-        label = "{" + ",".join(str(v) for v in sorted(node.node_set.members())) + "}"
+        label = "{" + ",".join(str(v) for v in node.node_set.members()) + "}"
         if node.owned_cores:
             label += " owns " + ",".join(str(c) for c in node.owned_cores)
         fill = "gray25" if node.black else "white"

@@ -9,10 +9,10 @@ residual (`FamilyOracle.residual`): phase 1 adds each pick to it, and phase
 2 removes each edge from the residual phase 1 ended with, so no query
 starts again from the whole edge set.
 
-All arithmetic is over Fraction; tightness means exact equality of load and
-cost.  Determinism is pinned down explicitly: cores are listed in canonical
-order, ties are listed by id, and the lowest-id newly tight edge is picked
-(the full tie list is recorded in the trace).
+All arithmetic is over Fraction; an edge is tight when its slack, cost
+minus load, is exactly 0.  Determinism is pinned down explicitly: cores are
+listed in canonical order, ties are listed by id, and the lowest-id newly
+tight edge is picked (the full tie list is recorded in the trace).
 """
 
 from __future__ import annotations
@@ -143,16 +143,15 @@ def phase1(
     core that stays keeps its crossers.  For the same reason only a new
     core can be left without a crosser.
 
-    The edges whose load equals their cost are kept as a set: the cost-0
-    edges, plus the tight candidates of each positive raise (loads change
-    nowhere else).  When a candidate is in it, the raise is zero and its
-    ties are the tight candidates, found without any division.
+    The loop keeps one number per edge, its slack (cost minus load).  The
+    ties are the candidates of slack 0; with any, the raise is zero and
+    divides nothing.  A positive raise lowers each candidate's slack, the
+    one place a slack falls, and checks it there.  Loads are cost - slack.
     """
     if oracle.universe_size() != g.n:
         raise ValueError("oracle universe does not match the graph")
     costs = [c for _, _, c in g.edges]
-    loads = [Fraction(0)] * len(g.edges)
-    tight_edges = {e for e, c in enumerate(costs) if not c}
+    slack = list(costs)
     values: dict[NodeSet, Fraction] = {}
     picked: list[int] = []
     records: list[IterationRecord] = []
@@ -176,26 +175,24 @@ def phase1(
             if core.mask not in last and not _count_crossers(nbrs, core, cov, 1):
                 raise InfeasibleError(core)
         last = now
-        tight = sorted(tight_edges.intersection(cov))
+        tight = sorted(e for e in cov if not slack[e])
         if tight:
             eps = Fraction(0)
-            assert all(loads[e] <= costs[e] for e in cov), "dual feasibility violated before the raise"
         else:
-            eps = min((costs[e] - loads[e]) / c for e, c in cov.items())
-            assert eps >= 0, "dual feasibility violated before the raise"
+            eps = min(slack[e] / c for e, c in cov.items())
             for core in cores:
                 values[core] = values.get(core, Fraction(0)) + eps
             for e, c in cov.items():
-                loads[e] += eps * c
-                assert loads[e] <= costs[e], "edge load exceeded its cost"
-            tight = sorted(e for e in cov if loads[e] == costs[e])
-            tight_edges.update(tight)
+                slack[e] -= eps * c
+                assert slack[e] >= 0, "edge load exceeded its cost"
+            tight = sorted(e for e in cov if not slack[e])
         assert tight, "the minimizing edge must be tight after the raise"
         added = tight[0]
         picked.append(added)
         residual = residual.add(*g.pair(added))
         records.append(IterationRecord(cores, eps, added, tuple(tight)))
 
+    loads = [c - s for c, s in zip(costs, slack)]
     return picked, records, values, loads, residual
 
 

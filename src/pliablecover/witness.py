@@ -63,7 +63,7 @@ def witness_candidates(f: ExplicitFamily, cover: Sequence[Edge]) -> list[tuple[N
     uncovered = ~once & ((1 << len(f)) - 1)
     if uncovered:
         s = f.members[bits(uncovered)[0]]
-        raise ValueError(f"edges do not cover the family: {sorted(s.members())} is uncovered")
+        raise ValueError(f"edges do not cover the family: {list(s.members())} is uncovered")
     cands = [tuple(f.members[i] for i in bits(x & ~twice)) for x in crossed]
     for i, lst in enumerate(cands):
         if not lst:

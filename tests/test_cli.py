@@ -164,6 +164,18 @@ def test_certify_refuses_a_trace_of_another_instance(tmp_path):
     assert (r.returncode, r.stdout) == (0, expected.stdout)
 
 
+@pytest.mark.parametrize("forged", [[0, 1, 1], [1, 0]], ids=["repeated", "descending"])
+def test_certify_refuses_a_solution_that_is_not_strictly_ascending(tmp_path, forged):
+    # solve writes strictly ascending ids; certify would read [0, 1, 1] as a multiset
+    inst = write(tmp_path, "i.json", TRIANGLE)
+    doc = json.loads(run_cli("solve", inst).stdout)
+    assert doc["solution"] == [0, 1]
+    doc["solution"] = forged
+    r = run_cli("certify", inst, "--trace", write(tmp_path, "t.json", doc))
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == f"error: trace.solution: expected strictly ascending edge ids, got {forged}\n"
+
+
 @pytest.mark.parametrize("forged", [{}, 5], ids=["object", "number"])
 def test_certify_refuses_iterations_that_are_not_a_list(tmp_path, forged):
     # an object once read as no iterations (exit 0), a number crashed (exit 4)

@@ -382,6 +382,20 @@ def test_tampered_solution_fails_certification():
     raise AssertionError("no instance with a spare edge found")
 
 
+def test_solution_minimal_removes_one_copy_of_a_repeated_edge():
+    # J is a multiset: with edge 1 listed twice, dropping one copy still
+    # covers, so both copies are removable
+    g = CostedGraph.build(3, [(0, 1, 1), (1, 2, 1), (0, 2, 2)])
+    oracle = ExplicitFamilyOracle(ExplicitFamily.from_sets(3, [[0], [2]]))
+    trace = solve(g, oracle)
+    assert trace.solution == (0, 1)
+    assert certify(g, oracle, trace, "gamma").verdict
+    cert = certify(g, oracle, dataclasses.replace(trace, solution=(0, 1, 1)), "gamma")
+    row = next(c for c in cert.checks if c.name == "solution-minimal")
+    assert (row.ok, row.detail) == (False, "removable edges: [1, 1]")
+    assert not cert.verdict
+
+
 def test_inflated_dual_fails_certification():
     for i in range(20):
         g, f, oracle, trace = solved("gamma", 206, i, n=5)

@@ -386,12 +386,14 @@ def ref_phase1(g, oracle):
 
 
 def tie_heavy_copies(g):
-    """The instance, a unit-cost copy (ties from the first raise), and
-    copies with cost-0 edges (zero raises from the first iteration)."""
+    """The instance, a unit-cost copy (ties from the first raise), copies
+    with cost-0 edges (zero raises from the first iteration), and a copy
+    whose costs have coprime denominators (slacks that are not dyadic)."""
     yield g
     yield CostedGraph(g.n, tuple((u, v, Fraction(1)) for u, v, _ in g.edges))
     yield CostedGraph(g.n, tuple((u, v, Fraction(0) if i % 3 == 0 else c) for i, (u, v, c) in enumerate(g.edges)))
     yield CostedGraph(g.n, ((0, g.n - 1, Fraction(0)),) + g.edges + ((g.n - 1, 0, Fraction(0)),))
+    yield CostedGraph(g.n, tuple((u, v, c / (3, 5, 7)[i % 3]) for i, (u, v, c) in enumerate(g.edges)))
 
 
 def assert_phase1_matches_reference(g, f):
