@@ -199,7 +199,7 @@ def certify(
     sol_pairs = [g.pair(e) for e in trace.solution]
     covered = oracle.is_covered(sol_pairs)
     add("solution-covers-family", covered)
-    loose = [e for i, e in enumerate(trace.solution) if oracle.is_covered(sol_pairs[:i] + sol_pairs[i + 1 :])]
+    loose = [e for e, free in zip(trace.solution, oracle.removable(sol_pairs)) if free]
     add("solution-minimal", not loose, f"removable edges: {loose}" if loose else "")
 
     # Consecutive iterations share most cores, so d_J(C) is counted once per

@@ -258,15 +258,17 @@ def _assemble(
     for (u, v, cost), w, crossings in zip(edges, witness, unit_loads):
         assert cost == crossings, f"edge ({u},{v}) costs {cost} but crosses {crossings} cores"
         assert edge_crosses_mask(w.mask, u, v), "edge must cross its witness set"
-    masks = {w.mask for w in witness} | {c.mask for c in cores}
-    family = ExplicitFamily(n, tuple(NodeSet(n, m) for m in sorted(masks)))
+    # One object per distinct mask, shared by family, witness and cores, so
+    # each set's members are walked once.
+    sets = {s.mask: s for s in [*witness, *cores]}
+    family = ExplicitFamily(n, tuple(sets.values()))
     return TightBundle(
         kind=kind,
         n=n,
         graph=graph,
         family=family,
-        witness=tuple(witness),
-        cores=tuple(cores),
+        witness=tuple(sets[w.mask] for w in witness),
+        cores=tuple(sets[c.mask] for c in cores),
         leaves=leaves,
         beta=beta,
     )

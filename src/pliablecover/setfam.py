@@ -34,6 +34,7 @@ family is F^{I*}.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -325,9 +326,12 @@ class _KernelResidual:
 
     `core_sets()` lists the cores unvalidated, as the stateless `cores(J)`
     and `analyze_trace` read them; `cores` is that listing validated once.
+    A residual made by `add` from one that holds its validated tuple
+    derives its own from it (`_derive_cores`), and `covered` checks the
+    core masks without building a tuple.
     """
 
-    __slots__ = ("_kernel", "edges", "alive", "_twice", "_core_bits", "_cores")
+    __slots__ = ("_kernel", "edges", "alive", "_twice", "_core_bits", "_cores", "_span")
 
     def __init__(
         self,
@@ -337,6 +341,7 @@ class _KernelResidual:
         twice: int | None,
         core_bits: int,
         cores: tuple[NodeSet, ...] | None = None,
+        span: int = 0,
     ) -> None:
         self._kernel = kernel
         self.edges = edges
@@ -344,6 +349,7 @@ class _KernelResidual:
         self._twice = twice
         self._core_bits = core_bits
         self._cores = cores
+        self._span = span  # the union of `_cores`, once that is set
 
     def core_sets(self) -> list[NodeSet]:
         """The cores in canonical order, unvalidated."""
@@ -355,13 +361,19 @@ class _KernelResidual:
         """The cores in canonical order, validated as `FamilyOracle.cores` is."""
         if self._cores is None:
             cores = tuple(self.core_sets())
-            _validate_cores(cores)
+            self._span = _validate_cores(cores)
             self._cores = cores
         return self._cores
 
     @property
     def covered(self) -> bool:
-        return not self.cores
+        """True when J leaves no core.  The core masks are checked as
+        `cores` checks the cores; only a failed check lists them, to refuse
+        with the same error."""
+        masks = self._kernel.masks
+        if self._cores is not None or _disjoint_union(masks[i] for i in bits(self._core_bits)) is None:
+            return not self.cores
+        return not self._core_bits
 
     def _twice_covered(self) -> int:
         if self._twice is None:
@@ -374,21 +386,51 @@ class _KernelResidual:
         c = k.inc[u] ^ k.inc[v]
         twice = None if self._twice is None else self._twice | (c & ~self.alive)
         alive = self.alive & ~c
+        edges = self.edges + ((u, v),)
         killed = self._core_bits & c
         if not killed:
-            return _KernelResidual(k, self.edges + ((u, v),), alive, twice, self._core_bits, self._cores)
+            return _KernelResidual(k, edges, alive, twice, self._core_bits, self._cores, self._span)
         holders = 0
         for i in bits(killed):
             holders |= k.holders(i)
-        core_bits = k.least(self._core_bits & ~c, alive & holders)
-        return _KernelResidual(k, self.edges + ((u, v),), alive, twice, core_bits)
+        child = _KernelResidual(k, edges, alive, twice, k.least(self._core_bits & ~c, alive & holders))
+        if self._cores is not None:
+            child._derive_cores(self, killed)
+        return child
+
+    def _derive_cores(self, parent: "_KernelResidual", killed: int) -> None:
+        """Set the validated tuple from the parent's: less its `killed`
+        cores, plus the new ones, each placed by bisection.
+
+        The parent's cores are nonempty and pairwise disjoint, so the whole
+        tuple passes `_validate_cores` exactly when the new cores are
+        nonempty and disjoint from the kept ones and from each other.  When
+        they are not, no tuple is set, and `cores` lists the cores and
+        refuses at the same step.
+        """
+        k = self._kernel
+        masks = k.masks
+        gone = 0
+        for i in bits(killed):
+            gone |= masks[i]
+        new = [masks[i] for i in bits(self._core_bits & ~parent._core_bits)]
+        span = _disjoint_union(new, parent._span & ~gone)
+        if span is None:
+            return
+        cores = list(parent._cores)
+        for i in bits(killed):
+            del cores[bisect_left(cores, k._nodesets[masks[i]].sort_key(), key=NodeSet.sort_key)]
+        for s in k.nodesets(new):
+            insort(cores, s, key=NodeSet.sort_key)
+        self._cores = tuple(cores)
+        self._span = span
 
     def remove(self, u: int, v: int) -> "_KernelResidual":
         k = self._kernel
         edges = _without(self.edges, (u, v))
         freed = (k.inc[u] ^ k.inc[v]) & ~self._twice_covered()
         if not freed:
-            return _KernelResidual(k, edges, self.alive, None, self._core_bits, self._cores)
+            return _KernelResidual(k, edges, self.alive, None, self._core_bits, self._cores, self._span)
         return _KernelResidual(k, edges, self.alive | freed, None, k.least(0, self._core_bits | freed))
 
 
@@ -645,8 +687,9 @@ def crossing_number(f: ExplicitFamily) -> int:
     return max(1, best)
 
 
-def _validate_cores(cores: Sequence[NodeSet]) -> None:
-    """Refuse a core list that is not nonempty sets, pairwise disjoint."""
+def _validate_cores(cores: Sequence[NodeSet]) -> int:
+    """Refuse a core list that is not nonempty sets, pairwise disjoint;
+    return their union."""
     seen = 0
     for i, b in enumerate(cores):
         if b.is_empty():
@@ -657,6 +700,18 @@ def _validate_cores(cores: Sequence[NodeSet]) -> None:
                 f"cores not pairwise disjoint: {list(a.members())} and {list(b.members())}"
             )
         seen |= b.mask
+    return seen
+
+
+def _disjoint_union(masks: Iterable[int], seen: int = 0) -> int | None:
+    """The union of `seen` and `masks` when the masks are nonempty, pairwise
+    disjoint and disjoint from `seen`, else None: `_validate_cores`'s test
+    on masks, without its error."""
+    for m in masks:
+        if not m or m & seen:
+            return None
+        seen |= m
+    return seen
 
 
 def _without(edges: tuple[Edge, ...], e: Edge) -> tuple[Edge, ...]:
@@ -729,13 +784,19 @@ class FamilyOracle:
     only those two sees exactly the stateless calls; an added edge that
     crosses no current core keeps the current cores without a call.
 
+    removable(J) is the list, per edge of J in order, of whether J less
+    that one copy still covers the family: the question reverse delete
+    asks, which `certify` re-asks of the final solution.  This default
+    asks `is_covered(J - e)` once per edge, so a forwarding wrapper sees
+    those calls.
+
     Both backends are `_KernelOracle`s: a `_CoverageKernel` over their
     family's incidence list answers every call.  The explicit backend builds
     it once per oracle, the small-cut backend reads the one its graph builds
     from a single cut scan.  Their `cores(J)` lists the kernel's residual of
     J, built in one step; their residual() is the kernel's root
     (`_KernelResidual`), which derives each residual from the last one by
-    bitmask updates.
+    bitmask updates; their removable(J) is one pass over J.
     """
 
     def universe_size(self) -> int:
@@ -754,6 +815,12 @@ class FamilyOracle:
         so the cores behind every False are validated; on the kernel-backed
         oracles a True costs the edge check and one pass over the edges."""
         return not self.cores(edges)
+
+    def removable(self, edges: Sequence[Edge]) -> list[bool]:
+        """Per edge of `edges`, whether the rest, less that one copy, still
+        covers the family."""
+        edges = list(edges)
+        return [self.is_covered(edges[:i] + edges[i + 1 :]) for i in range(len(edges))]
 
     def residual(self) -> Residual:
         return _StatelessResidual(self, ())
@@ -777,7 +844,15 @@ class FamilyOracle:
 class _KernelOracle(FamilyOracle):
     """A family oracle whose `_kernel` answers every call: membership is a
     lookup in its masks, `residual()` is its root, and the stateless
-    `cores(J)` lists its one-step residual of J."""
+    `cores(J)` lists its one-step residual of J.
+
+    `removable(J)` checks J's edges and makes one pass over them for the
+    members J crosses once and twice.  When J covers the family, J - e
+    covers exactly when every member e crosses is crossed twice; otherwise
+    the cores of J - e are the minimal members that only e crosses, checked
+    on their masks.  A J that leaves a member has no removable edge, and
+    takes the per-edge loop, so that its refusals are the loop's.
+    """
 
     _kernel: _CoverageKernel
 
@@ -789,6 +864,23 @@ class _KernelOracle(FamilyOracle):
 
     def _cores_impl(self, edges: Sequence[Edge]) -> list[NodeSet]:
         return self._kernel.residual(edges).core_sets()
+
+    def removable(self, edges: Sequence[Edge]) -> list[bool]:
+        k = self._kernel
+        edges = list(edges)
+        validate_edges(k.n, edges)
+        inc, masks = k.inc, k.masks
+        once, twice = covered_masks(inc, edges)
+        if ~once & ((1 << len(masks)) - 1):
+            return super().removable(edges)
+        out = []
+        for i, (u, v) in enumerate(edges):
+            only = (inc[u] ^ inc[v]) & ~twice
+            if only and _disjoint_union(masks[j] for j in bits(k.least(0, only))) is None:
+                out.append(self.is_covered(edges[:i] + edges[i + 1 :]))  # refuses as the loop does
+            else:
+                out.append(not only)
+        return out
 
 
 class ExplicitFamilyOracle(_KernelOracle):

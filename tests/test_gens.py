@@ -139,6 +139,13 @@ def test_bundle_cores_are_disjoint_family_members():
             assert not a.mask & c.mask
 
 
+def test_bundle_sets_are_the_familys_own_member_objects():
+    for b in (tight_seven(8), tight_six(8), tight_beta(8, 2)):
+        own = {id(s) for s in b.family.members}
+        assert len(own) == len(b.family)
+        assert all(id(s) in own for s in (*b.witness, *b.cores))
+
+
 def test_tight_six_members_cross_at_most_one_core():
     for leaves in (2, 4):
         b = tight_six(leaves)

@@ -173,6 +173,179 @@ def test_residual_refuses_bad_edges_and_leaves_its_parent_unchanged():
         assert one.remove(0, 2).cores == root.cores
 
 
+def test_covered_refuses_an_overlapping_residual_as_cores_does():
+    f = ExplicitFamily.from_sets(6, [[0, 3], [0, 1, 3, 4], [1, 2]])
+    oracle = ExplicitFamilyOracle(f)
+    with pytest.raises(OracleInvariantError) as by_cores:
+        oracle.residual().add(3, 4).cores
+    with pytest.raises(OracleInvariantError) as by_covered:
+        oracle.residual().add(3, 4).covered
+    assert str(by_covered.value) == str(by_cores.value)
+
+
+# --- derived core tuples ----------------------------------------------------
+
+
+def assert_adds_derive_cores(oracle: FamilyOracle, adds, plan) -> None:
+    """Walk `adds` on the residual.  plan[t] is (read the parent's cores
+    before the add, read the child's covered before its cores).  A child
+    whose parent held its tuple derives its own unless the stateless query
+    refuses, and every tuple is the stateless one, object for object."""
+    residual = oracle.residual()
+    edges: list = []
+    for (u, v), (read_parent, covered_first) in zip(adds, plan):
+        if read_parent:
+            outcome(lambda: residual.cores)
+        held = residual._cores is not None
+        residual = residual.add(u, v)
+        edges.append((u, v))
+        want = outcome(lambda: tuple(oracle.cores(list(edges))))
+        if held and not isinstance(want, OracleInvariantError):
+            assert residual._cores is not None, edges  # derived, not listed
+        reads = ("covered", "cores") if covered_first else ("cores", "covered")
+        got = {what: outcome(lambda: getattr(residual, what)) for what in reads}
+        if isinstance(want, OracleInvariantError):
+            for what in reads:
+                assert isinstance(got[what], OracleInvariantError), (what, edges)
+                assert str(got[what]) == str(want), (what, edges)
+        else:
+            assert got["cores"] == want, edges
+            assert all(a is b for a, b in zip(got["cores"], want)), edges
+            assert got["covered"] == (not want), edges
+
+
+@st.composite
+def explicit_add_walks(draw):
+    n = draw(st.integers(2, 7))
+    masks = draw(st.sets(st.integers(1, (1 << n) - 2), max_size=10))
+    f = ExplicitFamily(n, tuple(NodeSet(n, m) for m in masks))
+    adds = draw(st.lists(st.sampled_from(all_pairs(n)), max_size=10))
+    plan = draw(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=len(adds), max_size=len(adds)))
+    return f, adds, plan
+
+
+@given(explicit_add_walks())
+@settings(deadline=None, max_examples=300)
+def test_add_derives_the_stateless_core_tuple_on_explicit_families(case):
+    f, adds, plan = case
+    assert_adds_derive_cores(ExplicitFamilyOracle(f), adds, plan)
+
+
+def test_add_derives_the_stateless_core_tuple_on_small_cut_graphs():
+    for n in range(4, 11):
+        for i in range(6):
+            rng = instance_rng(180 + n, i)
+            oracle = SmallCutsOracle(random_cap_graph(rng, n))
+            adds = [tuple(rng.sample(range(n), 2)) for _ in range(2 * n)]
+            plan = [(rng.random() < 0.7, rng.random() < 0.5) for _ in adds]
+            assert_adds_derive_cores(oracle, adds, plan)
+
+
+def test_add_derives_the_core_tuples_of_a_tight_run():
+    bundle = tight_six(16)
+    oracle = ExplicitFamilyOracle(bundle.family)
+    trace = solve(bundle.graph, oracle)
+    adds = [bundle.graph.pair(e) for e in trace.additions()]
+    assert_adds_derive_cores(oracle, adds, [(True, False)] * len(adds))
+
+
+# --- removable(J) against the per-edge loop ---------------------------------
+
+
+def assert_removable_matches_the_loop(oracle: FamilyOracle, edges) -> None:
+    """removable(J) equals the base class's per-edge is_covered loop,
+    refusals and their messages included."""
+    got = outcome(lambda: oracle.removable(edges))
+    want = outcome(lambda: FamilyOracle.removable(oracle, edges))
+    if isinstance(want, OracleInvariantError):
+        assert isinstance(got, OracleInvariantError), (edges, got)
+        assert str(got) == str(want), edges
+    else:
+        assert got == want, (edges, got)
+
+
+def edge_lists(oracle: FamilyOracle, edges: list, pairs: list) -> list[list]:
+    """J itself, J with repeated edges, and a cover from J plus `pairs`
+    with every edge the per-edge loop finds removable dropped, newest
+    first, so most of its edges are needed."""
+    cover = [*edges, *pairs]
+    for i in range(len(cover) - 1, -1, -1):
+        if outcome(lambda: oracle.is_covered(cover[:i] + cover[i + 1 :])) is True:
+            del cover[i]
+    return [edges, edges + edges[::2], cover, cover + cover[:1]]
+
+
+@st.composite
+def explicit_edge_lists(draw):
+    n = draw(st.integers(2, 7))
+    masks = draw(st.sets(st.integers(1, (1 << n) - 2), max_size=10))
+    f = ExplicitFamily(n, tuple(NodeSet(n, m) for m in masks))
+    edges = draw(st.lists(st.sampled_from(all_pairs(n)), max_size=8))
+    return f, edges, draw(st.permutations(all_pairs(n)))
+
+
+@given(explicit_edge_lists())
+@settings(deadline=None, max_examples=300)
+def test_removable_matches_the_per_edge_loop_on_explicit_families(case):
+    f, edges, pairs = case
+    oracle = ExplicitFamilyOracle(f)
+    for js in edge_lists(oracle, edges, pairs):
+        assert_removable_matches_the_loop(oracle, js)
+
+
+def test_removable_matches_the_per_edge_loop_on_small_cut_graphs():
+    for n in range(4, 11):
+        for i in range(6):
+            rng = instance_rng(190 + n, i)
+            oracle = SmallCutsOracle(random_cap_graph(rng, n))
+            pairs = all_pairs(n)
+            rng.shuffle(pairs)
+            edges = [tuple(rng.sample(range(n), 2)) for _ in range(n)]
+            for js in edge_lists(oracle, edges, pairs):
+                assert_removable_matches_the_loop(oracle, js)
+
+
+def test_removable_refuses_overlapping_cores_as_the_loop_does():
+    # (1,5) alone leaves {0,3}; (3,4) alone leaves {0,1,3,4} and {1,2}.
+    f = ExplicitFamily.from_sets(6, [[0, 3], [0, 1, 3, 4], [1, 2]])
+    oracle = ExplicitFamilyOracle(f)
+    edges = [(1, 5), (3, 4)]
+    assert oracle.is_covered(edges)
+    with pytest.raises(OracleInvariantError, match="disjoint") as by_loop:
+        FamilyOracle.removable(oracle, edges)
+    with pytest.raises(OracleInvariantError) as by_kernel:
+        oracle.removable(edges)
+    assert str(by_kernel.value) == str(by_loop.value)
+    assert_removable_matches_the_loop(oracle, edges)
+    assert oracle.removable([(3, 4), (1, 5), (1, 5)]) == [False, True, True]
+
+
+class CoveredCounter(ExplicitFamilyOracle):
+    """The explicit oracle, counting its own is_covered calls."""
+
+    def __init__(self, family: ExplicitFamily) -> None:
+        super().__init__(family)
+        self.asked = 0
+
+    def is_covered(self, edges):
+        self.asked += 1
+        return super().is_covered(edges)
+
+
+def test_certify_asks_is_covered_per_solution_edge_only_through_a_wrapper():
+    bundle = tight_six(8)
+    inner = ExplicitFamilyOracle(bundle.family)
+    trace = solve(bundle.graph, inner)
+    want = certify(bundle.graph, inner, trace, "sparse")
+    assert want.verdict
+    wrapped = CountingOracle(inner)
+    assert certify(bundle.graph, wrapped, trace, "sparse") == want
+    assert wrapped.calls["is_covered"] == len(trace.solution) + 1
+    counter = CoveredCounter(bundle.family)
+    assert certify(bundle.graph, counter, trace, "sparse") == want
+    assert counter.asked == 1
+
+
 # --- the base-class default against the kernel ------------------------------
 
 
