@@ -31,13 +31,14 @@ from fractions import Fraction
 
 from .errors import InfeasibleError, guard
 from .setfam import Edge, FamilyOracle, Residual, bits, incidence, over_common_denominator
-from .wgmv import CostedGraph, RunTrace, edge_loads
+from .wgmv import CostedGraph, RunTrace, check_universe, edge_loads
 
 MAX_BRUTE_EDGES = 24
 
 
 def brute_force_opt(g: CostedGraph, oracle: FamilyOracle) -> tuple[Fraction, tuple[int, ...]]:
     """Exact optimum cost and the lexicographically least optimal edge set."""
+    check_universe(g, oracle)
     m = len(g.edges)
     guard("exhaustive optimum", "edges", m, MAX_BRUTE_EDGES)
     pairs = [g.pair(e) for e in range(m)]
@@ -175,6 +176,7 @@ def certify(
     instance_digest: str = "",
 ) -> Certificate:
     factor = guarantee_factor(family_class, beta)
+    check_universe(g, oracle)
     checks: list[CheckRow] = []
 
     def add(name: str, ok: bool, detail: str = "") -> None:

@@ -34,7 +34,6 @@ family is F^{I*}.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -234,9 +233,10 @@ class _CoverageKernel:
     is one XOR of two incidence entries.  `residual(J)` is the one query:
     one pass over J gives the members it covers once and twice, and the
     cores are `least(0, alive)`.  A J that covers every member leaves no
-    candidate, so that answer costs the pass alone.  Each core's NodeSet is
-    built the first time a residual lists it, and later listings return
-    that same object.
+    candidate, so that answer costs the pass alone.  Members are in
+    canonical order, so a walk of the bits of a mask lists its members in
+    that order; `nodeset(i)` builds member i's NodeSet once, when first
+    listed.
 
     `root` is `residual(())`; residuals are immutable (see
     `_KernelResidual`), so one per kernel serves every run.  The holders of
@@ -248,7 +248,7 @@ class _CoverageKernel:
     def __init__(self, n: int, masks: Sequence[int]) -> None:
         self.n = n
         self.masks = tuple(masks)
-        self._nodesets: dict[int, NodeSet] = {}
+        self._sets: list[NodeSet | None] = [None] * len(self.masks)
         self._holders: dict[int, int] = {}
 
     @cached_property
@@ -266,13 +266,12 @@ class _CoverageKernel:
         alive = ~once & ((1 << len(self.masks)) - 1)
         return _KernelResidual(self, tuple(edges), alive, twice, self.least(0, alive))
 
-    def nodesets(self, masks: Sequence[int]) -> list[NodeSet]:
-        """One NodeSet per mask, the same object on every call, in canonical order."""
-        sets = self._nodesets
-        for m in masks:
-            if m not in sets:
-                sets[m] = NodeSet(self.n, m)
-        return sorted((sets[m] for m in masks), key=NodeSet.sort_key)
+    def nodeset(self, i: int) -> NodeSet:
+        """Member i's NodeSet, the same object on every call."""
+        s = self._sets[i]
+        if s is None:
+            s = self._sets[i] = NodeSet(self.n, self.masks[i])
+        return s
 
     def holders(self, i: int) -> int:
         """Bitmask of the members that contain member i, i included."""
@@ -324,11 +323,12 @@ class _KernelResidual:
     "at least twice" mask is recounted from J only when a residual made by
     `remove` is itself asked to remove an edge.
 
-    `core_sets()` lists the cores unvalidated, as the stateless `cores(J)`
-    and `analyze_trace` read them; `cores` is that listing validated once.
-    A residual made by `add` from one that holds its validated tuple
-    derives its own from it (`_derive_cores`), and `covered` checks the
-    core masks without building a tuple.
+    `core_sets()` lists the cores unvalidated, by a walk of the core bits,
+    as the stateless `cores(J)` and `analyze_trace` read them; `cores` is
+    that listing after one `_validate_cores` check of the core masks.  A
+    residual made by `add` from one that holds its validated tuple derives
+    its own from it (`_derive_cores`), and `covered` checks the core masks
+    without building a tuple.
     """
 
     __slots__ = ("_kernel", "edges", "alive", "_twice", "_core_bits", "_cores", "_span")
@@ -353,26 +353,25 @@ class _KernelResidual:
 
     def core_sets(self) -> list[NodeSet]:
         """The cores in canonical order, unvalidated."""
-        masks = self._kernel.masks
-        return self._kernel.nodesets([masks[i] for i in bits(self._core_bits)])
+        return [self._kernel.nodeset(i) for i in bits(self._core_bits)]
+
+    def _core_masks(self) -> list[int]:
+        return [self._kernel.masks[i] for i in bits(self._core_bits)]
 
     @property
     def cores(self) -> tuple[NodeSet, ...]:
         """The cores in canonical order, validated as `FamilyOracle.cores` is."""
         if self._cores is None:
-            cores = tuple(self.core_sets())
-            self._span = _validate_cores(cores)
-            self._cores = cores
+            self._span = _validate_cores(self._core_masks())
+            self._cores = tuple(self.core_sets())
         return self._cores
 
     @property
     def covered(self) -> bool:
-        """True when J leaves no core.  The core masks are checked as
-        `cores` checks the cores; only a failed check lists them, to refuse
-        with the same error."""
-        masks = self._kernel.masks
-        if self._cores is not None or _disjoint_union(masks[i] for i in bits(self._core_bits)) is None:
-            return not self.cores
+        """True when J leaves no core; the core masks are checked as `cores`
+        checks them."""
+        if self._cores is None:
+            _validate_cores(self._core_masks())
         return not self._core_bits
 
     def _twice_covered(self) -> int:
@@ -400,28 +399,28 @@ class _KernelResidual:
 
     def _derive_cores(self, parent: "_KernelResidual", killed: int) -> None:
         """Set the validated tuple from the parent's: less its `killed`
-        cores, plus the new ones, each placed by bisection.
+        cores, plus the new ones, each placed by its rank among the core
+        bits below its index.
 
         The parent's cores are nonempty and pairwise disjoint, so the whole
         tuple passes `_validate_cores` exactly when the new cores are
         nonempty and disjoint from the kept ones and from each other.  When
-        they are not, no tuple is set, and `cores` lists the cores and
-        refuses at the same step.
+        they are not, no tuple is set, and `cores` refuses at the same step.
         """
         k = self._kernel
         masks = k.masks
         gone = 0
         for i in bits(killed):
             gone |= masks[i]
-        new = [masks[i] for i in bits(self._core_bits & ~parent._core_bits)]
-        span = _disjoint_union(new, parent._span & ~gone)
+        new = bits(self._core_bits & ~parent._core_bits)
+        span = _disjoint_union((masks[i] for i in new), parent._span & ~gone)
         if span is None:
             return
         cores = list(parent._cores)
-        for i in bits(killed):
-            del cores[bisect_left(cores, k._nodesets[masks[i]].sort_key(), key=NodeSet.sort_key)]
-        for s in k.nodesets(new):
-            insort(cores, s, key=NodeSet.sort_key)
+        for i in reversed(bits(killed)):  # from the top, so lower ranks stay put
+            del cores[(parent._core_bits & ((1 << i) - 1)).bit_count()]
+        for i in new:  # from the bottom, so each rank counts the cores placed below it
+            cores.insert((self._core_bits & ((1 << i) - 1)).bit_count(), k.nodeset(i))
         self._cores = tuple(cores)
         self._span = span
 
@@ -687,19 +686,17 @@ def crossing_number(f: ExplicitFamily) -> int:
     return max(1, best)
 
 
-def _validate_cores(cores: Sequence[NodeSet]) -> int:
-    """Refuse a core list that is not nonempty sets, pairwise disjoint;
-    return their union."""
+def _validate_cores(masks: Sequence[int]) -> int:
+    """Refuse a list of core masks, in canonical order, that are not
+    nonempty and pairwise disjoint; return their union."""
     seen = 0
-    for i, b in enumerate(cores):
-        if b.is_empty():
+    for i, b in enumerate(masks):
+        if not b:
             raise OracleInvariantError("cores not inclusion-minimal: an empty core")
-        if b.mask & seen:
-            a = next(a for a in cores[:i] if a.mask & b.mask)
-            raise OracleInvariantError(
-                f"cores not pairwise disjoint: {list(a.members())} and {list(b.members())}"
-            )
-        seen |= b.mask
+        if b & seen:
+            a = next(a for a in masks[:i] if a & b)
+            raise OracleInvariantError(f"cores not pairwise disjoint: {bits(a)} and {bits(b)}")
+        seen |= b
     return seen
 
 
@@ -793,10 +790,11 @@ class FamilyOracle:
     Both backends are `_KernelOracle`s: a `_CoverageKernel` over their
     family's incidence list answers every call.  The explicit backend builds
     it once per oracle, the small-cut backend reads the one its graph builds
-    from a single cut scan.  Their `cores(J)` lists the kernel's residual of
-    J, built in one step; their residual() is the kernel's root
-    (`_KernelResidual`), which derives each residual from the last one by
-    bitmask updates; their removable(J) is one pass over J.
+    from a single cut scan; member index is canonical order in both.  Their
+    `cores(J)` lists the kernel's residual of J, built in one step; their
+    residual() is the kernel's root (`_KernelResidual`), which derives each
+    residual from the last one by bitmask updates; their removable(J) is
+    one pass over J.  All three refuse by one check of the core masks.
     """
 
     def universe_size(self) -> int:
@@ -807,7 +805,7 @@ class FamilyOracle:
 
     def cores(self, edges: Sequence[Edge]) -> list[NodeSet]:
         out = self._cores_impl(edges)
-        _validate_cores(out)
+        _validate_cores([c.mask for c in out])
         return out
 
     def is_covered(self, edges: Sequence[Edge]) -> bool:
@@ -847,11 +845,9 @@ class _KernelOracle(FamilyOracle):
     `cores(J)` lists its one-step residual of J.
 
     `removable(J)` checks J's edges and makes one pass over them for the
-    members J crosses once and twice.  When J covers the family, J - e
-    covers exactly when every member e crosses is crossed twice; otherwise
-    the cores of J - e are the minimal members that only e crosses, checked
-    on their masks.  A J that leaves a member has no removable edge, and
-    takes the per-edge loop, so that its refusals are the loop's.
+    members J crosses once and twice.  J - e leaves the members J leaves
+    plus those that only e crosses; it covers exactly when there are none,
+    and otherwise its cores, the minimal ones, are checked on their masks.
     """
 
     _kernel: _CoverageKernel
@@ -871,15 +867,13 @@ class _KernelOracle(FamilyOracle):
         validate_edges(k.n, edges)
         inc, masks = k.inc, k.masks
         once, twice = covered_masks(inc, edges)
-        if ~once & ((1 << len(masks)) - 1):
-            return super().removable(edges)
+        alive = ~once & ((1 << len(masks)) - 1)
         out = []
-        for i, (u, v) in enumerate(edges):
-            only = (inc[u] ^ inc[v]) & ~twice
-            if only and _disjoint_union(masks[j] for j in bits(k.least(0, only))) is None:
-                out.append(self.is_covered(edges[:i] + edges[i + 1 :]))  # refuses as the loop does
-            else:
-                out.append(not only)
+        for u, v in edges:
+            left = alive | ((inc[u] ^ inc[v]) & ~twice)  # the members J - e leaves
+            if left:
+                _validate_cores([masks[j] for j in bits(k.least(0, left))])
+            out.append(not left)
         return out
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil
 from operator import add, sub
 from typing import Sequence
 
@@ -32,6 +31,7 @@ from .setfam import (
     NodeSet,
     _CoverageKernel,
     _KernelOracle,
+    bits,
     edge_crosses_mask,
     over_common_denominator,
     validate_edges,
@@ -62,9 +62,10 @@ class CapGraph:
 
     @cached_property
     def _cuts(self) -> tuple[_CoverageKernel, Fraction]:
-        """The small cuts' coverage kernel and the edge connectivity."""
+        """The small cuts' coverage kernel, its members in canonical order,
+        and the edge connectivity."""
         masks, lam = _enumerate_cut_masks(self)
-        return _CoverageKernel(self.n, masks), lam
+        return _CoverageKernel(self.n, sorted(masks, key=bits)), lam
 
 
 def cut_value(h: CapGraph, s: NodeSet) -> Fraction:
@@ -147,8 +148,10 @@ def _enumerate_cut_masks(h: CapGraph) -> tuple[tuple[int, ...], Fraction]:
 
 
 def materialize_family(h: CapGraph) -> ExplicitFamily:
-    """The small-cuts family as an explicit family (guarded by n)."""
-    return ExplicitFamily(h.n, tuple(NodeSet(h.n, m) for m in h._cuts[0].masks))
+    """The small-cuts family as an explicit family (guarded by n), whose
+    members are the NodeSets the oracle's cores are."""
+    k = h._cuts[0]
+    return ExplicitFamily(h.n, tuple(map(k.nodeset, range(len(k.masks)))))
 
 
 def edge_connectivity(h: CapGraph) -> Fraction:
@@ -164,10 +167,7 @@ def beta_bound(h: CapGraph) -> int:
     lam = edge_connectivity(h)
     if h.k.denominator != 1 or lam.denominator != 1:
         raise ValueError("beta bound requires integer threshold and integer edge connectivity")
-    k = int(h.k)
-    lam_i = int(lam)
-    denom = ceil((lam_i + 1) / 2)
-    return max(1, (k - 1) // denom)
+    return max(1, (int(h.k) - 1) // ((int(lam) + 2) // 2))  # (lam + 2) // 2 = ceil((lam + 1) / 2)
 
 
 class SmallCutsOracle(_KernelOracle):

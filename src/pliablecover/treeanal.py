@@ -37,7 +37,7 @@ from .errors import (
     TreeInvariantError,
 )
 from .exact import guarantee_factor, iteration_load_bound
-from .setfam import Edge, ExplicitFamily, NodeSet, _CoverageKernel, bits, degree_sum
+from .setfam import Edge, ExplicitFamily, NodeSet, _CoverageKernel, _disjoint_union, bits, degree_sum
 from .setfam import edge_crosses_mask, incidence
 from .witness import laminar_tree, laminar_witness
 from .wgmv import CostedGraph, RunTrace
@@ -162,17 +162,10 @@ def build_tree(
     for w in witness:
         if w.n != n or w.is_empty() or w.mask == full_mask:
             raise TreeInvariantError("witness sets must be proper nonempty subsets")
-    # Core i overlaps a later core when it meets their running union.
-    overlaps_later: list[bool] = []
-    later = 0
-    for c in reversed(cores):
-        overlaps_later.append(bool(c.mask & later))
-        later |= c.mask
-    for a, overlaps in zip(cores, reversed(overlaps_later)):
-        if a.n != n or a.is_empty():
-            raise TreeInvariantError("cores must be nonempty subsets of the universe")
-        if overlaps:
-            raise TreeInvariantError("cores must be pairwise disjoint")
+    if any(c.n != n or c.is_empty() for c in cores):
+        raise TreeInvariantError("cores must be nonempty subsets of the universe")
+    if _disjoint_union(c.mask for c in cores) is None:
+        raise TreeInvariantError("cores must be pairwise disjoint")
 
     edge_of_node: list[int | None] = [cover[i][0] for i in witness_order]
     root = len(sets)

@@ -124,6 +124,12 @@ def _count_crossers(nbrs: list[list[tuple[int, int]]], core: NodeSet, cov: dict[
     return found
 
 
+def check_universe(g: CostedGraph, oracle: FamilyOracle) -> None:
+    """Refuse an oracle over another universe than the graph's nodes."""
+    if oracle.universe_size() != g.n:
+        raise ValueError("oracle universe does not match the graph")
+
+
 def phase1(
     g: CostedGraph, oracle: FamilyOracle
 ) -> tuple[list[int], list[IterationRecord], dict[NodeSet, Fraction], list[Fraction], Residual]:
@@ -148,8 +154,7 @@ def phase1(
     divides nothing.  A positive raise lowers each candidate's slack, the
     one place a slack falls, and checks it there.  Loads are cost - slack.
     """
-    if oracle.universe_size() != g.n:
-        raise ValueError("oracle universe does not match the graph")
+    check_universe(g, oracle)
     costs = [c for _, _, c in g.edges]
     slack = list(costs)
     values: dict[NodeSet, Fraction] = {}

@@ -57,6 +57,15 @@ def family_sets(f: ExplicitFamily):
     return [set(s.members()) for s in f]
 
 
+def test_oracle_universe_mismatch_is_rejected():
+    g = CostedGraph.build(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    with pytest.raises(ValueError, match="oracle universe does not match the graph"):
+        brute_force_opt(g, ExplicitFamilyOracle(ExplicitFamily.from_sets(3, [[0]])))
+    trace = solve(g, ExplicitFamilyOracle(ExplicitFamily.from_sets(4, [[0]])))
+    with pytest.raises(ValueError, match="oracle universe does not match the graph"):
+        certify(g, ExplicitFamilyOracle(ExplicitFamily.from_sets(5, [[0]])), trace, "sparse")
+
+
 def test_single_edge_instance():
     g = CostedGraph.build(2, [(0, 1, 5)])
     f = ExplicitFamily.from_sets(2, [[0]])

@@ -35,7 +35,7 @@ from pliablecover.setfam import (
     incidence,
     validate_edges,
 )
-from pliablecover.smallcuts import CapGraph, SmallCutsOracle, cut_value
+from pliablecover.smallcuts import CapGraph, SmallCutsOracle, cut_value, materialize_family
 
 
 # --- reference implementations (independent oracles) -----------------------
@@ -932,6 +932,12 @@ def test_kernel_reuses_its_core_nodesets():
     assert kernel.residual([(0, 2)]).cores[0] is kernel.root.cores[1]  # core {1} in both
     oracle = ExplicitFamilyOracle(f)
     assert all(a is b for a, b in zip(oracle.cores([(4, 0)]), oracle.cores([(4, 0)])))
+    h = CapGraph.build(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 2)], 4)
+    members = materialize_family(h).members
+    for edges in ([], [(0, 1)], [(1, 3)]):
+        first, second = SmallCutsOracle(h).cores(edges), SmallCutsOracle(h).cores(edges)
+        assert first and all(a is b for a, b in zip(first, second))
+        assert all(any(c is m for m in members) for c in first)
 
 
 def test_cached_members_leave_equality_and_hash_alone():

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import pliablecover.gens as gens
 import pliablecover.setfam as setfam
 import pliablecover.smallcuts as smallcuts
 from pliablecover.errors import GuardError, OracleInvariantError
@@ -218,6 +219,13 @@ def test_beta_bound_examples():
     assert beta_bound(graph_with(2, 5)) == 1  # clamped to >= 1
 
 
+def test_beta_bound_is_exact_at_large_connectivity():
+    # one edge of capacity lam gives connectivity lam; with k = lam + 1,
+    # (k - 1) // ceil((lam + 1) / 2) is 1 for every lam >= 1
+    for lam in (2**53, 10**20):
+        assert beta_bound(CapGraph.build(2, [(0, 1, lam)], lam + 1)) == 1
+
+
 def test_beta_bound_rejects_non_integer_inputs():
     with pytest.raises(ValueError):
         beta_bound(CapGraph.build(2, [(0, 1, 1)], Fraction(3, 2)))
@@ -226,6 +234,15 @@ def test_beta_bound_rejects_non_integer_inputs():
 
 
 # --- oracle equivalence and family structure -----------------------------------
+
+
+def test_kernel_members_are_in_canonical_order():
+    # the scan yields masks in numeric order, where {1} comes before {0, 2}
+    rng = random.Random(41)
+    for n in range(2, 13):
+        for _ in range(4):
+            h = gens.random_cap_graph(rng, n)
+            assert h._cuts[0].masks == materialize_family(h).masks()
 
 
 def test_oracle_agrees_with_materialized_route():

@@ -122,6 +122,14 @@ def test_build_tree_rejects_bad_input():
         mk_tree(4, [[0], [0, 2]], [(0, 1), (2, 3)], [[3]])
 
 
+def test_build_tree_checks_every_core_before_any_overlap():
+    # the empty core comes after the overlapping pair starts, yet it is the
+    # one reported: every core is checked to be a nonempty subset before
+    # any two are tested for disjointness
+    with pytest.raises(TreeInvariantError, match="nonempty subsets of the universe"):
+        mk_tree(4, [[0]], [(0, 1)], [[0, 1], [], [1, 2]])
+
+
 def test_star_tree_black_leaves_under_white_root():
     t = mk_tree(4, [[0], [1], [2]], [(0, 3), (1, 3), (2, 3)], [[0], [1], [2]])
     assert [e.weight for e in t.edges] == [1, 1, 1]
