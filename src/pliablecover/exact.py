@@ -6,11 +6,12 @@ tuple, compared element by element with a shorter prefix winning).  One
 depth-first search adds edge ids in increasing order; its pre-order is tuple
 order, so the first cover it finds at the optimum cost is that edge set.
 
-The costs are scaled once by their common denominator, so the search runs
-on integers and only the optimum becomes a Fraction again.  A node whose
-edge set J leaves cores bounds each child e from below by the cheapest
-crosser with id > e of every core e misses; one walk down the ids gives
-these suffix minima for all children.  Each child's residual is its
+The search runs on the graph's costs over their common denominator
+(`CostedGraph.scaled_costs`, shared with the solver), so only the optimum
+becomes a Fraction again.  A node whose edge set J leaves cores bounds
+each child e from below by the cheapest crosser with id > e of every core
+e misses; one walk down the ids gives these suffix minima for all
+children.  Each child's residual is its
 parent's plus one `add` (`FamilyOracle.residual`), so the search needs no
 undo.  A child that crosses no core of J has the same cores, because
 F^{J+e} is a subfamily of F^J that still holds every core, so the default
@@ -19,9 +20,10 @@ residual asks the oracle only when the child crosses one.
 `certify` re-derives everything checkable about a finished run from first
 principles: dual feasibility (every dual set a member and no edge over
 its cost, so by weak duality the dual objective is at most OPT), tightness
-of the solution, per-iteration load bounds for the claimed family class, and
-the approximation-factor inequality against the dual objective (and against
-the true optimum when supplied).
+of the solution (both compare loads and costs as integer numerators over
+one denominator, from `wgmv.edge_loads`), per-iteration load bounds for the
+claimed family class, and the approximation-factor inequality against the
+dual objective (and against the true optimum when supplied).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfeasibleError, guard
-from .setfam import Edge, FamilyOracle, Residual, bits, incidence, over_common_denominator
+from .setfam import Edge, FamilyOracle, Residual, bits, incidence
 from .wgmv import CostedGraph, RunTrace, check_universe, edge_loads
 
 MAX_BRUTE_EDGES = 24
@@ -45,7 +47,7 @@ def brute_force_opt(g: CostedGraph, oracle: FamilyOracle) -> tuple[Fraction, tup
     leftover = oracle.cores(pairs)
     if leftover:
         raise InfeasibleError(leftover[0])
-    costs, denom = over_common_denominator(c for _, _, c in g.edges)
+    costs, denom = g.scaled_costs
     best = _search(g.n, pairs, costs, [], 0, None, oracle.residual())
     assert best is not None
     return Fraction(best[0], denom), best[1]
@@ -54,7 +56,7 @@ def brute_force_opt(g: CostedGraph, oracle: FamilyOracle) -> tuple[Fraction, tup
 def _search(
     n: int,
     pairs: list[Edge],
-    costs: list[int],
+    costs: tuple[int, ...],
     chosen: list[int],
     cost: int,
     best: tuple[int, tuple[int, ...]] | None,
@@ -182,11 +184,12 @@ def certify(
     def add(name: str, ok: bool, detail: str = "") -> None:
         checks.append(CheckRow(name, ok, detail))
 
-    # Recompute edge loads from the dual values alone.
-    loads = edge_loads(g, trace.dual.values)
+    # Recompute edge loads from the dual values alone, over one integer
+    # denominator with the costs.
+    loads, costs, _ = edge_loads(g, trace.dual.values)
     neg = [s for s, y in trace.dual.values if y < 0]
     add("dual-nonnegative", not neg, f"{len(neg)} negative dual values" if neg else "")
-    over = [e for e in range(len(g.edges)) if loads[e] > g.cost(e)]
+    over = [e for e in range(len(g.edges)) if loads[e] > costs[e]]
     # Weak duality (dual objective <= OPT) needs every dual set to be a member.
     strays = [list(s.members()) for s, _ in trace.dual.values if not oracle.contains(s)]
     found = []
@@ -195,7 +198,7 @@ def certify(
     if strays:
         found.append(f"dual values on non-members: {strays}")
     add("dual-feasible", not found, "; ".join(found))
-    slack = [e for e in trace.solution if loads[e] != g.cost(e)]
+    slack = [e for e in trace.solution if loads[e] != costs[e]]
     add("solution-tight", not slack, f"non-tight solution edges: {slack}" if slack else "")
 
     sol_pairs = [g.pair(e) for e in trace.solution]

@@ -63,7 +63,8 @@ class TightBundle:
 
     @property
     def total_cost(self) -> Fraction:
-        return sum((c for _, _, c in self.graph.edges), Fraction(0))
+        nums, denom = self.graph.scaled_costs
+        return Fraction(sum(nums), denom)
 
     @property
     def dual_objective(self) -> Fraction:
@@ -254,9 +255,9 @@ def _assemble(
 ) -> TightBundle:
     graph = CostedGraph(n, tuple(edges))
     # one unit of dual on every core must load each edge to exactly its cost
-    unit_loads = edge_loads(graph, [(c, Fraction(1)) for c in cores])
-    for (u, v, cost), w, crossings in zip(edges, witness, unit_loads):
-        assert cost == crossings, f"edge ({u},{v}) costs {cost} but crosses {crossings} cores"
+    loads, costs, denom = edge_loads(graph, [(c, Fraction(1)) for c in cores])
+    for (u, v, cost), w, load, scaled in zip(edges, witness, loads, costs):
+        assert load == scaled, f"edge ({u},{v}) costs {cost} but crosses {Fraction(load, denom)} cores"
         assert edge_crosses_mask(w.mask, u, v), "edge must cross its witness set"
     # One object per distinct mask, shared by family, witness and cores, so
     # each set's members are walked once.

@@ -135,6 +135,24 @@ def validate_edges(n: int, edges: Sequence[Edge]) -> None:
             raise ValueError(f"edge ({u},{v}) is a loop")
 
 
+def check_rational(x: object, what: str) -> None:
+    """Refuse anything but an exact rational, an int (not a bool) or a
+    Fraction: a float would make every sum over it inexact."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise ValueError(f"{what} must be an int or a Fraction, got {x!r}")
+
+
+def validate_weighted_edges(n: int, edges: Sequence[tuple[int, int, Fraction]], weight: str) -> None:
+    """`validate_edges`, and every weight an exact rational >= 0; the error
+    for a bad weight names its edge."""
+    validate_edges(n, [(u, v) for u, v, _ in edges])
+    for u, v, w in edges:
+        if type(w) is not Fraction:
+            check_rational(w, f"{weight} on edge ({u},{v})")
+        if w.numerator < 0:  # the denominator is positive
+            raise ValueError(f"negative {weight} on edge ({u},{v})")
+
+
 def edge_crosses_mask(mask: int, u: int, v: int) -> bool:
     return (mask >> u & 1) != (mask >> v & 1)
 

@@ -31,10 +31,10 @@ from .setfam import (
     NodeSet,
     _CoverageKernel,
     _KernelOracle,
-    bits,
+    check_rational,
     edge_crosses_mask,
     over_common_denominator,
-    validate_edges,
+    validate_weighted_edges,
 )
 
 MAX_CUT_ENUM_NODES = 22
@@ -51,10 +51,8 @@ class CapGraph:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("capacitated graph needs at least two nodes")
-        validate_edges(self.n, [(u, v) for u, v, _ in self.edges])
-        for u, v, cap in self.edges:
-            if cap < 0:
-                raise ValueError(f"negative capacity on edge ({u},{v})")
+        validate_weighted_edges(self.n, self.edges, "capacity")
+        check_rational(self.k, "threshold k")
 
     @classmethod
     def build(cls, n: int, edges: Sequence[tuple[int, int, Fraction | int]], k: Fraction | int) -> "CapGraph":
@@ -65,7 +63,19 @@ class CapGraph:
         """The small cuts' coverage kernel, its members in canonical order,
         and the edge connectivity."""
         masks, lam = _enumerate_cut_masks(self)
-        return _CoverageKernel(self.n, sorted(masks, key=bits)), lam
+        return _CoverageKernel(self.n, sorted(masks, key=_member_order)), lam
+
+
+_MEMBER_ORDER = str.maketrans("01", "10")
+
+
+def _member_order(mask: int) -> str:
+    """Canonical-order sort key of a nonzero mask (sorted members compared
+    element by element, a shorter prefix first): its bits lowest first with
+    a member written "0", since at the first node where two sets differ the
+    one holding it has the smaller next member, and a mask whose bits end
+    first is a prefix of the other."""
+    return bin(mask)[:1:-1].translate(_MEMBER_ORDER)
 
 
 def cut_value(h: CapGraph, s: NodeSet) -> Fraction:

@@ -9,16 +9,21 @@ residual (`FamilyOracle.residual`): phase 1 adds each pick to it, and phase
 2 removes each edge from the residual phase 1 ended with, so no query
 starts again from the whole edge set.
 
-All arithmetic is over Fraction; an edge is tight when its slack, cost
-minus load, is exactly 0.  Determinism is pinned down explicitly: cores are
-listed in canonical order, ties are listed by id, and the lowest-id newly
-tight edge is picked (the full tie list is recorded in the trace).
+All arithmetic is exact: costs, slacks, loads and dual values are integer
+numerators over one common denominator (`CostedGraph.scaled_costs`), and
+Fractions are built only for the records.  An edge is tight when its slack,
+cost minus load, is exactly 0.  Determinism is pinned down explicitly:
+cores are listed in canonical order, ties are listed by id, and the
+lowest-id newly tight edge is picked (the full tie list is recorded in the
+trace).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import InfeasibleError
@@ -30,7 +35,7 @@ from .setfam import (
     bits,
     incidence,
     over_common_denominator,
-    validate_edges,
+    validate_weighted_edges,
 )
 
 
@@ -42,10 +47,7 @@ class CostedGraph:
     edges: tuple[tuple[int, int, Fraction], ...]
 
     def __post_init__(self) -> None:
-        validate_edges(self.n, [(u, v) for u, v, _ in self.edges])
-        for u, v, c in self.edges:
-            if c < 0:
-                raise ValueError(f"negative cost on edge ({u},{v})")
+        validate_weighted_edges(self.n, self.edges, "cost")
 
     @classmethod
     def build(cls, n: int, edges: Sequence[tuple[int, int, Fraction | int]]) -> "CostedGraph":
@@ -57,6 +59,13 @@ class CostedGraph:
 
     def cost(self, edge_id: int) -> Fraction:
         return self.edges[edge_id][2]
+
+    @cached_property
+    def scaled_costs(self) -> tuple[tuple[int, ...], int]:
+        """The costs as integer numerators over their least common
+        denominator: cost(e) == nums[e] / denom."""
+        nums, denom = over_common_denominator(c for _, _, c in self.edges)
+        return tuple(nums), denom
 
 
 @dataclass(frozen=True)
@@ -79,7 +88,8 @@ class DualState:
     loads: tuple[Fraction, ...]
 
     def objective(self) -> Fraction:
-        return sum((y for _, y in self.values), Fraction(0))
+        nums, denom = over_common_denominator(y for _, y in self.values)
+        return Fraction(sum(nums), denom)
 
 
 @dataclass(frozen=True)
@@ -93,18 +103,22 @@ class RunTrace:
         return tuple(it.added for it in self.iterations)
 
     def solution_cost(self, g: CostedGraph) -> Fraction:
-        return sum((g.cost(e) for e in self.solution), Fraction(0))
+        nums, denom = g.scaled_costs
+        return Fraction(sum(nums[e] for e in self.solution), denom)
 
 
-def edge_loads(g: CostedGraph, values: Iterable[tuple[NodeSet, Fraction]]) -> list[Fraction]:
-    """Per-edge load: the summed dual value of the sets each edge crosses.
-
-    The values are summed as integer numerators over their common
-    denominator, so each edge makes one Fraction."""
+def edge_loads(g: CostedGraph, values: Iterable[tuple[NodeSet, Fraction]]) -> tuple[list[int], list[int], int]:
+    """Per-edge load, the summed dual value of the sets each edge crosses,
+    and per-edge cost, both as integer numerators over one denominator:
+    (loads, costs, denom) with load(e) == loads[e] / denom."""
     values = list(values)
-    nums, denom = over_common_denominator(y for _, y in values)
+    nums, vden = over_common_denominator(y for _, y in values)
+    costs, cden = g.scaled_costs
+    denom = lcm(vden, cden)
+    vs, cs = denom // vden, denom // cden
     inc = incidence(g.n, (s.mask for s, _ in values))
-    return [Fraction(sum(nums[i] for i in bits(inc[u] ^ inc[v])), denom) for u, v, _ in g.edges]
+    loads = [sum(nums[i] for i in bits(inc[u] ^ inc[v])) * vs for u, v, _ in g.edges]
+    return loads, [c * cs for c in costs], denom
 
 
 def _count_crossers(nbrs: list[list[tuple[int, int]]], core: NodeSet, cov: dict[int, int], step: int) -> int:
@@ -149,15 +163,23 @@ def phase1(
     core that stays keeps its crossers.  For the same reason only a new
     core can be left without a crosser.
 
-    The loop keeps one number per edge, its slack (cost minus load).  The
-    ties are the candidates of slack 0; with any, the raise is zero and
-    divides nothing.  A positive raise lowers each candidate's slack, the
-    one place a slack falls, and checks it there.  Loads are cost - slack.
+    The loop keeps one integer per edge, its slack (cost minus load) in
+    units of 1/denom, where denom starts as the costs' common denominator.
+    The ties are the candidates of slack 0; with any, the raise is zero and
+    divides nothing.  A positive raise is the least slack / crossings, found
+    by cross-multiplying.  When it is not whole, denom, every slack and
+    every dual value are multiplied by its denominator, so denom stays the
+    lcm of the costs' and the raises' denominators.  The raise lowers each
+    candidate's slack, the one place a slack falls, and checks it there.
+    Only the records are Fractions: each raise, and once at the end the
+    dual values and the loads (cost - slack).
     """
     check_universe(g, oracle)
-    costs = [c for _, _, c in g.edges]
+    costs, cost_denom = g.scaled_costs
+    denom = cost_denom
     slack = list(costs)
-    values: dict[NodeSet, Fraction] = {}
+    raised: dict[NodeSet, int] = {}
+    zero = Fraction(0)
     picked: list[int] = []
     records: list[IterationRecord] = []
     residual = oracle.residual()
@@ -182,13 +204,24 @@ def phase1(
         last = now
         tight = sorted(e for e in cov if not slack[e])
         if tight:
-            eps = Fraction(0)
+            eps = zero
         else:
-            eps = min(slack[e] / c for e, c in cov.items())
-            for core in cores:
-                values[core] = values.get(core, Fraction(0)) + eps
+            p, q = 1, 0  # the least slack / crossings so far, first infinity
             for e, c in cov.items():
-                slack[e] -= eps * c
+                if slack[e] * q < p * c:
+                    p, q = slack[e], c
+            r = gcd(p, q)
+            p, q = p // r, q // r
+            if q > 1:  # make the raise whole: denom becomes lcm(denom, its denominator)
+                denom *= q
+                slack = [s * q for s in slack]
+                for core in raised:
+                    raised[core] *= q
+            eps = Fraction(p, denom)
+            for core in cores:
+                raised[core] = raised.get(core, 0) + p
+            for e, c in cov.items():
+                slack[e] -= p * c
                 assert slack[e] >= 0, "edge load exceeded its cost"
             tight = sorted(e for e in cov if not slack[e])
         assert tight, "the minimizing edge must be tight after the raise"
@@ -197,7 +230,9 @@ def phase1(
         residual = residual.add(*g.pair(added))
         records.append(IterationRecord(cores, eps, added, tuple(tight)))
 
-    loads = [c - s for c, s in zip(costs, slack)]
+    values = {core: Fraction(y, denom) for core, y in raised.items()}
+    scale = denom // cost_denom
+    loads = [Fraction(c * scale - s, denom) for c, s in zip(costs, slack)]
     return picked, records, values, loads, residual
 
 

@@ -26,6 +26,7 @@ from pliablecover.setfam import (
     all_pairs,
     bits,
     coverage,
+    edge_crosses_mask,
     incidence,
 )
 from pliablecover.smallcuts import CapGraph, SmallCutsOracle
@@ -422,6 +423,41 @@ def test_inflated_dual_fails_certification():
         assert "dual-feasible" in {c.name for c in cert.checks if not c.ok}
         return
     raise AssertionError("no instance with a positive dual found")
+
+
+def nudged(trace, index, delta):
+    """The trace with dual value `index` moved by `delta`."""
+    values = list(trace.dual.values)
+    s, y = values[index]
+    values[index] = (s, y + delta)
+    return dataclasses.replace(trace, dual=dataclasses.replace(trace.dual, values=tuple(values)))
+
+
+def test_certify_sees_a_dual_change_of_one_part_in_ten_to_the_forty():
+    tiny = Fraction(1, 10**40)
+    checked = 0
+    for i in range(20):
+        g, f, oracle, trace = solved("gamma", 206, i, n=5)
+        assert certify(g, oracle, trace, "gamma").verdict
+        for index, (s, y) in enumerate(trace.dual.values):
+            crossing = [e for e in trace.solution if edge_crosses_mask(s.mask, *g.pair(e))]
+            if y <= tiny or not crossing:
+                continue
+            # a solution edge is tight, so one more 1/10^40 on a set it crosses
+            # puts it over its cost
+            rows = {c.name: c for c in certify(g, oracle, nudged(trace, index, tiny), "gamma").checks}
+            assert not rows["dual-feasible"].ok
+            assert str(crossing[0]) in rows["dual-feasible"].detail
+            # and 1/10^40 less leaves it short of its cost, while still feasible
+            rows = {c.name: c for c in certify(g, oracle, nudged(trace, index, -tiny), "gamma").checks}
+            assert rows["dual-feasible"].ok
+            assert (rows["solution-tight"].ok, rows["solution-tight"].detail) == (
+                False,
+                f"non-tight solution edges: {crossing}",
+            )
+            checked += 1
+            break
+    assert checked > 10
 
 
 def test_opt_below_dual_fails_certification():

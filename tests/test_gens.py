@@ -1,8 +1,11 @@
 """Tests for instance generators: tight constructions and random families."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pliablecover.gens as gens
 from pliablecover.errors import GenerationError, GuardError
@@ -23,6 +26,7 @@ from pliablecover.setfam import (
     edge_crosses_mask,
 )
 from pliablecover.treeanal import build_tree, verify_bounds
+from pliablecover.wgmv import CostedGraph
 from pliablecover.witness import is_laminar, laminar_witness
 
 import random
@@ -73,6 +77,15 @@ def test_ratios_approach_their_limits_at_64_leaves():
     assert tight_six(64).ratio == Fraction(382, 65)
     assert tight_six(64).ratio >= Fraction(28, 5)
     assert tight_beta(64, 4).ratio == Fraction(382, 80)
+
+
+@settings(deadline=None)
+@given(st.lists(st.fractions(min_value=0, max_value=50, max_denominator=60), max_size=20))
+def test_total_cost_equals_the_fraction_sum(costs):
+    graph = CostedGraph(2, tuple((0, 1, c) for c in costs))
+    bundle = dataclasses.replace(tight_six(2), graph=graph)
+    assert bundle.total_cost == recount_cost(bundle) == sum(costs, Fraction(0))
+    assert type(bundle.total_cost) is Fraction
 
 
 def test_tight_constructions_reject_bad_sizes():

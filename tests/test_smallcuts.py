@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pliablecover.gens as gens
 import pliablecover.setfam as setfam
@@ -82,6 +84,18 @@ def test_capgraph_validation():
         CapGraph.build(3, [(0, 0, 1)], 1)
     with pytest.raises(ValueError):
         CapGraph.build(3, [(0, 1, -1)], 1)
+
+
+def test_capgraph_refuses_inexact_capacities_and_thresholds():
+    # a float capacity crashed at the first query; build converts every
+    # weight with Fraction(), so only the direct constructor can take one
+    for bad in (0.5, True, 2.0, "1"):
+        with pytest.raises(ValueError, match=r"capacity on edge \(0,1\)"):
+            CapGraph(3, ((0, 1, bad),), Fraction(1))
+        with pytest.raises(ValueError, match="threshold"):
+            CapGraph(3, ((0, 1, Fraction(1)),), bad)
+    h = CapGraph(3, ((0, 1, 2), (1, 2, Fraction(1, 2))), 1)
+    assert SmallCutsOracle(h).cores([]) == [NodeSet.from_members(3, [0, 1]), NodeSet.from_members(3, [2])]
 
 
 def test_cut_value_examples():
@@ -234,6 +248,14 @@ def test_beta_bound_rejects_non_integer_inputs():
 
 
 # --- oracle equivalence and family structure -----------------------------------
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.integers(1, (1 << 12) - 1), max_size=40), st.integers(0, 10))
+def test_member_order_key_sorts_like_the_member_lists(masks, low):
+    # prefix pairs such as {low} and {low, low + 2}, and {0} and {0, 2}
+    masks += [1 << low, (1 << low) | (4 << low), 1, 5]
+    assert sorted(masks, key=smallcuts._member_order) == sorted(masks, key=setfam.bits)
 
 
 def test_kernel_members_are_in_canonical_order():

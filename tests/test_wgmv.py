@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pliablecover.errors import InfeasibleError
 from pliablecover.gens import instance_rng, random_instance, tight_beta, tight_seven, tight_six
@@ -16,11 +18,21 @@ from pliablecover.setfam import (
     ExplicitFamily,
     ExplicitFamilyOracle,
     NodeSet,
+    all_pairs,
     bits,
     edge_crosses_mask,
     incidence,
 )
-from pliablecover.wgmv import CostedGraph, IterationRecord, edge_loads, phase1, phase2, solve
+from pliablecover.wgmv import (
+    CostedGraph,
+    DualState,
+    IterationRecord,
+    RunTrace,
+    edge_loads,
+    phase1,
+    phase2,
+    solve,
+)
 
 
 def ref_cores(members, edge_pairs):
@@ -230,14 +242,27 @@ def ref_edge_loads(g, values):
     return loads
 
 
+def loads_as_fractions(g, values):
+    """edge_loads as Fractions, after checking its costs are g's over the
+    same denominator and every numerator is an int."""
+    loads, costs, denom = edge_loads(g, values)
+    assert all(type(x) is int for x in loads + costs + [denom])
+    assert [Fraction(c, denom) for c in costs] == [g.cost(e) for e in range(len(g.edges))]
+    return [Fraction(x, denom) for x in loads]
+
+
 def test_edge_loads_match_the_per_set_loop():
     g = CostedGraph.build(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1), (1, 2, 1)])
     a, b = NodeSet.from_members(4, [0, 1]), NodeSet.from_members(4, [1])
     mixed = [(a, Fraction(1, 2)), (b, Fraction(-2, 3)), (a, Fraction(3, 5)), (b, Fraction(1, 7))]
     both = Fraction(1, 2) - Fraction(2, 3) + Fraction(3, 5) + Fraction(1, 7)
-    assert edge_loads(g, mixed) == ref_edge_loads(g, mixed) == [Fraction(-11, 21), both, 0, Fraction(11, 10), both]
-    assert edge_loads(g, []) == [0] * 5
-    assert all(type(x) is Fraction for x in edge_loads(g, mixed) + edge_loads(g, []))
+    expected = [Fraction(-11, 21), both, 0, Fraction(11, 10), both]
+    assert loads_as_fractions(g, mixed) == ref_edge_loads(g, mixed) == expected
+    assert loads_as_fractions(g, []) == [0] * 5
+    assert edge_loads(g, []) == ([0] * 5, [1] * 5, 1)
+    thirds = CostedGraph.build(4, [(u, v, Fraction(i + 1, 3)) for i, (u, v, _) in enumerate(g.edges)])
+    assert loads_as_fractions(thirds, mixed) == expected
+    assert edge_loads(thirds, mixed)[2] == 3 * 5 * 7 * 2
 
     rng = random.Random(18)
     for _ in range(200):
@@ -251,8 +276,8 @@ def test_edge_loads_match_the_per_set_loop():
         ]
         values += rng.sample(values, rng.randint(0, len(values)))  # repeated sets
         expected = ref_edge_loads(g, values)
-        assert edge_loads(g, values) == expected
-        assert edge_loads(g, iter(values)) == expected
+        assert loads_as_fractions(g, values) == expected
+        assert loads_as_fractions(g, iter(values)) == expected
 
 
 # --- solver invariants across random instances -----------------------------------
@@ -436,3 +461,73 @@ def test_phase1_infeasible_names_the_reference_core():
                 assert got.value.core == exc.core
                 checked += 1
     assert checked > 10
+
+
+# --- integer phase 1 on raises of unrelated denominators ---------------------------
+
+
+@st.composite
+def laminar_instances(draw):
+    """A laminar family, so every residual's cores are disjoint: the 2-6
+    blocks of a random partition, the first iteration's cores, and nested
+    unions of consecutive blocks short of the whole universe.  Costs are
+    over 3, 5, 7 and 11, so the raises' denominators do not divide each
+    other."""
+    n = draw(st.integers(4, 9))
+    order = draw(st.permutations(range(n)))
+    k = draw(st.integers(2, min(6, n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=k - 1, max_size=k - 1)))
+    blocks = [order[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+    sets = []
+
+    def subtree(lo, hi):
+        if hi - lo > 1:
+            mid = draw(st.integers(lo + 1, hi - 1))
+            subtree(lo, mid)
+            subtree(mid, hi)
+        if hi - lo == 1 or (hi - lo < k and draw(st.booleans())):
+            sets.append([x for b in blocks[lo:hi] for x in b])
+
+    subtree(0, k)
+    pairs = draw(st.lists(st.sampled_from(all_pairs(n)), min_size=k, max_size=3 * n))
+    costs = st.builds(Fraction, st.integers(1, 40), st.sampled_from((3, 5, 7, 11)))
+    return CostedGraph(n, tuple((u, v, draw(costs)) for u, v in pairs)), ExplicitFamily.from_sets(n, sets)
+
+
+@settings(deadline=None, max_examples=200)
+@given(laminar_instances())
+def test_integer_phase1_matches_the_reference_on_unrelated_denominators(instance):
+    g, f = instance
+    try:
+        want = ref_phase1(g, ExplicitFamilyOracle(f))
+    except InfeasibleError as exc:
+        with pytest.raises(InfeasibleError) as got:
+            phase1(g, ExplicitFamilyOracle(f))
+        assert got.value.core == exc.core
+        return
+    picked, records, values, loads = assert_phase1_matches_reference(g, f)
+    assert all(type(x) is Fraction for x in [*values.values(), *loads])
+    assert loads == ref_edge_loads(g, values.items())
+
+
+def test_costed_graph_refuses_inexact_costs():
+    # a float cost solved to the float dual 0.5, and True to the float 1.0
+    for bad in (0.5, True, 1.0, None):
+        with pytest.raises(ValueError, match=r"cost on edge \(0,1\)"):
+            CostedGraph(3, ((1, 2, Fraction(1)), (0, 1, bad)))
+    g = CostedGraph(3, ((0, 1, 1), (0, 2, Fraction(1, 2))))
+    trace = solve(g, ExplicitFamilyOracle(ExplicitFamily.from_sets(3, [[0]])))
+    assert trace.dual.values == ((NodeSet.from_members(3, [0]), Fraction(1, 2)),)
+    assert trace.solution_cost(g) == Fraction(1, 2)
+
+
+@settings(deadline=None)
+@given(st.lists(st.fractions(min_value=0, max_value=50, max_denominator=60), max_size=12), st.data())
+def test_cost_and_objective_sums_equal_the_fraction_sums(costs, data):
+    g = CostedGraph(2, tuple((0, 1, c) for c in costs))
+    solution = tuple(sorted(data.draw(st.sets(st.integers(0, len(costs) - 1)) if costs else st.just(set()))))
+    trace = RunTrace((), (), solution, DualState((), ()))
+    assert trace.solution_cost(g) == sum((costs[e] for e in solution), Fraction(0))
+    values = tuple((NodeSet(2, 1), y) for y in costs)
+    assert DualState(values, ()).objective() == sum(costs, Fraction(0))
+    assert type(trace.solution_cost(g)) is type(DualState(values, ()).objective()) is Fraction
