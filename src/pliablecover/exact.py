@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfeasibleError, guard
-from .setfam import Edge, FamilyOracle, Residual, bits, incidence
+from .setfam import Edge, FamilyOracle, NodeSet, Residual, bits, member_incidence
 from .wgmv import CostedGraph, RunTrace, check_universe, edge_loads
 
 MAX_BRUTE_EDGES = 24
@@ -68,7 +68,7 @@ def _search(
     cores = residual.cores
     if not cores:
         return (cost, tuple(chosen))  # the caller let in only cheaper covers
-    inc = incidence(n, (c.mask for c in cores))
+    inc = member_incidence(n, cores)
     crossed = [inc[u] ^ inc[v] for u, v in pairs]
     first = chosen[-1] + 1 if chosen else 0
     # Every edge after child e has a larger id, so a core that e misses must
@@ -130,8 +130,11 @@ def guarantee_factor(family_class: str, beta: int | None = None) -> Fraction:
 
 
 def iteration_load_bound(family_class: str, num_cores: int, beta: int | None = None) -> Fraction:
-    """Upper bound on the summed final-solution degree of one iteration's cores."""
-    return guarantee_factor(family_class, beta) * num_cores - _GUARANTEES[family_class][1]
+    """Upper bound on the summed final-solution degree of one iteration's
+    cores, factor * num_cores - slack, over the factor's denominator."""
+    factor = guarantee_factor(family_class, beta)
+    den = factor.denominator
+    return Fraction(factor.numerator * num_cores - _GUARANTEES[family_class][1] * den, den)
 
 
 @dataclass(frozen=True)
@@ -150,7 +153,7 @@ class IterationRow:
 
     @property
     def ok(self) -> bool:
-        return self.load <= self.bound
+        return self.load * self.bound.denominator <= self.bound.numerator
 
 
 @dataclass(frozen=True)
@@ -207,19 +210,34 @@ def certify(
     loose = [e for e, free in zip(trace.solution, oracle.removable(sol_pairs)) if free]
     add("solution-minimal", not loose, f"removable edges: {loose}" if loose else "")
 
-    # Consecutive iterations share most cores, so d_J(C) is counted once per
-    # distinct core, from one incidence list over them all.
-    masks = list(dict.fromkeys(c.mask for it in trace.iterations for c in it.cores))
-    index = {m: i for i, m in enumerate(masks)}
-    degree = [0] * len(masks)
-    inc = incidence(g.n, masks)
+    # d_J(C) is counted once per distinct core, from one incidence list over
+    # them all.  Cores are told apart by object first: a solved or a read
+    # trace shares one object per core across its iterations, so each mask
+    # is hashed once, and a trace of fresh copies hashes one per entry.
+    objs: dict[int, NodeSet] = {}
+    for it in trace.iterations:
+        objs.update(zip(map(id, it.cores), it.cores))
+    index: dict[int, int] = {}  # mask -> row of the incidence list
+    distinct: list[NodeSet] = []
+    row_of: dict[int, int] = {}  # id(core) -> row
+    for k, c in objs.items():
+        row = row_of[k] = index.setdefault(c.mask, len(index))
+        if row == len(distinct):
+            distinct.append(c)
+    degree = [0] * len(distinct)
+    inc = member_incidence(g.n, distinct)
     for u, v in sol_pairs:
         for i in bits(inc[u] ^ inc[v]):
             degree[i] += 1
+    degree_of = {k: degree[i] for k, i in row_of.items()}
+    bounds: dict[int, Fraction] = {}  # by core count
     rows: list[IterationRow] = []
     for idx, it in enumerate(trace.iterations):
-        load = sum(degree[index[c.mask]] for c in it.cores)
-        rows.append(IterationRow(idx, len(it.cores), load, iteration_load_bound(family_class, len(it.cores), beta)))
+        num = len(it.cores)
+        bound = bounds.get(num)
+        if bound is None:
+            bound = bounds[num] = iteration_load_bound(family_class, num, beta)
+        rows.append(IterationRow(idx, num, sum(map(degree_of.__getitem__, map(id, it.cores))), bound))
     bad_rows = [r.index for r in rows if not r.ok]
     add("iteration-load-bounds", not bad_rows, f"iterations over bound: {bad_rows}" if bad_rows else "")
 

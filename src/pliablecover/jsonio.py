@@ -29,7 +29,10 @@ class SchemaError(ValueError):
 
 
 def dumps_canonical(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    # Every document is built fresh by a `*_to_json` function, so none is
+    # cyclic and the encoder's cycle check is skipped; a cyclic one would
+    # still fail, with RecursionError.
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def frac_to_json(x: Fraction) -> list[int]:
@@ -65,18 +68,27 @@ def _each(v: Any, where: str, read: Callable[..., Any], *args: Any) -> list:
 
 
 def _int_list(v: Any, where: str) -> list[int]:
-    if not isinstance(v, list) or not all(map(_is_int, v)):
+    # The element types, collected in one pass, settle the common case; an
+    # int subclass other than bool is tested element by element.
+    if not isinstance(v, list) or not ({*map(type, v)} <= {int} or all(map(_is_int, v))):
         raise SchemaError(f"{where}: expected a list of integers")
     return v
 
 
-def _nodeset(v: Any, where: str, n: int) -> NodeSet:
-    """A node-set list over universe size n; a bad node names `where`."""
-    members = _int_list(v, where)
-    try:
-        return NodeSet.from_members(n, members)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+def _nodeset(v: Any, where: str, n: int, known: dict[tuple[int, ...], NodeSet]) -> NodeSet:
+    """A node-set list over universe size n; a bad node names `where`.
+
+    `known` holds the sets read so far by member list, so every list is
+    checked but each distinct one becomes one NodeSet, shared by every
+    place that lists it."""
+    key = tuple(_int_list(v, where))
+    s = known.get(key)
+    if s is None:
+        try:
+            s = known[key] = NodeSet.from_members(n, key)
+        except ValueError as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
+    return s
 
 
 def _get(d: Any, key: str, where: str) -> Any:
@@ -262,27 +274,38 @@ def _edge_id(v: Any, where: str, m: int) -> int:
     return v
 
 
-def _iteration(row: Any, where: str, n: int, m: int) -> IterationRecord:
-    ties = f"{where}.ties"
+def _edge_ids(v: Any, where: str, m: int) -> tuple[int, ...]:
+    """A list of edge ids; the first bad one is reported as `_edge_id`
+    reports it."""
+    ids = _int_list(v, where)
+    if ids and (min(ids) < 0 or max(ids) >= m):
+        for x in ids:
+            _edge_id(x, where, m)
+    return tuple(ids)
+
+
+def _iteration(row: Any, where: str, n: int, m: int, known: dict[tuple[int, ...], NodeSet]) -> IterationRecord:
     return IterationRecord(
-        cores=tuple(_each(_get(row, "cores", where), f"{where}.cores", _nodeset, n)),
+        cores=tuple(_each(_get(row, "cores", where), f"{where}.cores", _nodeset, n, known)),
         eps=frac_from_json(_get(row, "eps", where), f"{where}.eps"),
         added=_edge_id(_get(row, "added", where), f"{where}.added", m),
-        ties=tuple(_edge_id(x, ties, m) for x in _int_list(_get(row, "ties", where), ties)),
+        ties=_edge_ids(_get(row, "ties", where), f"{where}.ties", m),
     )
 
 
-def _dual_value(row: Any, where: str, n: int) -> tuple[NodeSet, Fraction]:
+def _dual_value(row: Any, where: str, n: int, known: dict[tuple[int, ...], NodeSet]) -> tuple[NodeSet, Fraction]:
     if not isinstance(row, list) or len(row) != 2:
         raise SchemaError(f"{where}: expected [members, value]")
-    return _nodeset(row[0], f"{where}[0]", n), frac_from_json(row[1], where)
+    return _nodeset(row[0], f"{where}[0]", n, known), frac_from_json(row[1], where)
 
 
 def trace_from_json(doc: Any, g: CostedGraph, digest: str | None = None) -> RunTrace:
     """Parse a trace of a run on `g`; every edge id must index `g.edges`.
 
     When `digest` is given, the trace's `instance_digest` must be it or
-    empty (as `trace_to_json` writes by default).
+    empty (as `trace_to_json` writes by default).  Each distinct member
+    list becomes one NodeSet, shared by the iterations and the dual values
+    that list it, as in a solved trace.
     """
     _check_version(doc, "trace")
     n, m = g.n, len(g.edges)
@@ -294,12 +317,13 @@ def trace_from_json(doc: Any, g: CostedGraph, digest: str | None = None) -> RunT
             raise SchemaError(
                 f"trace.instance_digest: the trace is of instance {claimed}, not of this one ({digest})"
             )
-    iters = _each(_get(doc, "iterations", "trace"), "trace.iterations", _iteration, n, m)
+    known: dict[tuple[int, ...], NodeSet] = {}
+    iters = _each(_get(doc, "iterations", "trace"), "trace.iterations", _iteration, n, m, known)
     dual = _get(doc, "dual", "trace")
-    values = _each(_get(dual, "values", "trace.dual"), "trace.dual.values", _dual_value, n)
+    values = _each(_get(dual, "values", "trace.dual"), "trace.dual.values", _dual_value, n, known)
     loads = _each(_get(dual, "loads", "trace.dual"), "trace.dual.loads", frac_from_json)
     deleted, solution = (
-        tuple(_edge_id(x, f"trace.{key}", m) for x in _int_list(_get(doc, key, "trace"), f"trace.{key}"))
+        _edge_ids(_get(doc, key, "trace"), f"trace.{key}", m)
         for key in ("deleted", "solution")
     )
     if any(a >= b for a, b in zip(solution, solution[1:])):
@@ -425,12 +449,15 @@ def bundle_to_json(bundle) -> dict:
 
 
 def bundle_parts_from_json(doc: Any) -> tuple[CostedGraph, ExplicitFamily, list[NodeSet], list[NodeSet]]:
-    """Graph, family, witness list, core list of a serialized bundle."""
+    """Graph, family, witness list, core list of a serialized bundle; a
+    witness or core set that is listed as a family member is that member's
+    NodeSet."""
     _check_version(doc, "bundle")
     graph = graph_from_json(_get(doc, "graph", "bundle"))
     fam = family_spec_from_json(_get(doc, "family", "bundle"), "bundle.family")
     if not isinstance(fam, ExplicitFamily):
         raise SchemaError("bundle.family: expected an explicit family")
-    witness = _each(_get(doc, "witness", "bundle"), "bundle.witness", _nodeset, graph.n)
-    cores = _each(_get(doc, "cores", "bundle"), "bundle.cores", _nodeset, graph.n)
+    known = {s.members(): s for s in fam.members}
+    witness = _each(_get(doc, "witness", "bundle"), "bundle.witness", _nodeset, graph.n, known)
+    cores = _each(_get(doc, "cores", "bundle"), "bundle.cores", _nodeset, graph.n, known)
     return graph, fam, witness, cores

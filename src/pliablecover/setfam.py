@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from math import lcm
+from operator import index
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import OracleInvariantError, UniverseMismatchError, guard
@@ -66,15 +67,21 @@ class NodeSet:
 
     @classmethod
     def from_members(cls, n: int, members: Iterable[int]) -> "NodeSet":
-        mask = 0
-        for v in members:
-            if not 0 <= v < n:
-                raise ValueError(f"node {v} outside universe of size {n}")
-            mask |= 1 << v
-        return cls(n, mask)
+        """The set of `members`, duplicates and order ignored.  Its sorted
+        tuple is kept, so `members()` walks no bits; a bool or other int
+        subclass is stored as its int value."""
+        vals = list(map(index, members))
+        ordered = sorted(set(vals))
+        if ordered and (ordered[0] < 0 or ordered[-1] >= n):
+            bad = next(v for v in vals if not 0 <= v < n)
+            raise ValueError(f"node {bad} outside universe of size {n}")
+        s = cls(n, sum(map((1).__lshift__, ordered)))
+        s.__dict__["_members"] = tuple(ordered)
+        return s
 
     def members(self) -> tuple[int, ...]:
-        """Sorted members, computed at the first call and then cached."""
+        """Sorted members, computed at the first call (or kept by
+        `from_members`) and then cached."""
         return self._members
 
     @cached_property
@@ -178,6 +185,17 @@ def incidence(n: int, masks: Iterable[int]) -> list[int]:
     return inc
 
 
+def member_incidence(n: int, sets: Iterable[NodeSet]) -> list[int]:
+    """`incidence` of NodeSets, read from their member tuples (kept by
+    `from_members`, or cached at the first walk) rather than their masks."""
+    inc = [0] * n
+    for i, s in enumerate(sets):
+        bit = 1 << i
+        for v in s.members():
+            inc[v] |= bit
+    return inc
+
+
 def over_common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
     """Integer numerators over the least common denominator of `values`:
     value i equals nums[i] / denom.  No values give ([], 1)."""
@@ -260,18 +278,28 @@ class _CoverageKernel:
     `_KernelResidual`), so one per kernel serves every run.  The holders of
     member i (the members that contain it, itself included: the AND of
     `inc` over i's nodes) are computed the first time `least` asks for them
-    and then kept, so no per-family index is built up front.
+    and then kept, so no per-family index is built up front.  `sets`, when
+    given, are the members' NodeSets: `nodeset` hands them out, and `inc`
+    is read from their member tuples instead of a walk of each mask.
     """
 
-    def __init__(self, n: int, masks: Sequence[int]) -> None:
+    def __init__(self, n: int, masks: Sequence[int], sets: Sequence[NodeSet] | None = None) -> None:
         self.n = n
         self.masks = tuple(masks)
-        self._sets: list[NodeSet | None] = [None] * len(self.masks)
+        self._given = sets
+        self._sets: list[NodeSet | None] = [None] * len(self.masks) if sets is None else list(sets)
         self._holders: dict[int, int] = {}
 
     @cached_property
     def inc(self) -> list[int]:
-        return incidence(self.n, self.masks)
+        if self._given is None:
+            return incidence(self.n, self.masks)
+        return member_incidence(self.n, self._given)
+
+    @cached_property
+    def index(self) -> dict[int, int]:
+        """Member id by mask."""
+        return {m: i for i, m in enumerate(self.masks)}
 
     @cached_property
     def root(self) -> "_KernelResidual":
@@ -296,29 +324,50 @@ class _CoverageKernel:
         out = self._holders.get(i)
         if out is None:
             out = -1
-            for v in bits(self.masks[i]):
-                out &= self.inc[v]
+            inc = self.inc
+            for v in self.nodeset(i).members():
+                out &= inc[v]
             self._holders[i] = out
         return out
 
-    def least(self, kept: int, cands: int) -> int:
-        """The members of `kept`, plus the members of `cands` that contain
-        no member of `kept` and no smaller kept candidate.
+    def least(self, kept: int, cands: int, blocked: int = 0) -> int:
+        """The members of `kept`, plus the members of `cands` outside
+        `blocked` (the members that hold a member of `kept`, 0 when there
+        is none) that contain no smaller kept candidate.
 
         Candidates are taken by popcount: a member strictly inside another
         is smaller, so it is decided first and then blocks its holders.
         """
         if not cands:
             return kept
-        blocked = 0
-        for i in bits(kept):
-            blocked |= self.holders(i)
         masks = self.masks
         for j in sorted(bits(cands & ~blocked), key=lambda j: masks[j].bit_count()):
             if not blocked >> j & 1:
                 kept |= 1 << j
                 blocked |= self.holders(j)
         return kept
+
+
+def _count_up(planes: list[int], members: int) -> None:
+    """Add 1, in place, to the counter of each member in the bitmask
+    `members`.  The counters are bit planes: bit j of plane b is bit b of
+    member j's count, so a whole mask is counted by one carry pass."""
+    for b, p in enumerate(planes):
+        planes[b] = p ^ members
+        members &= p  # the carry
+        if not members:
+            return
+    planes.append(members)
+
+
+def _count_down(planes: list[int], members: int) -> None:
+    """Subtract 1, in place, from the counter of each member in `members`;
+    each is positive (see `_count_up`)."""
+    for b, p in enumerate(planes):
+        planes[b] = p ^ members
+        members &= ~p  # the borrow
+        if not members:
+            return
 
 
 class _KernelResidual:
@@ -333,7 +382,11 @@ class _KernelResidual:
     misses stays a minimal member.  A new core m is a member of F^J but
     not one of its cores, so m holds a core of F^J, and that core must be
     one e covers ("killed"), or m would not be minimal.  So the new cores
-    are the kept cores plus the minimal alive holders of a killed core.
+    are the kept cores plus the minimal alive holders of a killed core that
+    hold no kept core.  The members that hold a kept core are read from
+    per-member counts of the cores each one holds, carried from residual
+    to residual and updated by the killed and the new cores alone, so an
+    `add` costs no walk of the kept cores.
 
     `remove(e)`: F^{J-e} is F^J plus the members that only e crossed
     (covered once, by e).  Every member of F^J holds a core of F^J, so the
@@ -349,7 +402,7 @@ class _KernelResidual:
     without building a tuple.
     """
 
-    __slots__ = ("_kernel", "edges", "alive", "_twice", "_core_bits", "_cores", "_span")
+    __slots__ = ("_kernel", "edges", "alive", "_twice", "_core_bits", "_cores", "_span", "_held")
 
     def __init__(
         self,
@@ -360,6 +413,7 @@ class _KernelResidual:
         core_bits: int,
         cores: tuple[NodeSet, ...] | None = None,
         span: int = 0,
+        held: list[int] | None = None,
     ) -> None:
         self._kernel = kernel
         self.edges = edges
@@ -368,6 +422,7 @@ class _KernelResidual:
         self._core_bits = core_bits
         self._cores = cores
         self._span = span  # the union of `_cores`, once that is set
+        self._held = held  # per member, how many cores it holds (`_held_counts`)
 
     def core_sets(self) -> list[NodeSet]:
         """The cores in canonical order, unvalidated."""
@@ -392,6 +447,18 @@ class _KernelResidual:
             _validate_cores(self._core_masks())
         return not self._core_bits
 
+    def _held_counts(self) -> list[int]:
+        """Per member, how many cores it holds, as bit planes (`_count_up`),
+        counted from the cores when first asked; an `add` with candidates
+        derives the child's from a copy, by the killed and the new cores
+        alone.  Never changed once set."""
+        if self._held is None:
+            held: list[int] = []
+            for i in bits(self._core_bits):
+                _count_up(held, self._kernel.holders(i))
+            self._held = held
+        return self._held
+
     def _twice_covered(self) -> int:
         if self._twice is None:
             self._twice = covered_masks(self._kernel.inc, self.edges)[1]
@@ -399,18 +466,33 @@ class _KernelResidual:
 
     def add(self, u: int, v: int) -> "_KernelResidual":
         k = self._kernel
-        validate_edges(k.n, ((u, v),))
+        if not (0 <= u < k.n and 0 <= v < k.n and u != v):
+            validate_edges(k.n, ((u, v),))  # raises, naming the edge
         c = k.inc[u] ^ k.inc[v]
         twice = None if self._twice is None else self._twice | (c & ~self.alive)
         alive = self.alive & ~c
         edges = self.edges + ((u, v),)
         killed = self._core_bits & c
         if not killed:
-            return _KernelResidual(k, edges, alive, twice, self._core_bits, self._cores, self._span)
+            return _KernelResidual(k, edges, alive, twice, self._core_bits, self._cores, self._span, self._held)
         holders = 0
         for i in bits(killed):
             holders |= k.holders(i)
-        child = _KernelResidual(k, edges, alive, twice, k.least(self._core_bits & ~c, alive & holders))
+        kept = self._core_bits & ~c
+        cands = alive & holders
+        if not cands:  # no new core; the child counts its cores when asked
+            child = _KernelResidual(k, edges, alive, twice, kept)
+        else:
+            held = self._held_counts().copy()
+            for i in bits(killed):
+                _count_down(held, k.holders(i))
+            blocked = 0  # the members of nonzero count: they hold a kept core
+            for plane in held:
+                blocked |= plane
+            core_bits = k.least(kept, cands, blocked)
+            for j in bits(core_bits & ~kept):
+                _count_up(held, k.holders(j))
+            child = _KernelResidual(k, edges, alive, twice, core_bits, held=held)
         if self._cores is not None:
             child._derive_cores(self, killed)
         return child
@@ -859,8 +941,8 @@ class FamilyOracle:
 
 class _KernelOracle(FamilyOracle):
     """A family oracle whose `_kernel` answers every call: membership is a
-    lookup in its masks, `residual()` is its root, and the stateless
-    `cores(J)` lists its one-step residual of J.
+    lookup in its mask -> member-id map, `residual()` is its root, and the
+    stateless `cores(J)` lists its one-step residual of J.
 
     `removable(J)` checks J's edges and makes one pass over them for the
     members J crosses once and twice.  J - e leaves the members J leaves
@@ -871,7 +953,7 @@ class _KernelOracle(FamilyOracle):
     _kernel: _CoverageKernel
 
     def contains(self, s: NodeSet) -> bool:
-        return s.n == self.universe_size() and s.mask in self._kernel.masks
+        return s.n == self.universe_size() and s.mask in self._kernel.index
 
     def residual(self) -> _KernelResidual:
         return self._kernel.root
@@ -901,7 +983,7 @@ class ExplicitFamilyOracle(_KernelOracle):
 
     def __init__(self, family: ExplicitFamily) -> None:
         self.family = family
-        self._kernel = _CoverageKernel(family.n, family.masks())
+        self._kernel = _CoverageKernel(family.n, family.masks(), family.members)
 
     def universe_size(self) -> int:
         return self.family.n

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .exact import guarantee_factor, iteration_load_bound
 from .setfam import Edge, ExplicitFamily, NodeSet, _CoverageKernel, _disjoint_union, bits, degree_sum
-from .setfam import edge_crosses_mask, incidence
+from .setfam import edge_crosses_mask, member_incidence
 from .witness import laminar_tree, laminar_witness
 from .wgmv import CostedGraph, RunTrace
 
@@ -127,7 +127,7 @@ class ShortcutTree:
 
     @cached_property
     def _core_incidence(self) -> list[int]:
-        return incidence(self.n, (c.mask for c in self.cores))
+        return member_incidence(self.n, self.cores)
 
     def parent_edge(self, node: int) -> ChainEdge | None:
         i = self._edge_below.get(node)
@@ -189,7 +189,7 @@ def build_tree(
         owned[owner].append(ci)
 
     pair_of: dict[int, Edge] = {eid: pr for eid, pr in cover}
-    core_inc = incidence(n, (c.mask for c in cores))
+    core_inc = member_incidence(n, cores)
     nodes: list[TreeNode] = []
     for i, s in enumerate(sets):
         black = bool(owned[i])
@@ -256,7 +256,7 @@ def build_tree(
         n=n,
         nodes=tuple(nodes),
         edges=tuple(edges),
-        cores=tuple(NodeSet(n, c.mask) for c in cores),
+        cores=tuple(cores),
         root=root,
         cover=tuple((eid, pr) for eid, pr in cover),
     )
@@ -722,13 +722,13 @@ def analyze_trace(
     """
     guarantee_factor(family_class, beta)
     additions = trace.additions()
-    kernel = _CoverageKernel(f.n, f.masks())
+    kernel = _CoverageKernel(f.n, f.masks(), f.members)
     out: list[IterationAnalysis] = []
     for idx, it in enumerate(trace.iterations):
         probs: list[str] = []
         j0 = set(additions[:idx])
         i_prime = [e for e in trace.solution if e not in j0]
-        inc = incidence(g.n, (c.mask for c in it.cores))
+        inc = member_incidence(g.n, it.cores)
         i_cover = [e for e in i_prime if degree_sum(inc, [g.pair(e)])]
         outside = [g.pair(e) for e in sorted(j0 | (set(i_prime) - set(i_cover)))]
         report: BoundReport | None = None

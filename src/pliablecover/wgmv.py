@@ -33,7 +33,7 @@ from .setfam import (
     NodeSet,
     Residual,
     bits,
-    incidence,
+    member_incidence,
     over_common_denominator,
     validate_weighted_edges,
 )
@@ -116,26 +116,15 @@ def edge_loads(g: CostedGraph, values: Iterable[tuple[NodeSet, Fraction]]) -> tu
     costs, cden = g.scaled_costs
     denom = lcm(vden, cden)
     vs, cs = denom // vden, denom // cden
-    inc = incidence(g.n, (s.mask for s, _ in values))
+    inc = member_incidence(g.n, (s for s, _ in values))
     loads = [sum(nums[i] for i in bits(inc[u] ^ inc[v])) * vs for u, v, _ in g.edges]
     return loads, [c * cs for c in costs], denom
 
 
-def _count_crossers(nbrs: list[list[tuple[int, int]]], core: NodeSet, cov: dict[int, int], step: int) -> int:
-    """Add `step` to cov[e] for every edge e crossing `core` (an entry that
-    reaches 0 is dropped) and return how many edges cross it."""
-    m = core.mask
-    found = 0
-    for w in core.members():
-        for e, x in nbrs[w]:
-            if not m >> x & 1:
-                c = cov.get(e, 0) + step
-                if c:
-                    cov[e] = c
-                else:
-                    del cov[e]
-                found += 1
-    return found
+def _crossers(nbrs: list[list[tuple[int, int]]], core: NodeSet) -> list[int]:
+    """The edges that cross `core`, from the edges at its members."""
+    inside = set(core.members())
+    return [e for w in inside for e, x in nbrs[w] if x not in inside]
 
 
 def check_universe(g: CostedGraph, oracle: FamilyOracle) -> None:
@@ -155,30 +144,38 @@ def phase1(
     the unpicked edges only, and a picked edge crosses no later core, so
     the loads equal edge_loads of the values.
 
-    Each iteration is derived from the last one.  The residual grows by one
-    `add` per pick (`FamilyOracle.residual`).  The candidates, each with the
-    number of cores it crosses, are kept across iterations and updated only
-    for the cores that changed, through the edges at their nodes: a picked
-    edge covers every core it crosses, so it crosses no later core, and a
-    core that stays keeps its crossers.  For the same reason only a new
-    core can be left without a crosser.
+    Each iteration is derived from the last one, and the work is per core,
+    not per core entry.  The residual grows by one `add` per pick
+    (`FamilyOracle.residual`).  A core is alive over one run of iterations,
+    since F^{J+e} is a subfamily of F^J: a core stays one until an edge
+    covers it.  So the cores that died and were born are read from the
+    last iteration's cores by object identity, and only they update the
+    candidates, each with the number of cores it crosses: a core's crossers
+    are listed once, at its birth, and taken back at its death.  A picked
+    edge covers every core it crosses, so it crosses no later core, and
+    only a new core can be left without a crosser.  A residual that hands
+    out a new object for an unchanged core costs a death and a birth, with
+    the same result.
 
     The loop keeps one integer per edge, its slack (cost minus load) in
-    units of 1/denom, where denom starts as the costs' common denominator.
-    The ties are the candidates of slack 0; with any, the raise is zero and
-    divides nothing.  A positive raise is the least slack / crossings, found
-    by cross-multiplying.  When it is not whole, denom, every slack and
-    every dual value are multiplied by its denominator, so denom stays the
+    units of 1/denom, where denom starts as the costs' common denominator,
+    and the summed raise so far; a core's dual value is that sum at its
+    death less the sum at its birth.  The ties are the candidates of slack
+    0, kept as a set; with any, the raise is zero and divides nothing.  A
+    positive raise is the least slack / crossings, found by
+    cross-multiplying.  When it is not whole, denom, every slack, the sum
+    and every birth are multiplied by its denominator, so denom stays the
     lcm of the costs' and the raises' denominators.  The raise lowers each
-    candidate's slack, the one place a slack falls, and checks it there.
-    Only the records are Fractions: each raise, and once at the end the
-    dual values and the loads (cost - slack).
+    candidate's slack, the one place a slack falls, checks it there and
+    collects the slacks that reach 0.  Only the records are Fractions: each
+    raise, each dual value once, and once at the end the loads (cost -
+    slack).
     """
     check_universe(g, oracle)
     costs, cost_denom = g.scaled_costs
     denom = cost_denom
     slack = list(costs)
-    raised: dict[NodeSet, int] = {}
+    total = 0  # the summed raise, in units of 1/denom
     zero = Fraction(0)
     picked: list[int] = []
     records: list[IterationRecord] = []
@@ -188,23 +185,43 @@ def phase1(
         nbrs[u].append((eid, v))
         nbrs[v].append((eid, u))
     cov: dict[int, int] = {}  # candidate edge -> number of cores it crosses
-    last: dict[int, NodeSet] = {}  # the last iteration's cores by mask
+    tight: set[int] = set()  # the candidates of slack 0
+    live: dict[int, tuple[NodeSet, list[int], int]] = {}  # id(core) -> (core, crossers, sum at birth)
+    values: dict[NodeSet, Fraction] = {}
 
     while True:
         cores = residual.cores
+        now = dict(zip(map(id, cores), cores))
+        for k in live.keys() - now.keys():
+            core, crossers, birth = live.pop(k)
+            for e in crossers:
+                c = cov[e] - 1
+                if c:
+                    cov[e] = c
+                else:
+                    del cov[e]
+                    tight.discard(e)
+            if total != birth:
+                y = Fraction(total - birth, denom)
+                values[core] = values[core] + y if core in values else y
         if not cores:
             break
-        now = {core.mask: core for core in cores}
-        for m, core in last.items():
-            if m not in now:
-                _count_crossers(nbrs, core, cov, -1)
-        for core in cores:
-            if core.mask not in last and not _count_crossers(nbrs, core, cov, 1):
-                raise InfeasibleError(core)
-        last = now
-        tight = sorted(e for e in cov if not slack[e])
+        bare = []
+        for k in now.keys() - live.keys():
+            core = now[k]
+            crossers = _crossers(nbrs, core)
+            if not crossers:
+                bare.append(core)
+            for e in crossers:
+                cov[e] = cov.get(e, 0) + 1
+                if not slack[e]:
+                    tight.add(e)
+            live[k] = (core, crossers, total)
+        if bare:
+            raise InfeasibleError(min(bare, key=NodeSet.sort_key))
         if tight:
             eps = zero
+            ties = sorted(tight)
         else:
             p, q = 1, 0  # the least slack / crossings so far, first infinity
             for e, c in cov.items():
@@ -215,22 +232,25 @@ def phase1(
             if q > 1:  # make the raise whole: denom becomes lcm(denom, its denominator)
                 denom *= q
                 slack = [s * q for s in slack]
-                for core in raised:
-                    raised[core] *= q
+                total *= q
+                live = {k: (core, crossers, birth * q) for k, (core, crossers, birth) in live.items()}
             eps = Fraction(p, denom)
-            for core in cores:
-                raised[core] = raised.get(core, 0) + p
+            total += p
+            ties = []
             for e, c in cov.items():
-                slack[e] -= p * c
-                assert slack[e] >= 0, "edge load exceeded its cost"
-            tight = sorted(e for e in cov if not slack[e])
-        assert tight, "the minimizing edge must be tight after the raise"
-        added = tight[0]
+                s = slack[e] - p * c
+                assert s >= 0, "edge load exceeded its cost"
+                slack[e] = s
+                if not s:
+                    ties.append(e)
+            ties.sort()
+            tight.update(ties)
+        assert ties, "the minimizing edge must be tight after the raise"
+        added = ties[0]
         picked.append(added)
         residual = residual.add(*g.pair(added))
-        records.append(IterationRecord(cores, eps, added, tuple(tight)))
+        records.append(IterationRecord(cores, eps, added, tuple(ties)))
 
-    values = {core: Fraction(y, denom) for core, y in raised.items()}
     scale = denom // cost_denom
     loads = [Fraction(c * scale - s, denom) for c, s in zip(costs, slack)]
     return picked, records, values, loads, residual

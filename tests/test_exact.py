@@ -17,7 +17,7 @@ from pliablecover.exact import (
     guarantee_factor,
     iteration_load_bound,
 )
-from pliablecover.gens import instance_rng, random_cap_graph, random_instance
+from pliablecover.gens import instance_rng, random_cap_graph, random_instance, tight_six
 from pliablecover.setfam import (
     ExplicitFamily,
     ExplicitFamilyOracle,
@@ -478,6 +478,26 @@ def test_certify_is_deterministic():
     a = certify(g, oracle, trace, "gamma")
     b = certify(g, oracle, trace, "gamma")
     assert a == b
+
+
+def test_certify_on_fresh_core_copies_matches_the_solved_trace():
+    """certify tells cores apart by object first; a trace whose every core
+    entry and dual set is a fresh copy certifies to the same certificate."""
+    cases = [(b.graph, ExplicitFamilyOracle(b.family), "sparse") for b in (tight_six(8), tight_six(16))]
+    cases += [solved("gamma", 210, i)[::2] + ("gamma",) for i in range(6)]
+    for g, oracle, cls in cases:
+        trace = solve(g, oracle)
+
+        def copy(s):
+            return NodeSet(s.n, s.mask)
+
+        fresh = dataclasses.replace(
+            trace,
+            iterations=tuple(dataclasses.replace(it, cores=tuple(map(copy, it.cores))) for it in trace.iterations),
+            dual=dataclasses.replace(trace.dual, values=tuple((copy(s), y) for s, y in trace.dual.values)),
+        )
+        assert not any(a is b for it, jt in zip(trace.iterations, fresh.iterations) for a, b in zip(it.cores, jt.cores))
+        assert certify(g, oracle, fresh, cls) == certify(g, oracle, trace, cls)
 
 
 def test_iteration_loads_stay_exact_on_overlapping_forged_cores():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from pliablecover.exact import brute_force_opt, certify
-from pliablecover.gens import tight_six
+from pliablecover.gens import tight_seven, tight_six
 from pliablecover.jsonio import (
     Instance,
     SchemaError,
@@ -193,6 +193,43 @@ def test_trace_round_trip():
     assert trace_from_json(doc, g) == trace
 
 
+def test_read_trace_shares_one_nodeset_per_distinct_core():
+    """A read trace shares one object per distinct member list across its
+    iterations and dual values, as a solved one does, and certifies the
+    same."""
+    b = tight_six(8)
+    oracle = ExplicitFamilyOracle(b.family)
+    trace = solve(b.graph, oracle)
+    read = trace_from_json(json.loads(dumps_canonical(trace_to_json(b.graph, trace))), b.graph)
+    assert read == trace
+    sets = [c for it in read.iterations for c in it.cores] + [s for s, _ in read.dual.values]
+    by_mask: dict = {}
+    for s in sets:
+        by_mask.setdefault(s.mask, set()).add(id(s))
+    assert len(sets) > len(by_mask) and all(len(ids) == 1 for ids in by_mask.values())
+    assert certify(b.graph, oracle, read, "sparse") == certify(b.graph, oracle, trace, "sparse")
+
+
+def test_dumps_canonical_matches_json_dumps():
+    """The cycle check is skipped, with the same bytes, on every kind of
+    document."""
+    g, f, trace = solved_instance()
+    oracle = ExplicitFamilyOracle(f)
+    b = tight_six(4)
+    cover = [(i, b.graph.pair(i)) for i in range(len(b.graph.edges))]
+    report = verify_bounds(build_tree(b.n, cover, list(b.witness), list(b.cores)), "sparse")
+    docs = [
+        trace_to_json(g, trace, "d"),
+        certificate_to_json(certify(g, oracle, trace, "gamma")),
+        bundle_to_json(b),
+        analysis_to_json(analyze_trace(g, f, trace, "gamma")),
+        bound_report_to_json(report),
+        instance_to_json(small_instance()),
+    ]
+    for doc in docs:
+        assert dumps_canonical(doc) == json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def test_trace_from_json_checks_a_given_digest():
     g, _f, trace = solved_instance()
     doc = trace_to_json(g, trace, digest="abc")
@@ -310,6 +347,15 @@ def test_bundle_round_trip_rebuilds_a_verifiable_tree():
     assert tuple(witness) == b.witness and tuple(cores) == b.cores
     tree = build_tree(graph.n, [(i, graph.pair(i)) for i in range(len(graph.edges))], witness, cores)
     assert verify_bounds(tree, "sparse").ok
+
+
+def test_bundle_witness_and_cores_are_the_family_members():
+    """A read bundle's witness and core sets are the family's own NodeSets,
+    so each set's member tuple is built once."""
+    doc = json.loads(dumps_canonical(bundle_to_json(tight_seven(8))))
+    _graph, fam, witness, cores = bundle_parts_from_json(doc)
+    members = {id(s) for s in fam.members}
+    assert all(id(s) in members for s in [*witness, *cores])
 
 
 @pytest.mark.parametrize("key", ["witness", "cores"])

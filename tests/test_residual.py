@@ -249,6 +249,27 @@ def test_add_derives_the_core_tuples_of_a_tight_run():
     assert_adds_derive_cores(oracle, adds, [(True, False)] * len(adds))
 
 
+def held_counts(residual) -> list[int]:
+    """Per member, the counter `_held_counts` keeps, read off its bit planes."""
+    planes = residual._held_counts()
+    return [sum((p >> j & 1) << b for b, p in enumerate(planes)) for j in range(len(residual._kernel.masks))]
+
+
+@given(explicit_add_walks())
+@settings(deadline=None, max_examples=300)
+def test_held_counts_follow_the_cores_along_adds(case):
+    """The per-member counts that `add` carries equal, after every add, the
+    number of current cores each member holds."""
+    f, adds, _ = case
+    residual = ExplicitFamilyOracle(f).residual()
+    masks = f.masks()
+    for step in [None, *adds]:
+        if step is not None:
+            residual = residual.add(*step)
+        cores = [m for i, m in enumerate(masks) if residual._core_bits >> i & 1]
+        assert held_counts(residual) == [sum(c & ~m == 0 for c in cores) for m in masks]
+
+
 # --- removable(J) against the per-edge loop ---------------------------------
 
 
@@ -400,6 +421,26 @@ def test_default_residual_matches_the_kernel_on_small_cut_graphs():
 
 
 # --- certify does not trust the residual ------------------------------------
+
+
+class CopyingOracle(CountingOracle):
+    """A forwarding wrapper whose `cores` hands out a new NodeSet for every
+    core on every call, so no core object is shared across iterations."""
+
+    def cores(self, edges):
+        return [NodeSet(c.n, c.mask) for c in super().cores(edges)]
+
+
+def test_fresh_core_copies_give_the_kernel_trace():
+    """Phase 1 tells cores apart by object; a residual that hands out fresh
+    copies makes every core die and be born again each iteration, with the
+    same trace."""
+    cases = [(b.graph, b.family) for b in (tight_six(8), tight_seven(8))]
+    cases += [random_instance(("gamma", "sparse", "uncrossable")[i % 3], instance_rng(190, i), 4 + i % 4) for i in range(50)]
+    for g, f in cases:
+        copying = CopyingOracle(ExplicitFamilyOracle(f))
+        assert canonical_run(g, copying) == canonical_run(g, ExplicitFamilyOracle(f))
+        assert solve(g, copying) == solve(g, ExplicitFamilyOracle(f))
 
 
 def test_certify_refuses_a_run_whose_residual_dropped_a_core(monkeypatch):

@@ -113,6 +113,24 @@ def test_nodeset_members_roundtrip():
     assert 2 in s and 0 not in s and 6 not in s
 
 
+def test_from_members_keeps_the_tuple_a_bit_walk_gives():
+    """`from_members` keeps its sorted tuple, so `members()` never walks the
+    mask; the tuple is exactly the walk's, plain ints, whatever the input."""
+    for n, given in ((6, [4, 1, 4, 2, 1]), (5, [3, True, 0, 1, True]), (3, iter([2, 2, 0])), (4, []), (70, [69, 0, 64])):
+        s = NodeSet.from_members(n, given)
+        assert "_members" in vars(s)  # kept, not computed on the first call
+        assert s.members() == tuple(bits(s.mask))
+        assert all(type(v) is int for v in s.members())
+        assert json.dumps(list(s.members())) == json.dumps(bits(s.mask))  # never `true`
+    # the error names the first bad node in input order
+    with pytest.raises(ValueError, match="node 7 outside universe of size 4"):
+        NodeSet.from_members(4, [1, 7, -1])
+    with pytest.raises(ValueError, match="node -1 outside universe of size 4"):
+        NodeSet.from_members(4, [-1, 1, 7])
+    with pytest.raises(TypeError):
+        NodeSet.from_members(4, [1.0])
+
+
 def test_nodeset_rejects_out_of_universe():
     with pytest.raises(ValueError):
         NodeSet.from_members(3, [3])
