@@ -63,8 +63,16 @@ def _list(v: Any, where: str) -> list:
 
 
 def _each(v: Any, where: str, read: Callable[..., Any], *args: Any) -> list:
-    """`read(x, f"{where}[{i}]", *args)` for each element x of the list `v`."""
-    return [read(x, f"{where}[{i}]", *args) for i, x in enumerate(_list(v, where))]
+    """`read(x, f"{where}[{i}]", *args)` for each element x of the list `v`.
+
+    The elements are read under `where` alone, and only when one fails are
+    they read again under their own names, so a valid list costs no name
+    per element and an error still names the element that caused it."""
+    items = _list(v, where)
+    try:
+        return [read(x, where, *args) for x in items]
+    except SchemaError:
+        return [read(x, f"{where}[{i}]", *args) for i, x in enumerate(items)]
 
 
 def _int_list(v: Any, where: str) -> list[int]:

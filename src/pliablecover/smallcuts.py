@@ -11,10 +11,17 @@ Cut values are computed exactly: capacities are scaled by their common
 denominator once, after which everything is integer arithmetic.  The 2^n
 cuts come from a meet-in-the-middle table scan: the cut values of one half
 of the nodes form a row that is shifted by one precomputed table per step
-through the other half's subsets, so each subset costs O(1) list work.
-The scan does not depend on J, so it runs once per graph, at the first use
-of the family or of the edge connectivity.  Its result is a coverage kernel,
-and every residual, the stateless `cores(J)` included, is that kernel's.
+through the other half's subsets.  The row is one Python integer of
+fixed-width lanes, one per subset of the first half: with `total` the sum
+of the scaled capacities, a lane is bitlen(3·total + 2) + 1 bits wide and
+holds its value plus 2·total, so it is never negative and its top bit, a
+guard bit, stays clear.  No lane then carries or borrows into the next, so
+each step is one exact big-integer addition or subtraction, and the lanes
+below a threshold are found with one subtraction against the guard bits;
+only those lanes are read.  The scan does not depend on J, so it runs once
+per graph, at the first use of the family or of the edge connectivity.
+Its result is a coverage kernel, and every residual, the stateless
+`cores(J)` included, is that kernel's.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add, sub
 from typing import Sequence
 
 from .errors import guard
@@ -89,72 +95,105 @@ def cut_value(h: CapGraph, s: NodeSet) -> Fraction:
     return total
 
 
-def _subset_sums(weights: Sequence[int]) -> list[int]:
-    """Sum of the chosen weights for every subset, indexed by subset mask."""
-    table = [0]
-    for weight in weights:
-        table += [x + weight for x in table]
-    return table
-
-
-def _cut_table(w: list[list[int]], nodes: Sequence[int]) -> list[int]:
-    """cut(A) in the whole graph for every A of `nodes`, indexed by A's mask
-    over `nodes`: adding node u to A ⊆ nodes[:i] adds deg(u) - 2·w(u, A)."""
-    table = [0]
-    for i, u in enumerate(nodes):
-        inner = _subset_sums([2 * w[u][v] for v in nodes[:i]])
-        deg = sum(w[u])
-        table += [x + deg - y for x, y in zip(table, inner)]
-    return table
+def _indicators(count: int, width: int) -> tuple[list[int], int]:
+    """Packed 0/1 tables over the subsets A of range(count), lane A at bits
+    A·width up: the i-th table holds 1 in the lanes of the A holding i, and
+    the second value holds 1 in every lane.  Each element doubles the lanes,
+    the new upper half being the lower half with the element added."""
+    tables: list[int] = []
+    ones = 1
+    for i in range(count):
+        shift = width << i
+        tables = [x | x << shift for x in tables]
+        tables.append(ones << shift)
+        ones |= ones << shift
+    return tables, ones
 
 
 def _enumerate_cut_masks(h: CapGraph) -> tuple[tuple[int, ...], Fraction]:
     """Masks of all S with cut_H(S) < k, in ascending order, and the least
     cut value over proper nonempty subsets (0 if disconnected).
 
-    Capacities are scaled to integers by their common denominator with k.
-    The nodes split into a low block L = {0..b-1}, b = ceil(n/2), and a
-    high block R = {b..n-1}; S = A ∪ B with A ⊆ L, B ⊆ R has
-    cut(S) = cut(A) + cut(B) - 2·w(A, B).  The subsets B are visited in
-    reflected-binary order, each step adding or removing one node r of R,
-    so the row c_B[A] = cut(A) - 2·w(A, B) over all A changes by r's table
-    2·w(r, A) alone; the row is then filtered against k - cut(B).
+    Capacities are scaled to integers by their common denominator with k;
+    `total` is their sum.  The nodes split into a low block L = {0..b-1},
+    b = ceil(n/2), and a high block R = {b..n-1}; S = A ∪ B with A ⊆ L,
+    B ⊆ R has cut(S) = cut(A) + cut(B) - 2·w(A, B).  The row
+    c_B[A] = cut(A) - 2·w(A, B) over all A is one integer of 2^b lanes of
+    W = bitlen(3·total + 2) + 1 bits, lane A holding c_B[A] + 2·total.
+    As -total <= c_B[A] <= total, a lane is never negative and its top bit,
+    the guard bit, is always clear, so adding or subtracting packed tables
+    lane by lane never carries or borrows across lanes: the big-integer
+    arithmetic is exact.  Each packed table is a sum of capacities times
+    0/1 tables built by subset-sum doubling: an edge of capacity c adds c to
+    cut(A) in the lanes of the A it crosses, and an edge from r to a ∈ L
+    adds 2c to 2·w(r, A) in the lanes of the A holding a.
+
+    The subsets B are visited in reflected-binary order, each step adding
+    or removing one node r of R, so the row changes by one subtraction or
+    addition of r's packed 2·w(r, A).  The lanes below a threshold t
+    (0 < t < 2^(W-1)) are the set guard bits of ~((row | G) - t·ONES) & G,
+    G the guard bits: setting a guard bit before subtracting t keeps each
+    lane's borrow inside it, and the bit survives exactly when the lane is
+    at least t.  Only those lanes are read; the guard bits of S = ∅ and
+    S = V are masked out.  The least cut starts at the least vertex degree
+    and each row is tested against max(k, least) - cut(B), capped at
+    3·total + 1, so a lane is read only when it is a small cut or lowers
+    the least cut.
     """
     n = h.n
     guard("cut enumeration", "n", n, MAX_CUT_ENUM_NODES)
     (k_scaled, *caps), denom = over_common_denominator([h.k, *(c for _, _, c in h.edges)])
-    w = [[0] * n for _ in range(n)]
-    for (u, v, _), scaled in zip(h.edges, caps):
-        w[u][v] += scaled
-        w[v][u] += scaled
+    total = sum(caps)
+    width = (3 * total + 2).bit_length() + 1
     b = (n + 1) // 2
-    low, high = range(b), range(b, n)
-    row = _cut_table(w, low)
-    cut_high = _cut_table(w, high)
-    pair_tables = [_subset_sums([2 * w[u][a] for a in low]) for u in high]
-    full_high = (1 << len(high)) - 1
-    rows: list[list[int]] = [[]] * (full_high + 1)
-    row_least: list[int] = []
+    # cut(B) is read once per row, so its table has byte-aligned lanes that
+    # unpack by slicing
+    size = total.bit_length() // 8 + 1
+    low, ones = _indicators(b, width)
+    high, _ = _indicators(n - b, 8 * size)
+    low += [0] * (n - b)
+    high = [0] * b + high
+    cut_low = cut_high = 0
+    pair_tables = [0] * n  # read for the high nodes only
+    deg = [0] * n
+    for (u, v, _), c in zip(h.edges, caps):
+        cut_low += c * (low[u] ^ low[v])
+        cut_high += c * (high[u] ^ high[v])
+        pair_tables[u] += 2 * c * low[v]
+        pair_tables[v] += 2 * c * low[u]
+        deg[u] += c
+        deg[v] += c
+    pair_tables = pair_tables[b:]
+    raw = cut_high.to_bytes(size << (n - b), "little")
+    cut_b = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+    offset, cap, lane = 2 * total, 3 * total + 1, (1 << width) - 1
+    guards = ones << (width - 1)
+    row = cut_low + offset * ones
+    least = min(deg)
+    full_high = (1 << (n - b)) - 1
+    small: list[int] = []
     for step in range(full_high + 1):
         bmask = step ^ (step >> 1)  # B, one high node away from the previous B
         if step:
             bit = (step & -step).bit_length() - 1  # the high node that moved
-            row = list(map(sub if bmask >> bit & 1 else add, row, pair_tables[bit]))
-        start = 1 if bmask == 0 else 0  # S = ∅ is not proper
-        stop = len(row) - 1 if bmask == full_high else len(row)  # nor is S = V
-        row_min = min(row[start:stop])
-        cut_b = cut_high[bmask]
-        row_least.append(row_min + cut_b)
-        threshold = k_scaled - cut_b
-        if row_min < threshold:  # most rows hold no small cut
-            rows[bmask] = [a | bmask << b for a, x in enumerate(row) if x < threshold]
-    # ∅ and V (cut 0) sort first and last; they are not proper subsets
-    small = [m for r in rows for m in r]
-    if small and small[0] == 0:
-        small.pop(0)
-    if small and small[-1] == (1 << n) - 1:
-        small.pop()
-    return tuple(small), Fraction(min(row_least), denom)
+            row = row - pair_tables[bit] if bmask >> bit & 1 else row + pair_tables[bit]
+        t = min(max(k_scaled, least) - cut_b[bmask] + offset, cap)
+        if t <= 0:
+            continue
+        hits = ~((row | guards) - t * ones) & guards
+        if bmask == 0:
+            hits &= ~(1 << (width - 1))  # S = ∅ is not proper
+        if bmask == full_high:
+            hits &= ~(1 << ((width << b) - 1))  # nor is S = V
+        while hits:  # most rows hold no lane below t
+            top = hits.bit_length() - 1
+            hits ^= 1 << top
+            a = top // width
+            cut = (row >> a * width & lane) - offset + cut_b[bmask]
+            if cut < k_scaled:
+                small.append(a | bmask << b)
+            least = min(least, cut)
+    return tuple(sorted(small)), Fraction(least, denom)
 
 
 def materialize_family(h: CapGraph) -> ExplicitFamily:
@@ -185,7 +224,11 @@ class SmallCutsOracle(_KernelOracle):
 
     Its kernel is the one the graph builds from its small cuts, by one
     blocked table scan of the 2^n cuts per graph at the first call that
-    needs the family (GuardError past MAX_CUT_ENUM_NODES).
+    needs the family (GuardError past MAX_CUT_ENUM_NODES).  The scan holds
+    each row of cut values as one integer of lanes bitlen(3·total + 2) + 1
+    bits wide (`total` the sum of the capacities over their common
+    denominator), offset by 2·total so no lane is negative and its top guard
+    bit stays clear; the arithmetic is exact integer arithmetic throughout.
     """
 
     def __init__(self, h: CapGraph) -> None:

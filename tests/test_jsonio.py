@@ -442,6 +442,20 @@ def test_a_bad_member_is_named_by_its_path_once():
     assert str(exc.value) == "family: node 5 outside universe of size 3"
 
 
+@pytest.mark.parametrize("bad,message", [("x", "expected a list of integers"), ([99], "node 99 outside")])
+def test_a_bad_core_deep_in_a_trace_is_named_by_its_path(bad, message):
+    # a valid list is read without a name per element; the names are made
+    # only when an element fails, and must still lead to that element
+    bundle = tight_six(4)
+    g = bundle.graph
+    doc = json.loads(dumps_canonical(trace_to_json(g, solve(g, ExplicitFamilyOracle(bundle.family)))))
+    cores = doc["iterations"][3]["cores"]
+    assert len(doc["iterations"]) > 4 and len(cores) > 1
+    cores[1] = bad
+    with pytest.raises(SchemaError, match=f"^{re.escape('trace.iterations[3].cores[1]: ' + message)}"):
+        trace_from_json(doc, g)
+
+
 # document name -> a valid document and its reader
 VERSIONED = {
     "instance": lambda: (instance_to_json(small_instance()), instance_from_json),

@@ -207,6 +207,101 @@ def test_enumerated_cuts_match_per_subset_recomputation(n):
             assert lam == 0
 
 
+def ref_list_scan(h: CapGraph) -> tuple[tuple[int, ...], Fraction]:
+    """The small-cut masks and the edge connectivity by the blocked table
+    scan with one Python list per row: the same split into a low block
+    L = {0..b-1} and a high block R, and the same reflected-binary walk over
+    B ⊆ R, with the row c_B[A] = cut(A) - 2·w(A, B) held as a list and
+    shifted by one list per step.  Cheap enough to check n = 17-20, where
+    the per-subset `ref_cuts` is too slow."""
+
+    def subset_sums(weights):
+        table = [0]
+        for weight in weights:
+            table += [x + weight for x in table]
+        return table
+
+    def cut_table(nodes):
+        table = [0]
+        for i, u in enumerate(nodes):
+            inner = subset_sums([2 * w[u][v] for v in nodes[:i]])
+            table += [x + sum(w[u]) - y for x, y in zip(table, inner)]
+        return table
+
+    n = h.n
+    (k, *caps), denom = setfam.over_common_denominator([h.k, *(c for _, _, c in h.edges)])
+    w = [[0] * n for _ in range(n)]
+    for (u, v, _), c in zip(h.edges, caps):
+        w[u][v] += c
+        w[v][u] += c
+    b = (n + 1) // 2
+    low, high = range(b), range(b, n)
+    row, cut_high = cut_table(low), cut_table(high)
+    pair_tables = [subset_sums([2 * w[r][a] for a in low]) for r in high]
+    masks, least = [], None
+    for step in range(1 << len(high)):
+        bmask = step ^ (step >> 1)
+        if step:
+            bit = (step & -step).bit_length() - 1
+            sign = -1 if bmask >> bit & 1 else 1
+            row = [x + sign * y for x, y in zip(row, pair_tables[bit])]
+        for a, x in enumerate(row):
+            mask = a | bmask << b
+            if 0 < mask < (1 << n) - 1:
+                cut = x + cut_high[bmask]
+                least = cut if least is None else min(least, cut)
+                if cut < k:
+                    masks.append(mask)
+    return tuple(sorted(masks)), Fraction(least, denom)
+
+
+@pytest.mark.parametrize("n", range(17, 21))
+def test_enumerated_cuts_match_the_list_scan_past_sixteen_nodes(n):
+    rng = random.Random(1700 + n)
+    for _ in range(2):
+        h = gens.random_cap_graph(rng, n)
+        assert smallcuts._enumerate_cut_masks(h) == ref_list_scan(h)
+
+
+def wide_capacities(rng, n) -> CapGraph:
+    # 80-bit numerators and denominators: the scaled capacities, and so the
+    # packed lanes, are far wider than 64 bits
+    edges = [(*rng.sample(range(n), 2), Fraction(rng.getrandbits(80), rng.getrandbits(80) | 1)) for _ in range(2 * n)]
+    return CapGraph.build(n, edges, Fraction(rng.getrandbits(80), rng.getrandbits(80) | 1))
+
+
+def with_threshold(h: CapGraph, k) -> CapGraph:
+    return CapGraph(h.n, h.edges, Fraction(k))
+
+
+EDGE_CASES = {
+    "80-bit capacities": wide_capacities,
+    "80-bit capacities, k above every cut": lambda rng, n: with_threshold(
+        wide_capacities(rng, n), rng.getrandbits(90) + 1
+    ),
+    "zero capacities": lambda rng, n: CapGraph.build(n, [(*rng.sample(range(n), 2), 0) for _ in range(n)], 1),
+    "zero and positive capacities": lambda rng, n: CapGraph.build(
+        n, [(*rng.sample(range(n), 2), rng.choice([0, 0, 3])) for _ in range(2 * n)], 4
+    ),
+    "k = 0": lambda rng, n: with_threshold(random_graph(rng, n), 0),
+    "k < 0": lambda rng, n: with_threshold(random_graph(rng, n, rational=True), Fraction(-7, 2)),
+    "k above every cut": lambda rng, n: with_threshold(random_graph(rng, n, rational=True), 100 * n),
+    "no edges": lambda rng, n: CapGraph.build(n, [], Fraction(1, 3)),
+    "no edges, k = 0": lambda rng, n: CapGraph.build(n, [], 0),
+}
+
+
+@pytest.mark.parametrize("case", list(EDGE_CASES))
+def test_enumerated_cuts_match_per_subset_recomputation_on_edge_cases(case):
+    rng = random.Random(case)
+    for n in (2, 2, 3, 5, 8, 10):
+        h = EDGE_CASES[case](rng, n)
+        cuts = ref_cuts(h)
+        masks, lam = smallcuts._enumerate_cut_masks(h)
+        assert list(masks) == [m for m, cut in enumerate(cuts) if 0 < m < len(cuts) - 1 and cut < h.k], n
+        assert lam == min(cuts[1:-1]) and type(lam) is Fraction, n
+
+
 # --- connectivity and the beta bound ------------------------------------------
 
 

@@ -6,7 +6,9 @@ connectivity of one seeded `random_cap_graph` instance with 3n random
 candidate edges, as in the benchmark's `smallcut` items.  The digests were
 captured with the Gray-code cut scan, before the blocked table scan
 replaced it, so any change to the small-cut family, its order-sensitive
-consumers or the edge connectivity shows up here.
+consumers or the edge connectivity shows up here.  They held unchanged
+through the blocked table scan with list rows and through the packed-lane
+scan that replaced it, which holds each row as one integer.
 """
 
 import hashlib
