@@ -36,9 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from math import lcm
-from operator import index
+from operator import index, or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import OracleInvariantError, UniverseMismatchError, guard
@@ -267,8 +267,8 @@ class _CoverageKernel:
 
     The coverage mask of an edge (bit i set when the edge crosses member i)
     is one XOR of two incidence entries.  `residual(J)` is the one query:
-    one pass over J gives the members it covers once and twice, and the
-    cores are `least(0, alive)`.  A J that covers every member leaves no
+    one pass over J gives the members it covers, and the cores are
+    `least(0, alive)`.  A J that covers every member leaves no
     candidate, so that answer costs the pass alone.  Members are in
     canonical order, so a walk of the bits of a mask lists its members in
     that order; `nodeset(i)` builds member i's NodeSet once, when first
@@ -308,9 +308,8 @@ class _CoverageKernel:
     def residual(self, edges: Sequence[Edge]) -> "_KernelResidual":
         """The residual of the edge multiset `edges`, built in one step."""
         validate_edges(self.n, edges)
-        once, twice = covered_masks(self.inc, edges)
-        alive = ~once & ((1 << len(self.masks)) - 1)
-        return _KernelResidual(self, tuple(edges), alive, twice, self.least(0, alive))
+        alive = ~covered_masks(self.inc, edges)[0] & ((1 << len(self.masks)) - 1)
+        return _KernelResidual(self, alive, self.least(0, alive))
 
     def nodeset(self, i: int) -> NodeSet:
         """Member i's NodeSet, the same object on every call."""
@@ -372,11 +371,10 @@ def _count_down(planes: list[int], members: int) -> None:
 
 class _KernelResidual:
     """The residual of an edge multiset J, as bitmasks over the members of
-    one `_CoverageKernel`: the members J leaves uncovered (`alive`), those
-    it covers at least twice, and the cores.  `_CoverageKernel.residual`
-    builds one from J in one step; `add` and `remove` derive the next one
-    from this one.  Immutable: both return a new residual and leave this
-    one as it was.
+    one `_CoverageKernel`: the members J leaves uncovered (`alive`) and the
+    cores.  `_CoverageKernel.residual` builds one from J in one step; `add`
+    derives the next one from this one.  Immutable: `add` returns a new
+    residual and leaves this one as it was.
 
     `add(e)`: F^{J+e} is F^J less the members e crosses.  A core that e
     misses stays a minimal member.  A new core m is a member of F^J but
@@ -388,37 +386,26 @@ class _KernelResidual:
     to residual and updated by the killed and the new cores alone, so an
     `add` costs no walk of the kept cores.
 
-    `remove(e)`: F^{J-e} is F^J plus the members that only e crossed
-    (covered once, by e).  Every member of F^J holds a core of F^J, so the
-    new cores are the minimal members of the cores and those members.  The
-    "at least twice" mask is recounted from J only when a residual made by
-    `remove` is itself asked to remove an edge.
-
     `core_sets()` lists the cores unvalidated, by a walk of the core bits,
     as the stateless `cores(J)` and `analyze_trace` read them; `cores` is
     that listing after one `_validate_cores` check of the core masks.  A
     residual made by `add` from one that holds its validated tuple derives
-    its own from it (`_derive_cores`), and `covered` checks the core masks
-    without building a tuple.
+    its own from it (`_derive_cores`).
     """
 
-    __slots__ = ("_kernel", "edges", "alive", "_twice", "_core_bits", "_cores", "_span", "_held")
+    __slots__ = ("_kernel", "alive", "_core_bits", "_cores", "_span", "_held")
 
     def __init__(
         self,
         kernel: _CoverageKernel,
-        edges: tuple[Edge, ...],
         alive: int,
-        twice: int | None,
         core_bits: int,
         cores: tuple[NodeSet, ...] | None = None,
         span: int = 0,
         held: list[int] | None = None,
     ) -> None:
         self._kernel = kernel
-        self.edges = edges
         self.alive = alive
-        self._twice = twice
         self._core_bits = core_bits
         self._cores = cores
         self._span = span  # the union of `_cores`, once that is set
@@ -428,24 +415,13 @@ class _KernelResidual:
         """The cores in canonical order, unvalidated."""
         return [self._kernel.nodeset(i) for i in bits(self._core_bits)]
 
-    def _core_masks(self) -> list[int]:
-        return [self._kernel.masks[i] for i in bits(self._core_bits)]
-
     @property
     def cores(self) -> tuple[NodeSet, ...]:
         """The cores in canonical order, validated as `FamilyOracle.cores` is."""
         if self._cores is None:
-            self._span = _validate_cores(self._core_masks())
+            self._span = _validate_cores([self._kernel.masks[i] for i in bits(self._core_bits)])
             self._cores = tuple(self.core_sets())
         return self._cores
-
-    @property
-    def covered(self) -> bool:
-        """True when J leaves no core; the core masks are checked as `cores`
-        checks them."""
-        if self._cores is None:
-            _validate_cores(self._core_masks())
-        return not self._core_bits
 
     def _held_counts(self) -> list[int]:
         """Per member, how many cores it holds, as bit planes (`_count_up`),
@@ -459,29 +435,22 @@ class _KernelResidual:
             self._held = held
         return self._held
 
-    def _twice_covered(self) -> int:
-        if self._twice is None:
-            self._twice = covered_masks(self._kernel.inc, self.edges)[1]
-        return self._twice
-
     def add(self, u: int, v: int) -> "_KernelResidual":
         k = self._kernel
         if not (0 <= u < k.n and 0 <= v < k.n and u != v):
             validate_edges(k.n, ((u, v),))  # raises, naming the edge
         c = k.inc[u] ^ k.inc[v]
-        twice = None if self._twice is None else self._twice | (c & ~self.alive)
         alive = self.alive & ~c
-        edges = self.edges + ((u, v),)
         killed = self._core_bits & c
         if not killed:
-            return _KernelResidual(k, edges, alive, twice, self._core_bits, self._cores, self._span, self._held)
+            return _KernelResidual(k, alive, self._core_bits, self._cores, self._span, self._held)
         holders = 0
         for i in bits(killed):
             holders |= k.holders(i)
         kept = self._core_bits & ~c
         cands = alive & holders
         if not cands:  # no new core; the child counts its cores when asked
-            child = _KernelResidual(k, edges, alive, twice, kept)
+            child = _KernelResidual(k, alive, kept)
         else:
             held = self._held_counts().copy()
             for i in bits(killed):
@@ -492,7 +461,7 @@ class _KernelResidual:
             core_bits = k.least(kept, cands, blocked)
             for j in bits(core_bits & ~kept):
                 _count_up(held, k.holders(j))
-            child = _KernelResidual(k, edges, alive, twice, core_bits, held=held)
+            child = _KernelResidual(k, alive, core_bits, held=held)
         if self._cores is not None:
             child._derive_cores(self, killed)
         return child
@@ -523,14 +492,6 @@ class _KernelResidual:
             cores.insert((self._core_bits & ((1 << i) - 1)).bit_count(), k.nodeset(i))
         self._cores = tuple(cores)
         self._span = span
-
-    def remove(self, u: int, v: int) -> "_KernelResidual":
-        k = self._kernel
-        edges = _without(self.edges, (u, v))
-        freed = (k.inc[u] ^ k.inc[v]) & ~self._twice_covered()
-        if not freed:
-            return _KernelResidual(k, edges, self.alive, None, self._core_bits, self._cores, self._span)
-        return _KernelResidual(k, edges, self.alive | freed, None, k.least(0, self._core_bits | freed))
 
 
 @dataclass(frozen=True)
@@ -811,18 +772,9 @@ def _disjoint_union(masks: Iterable[int], seen: int = 0) -> int | None:
     return seen
 
 
-def _without(edges: tuple[Edge, ...], e: Edge) -> tuple[Edge, ...]:
-    """`edges` less its last copy of `e`."""
-    for i in range(len(edges) - 1, -1, -1):
-        if edges[i] == e:
-            return edges[:i] + edges[i + 1 :]
-    raise ValueError(f"edge {e} is not in the residual's edge set")
-
-
 class _StatelessResidual:
     """The base-class residual: it keeps J and answers `cores` (kept once
-    read) and `covered` with the oracle's stateless `cores(J)` and
-    `is_covered(J)`, asked only when read.
+    read) with the oracle's stateless `cores(J)`, asked only when read.
 
     `add(e)` for an e that crosses no core of J keeps those cores without
     a call: F^{J+e} is a subfamily of F^J that still holds every core of
@@ -844,19 +796,12 @@ class _StatelessResidual:
             self._cores = tuple(self._oracle.cores(self.edges))
         return self._cores
 
-    @property
-    def covered(self) -> bool:
-        return self._oracle.is_covered(self.edges)
-
     def add(self, u: int, v: int) -> "_StatelessResidual":
         validate_edges(self._oracle.universe_size(), ((u, v),))
         cores = self._cores
         if cores is not None and any(edge_crosses_mask(c.mask, u, v) for c in cores):
             cores = None
         return _StatelessResidual(self._oracle, self.edges + ((u, v),), cores)
-
-    def remove(self, u: int, v: int) -> "_StatelessResidual":
-        return _StatelessResidual(self._oracle, _without(self.edges, (u, v)))
 
 
 # What `FamilyOracle.residual` returns: the base class's or the kernel's.
@@ -873,19 +818,20 @@ class FamilyOracle:
     checkers never assume either.
 
     residual() is the same query made incremental: an immutable residual of
-    the empty edge set, whose `cores` (the validated canonical tuple) and
-    `covered` answer for its J, and whose `add(u, v)` and `remove(u, v)`
-    return the residual of J plus or less one copy of (u, v).  The solver
-    and the optimum search walk it one edge at a time.  This default keeps
-    J and asks `cores(J)` and `is_covered(J)`, so a wrapper that forwards
-    only those two sees exactly the stateless calls; an added edge that
+    the empty edge set, whose `cores` (the validated canonical tuple)
+    answer for its J, and whose `add(u, v)` returns the residual of J plus
+    one copy of (u, v).  Phase 1 and the optimum search walk it one edge at
+    a time.  This default keeps J and asks `cores(J)`, so a wrapper that
+    forwards it sees exactly the stateless calls; an added edge that
     crosses no current core keeps the current cores without a call.
 
-    removable(J) is the list, per edge of J in order, of whether J less
-    that one copy still covers the family: the question reverse delete
-    asks, which `certify` re-asks of the final solution.  This default
-    asks `is_covered(J - e)` once per edge, so a forwarding wrapper sees
-    those calls.
+    reverse_delete(J) walks J from its last edge to its first and drops
+    each edge whose removal leaves the kept edges covering the family; it
+    returns the dropped positions, descending.  removable(J) is the list,
+    per edge of J in order, of whether J less that one copy still covers
+    the family: the question reverse delete asks, which `certify` re-asks
+    of the final solution.  Both defaults ask `is_covered(kept - e)` once
+    per edge, so a forwarding wrapper sees those calls.
 
     Both backends are `_KernelOracle`s: a `_CoverageKernel` over their
     family's incidence list answers every call.  The explicit backend builds
@@ -893,8 +839,9 @@ class FamilyOracle:
     from a single cut scan; member index is canonical order in both.  Their
     `cores(J)` lists the kernel's residual of J, built in one step; their
     residual() is the kernel's root (`_KernelResidual`), which derives each
-    residual from the last one by bitmask updates; their removable(J) is
-    one pass over J.  All three refuse by one check of the core masks.
+    residual from the last one by bitmask updates; their reverse_delete(J)
+    and removable(J) are one pass over J.  All four refuse by one check of
+    the core masks.
     """
 
     def universe_size(self) -> int:
@@ -919,6 +866,20 @@ class FamilyOracle:
         covers the family."""
         edges = list(edges)
         return [self.is_covered(edges[:i] + edges[i + 1 :]) for i in range(len(edges))]
+
+    def reverse_delete(self, edges: Sequence[Edge]) -> list[int]:
+        """The positions of `edges` that reverse delete drops, descending:
+        from the last edge to the first, each one whose removal leaves the
+        kept edges covering the family."""
+        kept = list(edges)
+        validate_edges(self.universe_size(), kept)  # the probes never hold all of J
+        dropped = []
+        for i in range(len(kept) - 1, -1, -1):
+            probe = kept[:i] + kept[i + 1 :]  # only edges after i were dropped
+            if self.is_covered(probe):
+                kept = probe
+                dropped.append(i)
+        return dropped
 
     def residual(self) -> Residual:
         return _StatelessResidual(self, ())
@@ -948,6 +909,9 @@ class _KernelOracle(FamilyOracle):
     members J crosses once and twice.  J - e leaves the members J leaves
     plus those that only e crosses; it covers exactly when there are none,
     and otherwise its cores, the minimal ones, are checked on their masks.
+    `reverse_delete(J)` asks the same of the kept edges, whose per-member
+    crossing counts it keeps as bit planes (`_count_up`): a dropped edge
+    counts down the members it crosses.
     """
 
     _kernel: _CoverageKernel
@@ -975,6 +939,30 @@ class _KernelOracle(FamilyOracle):
                 _validate_cores([masks[j] for j in bits(k.least(0, left))])
             out.append(not left)
         return out
+
+    def reverse_delete(self, edges: Sequence[Edge]) -> list[int]:
+        k = self._kernel
+        edges = list(edges)
+        validate_edges(k.n, edges)
+        inc, masks = k.inc, k.masks
+        planes: list[int] = []  # per member, how many kept edges cross it
+        for u, v in edges:
+            _count_up(planes, inc[u] ^ inc[v])
+        # A drop leaves every member it touches crossed, so `alive` is fixed.
+        alive = ~reduce(or_, planes, 0) & ((1 << len(masks)) - 1)
+        twice = reduce(or_, planes[1:], 0)
+        dropped = []
+        for i in range(len(edges) - 1, -1, -1):
+            u, v = edges[i]
+            c = inc[u] ^ inc[v]
+            left = alive | (c & ~twice)  # the members the kept edges less e leave
+            if left:
+                _validate_cores([masks[j] for j in bits(k.least(0, left))])
+            else:
+                dropped.append(i)
+                _count_down(planes, c)
+                twice = reduce(or_, planes[1:], 0)
+        return dropped
 
 
 class ExplicitFamilyOracle(_KernelOracle):

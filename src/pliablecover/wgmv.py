@@ -4,10 +4,10 @@ Phase 1 repeatedly reads the cores of the residual family, raises all
 their dual variables by the largest uniform amount that keeps every edge's
 accumulated load at or below its cost, and picks one newly tight edge.
 Phase 2 walks the picked edges in exact reverse order and drops any edge
-whose removal keeps the family covered.  Both walk the oracle's incremental
-residual (`FamilyOracle.residual`): phase 1 adds each pick to it, and phase
-2 removes each edge from the residual phase 1 ended with, so no query
-starts again from the whole edge set.
+whose removal keeps the family covered.  Phase 1 walks the oracle's
+incremental residual (`FamilyOracle.residual`), adding each pick to it, so
+no query starts again from the whole edge set; phase 2 is one oracle query,
+`FamilyOracle.reverse_delete`.
 
 All arithmetic is exact: costs, slacks, loads and dual values are integer
 numerators over one common denominator (`CostedGraph.scaled_costs`), and
@@ -31,7 +31,6 @@ from .setfam import (
     Edge,
     FamilyOracle,
     NodeSet,
-    Residual,
     bits,
     member_incidence,
     over_common_denominator,
@@ -135,14 +134,14 @@ def check_universe(g: CostedGraph, oracle: FamilyOracle) -> None:
 
 def phase1(
     g: CostedGraph, oracle: FamilyOracle
-) -> tuple[list[int], list[IterationRecord], dict[NodeSet, Fraction], list[Fraction], Residual]:
+) -> tuple[list[int], list[IterationRecord], dict[NodeSet, Fraction], list[Fraction]]:
     """Grow duals until the picked edges cover the family.
 
     Returns (picked edge ids in order of addition, iteration records, dual
-    values, edge loads, the oracle's residual of the picked edges).  Raises
-    InfeasibleError carrying an uncoverable core.  Each raise is charged to
-    the unpicked edges only, and a picked edge crosses no later core, so
-    the loads equal edge_loads of the values.
+    values, edge loads).  Raises InfeasibleError carrying an uncoverable
+    core.  Each raise is charged to the unpicked edges only, and a picked
+    edge crosses no later core, so the loads equal edge_loads of the
+    values.
 
     Each iteration is derived from the last one, and the work is per core,
     not per core entry.  The residual grows by one `add` per pick
@@ -253,27 +252,23 @@ def phase1(
 
     scale = denom // cost_denom
     loads = [Fraction(c * scale - s, denom) for c, s in zip(costs, slack)]
-    return picked, records, values, loads, residual
+    return picked, records, values, loads
 
 
-def phase2(g: CostedGraph, picked: Sequence[int], residual: Residual) -> tuple[list[int], list[int]]:
+def phase2(g: CostedGraph, oracle: FamilyOracle, picked: Sequence[int]) -> tuple[list[int], list[int]]:
     """Reverse delete: drop each edge, newest first, if coverage survives.
 
-    `residual` is the one phase 1 ended with, of the picked edges; each
-    probe removes one edge from the residual of the edges kept so far."""
-    deleted: list[int] = []
-    for e in reversed(picked):
-        probe = residual.remove(*g.pair(e))
-        if probe.covered:
-            residual = probe
-            deleted.append(e)
+    Returns (the kept edge ids ascending, the deleted ones newest first),
+    from one `FamilyOracle.reverse_delete` of the picked edges."""
+    check_universe(g, oracle)
+    deleted = [picked[i] for i in oracle.reverse_delete([g.pair(e) for e in picked])]
     return sorted(set(picked).difference(deleted)), deleted
 
 
 def solve(g: CostedGraph, oracle: FamilyOracle) -> RunTrace:
     """Run both phases and assemble the full trace."""
-    picked, records, values, loads, residual = phase1(g, oracle)
-    solution, deleted = phase2(g, picked, residual)
+    picked, records, values, loads = phase1(g, oracle)
+    solution, deleted = phase2(g, oracle, picked)
     ordered = tuple(sorted(values.items(), key=lambda kv: kv[0].sort_key()))
     dual = DualState(values=ordered, loads=tuple(loads))
     return RunTrace(tuple(records), tuple(deleted), tuple(solution), dual)

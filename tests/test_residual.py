@@ -1,4 +1,5 @@
-"""The incremental residual (`FamilyOracle.residual`) against the stateless
+"""The incremental residual (`FamilyOracle.residual`) and the one-pass
+queries `removable(J)` and `reverse_delete(J)` against the stateless
 queries `cores(J)` and `is_covered(J)`.
 
 Both in-package oracles answer with the coverage kernel's residual; a
@@ -57,48 +58,36 @@ def outcome(read):
         return exc
 
 
-def assert_walk_matches(oracle: FamilyOracle, steps, cores_first: list[bool]) -> None:
-    """Walk `steps` (("add", u, v) or ("remove", i), i an index into J) on
-    the residual; each step's cores and covered, read in the order
-    `cores_first` gives, equal the stateless ones, refusals included."""
+def assert_walk_matches(oracle: FamilyOracle, adds, reads: list[bool]) -> None:
+    """Walk `adds` on the residual; the cores of each step that
+    reads[t % len(reads)] marks, and of the last, equal the stateless ones,
+    refusals included."""
     residual = oracle.residual()
     edges: list = []
-    for t, step in enumerate([None, *steps]):
-        if step is not None and step[0] == "add":
-            residual = residual.add(step[1], step[2])
-            edges.append((step[1], step[2]))
-        elif step is not None:
-            e = edges[step[1] % len(edges)]
-            residual = residual.remove(*e)
-            del edges[len(edges) - 1 - edges[::-1].index(e)]
-        want = {
-            "cores": outcome(lambda: tuple(oracle.cores(list(edges)))),
-            "covered": outcome(lambda: oracle.is_covered(list(edges))),
-        }
-        for what in ("cores", "covered") if cores_first[t % len(cores_first)] else ("covered", "cores"):
-            got = outcome(lambda: getattr(residual, what))
-            if isinstance(want[what], OracleInvariantError):
-                assert isinstance(got, OracleInvariantError), (t, what, edges)
-                assert str(got) == str(want[what]), (t, what, edges)
-            else:
-                assert got == want[what], (t, what, edges, got)
+    for t, step in enumerate([None, *adds]):
+        if step is not None:
+            residual = residual.add(*step)
+            edges.append(step)
+        if not reads[t % len(reads)] and t < len(adds):
+            continue
+        want = outcome(lambda: tuple(oracle.cores(list(edges))))
+        got = outcome(lambda: residual.cores)
+        if isinstance(want, OracleInvariantError):
+            assert isinstance(got, OracleInvariantError), (t, edges)
+            assert str(got) == str(want), (t, edges)
+        else:
+            assert got == want, (t, edges, got)
 
 
 @st.composite
 def walks(draw, n):
-    """Steps over a few pairs, so parallel copies and both orientations recur."""
+    """Adds over a few pairs, so parallel copies and both orientations recur."""
     pool = draw(st.lists(st.sampled_from(all_pairs(n)), min_size=1, max_size=4))
-    steps = []
-    size = 0
+    adds = []
     for _ in range(draw(st.integers(0, 10))):
-        if size and draw(st.booleans()):
-            steps.append(("remove", draw(st.integers(0, size - 1))))
-            size -= 1
-        else:
-            u, v = draw(st.sampled_from(pool))
-            steps.append(("add", *((u, v) if draw(st.booleans()) else (v, u))))
-            size += 1
-    return steps, draw(st.lists(st.booleans(), min_size=1, max_size=4))
+        u, v = draw(st.sampled_from(pool))
+        adds.append((u, v) if draw(st.booleans()) else (v, u))
+    return adds, draw(st.lists(st.booleans(), min_size=1, max_size=4))
 
 
 @st.composite
@@ -127,32 +116,29 @@ def cut_walks(draw):
 @given(explicit_walks())
 @settings(deadline=None, max_examples=300)
 def test_explicit_residual_matches_the_stateless_query(case):
-    f, steps, cores_first = case
+    f, adds, reads = case
     for oracle in (ExplicitFamilyOracle(f), CountingOracle(ExplicitFamilyOracle(f))):
-        assert_walk_matches(oracle, steps, cores_first)
+        assert_walk_matches(oracle, adds, reads)
 
 
 @given(cut_walks())
 @settings(deadline=None, max_examples=150)
 def test_small_cut_residual_matches_the_stateless_query(case):
-    h, steps, cores_first = case
+    h, adds, reads = case
     for oracle in (SmallCutsOracle(h), CountingOracle(SmallCutsOracle(h))):
-        assert_walk_matches(oracle, steps, cores_first)
+        assert_walk_matches(oracle, adds, reads)
 
 
 def test_overlapping_cores_are_refused_at_the_same_step():
     # Cores {0,3} and {1,2}; (3,4) kills {0,3} and leaves {0,1,3,4}, which
     # overlaps {1,2}; (1,5) covers both.
     f = ExplicitFamily.from_sets(6, [[0, 3], [0, 1, 3, 4], [1, 2]])
-    steps = [("add", 3, 4), ("add", 1, 5), ("remove", 1), ("remove", 0)]
     for oracle in (ExplicitFamilyOracle(f), CountingOracle(ExplicitFamilyOracle(f))):
-        assert_walk_matches(oracle, steps, [True, False])
+        assert_walk_matches(oracle, [(3, 4), (1, 5)], [True])
         residual = oracle.residual().add(3, 4)
         with pytest.raises(OracleInvariantError, match="disjoint"):
             residual.cores
-        with pytest.raises(OracleInvariantError, match="disjoint"):
-            residual.covered
-        assert residual.add(1, 5).covered
+        assert residual.add(1, 5).cores == ()
 
 
 def test_residual_refuses_bad_edges_and_leaves_its_parent_unchanged():
@@ -163,37 +149,22 @@ def test_residual_refuses_bad_edges_and_leaves_its_parent_unchanged():
             root.add(1, 1)
         with pytest.raises(ValueError, match="outside universe"):
             root.add(0, 4)
-        with pytest.raises(ValueError, match="not in the residual's edge set"):
-            root.remove(0, 2)
         one = root.add(0, 2)
-        with pytest.raises(ValueError, match="not in the residual's edge set"):
-            one.remove(2, 0)
         assert [c.members() for c in one.cores] == [(1,)]
         assert [c.members() for c in root.cores] == [(0,), (1,)]
-        assert one.remove(0, 2).cores == root.cores
-
-
-def test_covered_refuses_an_overlapping_residual_as_cores_does():
-    f = ExplicitFamily.from_sets(6, [[0, 3], [0, 1, 3, 4], [1, 2]])
-    oracle = ExplicitFamilyOracle(f)
-    with pytest.raises(OracleInvariantError) as by_cores:
-        oracle.residual().add(3, 4).cores
-    with pytest.raises(OracleInvariantError) as by_covered:
-        oracle.residual().add(3, 4).covered
-    assert str(by_covered.value) == str(by_cores.value)
 
 
 # --- derived core tuples ----------------------------------------------------
 
 
 def assert_adds_derive_cores(oracle: FamilyOracle, adds, plan) -> None:
-    """Walk `adds` on the residual.  plan[t] is (read the parent's cores
-    before the add, read the child's covered before its cores).  A child
-    whose parent held its tuple derives its own unless the stateless query
-    refuses, and every tuple is the stateless one, object for object."""
+    """Walk `adds` on the residual.  plan[t] says whether to read the
+    parent's cores before the add.  A child whose parent held its tuple
+    derives its own unless the stateless query refuses, and every tuple is
+    the stateless one, object for object."""
     residual = oracle.residual()
     edges: list = []
-    for (u, v), (read_parent, covered_first) in zip(adds, plan):
+    for (u, v), read_parent in zip(adds, plan):
         if read_parent:
             outcome(lambda: residual.cores)
         held = residual._cores is not None
@@ -202,16 +173,13 @@ def assert_adds_derive_cores(oracle: FamilyOracle, adds, plan) -> None:
         want = outcome(lambda: tuple(oracle.cores(list(edges))))
         if held and not isinstance(want, OracleInvariantError):
             assert residual._cores is not None, edges  # derived, not listed
-        reads = ("covered", "cores") if covered_first else ("cores", "covered")
-        got = {what: outcome(lambda: getattr(residual, what)) for what in reads}
+        got = outcome(lambda: residual.cores)
         if isinstance(want, OracleInvariantError):
-            for what in reads:
-                assert isinstance(got[what], OracleInvariantError), (what, edges)
-                assert str(got[what]) == str(want), (what, edges)
+            assert isinstance(got, OracleInvariantError), edges
+            assert str(got) == str(want), edges
         else:
-            assert got["cores"] == want, edges
-            assert all(a is b for a, b in zip(got["cores"], want)), edges
-            assert got["covered"] == (not want), edges
+            assert got == want, edges
+            assert all(a is b for a, b in zip(got, want)), edges
 
 
 @st.composite
@@ -220,7 +188,7 @@ def explicit_add_walks(draw):
     masks = draw(st.sets(st.integers(1, (1 << n) - 2), max_size=10))
     f = ExplicitFamily(n, tuple(NodeSet(n, m) for m in masks))
     adds = draw(st.lists(st.sampled_from(all_pairs(n)), max_size=10))
-    plan = draw(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=len(adds), max_size=len(adds)))
+    plan = draw(st.lists(st.booleans(), min_size=len(adds), max_size=len(adds)))
     return f, adds, plan
 
 
@@ -237,7 +205,7 @@ def test_add_derives_the_stateless_core_tuple_on_small_cut_graphs():
             rng = instance_rng(180 + n, i)
             oracle = SmallCutsOracle(random_cap_graph(rng, n))
             adds = [tuple(rng.sample(range(n), 2)) for _ in range(2 * n)]
-            plan = [(rng.random() < 0.7, rng.random() < 0.5) for _ in adds]
+            plan = [rng.random() < 0.7 for _ in adds]
             assert_adds_derive_cores(oracle, adds, plan)
 
 
@@ -246,7 +214,7 @@ def test_add_derives_the_core_tuples_of_a_tight_run():
     oracle = ExplicitFamilyOracle(bundle.family)
     trace = solve(bundle.graph, oracle)
     adds = [bundle.graph.pair(e) for e in trace.additions()]
-    assert_adds_derive_cores(oracle, adds, [(True, False)] * len(adds))
+    assert_adds_derive_cores(oracle, adds, [True] * len(adds))
 
 
 def held_counts(residual) -> list[int]:
@@ -341,6 +309,77 @@ def test_removable_refuses_overlapping_cores_as_the_loop_does():
     assert oracle.removable([(3, 4), (1, 5), (1, 5)]) == [False, True, True]
 
 
+# --- reverse_delete(J) against the per-edge loop ----------------------------
+
+
+def assert_reverse_delete_matches_the_loop(oracle: FamilyOracle, edges) -> None:
+    """reverse_delete(J) equals the base class's per-edge is_covered loop,
+    refusals and their messages included."""
+    got = outcome(lambda: oracle.reverse_delete(edges))
+    want = outcome(lambda: FamilyOracle.reverse_delete(oracle, edges))
+    if isinstance(want, OracleInvariantError):
+        assert isinstance(got, OracleInvariantError), (edges, got)
+        assert str(got) == str(want), edges
+    else:
+        assert got == want, (edges, got)
+
+
+def flipped(edges: list) -> list:
+    """`edges` with every other edge turned around."""
+    return [(v, u) if i % 2 else (u, v) for i, (u, v) in enumerate(edges)]
+
+
+@given(explicit_edge_lists())
+@settings(deadline=None, max_examples=300)
+def test_reverse_delete_matches_the_per_edge_loop_on_explicit_families(case):
+    """J itself (which may not cover), J with repeated edges, a cover with
+    most edges needed, and J plus every pair, where most edges drop; each
+    also with every other edge turned around."""
+    f, edges, pairs = case
+    oracle = ExplicitFamilyOracle(f)
+    for js in [*edge_lists(oracle, edges, pairs), edges + pairs]:
+        assert_reverse_delete_matches_the_loop(oracle, js)
+        assert_reverse_delete_matches_the_loop(oracle, flipped(js))
+
+
+def test_reverse_delete_matches_the_per_edge_loop_on_small_cut_graphs():
+    for n in range(4, 11):
+        for i in range(6):
+            rng = instance_rng(200 + n, i)
+            oracle = SmallCutsOracle(random_cap_graph(rng, n))
+            pairs = all_pairs(n)
+            rng.shuffle(pairs)
+            edges = [tuple(rng.sample(range(n), 2)) for _ in range(n)]
+            for js in [*edge_lists(oracle, edges, pairs), edges + pairs]:
+                assert_reverse_delete_matches_the_loop(oracle, js)
+
+
+def test_reverse_delete_refuses_bad_edges_as_the_kernel_does():
+    """The default's probes never hold the whole of J, so it checks the
+    edges first, as the kernel does: a last-position loop is not dropped."""
+    oracle = ExplicitFamilyOracle(ExplicitFamily.from_sets(3, [[0]]))
+    for bad, message in (((2, 2), "is a loop"), ((1, 7), "outside universe")):
+        for query in (oracle.reverse_delete, CountingOracle(oracle).reverse_delete):
+            with pytest.raises(ValueError, match=message):
+                query([(0, 1), bad])
+
+
+def test_reverse_delete_refuses_overlapping_cores_as_the_loop_does():
+    # (3,4) covers {0,3}; (1,5) covers {0,1,3,4} and {1,2}; (0,2) covers all
+    # three.  Without (1,5), [(3,4)] leaves {0,1,3,4} and {1,2}, which overlap.
+    f = ExplicitFamily.from_sets(6, [[0, 3], [0, 1, 3, 4], [1, 2]])
+    oracle = ExplicitFamilyOracle(f)
+    edges = [(3, 4), (1, 5), (0, 2)]
+    with pytest.raises(OracleInvariantError, match="disjoint") as by_loop:
+        FamilyOracle.reverse_delete(oracle, edges)
+    with pytest.raises(OracleInvariantError) as by_kernel:
+        oracle.reverse_delete(edges)
+    assert str(by_kernel.value) == str(by_loop.value)
+    # Newest first, (1,5) and (3,4) drop while (0,2) is kept.
+    assert oracle.reverse_delete([(0, 2), (3, 4), (1, 5)]) == [2, 1]
+    assert_reverse_delete_matches_the_loop(oracle, [(0, 2), (3, 4), (1, 5)])
+
+
 class CoveredCounter(ExplicitFamilyOracle):
     """The explicit oracle, counting its own is_covered calls."""
 
@@ -365,6 +404,21 @@ def test_certify_asks_is_covered_per_solution_edge_only_through_a_wrapper():
     counter = CoveredCounter(bundle.family)
     assert certify(bundle.graph, counter, trace, "sparse") == want
     assert counter.asked == 1
+
+
+def test_reverse_delete_asks_is_covered_per_edge_only_through_a_wrapper():
+    g, f = random_instance("gamma", instance_rng(104, 1))
+    inner = ExplicitFamilyOracle(f)
+    trace = solve(g, inner)
+    pairs = [g.pair(e) for e in trace.additions()]
+    want = inner.reverse_delete(pairs)
+    assert [trace.additions()[i] for i in want] == list(trace.deleted) != []
+    wrapped = CountingOracle(inner)
+    assert wrapped.reverse_delete(pairs) == want
+    assert wrapped.calls == {"cores": 0, "is_covered": len(pairs)}
+    counter = CoveredCounter(f)
+    assert counter.reverse_delete(pairs) == want
+    assert counter.asked == 0
 
 
 # --- the base-class default against the kernel ------------------------------
@@ -454,7 +508,7 @@ def test_certify_refuses_a_run_whose_residual_dropped_a_core(monkeypatch):
     def lossy_add(self, u, v):
         child = add(self, u, v)
         low = child._core_bits & -child._core_bits
-        return setfam._KernelResidual(child._kernel, child.edges, child.alive, None, child._core_bits ^ low)
+        return setfam._KernelResidual(child._kernel, child.alive, child._core_bits ^ low)
 
     monkeypatch.setattr(setfam._KernelResidual, "add", lossy_add)
     run = solve(g, ExplicitFamilyOracle(f))

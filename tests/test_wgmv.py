@@ -343,8 +343,8 @@ def test_solver_is_deterministic():
 def test_phase_functions_compose_to_solve():
     g, f = random_instance("gamma", instance_rng(104, 1))
     oracle = ExplicitFamilyOracle(f)
-    picked, records, values, loads, residual = phase1(g, oracle)
-    keep, deleted = phase2(g, picked, residual)
+    picked, records, values, loads = phase1(g, oracle)
+    keep, deleted = phase2(g, oracle, picked)
     trace = solve(g, oracle)
     assert trace.additions() == tuple(picked)
     assert trace.dual.loads == tuple(loads)
@@ -367,6 +367,13 @@ def test_oracle_universe_mismatch_is_rejected():
     f = ExplicitFamily.from_sets(4, [[0]])
     with pytest.raises(ValueError):
         solve(g, ExplicitFamilyOracle(f))
+
+
+def test_phase2_refuses_an_oracle_over_another_universe():
+    g = CostedGraph.build(3, [(0, 1, 1)])
+    oracle = ExplicitFamilyOracle(ExplicitFamily.from_sets(4, [[0]]))
+    with pytest.raises(ValueError, match="oracle universe"):
+        phase2(g, oracle, [0])
 
 
 # --- phase 1 against its division-per-candidate form ------------------------------
@@ -422,7 +429,7 @@ def tie_heavy_copies(g):
 
 
 def assert_phase1_matches_reference(g, f):
-    got = phase1(g, ExplicitFamilyOracle(f))[:4]
+    got = phase1(g, ExplicitFamilyOracle(f))
     assert got == ref_phase1(g, ExplicitFamilyOracle(f))
     assert [type(it.eps) for it in got[1]] == [Fraction] * len(got[1])
     return got
