@@ -21,9 +21,11 @@ residual asks the oracle only when the child crosses one.
 principles: dual feasibility (every dual set a member and no edge over
 its cost, so by weak duality the dual objective is at most OPT), tightness
 of the solution (both compare loads and costs as integer numerators over
-one denominator, from `wgmv.edge_loads`), per-iteration load bounds for the
-claimed family class, and the approximation-factor inequality against the
-dual objective (and against the true optimum when supplied).
+one denominator, from `wgmv.edge_loads`), cover and minimality of the
+solution (it is minimal exactly when reverse delete keeps every edge of
+it), per-iteration load bounds for the claimed family class, and the
+approximation-factor inequality against the dual objective (and against
+the true optimum when supplied).
 """
 
 from __future__ import annotations
@@ -207,29 +209,25 @@ def certify(
     sol_pairs = [g.pair(e) for e in trace.solution]
     covered = oracle.is_covered(sol_pairs)
     add("solution-covers-family", covered)
-    loose = [e for e, free in zip(trace.solution, oracle.removable(sol_pairs)) if free]
+    # J is minimal exactly when reverse delete drops nothing: if J does not
+    # cover, no J - e covers, and if it does, its first drop is removable.
+    loose: list[int] = []
+    if oracle.reverse_delete(sol_pairs):
+        loose = [e for i, e in enumerate(trace.solution) if oracle.is_covered(sol_pairs[:i] + sol_pairs[i + 1 :])]
     add("solution-minimal", not loose, f"removable edges: {loose}" if loose else "")
 
-    # d_J(C) is counted once per distinct core, from one incidence list over
-    # them all.  Cores are told apart by object first: a solved or a read
-    # trace shares one object per core across its iterations, so each mask
-    # is hashed once, and a trace of fresh copies hashes one per entry.
+    # d_J(C) is counted once per core object, from one incidence list over
+    # them all: a solved or a read trace shares one object per core across
+    # its iterations, and a trace of fresh copies gets one row per copy.
     objs: dict[int, NodeSet] = {}
     for it in trace.iterations:
         objs.update(zip(map(id, it.cores), it.cores))
-    index: dict[int, int] = {}  # mask -> row of the incidence list
-    distinct: list[NodeSet] = []
-    row_of: dict[int, int] = {}  # id(core) -> row
-    for k, c in objs.items():
-        row = row_of[k] = index.setdefault(c.mask, len(index))
-        if row == len(distinct):
-            distinct.append(c)
-    degree = [0] * len(distinct)
-    inc = member_incidence(g.n, distinct)
+    degree = [0] * len(objs)
+    inc = member_incidence(g.n, objs.values())
     for u, v in sol_pairs:
         for i in bits(inc[u] ^ inc[v]):
             degree[i] += 1
-    degree_of = {k: degree[i] for k, i in row_of.items()}
+    degree_of = dict(zip(objs, degree))
     bounds: dict[int, Fraction] = {}  # by core count
     rows: list[IterationRow] = []
     for idx, it in enumerate(trace.iterations):

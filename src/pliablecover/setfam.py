@@ -133,9 +133,13 @@ Edge = tuple[int, int]
 
 
 def validate_edges(n: int, edges: Sequence[Edge]) -> None:
-    """Edge sets are lists of (u, v) pairs; loops are rejected, parallel
-    copies are allowed and count with multiplicity."""
+    """Edge sets are lists of (u, v) pairs of int nodes (a bool is refused,
+    as in JSON input); loops are rejected, parallel copies are allowed and
+    count with multiplicity."""
     for u, v in edges:
+        if type(u) is not int or type(v) is not int:  # plain ints skip the full test
+            if isinstance(u, bool) or isinstance(v, bool) or not (isinstance(u, int) and isinstance(v, int)):
+                raise ValueError(f"edge ({u!r},{v!r}) has an endpoint that is not an int")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) outside universe of size {n}")
         if u == v:
@@ -437,8 +441,8 @@ class _KernelResidual:
 
     def add(self, u: int, v: int) -> "_KernelResidual":
         k = self._kernel
-        if not (0 <= u < k.n and 0 <= v < k.n and u != v):
-            validate_edges(k.n, ((u, v),))  # raises, naming the edge
+        if not (type(u) is int and type(v) is int and 0 <= u < k.n and 0 <= v < k.n and u != v):
+            validate_edges(k.n, ((u, v),))  # refuses a bad edge, naming it
         c = k.inc[u] ^ k.inc[v]
         alive = self.alive & ~c
         killed = self._core_bits & c
@@ -827,11 +831,11 @@ class FamilyOracle:
 
     reverse_delete(J) walks J from its last edge to its first and drops
     each edge whose removal leaves the kept edges covering the family; it
-    returns the dropped positions, descending.  removable(J) is the list,
-    per edge of J in order, of whether J less that one copy still covers
-    the family: the question reverse delete asks, which `certify` re-asks
-    of the final solution.  Both defaults ask `is_covered(kept - e)` once
-    per edge, so a forwarding wrapper sees those calls.
+    returns the dropped positions, descending.  It is also the minimality
+    test: J is inclusion-minimal exactly when reverse delete keeps every
+    edge of J, which is how `certify` checks the final solution.  The
+    default asks `is_covered(kept - e)` once per edge, so a forwarding
+    wrapper sees those calls.
 
     Both backends are `_KernelOracle`s: a `_CoverageKernel` over their
     family's incidence list answers every call.  The explicit backend builds
@@ -840,8 +844,7 @@ class FamilyOracle:
     `cores(J)` lists the kernel's residual of J, built in one step; their
     residual() is the kernel's root (`_KernelResidual`), which derives each
     residual from the last one by bitmask updates; their reverse_delete(J)
-    and removable(J) are one pass over J.  All four refuse by one check of
-    the core masks.
+    is one pass over J.  All three refuse by one check of the core masks.
     """
 
     def universe_size(self) -> int:
@@ -860,12 +863,6 @@ class FamilyOracle:
         so the cores behind every False are validated; on the kernel-backed
         oracles a True costs the edge check and one pass over the edges."""
         return not self.cores(edges)
-
-    def removable(self, edges: Sequence[Edge]) -> list[bool]:
-        """Per edge of `edges`, whether the rest, less that one copy, still
-        covers the family."""
-        edges = list(edges)
-        return [self.is_covered(edges[:i] + edges[i + 1 :]) for i in range(len(edges))]
 
     def reverse_delete(self, edges: Sequence[Edge]) -> list[int]:
         """The positions of `edges` that reverse delete drops, descending:
@@ -905,13 +902,12 @@ class _KernelOracle(FamilyOracle):
     lookup in its mask -> member-id map, `residual()` is its root, and the
     stateless `cores(J)` lists its one-step residual of J.
 
-    `removable(J)` checks J's edges and makes one pass over them for the
-    members J crosses once and twice.  J - e leaves the members J leaves
-    plus those that only e crosses; it covers exactly when there are none,
-    and otherwise its cores, the minimal ones, are checked on their masks.
-    `reverse_delete(J)` asks the same of the kept edges, whose per-member
-    crossing counts it keeps as bit planes (`_count_up`): a dropped edge
-    counts down the members it crosses.
+    `reverse_delete(J)` checks J's edges and keeps, as bit planes
+    (`_count_up`), how many kept edges cross each member.  The kept edges
+    less e leave the members J leaves plus those that only e crosses; they
+    cover exactly when there are none, and otherwise their cores, the
+    minimal ones, are checked on their masks.  A dropped edge counts down
+    the members it crosses.
     """
 
     _kernel: _CoverageKernel
@@ -924,21 +920,6 @@ class _KernelOracle(FamilyOracle):
 
     def _cores_impl(self, edges: Sequence[Edge]) -> list[NodeSet]:
         return self._kernel.residual(edges).core_sets()
-
-    def removable(self, edges: Sequence[Edge]) -> list[bool]:
-        k = self._kernel
-        edges = list(edges)
-        validate_edges(k.n, edges)
-        inc, masks = k.inc, k.masks
-        once, twice = covered_masks(inc, edges)
-        alive = ~once & ((1 << len(masks)) - 1)
-        out = []
-        for u, v in edges:
-            left = alive | ((inc[u] ^ inc[v]) & ~twice)  # the members J - e leaves
-            if left:
-                _validate_cores([masks[j] for j in bits(k.least(0, left))])
-            out.append(not left)
-        return out
 
     def reverse_delete(self, edges: Sequence[Edge]) -> list[int]:
         k = self._kernel

@@ -1,12 +1,14 @@
 """The incremental residual (`FamilyOracle.residual`) and the one-pass
-queries `removable(J)` and `reverse_delete(J)` against the stateless
-queries `cores(J)` and `is_covered(J)`.
+query `reverse_delete(J)` against the stateless queries `cores(J)` and
+`is_covered(J)`.
 
 Both in-package oracles answer with the coverage kernel's residual; a
 wrapper that forwards only `cores` and `is_covered` gets the base class's
 default, which asks those two.  The runs must not tell them apart, and
 `certify` must not trust either.
 """
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -149,6 +151,9 @@ def test_residual_refuses_bad_edges_and_leaves_its_parent_unchanged():
             root.add(1, 1)
         with pytest.raises(ValueError, match="outside universe"):
             root.add(0, 4)
+        for bad in ((1.5, 0), (True, 2)):
+            with pytest.raises(ValueError, match="not an int"):
+                root.add(*bad)
         one = root.add(0, 2)
         assert [c.members() for c in one.cores] == [(1,)]
         assert [c.members() for c in root.cores] == [(0,), (1,)]
@@ -238,19 +243,7 @@ def test_held_counts_follow_the_cores_along_adds(case):
         assert held_counts(residual) == [sum(c & ~m == 0 for c in cores) for m in masks]
 
 
-# --- removable(J) against the per-edge loop ---------------------------------
-
-
-def assert_removable_matches_the_loop(oracle: FamilyOracle, edges) -> None:
-    """removable(J) equals the base class's per-edge is_covered loop,
-    refusals and their messages included."""
-    got = outcome(lambda: oracle.removable(edges))
-    want = outcome(lambda: FamilyOracle.removable(oracle, edges))
-    if isinstance(want, OracleInvariantError):
-        assert isinstance(got, OracleInvariantError), (edges, got)
-        assert str(got) == str(want), edges
-    else:
-        assert got == want, (edges, got)
+# --- reverse_delete(J) against the per-edge loop ----------------------------
 
 
 def edge_lists(oracle: FamilyOracle, edges: list, pairs: list) -> list[list]:
@@ -271,45 +264,6 @@ def explicit_edge_lists(draw):
     f = ExplicitFamily(n, tuple(NodeSet(n, m) for m in masks))
     edges = draw(st.lists(st.sampled_from(all_pairs(n)), max_size=8))
     return f, edges, draw(st.permutations(all_pairs(n)))
-
-
-@given(explicit_edge_lists())
-@settings(deadline=None, max_examples=300)
-def test_removable_matches_the_per_edge_loop_on_explicit_families(case):
-    f, edges, pairs = case
-    oracle = ExplicitFamilyOracle(f)
-    for js in edge_lists(oracle, edges, pairs):
-        assert_removable_matches_the_loop(oracle, js)
-
-
-def test_removable_matches_the_per_edge_loop_on_small_cut_graphs():
-    for n in range(4, 11):
-        for i in range(6):
-            rng = instance_rng(190 + n, i)
-            oracle = SmallCutsOracle(random_cap_graph(rng, n))
-            pairs = all_pairs(n)
-            rng.shuffle(pairs)
-            edges = [tuple(rng.sample(range(n), 2)) for _ in range(n)]
-            for js in edge_lists(oracle, edges, pairs):
-                assert_removable_matches_the_loop(oracle, js)
-
-
-def test_removable_refuses_overlapping_cores_as_the_loop_does():
-    # (1,5) alone leaves {0,3}; (3,4) alone leaves {0,1,3,4} and {1,2}.
-    f = ExplicitFamily.from_sets(6, [[0, 3], [0, 1, 3, 4], [1, 2]])
-    oracle = ExplicitFamilyOracle(f)
-    edges = [(1, 5), (3, 4)]
-    assert oracle.is_covered(edges)
-    with pytest.raises(OracleInvariantError, match="disjoint") as by_loop:
-        FamilyOracle.removable(oracle, edges)
-    with pytest.raises(OracleInvariantError) as by_kernel:
-        oracle.removable(edges)
-    assert str(by_kernel.value) == str(by_loop.value)
-    assert_removable_matches_the_loop(oracle, edges)
-    assert oracle.removable([(3, 4), (1, 5), (1, 5)]) == [False, True, True]
-
-
-# --- reverse_delete(J) against the per-edge loop ----------------------------
 
 
 def assert_reverse_delete_matches_the_loop(oracle: FamilyOracle, edges) -> None:
@@ -354,11 +308,84 @@ def test_reverse_delete_matches_the_per_edge_loop_on_small_cut_graphs():
                 assert_reverse_delete_matches_the_loop(oracle, js)
 
 
+def removable_copies(oracle: FamilyOracle, edges: list) -> list[int]:
+    """The positions of the copies of J whose removal leaves J covering,
+    by one is_covered(J - that copy) per copy: the reference minimality
+    test."""
+    return [i for i in range(len(edges)) if oracle.is_covered(edges[:i] + edges[i + 1 :])]
+
+
+def assert_minimal_iff_nothing_drops(oracle: FamilyOracle, edges: list) -> None:
+    """reverse_delete(J) is [] exactly when no copy of J is removable, and
+    its first drop is the last removable copy.  After that drop it probes
+    edge sets the reference never asks about, so it may refuse there."""
+    loose = outcome(lambda: removable_copies(oracle, edges))
+    if isinstance(loose, OracleInvariantError):
+        return  # refusals are compared with the default's loop above
+    got = outcome(lambda: oracle.reverse_delete(edges))
+    if not loose:
+        assert got == [], (edges, got)
+    elif not isinstance(got, OracleInvariantError):
+        assert got[0] == loose[-1], (edges, got, loose)
+
+
+@given(explicit_edge_lists())
+@settings(deadline=None, max_examples=200)
+def test_reverse_delete_drops_nothing_exactly_on_minimal_edge_lists_of_explicit_families(case):
+    f, edges, pairs = case
+    for oracle in (ExplicitFamilyOracle(f), CountingOracle(ExplicitFamilyOracle(f))):
+        for js in [*edge_lists(oracle, edges, pairs), edges + pairs]:
+            assert_minimal_iff_nothing_drops(oracle, js)
+            assert_minimal_iff_nothing_drops(oracle, flipped(js))
+
+
+def test_reverse_delete_drops_nothing_exactly_on_minimal_edge_lists_of_small_cut_graphs():
+    for n in range(4, 11):
+        for i in range(6):
+            rng = instance_rng(210 + n, i)
+            h = random_cap_graph(rng, n)
+            pairs = all_pairs(n)
+            rng.shuffle(pairs)
+            edges = [tuple(rng.sample(range(n), 2)) for _ in range(n)]
+            for oracle in (SmallCutsOracle(h), CountingOracle(SmallCutsOracle(h))):
+                for js in edge_lists(oracle, edges, pairs):
+                    assert_minimal_iff_nothing_drops(oracle, js)
+
+
+def test_certify_minimal_row_is_the_same_through_a_wrapper():
+    """On solutions with a repeated or a spare edge, the solution-minimal
+    row reads the same through the kernel's reverse delete and through the
+    forwarding default, and lists the copies the per-copy loop finds."""
+    loose_rows = 0
+    for i in range(30):
+        kind = ("gamma", "sparse", "uncrossable")[i % 3]
+        g, f = random_instance(kind, instance_rng(215, i), 4 + i % 4)
+        inner = ExplicitFamilyOracle(f)
+        trace = solve(g, inner)
+        spare = [e for e in range(len(g.edges)) if e not in trace.solution]
+        for sol in (trace.solution + trace.solution[:1], tuple(sorted(trace.solution + tuple(spare[:1])))):
+            run = dataclasses.replace(trace, solution=sol)
+            rows = [
+                next(c for c in certify(g, o, run, kind).checks if c.name == "solution-minimal")
+                for o in (inner, CountingOracle(inner))
+            ]
+            assert rows[0] == rows[1], (i, sol)
+            loose = [sol[j] for j in removable_copies(inner, [g.pair(e) for e in sol])]
+            assert (rows[0].ok, rows[0].detail) == (not loose, f"removable edges: {loose}" if loose else "")
+            loose_rows += bool(loose)
+    assert loose_rows > 30
+
+
 def test_reverse_delete_refuses_bad_edges_as_the_kernel_does():
     """The default's probes never hold the whole of J, so it checks the
     edges first, as the kernel does: a last-position loop is not dropped."""
     oracle = ExplicitFamilyOracle(ExplicitFamily.from_sets(3, [[0]]))
-    for bad, message in (((2, 2), "is a loop"), ((1, 7), "outside universe")):
+    for bad, message in (
+        ((2, 2), "is a loop"),
+        ((1, 7), "outside universe"),
+        ((0.5, 2), "not an int"),
+        ((True, 2), "not an int"),
+    ):
         for query in (oracle.reverse_delete, CountingOracle(oracle).reverse_delete):
             with pytest.raises(ValueError, match=message):
                 query([(0, 1), bad])

@@ -180,6 +180,9 @@ def test_validate_edges():
         validate_edges(4, [(0, 4)])
     with pytest.raises(ValueError):
         validate_edges(4, [(2, 2)])
+    for bad in ((0.5, 2), (1, 2.0), (True, 2), (0, False), ("1", 2)):
+        with pytest.raises(ValueError, match=r"has an endpoint that is not an int"):
+            validate_edges(4, [(0, 1), bad])
 
 
 def test_coverage_counts_multiplicity():
@@ -823,6 +826,8 @@ def test_oracle_still_validates_edges_it_has_seen():
         oracle.cores([(0, 1), (1, 3)])
     with pytest.raises(ValueError, match="is a loop"):
         oracle.cores([(0, 1), (2, 2)])
+    with pytest.raises(ValueError, match="not an int"):
+        oracle.cores([(0.5, 2)])
 
 
 class _ListOracle(FamilyOracle):

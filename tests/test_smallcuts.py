@@ -84,6 +84,9 @@ def test_capgraph_validation():
         CapGraph.build(3, [(0, 0, 1)], 1)
     with pytest.raises(ValueError):
         CapGraph.build(3, [(0, 1, -1)], 1)
+    for bad in (0.5, True):
+        with pytest.raises(ValueError, match=r"edge \(.*\) has an endpoint that is not an int"):
+            CapGraph.build(3, [(bad, 2, 1)], 2)
 
 
 def test_capgraph_refuses_inexact_capacities_and_thresholds():

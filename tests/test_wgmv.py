@@ -357,6 +357,9 @@ def test_costed_graph_validation():
         CostedGraph.build(3, [(0, 0, 1)])
     with pytest.raises(ValueError):
         CostedGraph.build(3, [(0, 1, -2)])
+    for bad in (0.5, True, "1"):  # solve failed on a float endpoint with a TypeError
+        with pytest.raises(ValueError, match=r"edge \(.*\) has an endpoint that is not an int"):
+            CostedGraph.build(3, [(bad, 2, 1), (0, 1, 1)])
     g = CostedGraph.build(3, [(0, 1, Fraction(1, 3))])
     assert g.pair(0) == (0, 1)
     assert g.cost(0) == Fraction(1, 3)
