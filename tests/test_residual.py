@@ -352,6 +352,31 @@ def test_reverse_delete_drops_nothing_exactly_on_minimal_edge_lists_of_small_cut
                     assert_minimal_iff_nothing_drops(oracle, js)
 
 
+def test_removable_refuses_overlapping_cores_as_the_loop_does():
+    """The minimality check refuses where the per-copy reference refuses:
+    (1,5) alone leaves {0,3}; (3,4) alone leaves {0,1,3,4} and {1,2}."""
+    f = ExplicitFamily.from_sets(6, [[0, 3], [0, 1, 3, 4], [1, 2]])
+    oracle = ExplicitFamilyOracle(f)
+    edges = [(1, 5), (3, 4)]
+    assert oracle.is_covered(edges)
+    with pytest.raises(OracleInvariantError, match="disjoint") as by_loop:
+        removable_copies(oracle, edges)
+    for query in (oracle.reverse_delete, CountingOracle(oracle).reverse_delete):
+        with pytest.raises(OracleInvariantError) as by_kernel:
+            query(edges)
+        assert str(by_kernel.value) == str(by_loop.value)
+    assert_reverse_delete_matches_the_loop(oracle, edges)
+    # With (1,5) repeated, either copy is removable.  Reverse delete drops
+    # the newest, then refuses when it probes [(3,4)] without the other.
+    twice = [(3, 4), (1, 5), (1, 5)]
+    assert removable_copies(oracle, twice) == [1, 2]
+    with pytest.raises(OracleInvariantError) as after_the_drop:
+        oracle.reverse_delete(twice)
+    assert str(after_the_drop.value) == str(by_loop.value)
+    assert_reverse_delete_matches_the_loop(oracle, twice)
+    assert_minimal_iff_nothing_drops(oracle, twice)
+
+
 def test_certify_minimal_row_is_the_same_through_a_wrapper():
     """On solutions with a repeated or a spare edge, the solution-minimal
     row reads the same through the kernel's reverse delete and through the
