@@ -42,7 +42,6 @@ from .treeanal import (
     build_tree,
     classify_chain,
     emit_dot,
-    find_bad_pairs,
     verify_bounds,
 )
 from .gens import (

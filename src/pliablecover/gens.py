@@ -38,7 +38,9 @@ from .wgmv import CostedGraph, edge_loads
 GENERATION_BUDGET = 400
 # A pliability repair still short of pliable past this many members is
 # given up.  The limit is the member guard the gamma check once had, kept
-# so that every `gen --kind gamma` draw keeps its bytes.
+# so that every `gen --kind gamma` draw keeps its bytes.  A round adds at
+# most two members, so the repair's pair scan sees at most this many plus
+# two, below its own MAX_PAIR_SCAN_FAMILY guard.
 MAX_REPAIRED_MEMBERS = 256
 # The properties a proposal of each kind must have, checked in this order.
 _ACCEPT = {
@@ -326,8 +328,7 @@ def _random_repaired_masks(rng: random.Random, n: int) -> list[int] | None:
     """Random seed sets, then add derived sets until the family is pliable.
 
     Each round repairs the first non-pliable pair of the sorted masks.  A
-    family past the pair scan's guard, or still unrepaired past
-    MAX_REPAIRED_MEMBERS, is given up.
+    family still unrepaired past MAX_REPAIRED_MEMBERS is given up.
     """
     if n < 3:
         return None  # fewer than three proper nonempty subsets to seed with
@@ -336,10 +337,7 @@ def _random_repaired_masks(rng: random.Random, n: int) -> list[int] | None:
     while len(masks) < rng.randint(3, 5):
         masks.add(rng.randint(1, full - 1))
     for _ in range(600):
-        try:
-            pair = _first_bad_pair(sorted(masks), _pliable_pair, "pliability")
-        except GuardError:
-            return None
+        pair = _first_bad_pair(sorted(masks), _pliable_pair, "pliability")
         if pair is None:
             return sorted(masks)
         if len(masks) > MAX_REPAIRED_MEMBERS:

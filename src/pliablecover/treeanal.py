@@ -25,7 +25,6 @@ from sorting.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -128,10 +127,6 @@ class ShortcutTree:
     @cached_property
     def _core_incidence(self) -> list[int]:
         return member_incidence(self.n, self.cores)
-
-    def parent_edge(self, node: int) -> ChainEdge | None:
-        i = self._edge_below.get(node)
-        return None if i is None else self.edges[i]
 
     def core_of_vertex(self, v: int) -> int | None:
         """Index of the first core holding v, or None."""
@@ -298,26 +293,12 @@ def classify_chain(tree: ShortcutTree, edge: ChainEdge) -> str:
 
 @dataclass(frozen=True)
 class BadPair:
+    """Heavy edges, `upper` above `lower`, with every node from lower's upper
+    endpoint to upper's lower endpoint white, both ends included (contracted
+    nodes are white by construction)."""
+
     lower: int  # index into tree.edges
     upper: int  # index into tree.edges
-
-
-def find_bad_pairs(tree: ShortcutTree) -> list[BadPair]:
-    """Pairs of heavy edges separated by an all-white stretch of the tree.
-
-    (e, e') is bad when e' lies above e and every node from e's upper
-    endpoint to e''s lower endpoint, inclusive, is white.  Contracted nodes
-    in between are white by construction, so only surviving nodes need the
-    check.
-    """
-    return _token_ordered_pairs(tree, _white_climbs(tree, [e.weight for e in tree.edges]))
-
-
-def _token_ordered_pairs(tree: ShortcutTree, climbs: dict[int, list[int]]) -> list[BadPair]:
-    """The bad pairs behind `_white_climbs`, by upper then lower edge token."""
-    pairs = [BadPair(lower=lo, upper=hi) for lo, climb in climbs.items() for hi in sorted(climb)]
-    pairs.sort(key=lambda p: (tree.edges[p.upper].sort_token(), tree.edges[p.lower].sort_token()))
-    return pairs
 
 
 def _white_climbs(tree: ShortcutTree, weights: Sequence[int]) -> dict[int, list[int]]:
@@ -454,32 +435,25 @@ def _lower_ancestors(tree: ShortcutTree, edge_ids: Sequence[int]) -> list[tuple[
     """Pairs (x, y) of distinct edges in `edge_ids`, sorted, where y's lower
     endpoint is x's upper endpoint or an ancestor of it.
 
-    Ancestry comes from preorder positions in the forest of parent edges:
-    a subtree is a run of the preorder, so the uppers inside y's lower's
-    subtree are found by bisection.
+    One walk down the forest of parent edges carries, per node, the wanted
+    edges passed on the way down; stepping down wanted edge x pairs it with
+    each of them.
     """
     if len(edge_ids) < 2:
         return []
-    edges, below, kids = tree.edges, tree._edge_below, tree._child_edges
-    order: list[int] = []
-    stack = [x for x in range(len(tree.nodes)) if x not in below]
-    while stack:
-        x = stack.pop()
-        order.append(x)
-        stack.extend(e.lower for e in kids.get(x, ()))
-    pos = {x: t for t, x in enumerate(order)}
-    size = dict.fromkeys(order, 1)
-    for x in reversed(order):
-        if x in below:
-            size[edges[below[x]].upper] += size[x]
-    uppers = sorted((pos[edges[x].upper], x) for x in edge_ids)
-    keys = [t for t, _ in uppers]
+    below, kids = tree._edge_below, tree._child_edges
+    wanted = set(edge_ids)
     out: list[tuple[int, int]] = []
-    for y in edge_ids:
-        low = edges[y].lower
-        start = bisect_left(keys, pos[low])
-        stop = bisect_left(keys, pos[low] + size[low])
-        out.extend((x, y) for _, x in uppers[start:stop] if x != y)
+    stack: list[tuple[int, tuple[int, ...]]] = [(x, ()) for x in range(len(tree.nodes)) if x not in below]
+    while stack:
+        node, above = stack.pop()
+        for e in kids.get(node, ()):
+            x = below[e.lower]
+            if x in wanted:
+                out.extend((x, y) for y in above)
+                stack.append((e.lower, above + (x,)))
+            else:
+                stack.append((e.lower, above))
     out.sort()
     return out
 
@@ -543,7 +517,8 @@ def verify_bounds(
             )
 
     climbs = _white_climbs(tree, [e.weight for e in tree.edges])
-    pairs = _token_ordered_pairs(tree, climbs)
+    pairs = [BadPair(lower=lo, upper=hi) for lo, climb in climbs.items() for hi in sorted(climb)]
+    pairs.sort(key=lambda p: (tree.edges[p.upper].sort_token(), tree.edges[p.lower].sort_token()))
     in_u = tree.in_core_union
     for p in pairs:
         lo, hi = tree.edges[p.lower], tree.edges[p.upper]

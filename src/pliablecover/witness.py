@@ -44,11 +44,6 @@ def laminar_tree(sets: Sequence[NodeSet]) -> tuple[list[int | None], dict[int, i
     return parents, holder
 
 
-def is_laminar(sets: Sequence[NodeSet]) -> bool:
-    """True when no two of the sets cross (any pair is nested or disjoint)."""
-    return laminar_tree(sets) is not None
-
-
 def witness_candidates(f: ExplicitFamily, cover: Sequence[Edge]) -> list[tuple[NodeSet, ...]]:
     """Per-edge candidates: members covered by exactly that edge of the cover.
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pliablecover.gens as gens
+import pliablecover.setfam as setfam
 from pliablecover.errors import GenerationError, GuardError
 from pliablecover.gens import (
     instance_rng,
@@ -27,7 +28,7 @@ from pliablecover.setfam import (
 )
 from pliablecover.treeanal import build_tree, verify_bounds
 from pliablecover.wgmv import CostedGraph
-from pliablecover.witness import is_laminar, laminar_witness
+from pliablecover.witness import laminar_tree, laminar_witness
 
 import random
 
@@ -137,7 +138,7 @@ def test_bundle_trees_pass_the_structural_verifier(bundle, cls, beta):
 
 def test_bundle_witness_is_laminar_and_recoverable():
     for b in (tight_seven(4), tight_six(4), tight_beta(4, 2)):
-        assert is_laminar(list(b.witness))
+        assert laminar_tree(list(b.witness)) is not None
         pairs = [b.graph.pair(i) for i in range(len(b.graph.edges))]
         assert laminar_witness(b.family, pairs) == tuple(b.witness)
 
@@ -250,6 +251,12 @@ def test_repair_gives_up_past_the_gamma_member_guard(monkeypatch):
     monkeypatch.setattr(gens, "MAX_REPAIRED_MEMBERS", limit)
     for i in grown:
         assert gens._random_repaired_masks(random.Random(i), n) is None
+
+
+def test_repair_stays_under_the_pair_scan_guard():
+    # A round starts at most MAX_REPAIRED_MEMBERS members and adds at most
+    # two, so the repair's pair scan never needs a guard handler.
+    assert gens.MAX_REPAIRED_MEMBERS + 2 <= setfam.MAX_PAIR_SCAN_FAMILY
 
 
 def test_random_cap_graph_shape():

@@ -500,3 +500,35 @@ def test_crossing_number_respects_beta_bound():
         if checked >= 25:
             break
     assert checked >= 25
+
+
+@st.composite
+def integer_cap_graphs(draw):
+    """Graphs at n 3-10 with integer capacities 0-4 and integer k 1-8: a
+    random tree (zero capacities disconnect it) plus up to n extra edges."""
+    n = draw(st.integers(3, 10))
+    tree = [(draw(st.integers(0, v - 1)), v, draw(st.integers(0, 4))) for v in range(1, n)]
+    extra = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 4)).filter(
+                lambda r: r[0] != r[1]
+            ),
+            max_size=n,
+        )
+    )
+    rows = tree + [(min(u, v), max(u, v), c) for u, v, c in extra]
+    return CapGraph.build(n, rows, draw(st.integers(1, 8)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(integer_cap_graphs())
+def test_small_cut_families_are_sparse_gamma_and_within_the_beta_bound(h):
+    # The premise of the paper's lambda-refined bound: every small-cut
+    # family is gamma-pliable and sparse, and its crossing number is at
+    # most beta = floor((k - 1) / ceil((lambda + 1) / 2)).
+    fam = materialize_family(h)
+    if not fam.members:
+        return
+    assert check_family(fam, "sparse").holds
+    assert check_family(fam, "gamma").holds
+    assert crossing_number(fam) <= beta_bound(h)

@@ -1,6 +1,7 @@
 """Tests for the shortcut tree: construction, chain shapes, weight bounds."""
 
 import dataclasses
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,11 +21,11 @@ from pliablecover.treeanal import (
     ChainEdge,
     ShortcutTree,
     TreeNode,
+    _lower_ancestors,
     analyze_trace,
     build_tree,
     classify_chain,
     emit_dot,
-    find_bad_pairs,
     reassign_weights,
     verify_bounds,
 )
@@ -206,7 +207,7 @@ def test_classify_non_heavy_and_finding():
 
 def test_find_bad_pairs_on_the_chain_fixture():
     t = chain_tree()
-    pairs = find_bad_pairs(t)
+    pairs = verify_bounds(t, "gamma").bad_pairs
     assert [(p.lower, p.upper) for p in pairs] == [(0, 1)]
     lo, hi = t.edges[0], t.edges[1]
     assert lo.weight + hi.weight == 7
@@ -221,12 +222,14 @@ def test_no_bad_pair_when_a_black_node_separates_the_heavies():
     cores = [[0], [8], [1, 3, 5, 7], [6], [4, 9]]
     t = mk_tree(10, CHAIN_WITNESS, CHAIN_COVER, cores)
     assert t.nodes[4].black
-    assert find_bad_pairs(t) == []
+    assert verify_bounds(t, "gamma").bad_pairs == ()
 
 
 def test_reassign_weights_moves_the_upper_excess_down():
     t = chain_tree()
-    r = reassign_weights(t, find_bad_pairs(t))
+    rep = verify_bounds(t, "gamma")
+    r = reassign_weights(t, rep.bad_pairs)
+    assert rep.reassignment == r
     assert r.chosen == ((1, 0),)
     assert r.weights_after == (5, 2, 1)
     assert (r.max_before, r.max_after) == (4, 5)
@@ -309,6 +312,78 @@ def test_verify_bounds_flags_bad_pair_clause_failures():
     assert "weight 6 > 5 after reassignment" in msgs
 
 
+# ---------------------------------------------------------------------------
+# leaf-token edges on one root path
+
+
+def parent_tree(parent, lowers):
+    """A hand-built tree on nodes 0..len(parent) - 1 (parent[x] is None at
+    the root) whose edge i runs from node lowers[i] to its parent."""
+    children = [[] for _ in parent]
+    for c, p in enumerate(parent):
+        if p is not None:
+            children[p].append(c)
+    nodes = tuple(
+        TreeNode(
+            index=x,
+            node_set=NodeSet(1, 1),
+            parent=p,
+            children=tuple(children[x]),
+            black=False,
+            owned_cores=(),
+            edge_id=None,
+            contracted=False,
+        )
+        for x, p in enumerate(parent)
+    )
+    edges = tuple(
+        ChainEdge(lower=x, upper=parent[x], interior=(), cover_edges=(i,), labels=((0, 0),), weight=1)
+        for i, x in enumerate(lowers)
+    )
+    return ShortcutTree(n=1, nodes=nodes, edges=edges, cores=(), root=parent.index(None), cover=())
+
+
+def test_root_path_pairs_on_a_chain_deeper_than_the_recursion_limit():
+    # Edge i runs from node i up to node i + 1; node 4999 is the root.
+    depth = 5000
+    assert depth > sys.getrecursionlimit()
+    tree = parent_tree([x + 1 for x in range(depth - 1)] + [None], range(depth - 1))
+    assert _lower_ancestors(tree, [4998, 0, 2500, 2501, 1000]) == [
+        (0, 1000),
+        (0, 2500),
+        (0, 2501),
+        (0, 4998),
+        (1000, 2500),
+        (1000, 2501),
+        (1000, 4998),
+        (2500, 2501),
+        (2500, 4998),
+        (2501, 4998),
+    ]
+    assert _lower_ancestors(tree, [2500]) == []
+
+
+def test_root_path_pairs_skip_sibling_paths_and_follow_edge_indices():
+    #        0
+    #      /   \
+    #     1     2
+    #    / \    |
+    #   3   4   5
+    #   |   |
+    #   6   7
+    # Edges are listed out of node order: edge 0 is 6 -> 3, edge 1 is
+    # 1 -> 0, edge 2 is 7 -> 4, edge 3 is 5 -> 2, edge 4 is 3 -> 1, edge 5
+    # is 2 -> 0 and edge 6 is 4 -> 1.
+    tree = parent_tree([None, 0, 0, 1, 1, 2, 3, 4], [6, 1, 7, 5, 3, 2, 4])
+    # 6 -> 3 and 7 -> 4 hang off sibling paths, and 5 -> 2 off the other
+    # branch of the root: only 1 -> 0 lies above the first two.
+    assert _lower_ancestors(tree, [3, 2, 1, 0]) == [(0, 1), (2, 1)]
+    assert _lower_ancestors(tree, [3, 1, 4, 2, 0]) == [(0, 1), (0, 4), (2, 1), (4, 1)]
+    # 7 -> 4 sits right below 4 -> 1, and 5 -> 2 right below 2 -> 0
+    assert _lower_ancestors(tree, [0, 2, 3, 5, 6]) == [(2, 6), (3, 5)]
+    assert _lower_ancestors(tree, [0, 2]) == []
+
+
 def test_verify_bounds_flags_bad_pairs_left_after_reassignment():
     # Three weight-3 edges up an all-white path 0 -> 1 -> 2 -> 3.  Every
     # pair is bad.  The middle edge has the least sort token, so it donates
@@ -335,8 +410,8 @@ def test_verify_bounds_flags_bad_pairs_left_after_reassignment():
         for i, token in enumerate((2, 0, 1))
     )
     tree = ShortcutTree(n=n, nodes=nodes, edges=edges, cores=(), root=3, cover=())
-    assert [(p.lower, p.upper) for p in find_bad_pairs(tree)] == [(0, 1), (1, 2), (0, 2)]
     rep = verify_bounds(tree, "gamma")
+    assert [(p.lower, p.upper) for p in rep.bad_pairs] == [(0, 1), (1, 2), (0, 2)]
     assert rep.reassignment.chosen == ((1, 0), (2, 1))
     assert rep.reassignment.weights_after == (4, 3, 2)
     assert "bad pairs remain after weight reassignment" in rep.violations

@@ -16,7 +16,7 @@ from pliablecover.gens import random_instances
 from pliablecover.wgmv import solve
 from pliablecover.witness import (
     MAX_WITNESS_EDGES,
-    is_laminar,
+    laminar_tree,
     laminar_witness,
     witness_candidates,
 )
@@ -38,7 +38,7 @@ def ref_candidates(f, cover):
 
 
 # ---------------------------------------------------------------------------
-# is_laminar
+# laminarity (laminar_tree is None exactly when two sets cross)
 
 
 def test_is_laminar_nested_and_disjoint():
@@ -49,19 +49,19 @@ def test_is_laminar_nested_and_disjoint():
         NodeSet.from_members(n, [0, 1, 2]),
         NodeSet.from_members(n, [4, 5]),
     ]
-    assert is_laminar(sets)
-    assert is_laminar([])
-    assert is_laminar(sets[:1])
+    assert laminar_tree(sets) is not None
+    assert laminar_tree([]) is not None
+    assert laminar_tree(sets[:1]) is not None
 
 
 def test_is_laminar_rejects_a_crossing_pair():
     n = 4
     a = NodeSet.from_members(n, [0, 1])
     b = NodeSet.from_members(n, [1, 2])
-    assert not is_laminar([a, b])
+    assert laminar_tree([a, b]) is None
     # the crossing pair is detected regardless of position
     c = NodeSet.from_members(n, [3])
-    assert not is_laminar([c, a, b])
+    assert laminar_tree([c, a, b]) is None
 
 
 def test_laminar_closed_under_adding_the_full_set():
@@ -73,8 +73,8 @@ def test_laminar_closed_under_adding_the_full_set():
         NodeSet.from_members(n, [0, 1, 2]),
     ]
     v = NodeSet.from_members(n, range(n))
-    assert is_laminar(sets)
-    assert is_laminar(list(sets) + [v])
+    assert laminar_tree(sets) is not None
+    assert laminar_tree(list(sets) + [v]) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +166,7 @@ def test_witness_star_family():
     f = fam(4, [0], [1], [2])
     w = laminar_witness(f, [(0, 3), (1, 3), (2, 3)])
     assert [tuple(s.members()) for s in w] == [(0,), (1,), (2,)]
-    assert is_laminar(w)
+    assert laminar_tree(w) is not None
 
 
 def test_witness_prefers_canonically_least_candidate():
@@ -183,7 +183,7 @@ def test_witness_backtracks_past_a_crossing_first_choice():
     w = laminar_witness(f, [(0, 5), (1, 5)])
     picked = [tuple(s.members()) for s in w]
     assert picked == [(0, 3), (1, 2)]
-    assert is_laminar(w)
+    assert laminar_tree(w) is not None
 
 
 def test_witness_no_laminar_assignment():
@@ -222,7 +222,7 @@ def test_witness_on_solver_output_is_laminar_and_unique_per_edge():
             except NoLaminarWitnessError:
                 continue
             assert len(w) == len(cover)
-            assert is_laminar(w)
+            assert laminar_tree(w) is not None
             # definitional check: witness i is covered by cover edge i alone
             for i, s in enumerate(w):
                 hits = [
