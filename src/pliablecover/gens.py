@@ -411,6 +411,9 @@ def random_instance(
     the class checker (or outgrow the exhaustive guards) are rejected and
     retried; exceeding the retry budget raises GenerationError.  A size at
     which no proposal can pass its checker raises GuardError before drawing.
+
+    Known defect: a "sparse" small-cut proposal has at most 6 nodes, so with
+    n > 6 some instances are over 6 nodes (drawing at n changes the bytes).
     """
     if kind not in _ACCEPT:
         raise ValueError(f"unknown instance kind {kind!r}")
@@ -436,14 +439,14 @@ def random_instance(
             if roll < 0.55:
                 masks = _random_laminar_masks(rng, size)
             else:
-                masks = _smallcut_masks(rng, min(size, 6))
+                size = min(size, 6)
+                masks = _smallcut_masks(rng, size)
         else:
             masks = _random_group_split_masks(rng, size)
         if not masks:
             continue
-        size_used = size if kind != "sparse" or roll < 0.55 else min(size, 6)
         try:
-            fam = ExplicitFamily(size_used, tuple(NodeSet(size_used, m) for m in masks))
+            fam = ExplicitFamily(size, tuple(NodeSet(size, m) for m in masks))
         except ValueError:
             continue
         try:

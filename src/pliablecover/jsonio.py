@@ -13,13 +13,15 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import lt
 from typing import Any, Callable
 
 from .exact import Certificate
 from .setfam import CheckResult, ExplicitFamily, FamilyOracle, ExplicitFamilyOracle, NodeSet
 from .smallcuts import CapGraph, SmallCutsOracle, materialize_family
 from .treeanal import AnalysisReport, BoundReport
-from .wgmv import CostedGraph, DualState, IterationRecord, RunTrace
+from .wgmv import CostedGraph, IterationRecord, RunTrace, edge_loads
 
 SCHEMA_VERSION = "1"
 
@@ -256,10 +258,18 @@ def _iteration_to_json(it: IterationRecord) -> dict:
     }
 
 
-def _dual_to_json(d: DualState) -> dict:
+def _derived(g: CostedGraph, trace: RunTrace) -> dict:
+    """The fields of a trace document that its iterations and drops give."""
+    dual = trace.dual
+    loads, _, denom = edge_loads(g, dual.values)
     return {
-        "values": [[nodeset_to_json(s), frac_to_json(y)] for s, y in d.values],
-        "loads": [frac_to_json(x) for x in d.loads],
+        "solution": list(trace.solution),
+        "dual": {
+            "values": [[nodeset_to_json(s), frac_to_json(y)] for s, y in dual.values],
+            "loads": [[x // (r := gcd(x, denom)), denom // r] for x in loads],  # lowest terms
+        },
+        "cost": frac_to_json(trace.solution_cost(g)),
+        "dual_objective": frac_to_json(dual.objective()),
     }
 
 
@@ -269,10 +279,7 @@ def trace_to_json(g: CostedGraph, trace: RunTrace, digest: str = "") -> dict:
         "instance_digest": digest,
         "iterations": [_iteration_to_json(it) for it in trace.iterations],
         "deleted": list(trace.deleted),
-        "solution": list(trace.solution),
-        "dual": _dual_to_json(trace.dual),
-        "cost": frac_to_json(trace.solution_cost(g)),
-        "dual_objective": frac_to_json(trace.dual.objective()),
+        **_derived(g, trace),
     }
 
 
@@ -293,27 +300,25 @@ def _edge_ids(v: Any, where: str, m: int) -> tuple[int, ...]:
 
 
 def _iteration(row: Any, where: str, n: int, m: int, known: dict[tuple[int, ...], NodeSet]) -> IterationRecord:
+    added = _edge_id(_get(row, "added", where), f"{where}.added", m)
+    ties = _edge_ids(_get(row, "ties", where), f"{where}.ties", m)
+    if not ties or added != ties[0] or not all(map(lt, ties, ties[1:])):
+        raise SchemaError(f"{where}: added {added} is not the least of strictly ascending ties {list(ties)}")
     return IterationRecord(
         cores=tuple(_each(_get(row, "cores", where), f"{where}.cores", _nodeset, n, known)),
         eps=frac_from_json(_get(row, "eps", where), f"{where}.eps"),
-        added=_edge_id(_get(row, "added", where), f"{where}.added", m),
-        ties=_edge_ids(_get(row, "ties", where), f"{where}.ties", m),
+        ties=ties,
     )
-
-
-def _dual_value(row: Any, where: str, n: int, known: dict[tuple[int, ...], NodeSet]) -> tuple[NodeSet, Fraction]:
-    if not isinstance(row, list) or len(row) != 2:
-        raise SchemaError(f"{where}: expected [members, value]")
-    return _nodeset(row[0], f"{where}[0]", n, known), frac_from_json(row[1], where)
 
 
 def trace_from_json(doc: Any, g: CostedGraph, digest: str | None = None) -> RunTrace:
     """Parse a trace of a run on `g`; every edge id must index `g.edges`.
 
-    When `digest` is given, the trace's `instance_digest` must be it or
-    empty (as `trace_to_json` writes by default).  Each distinct member
-    list becomes one NodeSet, shared by the iterations and the dual values
-    that list it, as in a solved trace.
+    The run is its `iterations` and `deleted`; every other field must be
+    the bytes `trace_to_json` derives from them.  When `digest` is given,
+    `instance_digest` must be it or empty (as `trace_to_json` writes by
+    default).  Each distinct member list becomes one NodeSet, shared by
+    the iterations that list it, as in a solved trace.
     """
     _check_version(doc, "trace")
     n, m = g.n, len(g.edges)
@@ -327,21 +332,19 @@ def trace_from_json(doc: Any, g: CostedGraph, digest: str | None = None) -> RunT
             )
     known: dict[tuple[int, ...], NodeSet] = {}
     iters = _each(_get(doc, "iterations", "trace"), "trace.iterations", _iteration, n, m, known)
-    dual = _get(doc, "dual", "trace")
-    values = _each(_get(dual, "values", "trace.dual"), "trace.dual.values", _dual_value, n, known)
-    loads = _each(_get(dual, "loads", "trace.dual"), "trace.dual.loads", frac_from_json)
-    deleted, solution = (
-        _edge_ids(_get(doc, key, "trace"), f"trace.{key}", m)
-        for key in ("deleted", "solution")
-    )
-    if any(a >= b for a, b in zip(solution, solution[1:])):
-        raise SchemaError(f"trace.solution: expected strictly ascending edge ids, got {list(solution)}")
-    return RunTrace(
-        iterations=tuple(iters),
-        deleted=deleted,
-        solution=solution,
-        dual=DualState(values=tuple(values), loads=tuple(loads)),
-    )
+    trace = RunTrace(tuple(iters), _edge_ids(_get(doc, "deleted", "trace"), "trace.deleted", m))
+    _require(doc, _derived(g, trace), "trace")
+    return trace
+
+
+def _require(doc: Any, want: dict, where: str) -> None:
+    """Refuse a field of `doc` whose bytes are not those of `want`'s."""
+    for key, value in want.items():
+        got = _get(doc, key, where)
+        if isinstance(value, dict):
+            _require(got, value, f"{where}.{key}")
+        elif dumps_canonical(got) != dumps_canonical(value):
+            raise SchemaError(f"{where}.{key}: differs from what the trace's iterations and deleted edges give")
 
 
 def certificate_to_json(cert: Certificate) -> dict:

@@ -93,7 +93,7 @@ class NodeSet:
         return self.members()
 
     def __len__(self) -> int:
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def __contains__(self, v: int) -> bool:
         return 0 <= v < self.n and bool(self.mask >> v & 1)

@@ -210,6 +210,8 @@ def build_tree(
             )
         return (u, v) if (inside.mask >> u) & 1 else (v, u)
 
+    # The nodes are walked in index order, so the edges come out sorted by
+    # their lower endpoints.
     edges: list[ChainEdge] = []
     for node in nodes:
         if node.index == root or node.contracted:
@@ -245,7 +247,6 @@ def build_tree(
                 weight=weight,
             )
         )
-    edges.sort(key=lambda e: e.lower)
 
     return ShortcutTree(
         n=n,
@@ -398,7 +399,7 @@ class BoundReport:
     violations: tuple[str, ...]
     info: tuple[str, ...]
 
-    @property
+    @cached_property
     def ok(self) -> bool:
         return not self.violations and all(b.ok for b in self.bounds)
 
@@ -665,7 +666,7 @@ class IterationAnalysis:
     report: BoundReport | None
     violations: tuple[str, ...]
 
-    @property
+    @cached_property
     def ok(self) -> bool:
         return not self.violations and (self.report is None or self.report.ok)
 
@@ -676,7 +677,7 @@ class AnalysisReport:
     beta: int | None
     iterations: tuple[IterationAnalysis, ...]
 
-    @property
+    @cached_property
     def ok(self) -> bool:
         return all(it.ok for it in self.iterations)
 

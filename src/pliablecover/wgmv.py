@@ -15,7 +15,8 @@ Fractions are built only for the records.  An edge is tight when its slack,
 cost minus load, is exactly 0.  Determinism is pinned down explicitly:
 cores are listed in canonical order, ties are listed by id, and the
 lowest-id newly tight edge is picked (the full tie list is recorded in the
-trace).
+trace).  A run is its iterations and its drops; `RunTrace` derives the
+solution and the dual values from them.
 """
 
 from __future__ import annotations
@@ -71,20 +72,18 @@ class CostedGraph:
 class IterationRecord:
     cores: tuple[NodeSet, ...]
     eps: Fraction
-    added: int
     ties: tuple[int, ...]  # every candidate tight after the raise, ascending
+
+    @property
+    def added(self) -> int:  # the picked edge, the least tie
+        return self.ties[0]
 
 
 @dataclass(frozen=True)
 class DualState:
-    """Final dual values and per-edge loads.
+    """Nonzero dual values in canonical set order; `edge_loads` gives the loads."""
 
-    Feasibility (load <= cost for every edge, exact comparison) is enforced
-    during the run and can be re-derived from `values` alone.
-    """
-
-    values: tuple[tuple[NodeSet, Fraction], ...]  # canonical set order
-    loads: tuple[Fraction, ...]
+    values: tuple[tuple[NodeSet, Fraction], ...]
 
     def objective(self) -> Fraction:
         nums, denom = over_common_denominator(y for _, y in self.values)
@@ -93,13 +92,30 @@ class DualState:
 
 @dataclass(frozen=True)
 class RunTrace:
+    """A run: its iterations and reverse-delete drops, which give the rest."""
+
     iterations: tuple[IterationRecord, ...]
     deleted: tuple[int, ...]  # subsequence of reversed addition order
-    solution: tuple[int, ...]  # ascending edge ids
-    dual: DualState
 
     def additions(self) -> tuple[int, ...]:
         return tuple(it.added for it in self.iterations)
+
+    @cached_property
+    def solution(self) -> tuple[int, ...]:
+        """The picked edges less the drops, ascending."""
+        return tuple(sorted(set(self.additions()).difference(self.deleted)))
+
+    @cached_property
+    def dual(self) -> DualState:
+        """Each core's summed raises, as integers over their common denominator."""
+        nums, denom = over_common_denominator(it.eps for it in self.iterations)
+        sums: dict[NodeSet, int] = {}
+        for it, p in zip(self.iterations, nums):
+            if p:
+                for core in it.cores:
+                    sums[core] = sums.get(core, 0) + p
+        ordered = sorted((s for s, y in sums.items() if y), key=NodeSet.sort_key)
+        return DualState(tuple((s, Fraction(sums[s], denom)) for s in ordered))
 
     def solution_cost(self, g: CostedGraph) -> Fraction:
         nums, denom = g.scaled_costs
@@ -116,8 +132,9 @@ def edge_loads(g: CostedGraph, values: Iterable[tuple[NodeSet, Fraction]]) -> tu
     denom = lcm(vden, cden)
     vs, cs = denom // vden, denom // cden
     inc = member_incidence(g.n, (s for s, _ in values))
-    loads = [sum(nums[i] for i in bits(inc[u] ^ inc[v])) * vs for u, v, _ in g.edges]
-    return loads, [c * cs for c in costs], denom
+    crossed = [inc[u] ^ inc[v] for u, v, _ in g.edges]  # the sets each edge crosses
+    load_of = {c: sum(nums[i] for i in bits(c)) * vs for c in set(crossed)}
+    return [load_of[c] for c in crossed], [c * cs for c in costs], denom
 
 
 def _crossers(nbrs: list[list[tuple[int, int]]], core: NodeSet) -> list[int]:
@@ -132,16 +149,11 @@ def check_universe(g: CostedGraph, oracle: FamilyOracle) -> None:
         raise ValueError("oracle universe does not match the graph")
 
 
-def phase1(
-    g: CostedGraph, oracle: FamilyOracle
-) -> tuple[list[int], list[IterationRecord], dict[NodeSet, Fraction], list[Fraction]]:
+def phase1(g: CostedGraph, oracle: FamilyOracle) -> tuple[list[int], list[IterationRecord]]:
     """Grow duals until the picked edges cover the family.
 
-    Returns (picked edge ids in order of addition, iteration records, dual
-    values, edge loads).  Raises InfeasibleError carrying an uncoverable
-    core.  Each raise is charged to the unpicked edges only, and a picked
-    edge crosses no later core, so the loads equal edge_loads of the
-    values.
+    Returns (picked edge ids in order of addition, iteration records), or
+    raises InfeasibleError carrying an uncoverable core.
 
     Each iteration is derived from the last one, and the work is per core,
     not per core entry.  The residual grows by one `add` per pick
@@ -157,24 +169,18 @@ def phase1(
     the same result.
 
     The loop keeps one integer per edge, its slack (cost minus load) in
-    units of 1/denom, where denom starts as the costs' common denominator,
-    and the summed raise so far; a core's dual value is that sum at its
-    death less the sum at its birth.  The ties are the candidates of slack
-    0, kept as a set; with any, the raise is zero and divides nothing.  A
-    positive raise is the least slack / crossings, found by
-    cross-multiplying.  When it is not whole, denom, every slack, the sum
-    and every birth are multiplied by its denominator, so denom stays the
-    lcm of the costs' and the raises' denominators.  The raise lowers each
-    candidate's slack, the one place a slack falls, checks it there and
-    collects the slacks that reach 0.  Only the records are Fractions: each
-    raise, each dual value once, and once at the end the loads (cost -
-    slack).
+    units of 1/denom, where denom starts as the costs' common denominator.
+    The ties are the candidates of slack 0, kept as a set; with any, the
+    raise is zero and divides nothing.  A positive raise is the least
+    slack / crossings, found by cross-multiplying.  When it is not whole,
+    denom and every slack are multiplied by its denominator, so denom stays
+    the lcm of the costs' and the raises' denominators.  The raise lowers
+    each candidate's slack, the one place a slack falls, checks it there
+    and collects the slacks that reach 0.  Only the raises are Fractions.
     """
     check_universe(g, oracle)
-    costs, cost_denom = g.scaled_costs
-    denom = cost_denom
+    costs, denom = g.scaled_costs
     slack = list(costs)
-    total = 0  # the summed raise, in units of 1/denom
     zero = Fraction(0)
     picked: list[int] = []
     records: list[IterationRecord] = []
@@ -185,37 +191,31 @@ def phase1(
         nbrs[v].append((eid, u))
     cov: dict[int, int] = {}  # candidate edge -> number of cores it crosses
     tight: set[int] = set()  # the candidates of slack 0
-    live: dict[int, tuple[NodeSet, list[int], int]] = {}  # id(core) -> (core, crossers, sum at birth)
-    values: dict[NodeSet, Fraction] = {}
+    live: dict[int, list[int]] = {}  # id(core) -> its crossers
 
     while True:
         cores = residual.cores
         now = dict(zip(map(id, cores), cores))
         for k in live.keys() - now.keys():
-            core, crossers, birth = live.pop(k)
-            for e in crossers:
+            for e in live.pop(k):
                 c = cov[e] - 1
                 if c:
                     cov[e] = c
                 else:
                     del cov[e]
                     tight.discard(e)
-            if total != birth:
-                y = Fraction(total - birth, denom)
-                values[core] = values[core] + y if core in values else y
         if not cores:
             break
         bare = []
         for k in now.keys() - live.keys():
-            core = now[k]
-            crossers = _crossers(nbrs, core)
+            crossers = _crossers(nbrs, now[k])
             if not crossers:
-                bare.append(core)
+                bare.append(now[k])
             for e in crossers:
                 cov[e] = cov.get(e, 0) + 1
                 if not slack[e]:
                     tight.add(e)
-            live[k] = (core, crossers, total)
+            live[k] = crossers
         if bare:
             raise InfeasibleError(min(bare, key=NodeSet.sort_key))
         if tight:
@@ -231,10 +231,7 @@ def phase1(
             if q > 1:  # make the raise whole: denom becomes lcm(denom, its denominator)
                 denom *= q
                 slack = [s * q for s in slack]
-                total *= q
-                live = {k: (core, crossers, birth * q) for k, (core, crossers, birth) in live.items()}
             eps = Fraction(p, denom)
-            total += p
             ties = []
             for e, c in cov.items():
                 s = slack[e] - p * c
@@ -245,30 +242,20 @@ def phase1(
             ties.sort()
             tight.update(ties)
         assert ties, "the minimizing edge must be tight after the raise"
-        added = ties[0]
-        picked.append(added)
-        residual = residual.add(*g.pair(added))
-        records.append(IterationRecord(cores, eps, added, tuple(ties)))
-
-    scale = denom // cost_denom
-    loads = [Fraction(c * scale - s, denom) for c, s in zip(costs, slack)]
-    return picked, records, values, loads
+        picked.append(ties[0])
+        residual = residual.add(*g.pair(ties[0]))
+        records.append(IterationRecord(cores, eps, tuple(ties)))
+    return picked, records
 
 
-def phase2(g: CostedGraph, oracle: FamilyOracle, picked: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Reverse delete: drop each edge, newest first, if coverage survives.
-
-    Returns (the kept edge ids ascending, the deleted ones newest first),
-    from one `FamilyOracle.reverse_delete` of the picked edges."""
+def phase2(g: CostedGraph, oracle: FamilyOracle, picked: Sequence[int]) -> list[int]:
+    """Reverse delete: the picked edges dropped, newest first, because
+    coverage survives without them (one `FamilyOracle.reverse_delete`)."""
     check_universe(g, oracle)
-    deleted = [picked[i] for i in oracle.reverse_delete([g.pair(e) for e in picked])]
-    return sorted(set(picked).difference(deleted)), deleted
+    return [picked[i] for i in oracle.reverse_delete([g.pair(e) for e in picked])]
 
 
 def solve(g: CostedGraph, oracle: FamilyOracle) -> RunTrace:
     """Run both phases and assemble the full trace."""
-    picked, records, values, loads = phase1(g, oracle)
-    solution, deleted = phase2(g, oracle, picked)
-    ordered = tuple(sorted(values.items(), key=lambda kv: kv[0].sort_key()))
-    dual = DualState(values=ordered, loads=tuple(loads))
-    return RunTrace(tuple(records), tuple(deleted), tuple(solution), dual)
+    picked, records = phase1(g, oracle)
+    return RunTrace(tuple(records), tuple(phase2(g, oracle, picked)))

@@ -1,16 +1,20 @@
 """End-to-end tests of the command line interface via subprocess."""
 
+import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import pliablecover
 import pliablecover.cli as cli
-from pliablecover.setfam import bits
+from pliablecover.jsonio import instance_from_json, trace_from_json, trace_to_json
+from pliablecover.setfam import NodeSet, bits
+from pliablecover.wgmv import IterationRecord, RunTrace
 
 CMD = [sys.executable, "-m", "pliablecover"]
 # The subprocess imports the same package as these tests, installed or not.
@@ -91,15 +95,31 @@ def test_certify_fresh_run_and_stored_trace(tmp_path):
     assert json.loads(r.stdout)["verdict"] is True
 
 
+def written(inst_doc, iterations, deleted=()):
+    """The trace document of a forged run, written as `trace_to_json` writes
+    an honest one: its solution, dual, loads and sums agree with it."""
+    graph = instance_from_json(inst_doc).graph
+    return trace_to_json(graph, RunTrace(tuple(iterations), tuple(deleted)))
+
+
 def test_certify_rejects_a_tampered_trace(tmp_path):
     inst = write(tmp_path, "i.json", TRIANGLE)
-    doc = json.loads(run_cli("solve", inst).stdout)
+    honest = run_cli("solve", inst).stdout
+    doc = json.loads(honest)
     for row in doc["dual"]["values"]:
         row[1] = [row[1][0] * 3, row[1][1]]
     trace_path = tmp_path / "t.json"
     trace_path.write_text(json.dumps(doc))
     r = run_cli("certify", inst, "--trace", str(trace_path))
-    assert r.returncode == 1
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.startswith("error: trace.dual.values: differs from what")
+
+    # the same tripled dual, from tripled raises written as a run, certifies false
+    run = trace_from_json(json.loads(honest), instance_from_json(TRIANGLE).graph)
+    forged = written(TRIANGLE, [dataclasses.replace(it, eps=3 * it.eps) for it in run.iterations], run.deleted)
+    assert forged["dual"]["values"] == doc["dual"]["values"]
+    r = run_cli("certify", inst, "--trace", write(tmp_path, "t.json", forged))
+    assert r.returncode == 1, r.stderr
     out = json.loads(r.stdout)
     assert out["verdict"] is False
     failed = {c["name"] for c in out["checks"] if not c["ok"]}
@@ -114,19 +134,22 @@ TWO_EDGES = {
 
 
 def test_certify_refuses_duals_on_non_members(tmp_path):
-    # {2} is not a member, so its dual value bounds nothing: OPT is 1, not 100
-    forged = {
-        "version": "1",
-        "instance_digest": "",
-        "iterations": [],
-        "deleted": [],
-        "solution": [1],
-        "dual": {"values": [[[0], [1, 1]], [[2], [99, 1]]], "loads": [[1, 1], [1, 1]]},
-        "cost": [1, 1],
-        "dual_objective": [1, 1],
-    }
+    # {2} is not a member, so its dual value bounds nothing: OPT is 1, not 100.
+    # The run raises {0} and {2} by 1, then {2} alone by 98, and drops edge 0.
+    def forged(first):
+        return written(
+            TWO_EDGES,
+            [
+                IterationRecord((NodeSet(3, 0b001), NodeSet(3, 0b100)), Fraction(first), (0,)),
+                IterationRecord((NodeSet(3, 0b100),), Fraction(99 - first), (1,)),
+            ],
+            deleted=(0,),
+        )
+
+    doc = forged(1)
+    assert (doc["solution"], doc["dual"]["values"]) == ([1], [[[0], [1, 1]], [[2], [99, 1]]])
     inst = write(tmp_path, "i.json", TWO_EDGES)
-    r = run_cli("certify", inst, "--trace", write(tmp_path, "t.json", forged), "--family-class", "uncrossable")
+    r = run_cli("certify", inst, "--trace", write(tmp_path, "t.json", doc), "--family-class", "uncrossable")
     assert r.returncode == 1, r.stderr
     out = json.loads(r.stdout)
     assert out["verdict"] is False
@@ -134,8 +157,9 @@ def test_certify_refuses_duals_on_non_members(tmp_path):
         {"name": "dual-feasible", "ok": False, "detail": "dual values on non-members: [[2]]"}
     ]
 
-    forged["dual"]["values"][0][1] = [2, 1]  # loads: edge 0 carries 2 > 1, edge 1 101 > 100
-    r = run_cli("certify", inst, "--trace", write(tmp_path, "t.json", forged), "--family-class", "uncrossable")
+    doc = forged(2)  # loads: edge 0 carries 2 > 1, edge 1 101 > 100
+    assert doc["dual"]["values"] == [[[0], [2, 1]], [[2], [99, 1]]]
+    r = run_cli("certify", inst, "--trace", write(tmp_path, "t.json", doc), "--family-class", "uncrossable")
     row = next(c for c in json.loads(r.stdout)["checks"] if c["name"] == "dual-feasible")
     assert row["detail"] == "edges over cost: [0, 1]; dual values on non-members: [[2]]"
 
@@ -166,14 +190,14 @@ def test_certify_refuses_a_trace_of_another_instance(tmp_path):
 
 @pytest.mark.parametrize("forged", [[0, 1, 1], [1, 0]], ids=["repeated", "descending"])
 def test_certify_refuses_a_solution_that_is_not_strictly_ascending(tmp_path, forged):
-    # solve writes strictly ascending ids; certify would read [0, 1, 1] as a multiset
+    # the solution is the picks less the drops, ascending, so no other list is read
     inst = write(tmp_path, "i.json", TRIANGLE)
     doc = json.loads(run_cli("solve", inst).stdout)
     assert doc["solution"] == [0, 1]
     doc["solution"] = forged
     r = run_cli("certify", inst, "--trace", write(tmp_path, "t.json", doc))
     assert (r.returncode, r.stdout) == (2, "")
-    assert r.stderr == f"error: trace.solution: expected strictly ascending edge ids, got {forged}\n"
+    assert r.stderr == "error: trace.solution: differs from what the trace's iterations and deleted edges give\n"
 
 
 @pytest.mark.parametrize("forged", [{}, 5], ids=["object", "number"])
@@ -208,7 +232,9 @@ def test_certify_refuses_edge_ids_outside_the_graph(tmp_path, field, forged):
     r = run_cli("certify", inst, "--trace", write(tmp_path, "t.json", doc))
     assert r.returncode == 2
     assert r.stdout == ""
-    assert where in r.stderr and "not an edge id of a graph with 2 edges" in r.stderr
+    # the solution is not read but compared with the one the run gives
+    reason = "differs from what the trace's iterations" if field == "solution" else "not an edge id of a graph with 2 edges"
+    assert where in r.stderr and reason in r.stderr
 
 
 def test_witness_assignment(tmp_path):

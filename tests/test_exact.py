@@ -378,32 +378,31 @@ def test_certificate_beta_class_carries_beta():
 
 
 def test_tampered_solution_fails_certification():
+    # a run that keeps an edge reverse delete dropped has a removable edge
     for i in range(20):
         g, f, oracle, trace = solved("gamma", 205, i, n=5)
-        spare = [e for e in range(len(g.edges)) if e not in trace.solution]
-        if not spare:
+        if not trace.deleted:
             continue
-        fat = dataclasses.replace(trace, solution=tuple(sorted(trace.solution + (spare[0],))))
+        fat = dataclasses.replace(trace, deleted=trace.deleted[1:])
+        assert fat.solution == tuple(sorted(trace.solution + trace.deleted[:1]))
         cert = certify(g, oracle, fat, "gamma")
         assert not cert.verdict
         failed = {c.name for c in cert.checks if not c.ok}
         assert "solution-minimal" in failed
         return
-    raise AssertionError("no instance with a spare edge found")
+    raise AssertionError("no instance with a deleted edge found")
 
 
-def test_solution_minimal_removes_one_copy_of_a_repeated_edge():
-    # J is a multiset: with edge 1 listed twice, dropping one copy still
-    # covers, so both copies are removable
-    g = CostedGraph.build(3, [(0, 1, 1), (1, 2, 1), (0, 2, 2)])
-    oracle = ExplicitFamilyOracle(ExplicitFamily.from_sets(3, [[0], [2]]))
-    trace = solve(g, oracle)
-    assert trace.solution == (0, 1)
-    assert certify(g, oracle, trace, "gamma").verdict
-    cert = certify(g, oracle, dataclasses.replace(trace, solution=(0, 1, 1)), "gamma")
-    row = next(c for c in cert.checks if c.name == "solution-minimal")
-    assert (row.ok, row.detail) == (False, "removable edges: [1, 1]")
-    assert not cert.verdict
+def raised(trace, index, scale=1, delta=0):
+    """The trace with the raise of iteration `index` scaled by `scale` and
+    moved by `delta`; every raise with the default index None."""
+    return dataclasses.replace(
+        trace,
+        iterations=tuple(
+            dataclasses.replace(it, eps=it.eps * scale + delta) if index in (None, t) else it
+            for t, it in enumerate(trace.iterations)
+        ),
+    )
 
 
 def test_inflated_dual_fails_certification():
@@ -411,26 +410,13 @@ def test_inflated_dual_fails_certification():
         g, f, oracle, trace = solved("gamma", 206, i, n=5)
         if trace.dual.objective() == 0:
             continue
-        doubled = dataclasses.replace(
-            trace,
-            dual=dataclasses.replace(
-                trace.dual,
-                values=tuple((s, 2 * y) for s, y in trace.dual.values),
-            ),
-        )
+        doubled = raised(trace, None, scale=2)
+        assert doubled.dual.values == tuple((s, 2 * y) for s, y in trace.dual.values)
         cert = certify(g, oracle, doubled, "gamma")
         assert not cert.verdict
         assert "dual-feasible" in {c.name for c in cert.checks if not c.ok}
         return
     raise AssertionError("no instance with a positive dual found")
-
-
-def nudged(trace, index, delta):
-    """The trace with dual value `index` moved by `delta`."""
-    values = list(trace.dual.values)
-    s, y = values[index]
-    values[index] = (s, y + delta)
-    return dataclasses.replace(trace, dual=dataclasses.replace(trace.dual, values=tuple(values)))
 
 
 def test_certify_sees_a_dual_change_of_one_part_in_ten_to_the_forty():
@@ -439,17 +425,17 @@ def test_certify_sees_a_dual_change_of_one_part_in_ten_to_the_forty():
     for i in range(20):
         g, f, oracle, trace = solved("gamma", 206, i, n=5)
         assert certify(g, oracle, trace, "gamma").verdict
-        for index, (s, y) in enumerate(trace.dual.values):
-            crossing = [e for e in trace.solution if edge_crosses_mask(s.mask, *g.pair(e))]
-            if y <= tiny or not crossing:
+        for index, it in enumerate(trace.iterations):
+            crossing = [e for e in trace.solution if any(edge_crosses_mask(c.mask, *g.pair(e)) for c in it.cores)]
+            if it.eps <= tiny or not crossing:
                 continue
-            # a solution edge is tight, so one more 1/10^40 on a set it crosses
-            # puts it over its cost
-            rows = {c.name: c for c in certify(g, oracle, nudged(trace, index, tiny), "gamma").checks}
+            # a solution edge is tight, so one more 1/10^40 on the sets of one
+            # raise that it crosses puts it over its cost
+            rows = {c.name: c for c in certify(g, oracle, raised(trace, index, delta=tiny), "gamma").checks}
             assert not rows["dual-feasible"].ok
             assert str(crossing[0]) in rows["dual-feasible"].detail
             # and 1/10^40 less leaves it short of its cost, while still feasible
-            rows = {c.name: c for c in certify(g, oracle, nudged(trace, index, -tiny), "gamma").checks}
+            rows = {c.name: c for c in certify(g, oracle, raised(trace, index, delta=-tiny), "gamma").checks}
             assert rows["dual-feasible"].ok
             assert (rows["solution-tight"].ok, rows["solution-tight"].detail) == (
                 False,
@@ -482,7 +468,7 @@ def test_certify_is_deterministic():
 
 def test_certify_on_fresh_core_copies_matches_the_solved_trace():
     """certify tells cores apart by object first; a trace whose every core
-    entry and dual set is a fresh copy certifies to the same certificate."""
+    entry is a fresh copy certifies to the same certificate."""
     cases = [(b.graph, ExplicitFamilyOracle(b.family), "sparse") for b in (tight_six(8), tight_six(16))]
     cases += [solved("gamma", 210, i)[::2] + ("gamma",) for i in range(6)]
     for g, oracle, cls in cases:
@@ -494,7 +480,6 @@ def test_certify_on_fresh_core_copies_matches_the_solved_trace():
         fresh = dataclasses.replace(
             trace,
             iterations=tuple(dataclasses.replace(it, cores=tuple(map(copy, it.cores))) for it in trace.iterations),
-            dual=dataclasses.replace(trace.dual, values=tuple((copy(s), y) for s, y in trace.dual.values)),
         )
         assert not any(a is b for it, jt in zip(trace.iterations, fresh.iterations) for a, b in zip(it.cores, jt.cores))
         assert certify(g, oracle, fresh, cls) == certify(g, oracle, trace, cls)

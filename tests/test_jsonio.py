@@ -1,13 +1,14 @@
 """Tests for the wire formats: canonical bytes, round trips, schema errors."""
 
 import json
+import random
 import re
 from fractions import Fraction
 
 import pytest
 
 from pliablecover.exact import brute_force_opt, certify
-from pliablecover.gens import tight_seven, tight_six
+from pliablecover.gens import instance_rng, random_instance, tight_seven, tight_six
 from pliablecover.jsonio import (
     Instance,
     SchemaError,
@@ -248,20 +249,42 @@ def test_trace_from_json_schema_errors():
     del bad["solution"]
     with pytest.raises(SchemaError, match="missing key 'solution'"):
         trace_from_json(bad, g)
-    bad = json.loads(dumps_canonical(doc))
-    bad["dual"]["values"][0] = [[0], [1, 1], "extra"]
-    with pytest.raises(SchemaError, match="expected \\[members, value\\]"):
-        trace_from_json(bad, g)
-    for field, forged in (("solution", [-1]), ("deleted", [4]), ("solution", [True])):
+    # the fields the run determines must be the bytes it gives
+    for keys, forged in (
+        (["dual", "values", 0], [[0], [1, 1], "extra"]),
+        (["dual", "loads", 0], [2, 2]),
+        (["solution"], [-1]),
+        (["solution"], [True]),
+        (["cost"], [3, 1]),
+        (["dual_objective"], [3, 1]),
+    ):
         bad = json.loads(dumps_canonical(doc))
-        bad[field] = forged
-        with pytest.raises(SchemaError, match=f"trace.{field}"):
+        node = bad
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = forged
+        where = ".".join(["trace"] + [k for k in keys if isinstance(k, str)])
+        with pytest.raises(SchemaError, match=f"^{where}: differs from what the trace's iterations"):
             trace_from_json(bad, g)
+    bad = json.loads(dumps_canonical(doc))
+    bad["deleted"] = [4]
+    with pytest.raises(SchemaError, match="trace.deleted"):
+        trace_from_json(bad, g)
     for field, forged in (("added", 4), ("added", None), ("ties", [0, 9])):
         bad = json.loads(dumps_canonical(doc))
         bad["iterations"][0][field] = forged
         with pytest.raises(SchemaError, match=f"trace.iterations\\[0\\].{field}"):
             trace_from_json(bad, g)
+    # `added` is the least of the ties, which ascend strictly
+    assert (doc["iterations"][0]["added"], doc["iterations"][0]["ties"]) == (0, [0, 2, 3])
+    for field, forged in (("ties", []), ("ties", [2, 0, 3]), ("ties", [0, 2, 2]), ("added", 2)):
+        bad = json.loads(dumps_canonical(doc))
+        bad["iterations"][0][field] = forged
+        ties = bad["iterations"][0]["ties"]
+        added = bad["iterations"][0]["added"]
+        with pytest.raises(SchemaError) as exc:
+            trace_from_json(bad, g)
+        assert str(exc.value) == f"trace.iterations[0]: added {added} is not the least of strictly ascending ties {ties}"
 
 
 def test_trace_node_sets_outside_the_universe_name_their_path():
@@ -272,10 +295,55 @@ def test_trace_node_sets_outside_the_universe_name_their_path():
     where = "trace.iterations\\[0\\].cores\\[1\\]"
     with pytest.raises(SchemaError, match=f"{where}: node 99 outside universe of size 4"):
         trace_from_json(bad, g)
+    # the dual's sets are derived from the iterations, and any other list is refused
     bad = json.loads(dumps_canonical(doc))
     bad["dual"]["values"][1][0] = [99]
-    with pytest.raises(SchemaError, match="trace.dual.values\\[1\\]\\[0\\]: node 99 outside universe"):
+    with pytest.raises(SchemaError, match="^trace.dual.values: differs from what"):
         trace_from_json(bad, g)
+
+
+def _int_leaves(node, path=()):
+    """The path of every integer leaf of a JSON document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _int_leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _int_leaves(value, path + (i,))
+    elif type(node) is int:
+        yield path
+
+
+def test_an_edited_trace_is_refused_or_reads_as_the_honest_run():
+    """Moving one integer of an honest trace by -1, +1 or +2 gives a
+    document that the reader refuses or reads as the honest run, except in
+    what no field determines yet: the cores of a zero-raise iteration and
+    the ties after the first."""
+    rng = random.Random(2026)
+    refused = edits = 0
+    for i in range(60):
+        g, f = random_instance(("gamma", "sparse", "uncrossable")[i % 3], instance_rng(900, i), 6)
+        trace = solve(g, ExplicitFamilyOracle(f))
+        text = dumps_canonical(trace_to_json(g, trace))
+        leaves = list(_int_leaves(json.loads(text)))
+        for _ in range(30):
+            path, delta = rng.choice(leaves), rng.choice((-1, 1, 2))
+            doc = json.loads(text)
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] += delta
+            edits += 1
+            try:
+                read = trace_from_json(doc, g)
+            except SchemaError:
+                refused += 1
+                continue
+            unchecked = path[0] == "iterations" and (
+                (path[2] == "cores" and trace.iterations[path[1]].eps == 0) or (path[2] == "ties" and path[3] > 0)
+            )
+            assert read == trace or unchecked, (i, path, delta)
+    assert edits == 1800 and refused > 1600
 
 
 def test_certificate_to_json_shape():
@@ -417,7 +485,11 @@ def test_every_array_field_must_be_a_list(where, bad):
     for key in keys[:-1]:
         node = node[key]
     node[keys[-1]] = bad
-    with pytest.raises(SchemaError, match=f"^{re.escape(where)}: expected a list$"):
+    # the dual's arrays are not read but compared with what the run gives
+    message = "expected a list"
+    if where.startswith("trace.dual."):
+        message = "differs from what the trace's iterations and deleted edges give"
+    with pytest.raises(SchemaError, match=f"^{re.escape(where)}: {message}$"):
         read(doc)
 
 

@@ -9,6 +9,7 @@ default, which asks those two.  The runs must not tell them apart, and
 """
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from pliablecover.gens import (
 from pliablecover.jsonio import dumps_canonical, trace_to_json
 from pliablecover.setfam import ExplicitFamily, ExplicitFamilyOracle, FamilyOracle, NodeSet, all_pairs
 from pliablecover.smallcuts import CapGraph, SmallCutsOracle
-from pliablecover.wgmv import CostedGraph, solve
+from pliablecover.wgmv import CostedGraph, IterationRecord, solve
 
 
 class CountingOracle(FamilyOracle):
@@ -378,18 +379,24 @@ def test_removable_refuses_overlapping_cores_as_the_loop_does():
 
 
 def test_certify_minimal_row_is_the_same_through_a_wrapper():
-    """On solutions with a repeated or a spare edge, the solution-minimal
-    row reads the same through the kernel's reverse delete and through the
-    forwarding default, and lists the copies the per-copy loop finds."""
+    """On runs whose solution keeps a dropped edge or gains a spare one, the
+    solution-minimal row reads the same through the kernel's reverse delete
+    and through the forwarding default, and lists the edges the per-copy
+    loop finds."""
     loose_rows = 0
     for i in range(30):
         kind = ("gamma", "sparse", "uncrossable")[i % 3]
         g, f = random_instance(kind, instance_rng(215, i), 4 + i % 4)
         inner = ExplicitFamilyOracle(f)
         trace = solve(g, inner)
-        spare = [e for e in range(len(g.edges)) if e not in trace.solution]
-        for sol in (trace.solution + trace.solution[:1], tuple(sorted(trace.solution + tuple(spare[:1])))):
-            run = dataclasses.replace(trace, solution=sol)
+        spare = [e for e in range(len(g.edges)) if e not in trace.additions()]
+        runs = [dataclasses.replace(trace, deleted=trace.deleted[1:])] if trace.deleted else []
+        runs += [
+            dataclasses.replace(trace, iterations=trace.iterations + (IterationRecord((), Fraction(0), (e,)),))
+            for e in spare[:2]
+        ]
+        for run in runs:
+            sol = run.solution
             rows = [
                 next(c for c in certify(g, o, run, kind).checks if c.name == "solution-minimal")
                 for o in (inner, CountingOracle(inner))

@@ -111,6 +111,11 @@ def test_nodeset_members_roundtrip():
     assert s.mask == 0b10110
     assert len(s) == 3
     assert 2 in s and 0 not in s and 6 not in s
+    # a universe above 10 000 nodes: len counts the bits of the mask
+    members = list(range(0, 12_000, 7)) + [12_287]
+    big = NodeSet.from_members(12_288, members)
+    assert len(big) == len(NodeSet(12_288, big.mask)) == len(members) == 1716
+    assert len(NodeSet(12_288, (1 << 12_288) - 1)) == 12_288
 
 
 def test_from_members_keeps_the_tuple_a_bit_walk_gives():

@@ -103,7 +103,8 @@ def assert_trace_matches_reference(g: CostedGraph, f: ExplicitFamily):
     got_dual = {frozenset(s.members()): v for s, v in trace.dual.values}
     want_dual = {s: v for s, v in y.items() if v != 0}
     assert {s: v for s, v in got_dual.items() if v != 0} == want_dual
-    assert list(trace.dual.loads) == ref_edge_loads(g, trace.dual.values)
+    ref_values = [(NodeSet.from_members(g.n, s), v) for s, v in y.items()]
+    assert loads_as_fractions(g, trace.dual.values) == ref_edge_loads(g, ref_values)
     return trace
 
 
@@ -295,13 +296,14 @@ def test_solution_edges_are_tight_and_duals_feasible():
         g, f = random_instance("gamma", instance_rng(101, i))
         trace = solve(g, ExplicitFamilyOracle(f))
         values = {s: y for s, y in trace.dual.values}
+        loads = loads_as_fractions(g, trace.dual.values)
         for eid, (u, v, c) in enumerate(g.edges):
             load = sum(
                 y for s, y in values.items()
                 if (u in set(s.members())) != (v in set(s.members()))
             )
             assert load <= c
-            assert load == trace.dual.loads[eid]
+            assert load == loads[eid]
             if eid in trace.solution:
                 assert load == c
         assert all(y >= 0 for y in values.values())
@@ -343,13 +345,12 @@ def test_solver_is_deterministic():
 def test_phase_functions_compose_to_solve():
     g, f = random_instance("gamma", instance_rng(104, 1))
     oracle = ExplicitFamilyOracle(f)
-    picked, records, values, loads = phase1(g, oracle)
-    keep, deleted = phase2(g, oracle, picked)
+    picked, records = phase1(g, oracle)
+    deleted = phase2(g, oracle, picked)
     trace = solve(g, oracle)
+    assert trace == RunTrace(tuple(records), tuple(deleted))
     assert trace.additions() == tuple(picked)
-    assert trace.dual.loads == tuple(loads)
-    assert trace.solution == tuple(keep)
-    assert trace.deleted == tuple(deleted)
+    assert trace.solution == tuple(sorted(set(picked) - set(deleted)))
 
 
 def test_costed_graph_validation():
@@ -416,7 +417,7 @@ def ref_phase1(g, oracle):
         added = tight[0]
         picked.append(added)
         picked_set.add(added)
-        records.append(IterationRecord(tuple(cores), eps, added, tight))
+        records.append(IterationRecord(tuple(cores), eps, tight))
     return picked, records, values, loads
 
 
@@ -432,10 +433,16 @@ def tie_heavy_copies(g):
 
 
 def assert_phase1_matches_reference(g, f):
-    got = phase1(g, ExplicitFamilyOracle(f))
-    assert got == ref_phase1(g, ExplicitFamilyOracle(f))
-    assert [type(it.eps) for it in got[1]] == [Fraction] * len(got[1])
-    return got
+    """phase1's picks and records, and the dual their run derives, against
+    the reference's picks, records, values and loads."""
+    picked, records = phase1(g, ExplicitFamilyOracle(f))
+    want_picked, want_records, values, loads = ref_phase1(g, ExplicitFamilyOracle(f))
+    assert (picked, records) == (want_picked, want_records)
+    assert [type(it.eps) for it in records] == [Fraction] * len(records)
+    dual = RunTrace(tuple(records), ()).dual
+    assert dual.values == tuple(sorted(values.items(), key=lambda kv: kv[0].sort_key()))
+    assert loads_as_fractions(g, dual.values) == loads
+    return picked, records, dual
 
 
 def test_phase1_matches_the_reference_loop_on_random_instances():
@@ -444,7 +451,7 @@ def test_phase1_matches_the_reference_loop_on_random_instances():
         for i in range(15):
             g, f = random_instance(kind, instance_rng(105, i))
             for h in tie_heavy_copies(g):
-                _, records, _, _ = assert_phase1_matches_reference(h, f)
+                _, records, _ = assert_phase1_matches_reference(h, f)
                 zero_raises += sum(1 for it in records if it.eps == 0)
     assert zero_raises > 100
 
@@ -453,8 +460,8 @@ def test_phase1_matches_the_reference_loop_on_tight_constructions():
     for leaves in (2, 4, 8, 16):
         betas = [b for b in (2, 4) if b <= leaves]
         for bundle in [tight_six(leaves), tight_seven(leaves)] + [tight_beta(leaves, b) for b in betas]:
-            picked, records, values, _ = assert_phase1_matches_reference(bundle.graph, bundle.family)
-            assert sum(values.values()) == bundle.dual_objective
+            _, _, dual = assert_phase1_matches_reference(bundle.graph, bundle.family)
+            assert dual.objective() == bundle.dual_objective
 
 
 def test_phase1_infeasible_names_the_reference_core():
@@ -515,9 +522,9 @@ def test_integer_phase1_matches_the_reference_on_unrelated_denominators(instance
             phase1(g, ExplicitFamilyOracle(f))
         assert got.value.core == exc.core
         return
-    picked, records, values, loads = assert_phase1_matches_reference(g, f)
-    assert all(type(x) is Fraction for x in [*values.values(), *loads])
-    assert loads == ref_edge_loads(g, values.items())
+    _, _, dual = assert_phase1_matches_reference(g, f)
+    assert all(type(y) is Fraction for _, y in dual.values)
+    assert loads_as_fractions(g, dual.values) == ref_edge_loads(g, want[2].items())
 
 
 def test_costed_graph_refuses_inexact_costs():
@@ -536,8 +543,9 @@ def test_costed_graph_refuses_inexact_costs():
 def test_cost_and_objective_sums_equal_the_fraction_sums(costs, data):
     g = CostedGraph(2, tuple((0, 1, c) for c in costs))
     solution = tuple(sorted(data.draw(st.sets(st.integers(0, len(costs) - 1)) if costs else st.just(set()))))
-    trace = RunTrace((), (), solution, DualState((), ()))
+    trace = RunTrace(tuple(IterationRecord((), Fraction(0), (e,)) for e in solution), ())
+    assert trace.solution == solution
     assert trace.solution_cost(g) == sum((costs[e] for e in solution), Fraction(0))
     values = tuple((NodeSet(2, 1), y) for y in costs)
-    assert DualState(values, ()).objective() == sum(costs, Fraction(0))
-    assert type(trace.solution_cost(g)) is type(DualState(values, ()).objective()) is Fraction
+    assert DualState(values).objective() == sum(costs, Fraction(0))
+    assert type(trace.solution_cost(g)) is type(DualState(values).objective()) is Fraction
