@@ -53,6 +53,7 @@ from .jsonio import (
     trace_to_json,
 )
 from .setfam import PROPERTIES, check_family, crossing_number
+from .smallcuts import CapGraph, beta_bound
 from .treeanal import analyze_trace, build_tree, emit_dot, verify_bounds
 from .wgmv import solve
 from .witness import laminar_witness
@@ -80,7 +81,11 @@ def _add_class_args(p: argparse.ArgumentParser) -> None:
         default="gamma",
         help="family class whose guarantee is checked (default: gamma)",
     )
-    p.add_argument("--beta", type=int, help="crossing number: class 'beta' needs it, the others refuse it")
+    p.add_argument(
+        "--beta",
+        type=int,
+        help="crossing number: class 'beta' needs it (a bundle or a small-cut instance supplies it), the others refuse it",
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -135,10 +140,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--leaves", type=int, help="gadget count for the tight kinds (a power of two, at least 2)")
     p.add_argument("--beta", type=int, help="group size for kind tight-beta (a power of two, at most --leaves)")
-    p.add_argument("--count", type=int, default=1, help="number of random instances")
-    p.add_argument("--seed", type=int, default=0)
+    # The random kinds' options default to None, so that a tight kind can
+    # refuse them; `_cmd_gen` fills in the defaults the help names.
+    p.add_argument("--count", type=int, help="number of random instances (default 1)")
+    p.add_argument("--seed", type=int, help="seed of the random instances (default 0)")
     p.add_argument("--n", type=int, help="universe size for random instances")
-    p.add_argument("--jobs", type=int, default=1, help="most workers for random batches (capped by --count and CPUs)")
+    p.add_argument("--jobs", type=int, help="most workers for random batches, capped by --count and CPUs (default 1)")
     return parser
 
 
@@ -164,8 +171,11 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    guarantee_factor(args.family_class, args.beta)  # refuses a bad pair before any solving
     inst = instance_from_json(_read_json(args.instance))
+    beta = args.beta
+    if beta is None and args.family_class == "beta" and isinstance(inst.family, CapGraph):
+        beta = beta_bound(inst.family)  # a small-cut family's crossing number is at most this
+    guarantee_factor(args.family_class, beta)  # refuses a bad pair before any solving
     oracle = inst.oracle()
     digest = instance_digest(inst)
     if args.trace:
@@ -178,7 +188,7 @@ def _cmd_certify(args) -> int:
         oracle,
         trace,
         args.family_class,
-        beta=args.beta,
+        beta=beta,
         opt=opt,
         instance_digest=digest,
     )
@@ -257,11 +267,10 @@ def _gen_random_one(kind: str, seed: int, index: int, n: int | None) -> dict:
 
 
 def _cmd_gen(args) -> int:
-    if args.jobs < 1:
-        raise SchemaError("--jobs must be at least 1")
     if args.kind in _TIGHT_KINDS:
-        if args.n is not None:
-            raise SchemaError("--n applies to the random kinds only, not to the tight kinds")
+        for name in ("n", "count", "seed", "jobs"):
+            if getattr(args, name) is not None:
+                raise SchemaError(f"--{name} applies to the random kinds only, not to the tight kinds")
         if args.leaves is None:
             raise SchemaError("--leaves is required for the tight kinds")
         if (args.beta is None) == (args.kind == "tight-beta"):
@@ -271,6 +280,11 @@ def _cmd_gen(args) -> int:
         return 0
     if args.leaves is not None or args.beta is not None:
         raise SchemaError("--leaves and --beta apply to the tight kinds only, not to the random kinds")
+    for name, default in (("count", 1), ("seed", 0), ("jobs", 1)):
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+    if args.jobs < 1:
+        raise SchemaError("--jobs must be at least 1")
     if args.count < 1:
         raise SchemaError("--count must be at least 1")
     # A pool may start all its workers at the first submit (CPython 3.11

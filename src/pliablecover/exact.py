@@ -12,10 +12,10 @@ becomes a Fraction again.  A node whose edge set J leaves cores bounds
 each child e from below by the cheapest crosser with id > e of every core
 e misses; one walk down the ids gives these suffix minima for all
 children.  Each child's residual is its
-parent's plus one `add` (`FamilyOracle.residual`), so the search needs no
-undo.  A child that crosses no core of J has the same cores, because
-F^{J+e} is a subfamily of F^J that still holds every core, so the default
-residual asks the oracle only when the child crosses one.
+parent's plus one `add` on the coverage kernel (`FamilyOracle.residual`),
+so the search needs no undo.  A child that crosses no core of J has the
+same cores, because F^{J+e} is a subfamily of F^J that still holds every
+core, so its residual keeps its parent's core tuple and derives nothing.
 
 `certify` re-derives everything checkable about a finished run from first
 principles: dual feasibility (every dual set a member and no edge over
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfeasibleError, guard
-from .setfam import Edge, FamilyOracle, NodeSet, Residual, bits, member_incidence
+from .setfam import Edge, FamilyOracle, NodeSet, _KernelResidual, bits, member_incidence
 from .wgmv import CostedGraph, RunTrace, check_universe, edge_loads
 
 MAX_BRUTE_EDGES = 24
@@ -62,7 +62,7 @@ def _search(
     chosen: list[int],
     cost: int,
     best: tuple[int, tuple[int, ...]] | None,
-    residual: Residual,
+    residual: _KernelResidual,
 ) -> tuple[int, tuple[int, ...]] | None:
     """The best cover found so far, after searching the covers that extend
     `chosen` (ids ascending, costing `cost`, whose residual is `residual`)

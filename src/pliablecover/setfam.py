@@ -391,10 +391,10 @@ class _KernelResidual:
     `add` costs no walk of the kept cores.
 
     `core_sets()` lists the cores unvalidated, by a walk of the core bits,
-    as the stateless `cores(J)` and `analyze_trace` read them; `cores` is
-    that listing after one `_validate_cores` check of the core masks.  A
-    residual made by `add` from one that holds its validated tuple derives
-    its own from it (`_derive_cores`).
+    as `analyze_trace` reads them; `cores` is that listing after one
+    `_validate_cores` check of the core masks, and the stateless `cores(J)`
+    reads it.  A residual made by `add` from one that holds its validated
+    tuple derives its own from it (`_derive_cores`).
     """
 
     __slots__ = ("_kernel", "alive", "_core_bits", "_cores", "_span", "_held")
@@ -776,152 +776,66 @@ def _disjoint_union(masks: Iterable[int], seen: int = 0) -> int | None:
     return seen
 
 
-class _StatelessResidual:
-    """The base-class residual: it keeps J and answers `cores` (kept once
-    read) with the oracle's stateless `cores(J)`, asked only when read.
+class FamilyOracle:
+    """The family oracle: one coverage kernel answers every query.
 
-    `add(e)` for an e that crosses no core of J keeps those cores without
-    a call: F^{J+e} is a subfamily of F^J that still holds every core of
-    J, so they stay its minimal members.
+    cores(J) returns the inclusion-minimal uncovered members in canonical
+    order.  Every call re-verifies that they are nonempty and pairwise
+    disjoint (hence minimal) and fails loudly on a violation instead of
+    letting a bad family corrupt a run; checkers never assume either.
+    residual() is the same query made incremental: an immutable residual of
+    the empty edge set, whose `cores` answer for its J and whose
+    `add(u, v)` returns the residual of J plus one copy of (u, v).
+    reverse_delete(J) walks J from its last edge to its first, drops each
+    edge whose removal leaves the kept edges covering the family, and
+    returns the dropped positions, descending; J is inclusion-minimal
+    exactly when it drops none, which is how `certify` checks a solution.
+
+    A backend supplies `_kernel`, a `_CoverageKernel` over its members in
+    canonical order, and a `universe_size` that builds no kernel: the
+    explicit backend reads its member list, the small-cut backend its
+    graph's one cut scan.  A wrapper sets `inner` instead, and every query
+    it does not override is answered by `inner`'s kernel.
     """
 
-    __slots__ = ("_oracle", "edges", "_cores")
-
-    def __init__(
-        self, oracle: "FamilyOracle", edges: tuple[Edge, ...], cores: tuple[NodeSet, ...] | None = None
-    ) -> None:
-        self._oracle = oracle
-        self.edges = edges
-        self._cores = cores
+    inner: Optional["FamilyOracle"] = None  # the oracle a wrapper wraps
 
     @property
-    def cores(self) -> tuple[NodeSet, ...]:
-        if self._cores is None:
-            self._cores = tuple(self._oracle.cores(self.edges))
-        return self._cores
+    def _kernel(self) -> _CoverageKernel:
+        return self._wrapped()._kernel
 
-    def add(self, u: int, v: int) -> "_StatelessResidual":
-        validate_edges(self._oracle.universe_size(), ((u, v),))
-        cores = self._cores
-        if cores is not None and any(edge_crosses_mask(c.mask, u, v) for c in cores):
-            cores = None
-        return _StatelessResidual(self._oracle, self.edges + ((u, v),), cores)
-
-
-# What `FamilyOracle.residual` returns: the base class's or the kernel's.
-Residual = _StatelessResidual | _KernelResidual
-
-
-class FamilyOracle:
-    """Contract shared by family backends.
-
-    cores(J) returns the inclusion-minimal uncovered members, pairwise
-    disjoint for the families this package targets.  Every call re-verifies
-    that they are nonempty and pairwise disjoint (hence minimal) and fails
-    loudly on a violation instead of letting a bad family corrupt a run;
-    checkers never assume either.
-
-    residual() is the same query made incremental: an immutable residual of
-    the empty edge set, whose `cores` (the validated canonical tuple)
-    answer for its J, and whose `add(u, v)` returns the residual of J plus
-    one copy of (u, v).  Phase 1 and the optimum search walk it one edge at
-    a time.  This default keeps J and asks `cores(J)`, so a wrapper that
-    forwards it sees exactly the stateless calls; an added edge that
-    crosses no current core keeps the current cores without a call.
-
-    reverse_delete(J) walks J from its last edge to its first and drops
-    each edge whose removal leaves the kept edges covering the family; it
-    returns the dropped positions, descending.  It is also the minimality
-    test: J is inclusion-minimal exactly when reverse delete keeps every
-    edge of J, which is how `certify` checks the final solution.  The
-    default asks `is_covered(kept - e)` once per edge, so a forwarding
-    wrapper sees those calls.
-
-    Both backends are `_KernelOracle`s: a `_CoverageKernel` over their
-    family's incidence list answers every call.  The explicit backend builds
-    it once per oracle, the small-cut backend reads the one its graph builds
-    from a single cut scan; member index is canonical order in both.  Their
-    `cores(J)` lists the kernel's residual of J, built in one step; their
-    residual() is the kernel's root (`_KernelResidual`), which derives each
-    residual from the last one by bitmask updates; their reverse_delete(J)
-    is one pass over J.  All three refuse by one check of the core masks.
-    """
+    def _wrapped(self) -> "FamilyOracle":
+        if self.inner is None:
+            raise NotImplementedError(
+                f"{type(self).__name__} sets neither `_kernel` nor `inner`: a FamilyOracle backend "
+                "supplies a coverage kernel, and a wrapper sets `inner` to the oracle it wraps"
+            )
+        return self.inner
 
     def universe_size(self) -> int:
-        raise NotImplementedError
-
-    def _cores_impl(self, edges: Sequence[Edge]) -> list[NodeSet]:
-        raise NotImplementedError
+        return self._wrapped().universe_size()
 
     def cores(self, edges: Sequence[Edge]) -> list[NodeSet]:
-        out = self._cores_impl(edges)
-        _validate_cores([c.mask for c in out])
-        return out
+        return list(self._kernel.residual(edges).cores)
 
     def is_covered(self, edges: Sequence[Edge]) -> bool:
-        """True when `edges` leave no core.  The answer comes from `cores`,
-        so the cores behind every False are validated; on the kernel-backed
-        oracles a True costs the edge check and one pass over the edges."""
+        """True when `edges` leave no core, by `cores`, so the cores behind
+        every False are validated."""
         return not self.cores(edges)
-
-    def reverse_delete(self, edges: Sequence[Edge]) -> list[int]:
-        """The positions of `edges` that reverse delete drops, descending:
-        from the last edge to the first, each one whose removal leaves the
-        kept edges covering the family."""
-        kept = list(edges)
-        validate_edges(self.universe_size(), kept)  # the probes never hold all of J
-        dropped = []
-        for i in range(len(kept) - 1, -1, -1):
-            probe = kept[:i] + kept[i + 1 :]  # only edges after i were dropped
-            if self.is_covered(probe):
-                kept = probe
-                dropped.append(i)
-        return dropped
-
-    def residual(self) -> Residual:
-        return _StatelessResidual(self, ())
-
-    def contains(self, s: NodeSet) -> bool:
-        """True when `s` is a member of the family.
-
-        One `cores` call answers it: a path through s plus a path through
-        V - s crosses every set except s and V - s, which are disjoint, so
-        s is a member exactly when it is a core of that edge set.  Both
-        kernel-backed oracles answer with a lookup in their member masks.
-        """
-        n = self.universe_size()
-        if s.n != n:
-            return False
-        inside, outside = bits(s.mask), bits(~s.mask & ((1 << n) - 1))
-        path = [*zip(inside, inside[1:]), *zip(outside, outside[1:])]
-        return any(c.mask == s.mask for c in self.cores(path))
-
-
-class _KernelOracle(FamilyOracle):
-    """A family oracle whose `_kernel` answers every call: membership is a
-    lookup in its mask -> member-id map, `residual()` is its root, and the
-    stateless `cores(J)` lists its one-step residual of J.
-
-    `reverse_delete(J)` checks J's edges and keeps, as bit planes
-    (`_count_up`), how many kept edges cross each member.  The kept edges
-    less e leave the members J leaves plus those that only e crosses; they
-    cover exactly when there are none, and otherwise their cores, the
-    minimal ones, are checked on their masks.  A dropped edge counts down
-    the members it crosses.
-    """
-
-    _kernel: _CoverageKernel
-
-    def contains(self, s: NodeSet) -> bool:
-        return s.n == self.universe_size() and s.mask in self._kernel.index
 
     def residual(self) -> _KernelResidual:
         return self._kernel.root
 
-    def _cores_impl(self, edges: Sequence[Edge]) -> list[NodeSet]:
-        return self._kernel.residual(edges).core_sets()
+    def contains(self, s: NodeSet) -> bool:
+        """True when `s` is a member of the family."""
+        return s.n == self.universe_size() and s.mask in self._kernel.index
 
     def reverse_delete(self, edges: Sequence[Edge]) -> list[int]:
+        """One pass over J, counting per member, as bit planes
+        (`_count_up`), the kept edges that cross it.  The kept edges less e
+        leave the members J leaves plus those only e crosses: they cover
+        when there are none, else their cores are checked on their masks.
+        A dropped edge counts down the members it crosses."""
         k = self._kernel
         edges = list(edges)
         validate_edges(k.n, edges)
@@ -946,13 +860,16 @@ class _KernelOracle(FamilyOracle):
         return dropped
 
 
-class ExplicitFamilyOracle(_KernelOracle):
-    """Oracle over an explicit member list, which is read once, when the
-    oracle is built, into the kernel that answers every call."""
+class ExplicitFamilyOracle(FamilyOracle):
+    """Oracle over an explicit member list, which is read, at the first
+    query that needs the family, into the kernel that answers every call."""
 
     def __init__(self, family: ExplicitFamily) -> None:
         self.family = family
-        self._kernel = _CoverageKernel(family.n, family.masks(), family.members)
 
     def universe_size(self) -> int:
         return self.family.n
+
+    @cached_property
+    def _kernel(self) -> _CoverageKernel:
+        return _CoverageKernel(self.family.n, self.family.masks(), self.family.members)

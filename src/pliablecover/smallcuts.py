@@ -34,9 +34,9 @@ from typing import Sequence
 from .errors import guard
 from .setfam import (
     ExplicitFamily,
+    FamilyOracle,
     NodeSet,
     _CoverageKernel,
-    _KernelOracle,
     check_rational,
     edge_crosses_mask,
     over_common_denominator,
@@ -219,7 +219,7 @@ def beta_bound(h: CapGraph) -> int:
     return max(1, (int(h.k) - 1) // ((int(lam) + 2) // 2))  # (lam + 2) // 2 = ceil((lam + 1) / 2)
 
 
-class SmallCutsOracle(_KernelOracle):
+class SmallCutsOracle(FamilyOracle):
     """Family oracle backed by cut enumeration rather than an explicit list.
 
     Its kernel is the one the graph builds from its small cuts, by one

@@ -14,6 +14,7 @@ import pliablecover
 import pliablecover.cli as cli
 from pliablecover.jsonio import instance_from_json, trace_from_json, trace_to_json
 from pliablecover.setfam import NodeSet, bits
+from pliablecover.smallcuts import beta_bound
 from pliablecover.wgmv import IterationRecord, RunTrace
 
 CMD = [sys.executable, "-m", "pliablecover"]
@@ -326,6 +327,45 @@ def test_class_and_beta_are_checked_before_any_work(argv, message, tmp_path, mon
     assert message in err and "Traceback" not in err
 
 
+# A path 0-1-2-3 of unit capacities under k = 5: every proper subset is a
+# small cut, the edge connectivity is 1, and beta_bound is (5-1) // 1 = 4.
+SMALL_CUTS = {
+    "version": "1",
+    "graph": {"n": 4, "edges": [[0, 1, [1, 1]], [1, 2, [2, 1]], [2, 3, [1, 1]], [0, 3, [3, 1]], [0, 2, [1, 1]]]},
+    "family": {
+        "kind": "small-cuts",
+        "n": 4,
+        "capacities": [[0, 1, [1, 1]], [1, 2, [1, 1]], [2, 3, [1, 1]]],
+        "threshold": [5, 1],
+    },
+}
+
+
+def test_certify_class_beta_takes_the_beta_bound_of_a_small_cut_instance(tmp_path, capsys):
+    inst = write(tmp_path, "i.json", SMALL_CUTS)
+    assert beta_bound(instance_from_json(SMALL_CUTS).family) == 4
+    assert cli.main(["certify", inst, "--family-class", "beta"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["beta"], doc["factor"], doc["verdict"]) == (4, [29, 5], True)  # 6 - 1/(4+1)
+    assert cli.main(["certify", inst, "--family-class", "beta", "--beta", "2"]) == 0  # a given beta wins
+    assert json.loads(capsys.readouterr().out)["beta"] == 2
+
+
+@pytest.mark.parametrize(
+    "family",
+    [{"threshold": [9, 2]}, {"capacities": [[0, 1, [1, 2]], [1, 2, [1, 1]], [2, 3, [1, 1]]]}],
+    ids=["fractional-k", "fractional-connectivity"],
+)
+def test_certify_class_beta_refuses_a_small_cut_instance_without_an_integer_bound(family, tmp_path, monkeypatch, capsys):
+    # On an explicit instance it refuses too: test_class_and_beta_are_checked_before_any_work.
+    doc = {**SMALL_CUTS, "family": {**SMALL_CUTS["family"], **family}}
+    _no_work(monkeypatch)
+    assert cli.main(["certify", write(tmp_path, "i.json", doc), "--family-class", "beta"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "beta bound requires integer threshold and integer edge connectivity" in err and "Traceback" not in err
+
+
 def test_analyze_bundle_checks_its_beta_before_building_the_tree(monkeypatch, capsys):
     assert cli.main(["gen", "--kind", "tight6", "--leaves", "2"]) == 0
     bundle = capsys.readouterr().out  # a tight6 bundle carries beta null
@@ -556,6 +596,9 @@ def test_gen_usage_errors():
         (["--kind", "uncrossable", "--beta", "2"], "--leaves and --beta apply to the tight kinds only"),
         (["--kind", "tight6", "--leaves", "4", "--beta", "2"], "applies to it only"),
         (["--kind", "tight7", "--leaves", "4", "--beta", "2"], "applies to it only"),
+        (["--kind", "tight6", "--leaves", "2", "--count", "3"], "--count applies to the random kinds only"),
+        (["--kind", "tight7", "--leaves", "2", "--seed", "0"], "--seed applies to the random kinds only"),
+        (["--kind", "tight-beta", "--leaves", "2", "--beta", "2", "--jobs", "1"], "--jobs applies to the random kinds only"),
     ],
 )
 def test_gen_refuses_arguments_of_another_kind(argv, message, monkeypatch, capsys):

@@ -2,10 +2,10 @@
 query `reverse_delete(J)` against the stateless queries `cores(J)` and
 `is_covered(J)`.
 
-Both in-package oracles answer with the coverage kernel's residual; a
-wrapper that forwards only `cores` and `is_covered` gets the base class's
-default, which asks those two.  The runs must not tell them apart, and
-`certify` must not trust either.
+Every oracle answers with its coverage kernel's residual, a wrapper with
+the kernel of the oracle it wraps.  The references are the loops in
+`oracles.ReferenceOracle`, which ask `cores` and `is_covered`: the runs
+must not tell them apart, and `certify` must not trust either.
 """
 
 import dataclasses
@@ -31,26 +31,7 @@ from pliablecover.setfam import ExplicitFamily, ExplicitFamilyOracle, FamilyOrac
 from pliablecover.smallcuts import CapGraph, SmallCutsOracle
 from pliablecover.wgmv import CostedGraph, IterationRecord, solve
 
-
-class CountingOracle(FamilyOracle):
-    """Forwards only cores, is_covered and universe_size, as a delegating
-    tracing wrapper does, so `residual` is the base class's default; counts
-    the calls it forwards."""
-
-    def __init__(self, inner: FamilyOracle) -> None:
-        self.inner = inner
-        self.calls = {"cores": 0, "is_covered": 0}
-
-    def universe_size(self) -> int:
-        return self.inner.universe_size()
-
-    def cores(self, edges):
-        self.calls["cores"] += 1
-        return self.inner.cores(edges)
-
-    def is_covered(self, edges):
-        self.calls["is_covered"] += 1
-        return self.inner.is_covered(edges)
+from oracles import CountingOracle, ReferenceOracle, loop_reverse_delete
 
 
 def outcome(read):
@@ -120,44 +101,41 @@ def cut_walks(draw):
 @settings(deadline=None, max_examples=300)
 def test_explicit_residual_matches_the_stateless_query(case):
     f, adds, reads = case
-    for oracle in (ExplicitFamilyOracle(f), CountingOracle(ExplicitFamilyOracle(f))):
-        assert_walk_matches(oracle, adds, reads)
+    assert_walk_matches(ExplicitFamilyOracle(f), adds, reads)
 
 
 @given(cut_walks())
 @settings(deadline=None, max_examples=150)
 def test_small_cut_residual_matches_the_stateless_query(case):
     h, adds, reads = case
-    for oracle in (SmallCutsOracle(h), CountingOracle(SmallCutsOracle(h))):
-        assert_walk_matches(oracle, adds, reads)
+    assert_walk_matches(SmallCutsOracle(h), adds, reads)
 
 
 def test_overlapping_cores_are_refused_at_the_same_step():
     # Cores {0,3} and {1,2}; (3,4) kills {0,3} and leaves {0,1,3,4}, which
     # overlaps {1,2}; (1,5) covers both.
     f = ExplicitFamily.from_sets(6, [[0, 3], [0, 1, 3, 4], [1, 2]])
-    for oracle in (ExplicitFamilyOracle(f), CountingOracle(ExplicitFamilyOracle(f))):
-        assert_walk_matches(oracle, [(3, 4), (1, 5)], [True])
-        residual = oracle.residual().add(3, 4)
-        with pytest.raises(OracleInvariantError, match="disjoint"):
-            residual.cores
-        assert residual.add(1, 5).cores == ()
+    oracle = ExplicitFamilyOracle(f)
+    assert_walk_matches(oracle, [(3, 4), (1, 5)], [True])
+    residual = oracle.residual().add(3, 4)
+    with pytest.raises(OracleInvariantError, match="disjoint"):
+        residual.cores
+    assert residual.add(1, 5).cores == ()
 
 
 def test_residual_refuses_bad_edges_and_leaves_its_parent_unchanged():
     f = ExplicitFamily.from_sets(4, [[0], [1], [0, 1]])
-    for oracle in (ExplicitFamilyOracle(f), CountingOracle(ExplicitFamilyOracle(f))):
-        root = oracle.residual()
-        with pytest.raises(ValueError, match="is a loop"):
-            root.add(1, 1)
-        with pytest.raises(ValueError, match="outside universe"):
-            root.add(0, 4)
-        for bad in ((1.5, 0), (True, 2)):
-            with pytest.raises(ValueError, match="not an int"):
-                root.add(*bad)
-        one = root.add(0, 2)
-        assert [c.members() for c in one.cores] == [(1,)]
-        assert [c.members() for c in root.cores] == [(0,), (1,)]
+    root = ExplicitFamilyOracle(f).residual()
+    with pytest.raises(ValueError, match="is a loop"):
+        root.add(1, 1)
+    with pytest.raises(ValueError, match="outside universe"):
+        root.add(0, 4)
+    for bad in ((1.5, 0), (True, 2)):
+        with pytest.raises(ValueError, match="not an int"):
+            root.add(*bad)
+    one = root.add(0, 2)
+    assert [c.members() for c in one.cores] == [(1,)]
+    assert [c.members() for c in root.cores] == [(0,), (1,)]
 
 
 # --- derived core tuples ----------------------------------------------------
@@ -268,10 +246,10 @@ def explicit_edge_lists(draw):
 
 
 def assert_reverse_delete_matches_the_loop(oracle: FamilyOracle, edges) -> None:
-    """reverse_delete(J) equals the base class's per-edge is_covered loop,
-    refusals and their messages included."""
+    """reverse_delete(J) equals the per-edge is_covered loop, refusals and
+    their messages included."""
     got = outcome(lambda: oracle.reverse_delete(edges))
-    want = outcome(lambda: FamilyOracle.reverse_delete(oracle, edges))
+    want = outcome(lambda: loop_reverse_delete(oracle, edges))
     if isinstance(want, OracleInvariantError):
         assert isinstance(got, OracleInvariantError), (edges, got)
         assert str(got) == str(want), edges
@@ -322,7 +300,7 @@ def assert_minimal_iff_nothing_drops(oracle: FamilyOracle, edges: list) -> None:
     edge sets the reference never asks about, so it may refuse there."""
     loose = outcome(lambda: removable_copies(oracle, edges))
     if isinstance(loose, OracleInvariantError):
-        return  # refusals are compared with the default's loop above
+        return  # refusals are compared with the per-edge loop above
     got = outcome(lambda: oracle.reverse_delete(edges))
     if not loose:
         assert got == [], (edges, got)
@@ -334,10 +312,10 @@ def assert_minimal_iff_nothing_drops(oracle: FamilyOracle, edges: list) -> None:
 @settings(deadline=None, max_examples=200)
 def test_reverse_delete_drops_nothing_exactly_on_minimal_edge_lists_of_explicit_families(case):
     f, edges, pairs = case
-    for oracle in (ExplicitFamilyOracle(f), CountingOracle(ExplicitFamilyOracle(f))):
-        for js in [*edge_lists(oracle, edges, pairs), edges + pairs]:
-            assert_minimal_iff_nothing_drops(oracle, js)
-            assert_minimal_iff_nothing_drops(oracle, flipped(js))
+    oracle = ExplicitFamilyOracle(f)
+    for js in [*edge_lists(oracle, edges, pairs), edges + pairs]:
+        assert_minimal_iff_nothing_drops(oracle, js)
+        assert_minimal_iff_nothing_drops(oracle, flipped(js))
 
 
 def test_reverse_delete_drops_nothing_exactly_on_minimal_edge_lists_of_small_cut_graphs():
@@ -348,9 +326,9 @@ def test_reverse_delete_drops_nothing_exactly_on_minimal_edge_lists_of_small_cut
             pairs = all_pairs(n)
             rng.shuffle(pairs)
             edges = [tuple(rng.sample(range(n), 2)) for _ in range(n)]
-            for oracle in (SmallCutsOracle(h), CountingOracle(SmallCutsOracle(h))):
-                for js in edge_lists(oracle, edges, pairs):
-                    assert_minimal_iff_nothing_drops(oracle, js)
+            oracle = SmallCutsOracle(h)
+            for js in edge_lists(oracle, edges, pairs):
+                assert_minimal_iff_nothing_drops(oracle, js)
 
 
 def test_removable_refuses_overlapping_cores_as_the_loop_does():
@@ -362,10 +340,9 @@ def test_removable_refuses_overlapping_cores_as_the_loop_does():
     assert oracle.is_covered(edges)
     with pytest.raises(OracleInvariantError, match="disjoint") as by_loop:
         removable_copies(oracle, edges)
-    for query in (oracle.reverse_delete, CountingOracle(oracle).reverse_delete):
-        with pytest.raises(OracleInvariantError) as by_kernel:
-            query(edges)
-        assert str(by_kernel.value) == str(by_loop.value)
+    with pytest.raises(OracleInvariantError) as by_kernel:
+        oracle.reverse_delete(edges)
+    assert str(by_kernel.value) == str(by_loop.value)
     assert_reverse_delete_matches_the_loop(oracle, edges)
     # With (1,5) repeated, either copy is removable.  Reverse delete drops
     # the newest, then refuses when it probes [(3,4)] without the other.
@@ -381,8 +358,8 @@ def test_removable_refuses_overlapping_cores_as_the_loop_does():
 def test_certify_minimal_row_is_the_same_through_a_wrapper():
     """On runs whose solution keeps a dropped edge or gains a spare one, the
     solution-minimal row reads the same through the kernel's reverse delete
-    and through the forwarding default, and lists the edges the per-copy
-    loop finds."""
+    and through a wrapper that runs the per-edge loop, and lists the edges
+    the per-copy loop finds."""
     loose_rows = 0
     for i in range(30):
         kind = ("gamma", "sparse", "uncrossable")[i % 3]
@@ -399,7 +376,7 @@ def test_certify_minimal_row_is_the_same_through_a_wrapper():
             sol = run.solution
             rows = [
                 next(c for c in certify(g, o, run, kind).checks if c.name == "solution-minimal")
-                for o in (inner, CountingOracle(inner))
+                for o in (inner, ReferenceOracle(inner))
             ]
             assert rows[0] == rows[1], (i, sol)
             loose = [sol[j] for j in removable_copies(inner, [g.pair(e) for e in sol])]
@@ -409,8 +386,9 @@ def test_certify_minimal_row_is_the_same_through_a_wrapper():
 
 
 def test_reverse_delete_refuses_bad_edges_as_the_kernel_does():
-    """The default's probes never hold the whole of J, so it checks the
-    edges first, as the kernel does: a last-position loop is not dropped."""
+    """The reference loop's probes never hold the whole of J, so it checks
+    the edges first, as the kernel does: a last-position loop is not
+    dropped."""
     oracle = ExplicitFamilyOracle(ExplicitFamily.from_sets(3, [[0]]))
     for bad, message in (
         ((2, 2), "is a loop"),
@@ -418,7 +396,7 @@ def test_reverse_delete_refuses_bad_edges_as_the_kernel_does():
         ((0.5, 2), "not an int"),
         ((True, 2), "not an int"),
     ):
-        for query in (oracle.reverse_delete, CountingOracle(oracle).reverse_delete):
+        for query in (oracle.reverse_delete, ReferenceOracle(oracle).reverse_delete):
             with pytest.raises(ValueError, match=message):
                 query([(0, 1), bad])
 
@@ -430,7 +408,7 @@ def test_reverse_delete_refuses_overlapping_cores_as_the_loop_does():
     oracle = ExplicitFamilyOracle(f)
     edges = [(3, 4), (1, 5), (0, 2)]
     with pytest.raises(OracleInvariantError, match="disjoint") as by_loop:
-        FamilyOracle.reverse_delete(oracle, edges)
+        loop_reverse_delete(oracle, edges)
     with pytest.raises(OracleInvariantError) as by_kernel:
         oracle.reverse_delete(edges)
     assert str(by_kernel.value) == str(by_loop.value)
@@ -439,19 +417,11 @@ def test_reverse_delete_refuses_overlapping_cores_as_the_loop_does():
     assert_reverse_delete_matches_the_loop(oracle, [(0, 2), (3, 4), (1, 5)])
 
 
-class CoveredCounter(ExplicitFamilyOracle):
-    """The explicit oracle, counting its own is_covered calls."""
-
-    def __init__(self, family: ExplicitFamily) -> None:
-        super().__init__(family)
-        self.asked = 0
-
-    def is_covered(self, edges):
-        self.asked += 1
-        return super().is_covered(edges)
-
-
-def test_certify_asks_is_covered_per_solution_edge_only_through_a_wrapper():
+def test_certify_asks_is_covered_once_through_a_wrapper():
+    """A wrapper sees certify's one stateless query, is_covered(J); the
+    minimality and membership checks run on the inner kernel.  Through the
+    reference loops, they ask is_covered once per solution edge and cores
+    once per dual set."""
     bundle = tight_six(8)
     inner = ExplicitFamilyOracle(bundle.family)
     trace = solve(bundle.graph, inner)
@@ -459,13 +429,13 @@ def test_certify_asks_is_covered_per_solution_edge_only_through_a_wrapper():
     assert want.verdict
     wrapped = CountingOracle(inner)
     assert certify(bundle.graph, wrapped, trace, "sparse") == want
-    assert wrapped.calls["is_covered"] == len(trace.solution) + 1
-    counter = CoveredCounter(bundle.family)
-    assert certify(bundle.graph, counter, trace, "sparse") == want
-    assert counter.asked == 1
+    assert wrapped.calls == {"cores": 0, "is_covered": 1}
+    reference = ReferenceOracle(inner)
+    assert certify(bundle.graph, reference, trace, "sparse") == want
+    assert reference.calls == {"cores": len(trace.dual.values), "is_covered": len(trace.solution) + 1}
 
 
-def test_reverse_delete_asks_is_covered_per_edge_only_through_a_wrapper():
+def test_reverse_delete_asks_no_oracle_call_through_a_wrapper():
     g, f = random_instance("gamma", instance_rng(104, 1))
     inner = ExplicitFamilyOracle(f)
     trace = solve(g, inner)
@@ -474,13 +444,43 @@ def test_reverse_delete_asks_is_covered_per_edge_only_through_a_wrapper():
     assert [trace.additions()[i] for i in want] == list(trace.deleted) != []
     wrapped = CountingOracle(inner)
     assert wrapped.reverse_delete(pairs) == want
-    assert wrapped.calls == {"cores": 0, "is_covered": len(pairs)}
-    counter = CoveredCounter(f)
-    assert counter.reverse_delete(pairs) == want
-    assert counter.asked == 0
+    assert wrapped.calls == {"cores": 0, "is_covered": 0}
+    reference = ReferenceOracle(inner)
+    assert reference.reverse_delete(pairs) == want
+    assert reference.calls == {"cores": 0, "is_covered": len(pairs)}
 
 
-# --- the base-class default against the kernel ------------------------------
+def test_a_wrapper_answers_from_the_inner_kernel():
+    f = ExplicitFamily.from_sets(4, [[0], [1], [0, 1], [2, 3]])
+    for inner in (ExplicitFamilyOracle(f), SmallCutsOracle(CapGraph.build(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1)], 2))):
+        wrapped = CountingOracle(inner)
+        assert wrapped.universe_size() == 4
+        assert wrapped.residual() is inner.residual()
+        assert wrapped.residual().add(0, 2).cores == inner.residual().add(0, 2).cores
+        for mask in range(16):
+            assert wrapped.contains(NodeSet(4, mask)) == inner.contains(NodeSet(4, mask))
+        assert wrapped.reverse_delete(all_pairs(4)) == inner.reverse_delete(all_pairs(4))
+        assert wrapped.calls == {"cores": 0, "is_covered": 0}
+        assert CountingOracle(wrapped).residual() is inner.residual()
+
+
+def test_an_oracle_with_neither_kernel_nor_inner_is_refused_at_its_first_query():
+    class Bare(FamilyOracle):
+        pass
+
+    for query in (
+        lambda o: o.cores([]),
+        lambda o: o.is_covered([]),
+        lambda o: o.residual(),
+        lambda o: o.reverse_delete([]),
+        lambda o: o.universe_size(),
+        lambda o: o.contains(NodeSet(2, 1)),
+    ):
+        with pytest.raises(NotImplementedError, match=r"^Bare sets neither `_kernel` nor `inner`: .* a wrapper sets `inner`"):
+            query(Bare())
+
+
+# --- the stateless reference against the kernel -----------------------------
 
 
 def canonical_run(g, oracle) -> str:
@@ -492,9 +492,10 @@ def canonical_run(g, oracle) -> str:
 
 def assert_default_matches_kernel(g, inner: FamilyOracle) -> None:
     """The same trace through the kernel's residual and through the
-    default, which asks cores once per iteration (and once more at the end)
-    and is_covered once per picked edge, as the stateless solver did."""
-    wrapped = CountingOracle(inner)
+    reference loops, which ask cores once per iteration (and once more at
+    the end) and is_covered once per picked edge, as the stateless solver
+    did."""
+    wrapped = ReferenceOracle(inner)
     assert canonical_run(g, wrapped) == canonical_run(g, inner)
     try:
         trace = solve(g, inner)
@@ -509,7 +510,7 @@ def test_default_residual_matches_the_kernel_on_the_sweep_strata():
             for i in range(3):
                 g, f = random_instance(kind, instance_rng(160 + n, i), n)
                 assert_default_matches_kernel(g, ExplicitFamilyOracle(f))
-                wrapped = CountingOracle(ExplicitFamilyOracle(f))
+                wrapped = ReferenceOracle(ExplicitFamilyOracle(f))
                 assert brute_force_opt(g, wrapped) == brute_force_opt(g, ExplicitFamilyOracle(f))
 
 
@@ -530,30 +531,32 @@ def test_default_residual_matches_the_kernel_on_small_cut_graphs():
             assert_default_matches_kernel(g, SmallCutsOracle(h))
             if len(g.edges) <= 12:
                 want = brute_force_opt(g, SmallCutsOracle(h))
-                assert brute_force_opt(g, CountingOracle(SmallCutsOracle(h))) == want
+                assert brute_force_opt(g, ReferenceOracle(SmallCutsOracle(h))) == want
 
 
 # --- certify does not trust the residual ------------------------------------
 
 
-class CopyingOracle(CountingOracle):
-    """A forwarding wrapper whose `cores` hands out a new NodeSet for every
-    core on every call, so no core object is shared across iterations."""
-
-    def cores(self, edges):
-        return [NodeSet(c.n, c.mask) for c in super().cores(edges)]
-
-
-def test_fresh_core_copies_give_the_kernel_trace():
+def test_fresh_core_copies_give_the_kernel_trace(monkeypatch):
     """Phase 1 tells cores apart by object; a residual that hands out fresh
     copies makes every core die and be born again each iteration, with the
     same trace."""
     cases = [(b.graph, b.family) for b in (tight_six(8), tight_seven(8))]
     cases += [random_instance(("gamma", "sparse", "uncrossable")[i % 3], instance_rng(190, i), 4 + i % 4) for i in range(50)]
-    for g, f in cases:
-        copying = CopyingOracle(ExplicitFamilyOracle(f))
-        assert canonical_run(g, copying) == canonical_run(g, ExplicitFamilyOracle(f))
-        assert solve(g, copying) == solve(g, ExplicitFamilyOracle(f))
+    want = [(canonical_run(g, ExplicitFamilyOracle(f)), solve(g, ExplicitFamilyOracle(f))) for g, f in cases]
+    cores = setfam._KernelResidual.cores.fget
+    copied = []
+
+    def fresh_cores(self):
+        out = tuple(NodeSet(c.n, c.mask) for c in cores(self))
+        copied.append(out)
+        return out
+
+    monkeypatch.setattr(setfam._KernelResidual, "cores", property(fresh_cores))
+    for (g, f), (run, trace) in zip(cases, want):
+        assert canonical_run(g, ExplicitFamilyOracle(f)) == run
+        assert solve(g, ExplicitFamilyOracle(f)) == trace
+    assert len(copied) == 2 * sum(len(t.iterations) + 1 for _, t in want)  # one read per step of each solve
 
 
 def test_certify_refuses_a_run_whose_residual_dropped_a_core(monkeypatch):

@@ -9,6 +9,7 @@ import gc
 import itertools
 import json
 import random
+from functools import partial
 
 import pytest
 
@@ -22,7 +23,6 @@ from pliablecover.setfam import (
     CheckResult,
     ExplicitFamily,
     ExplicitFamilyOracle,
-    FamilyOracle,
     NodeSet,
     all_pairs,
     bits,
@@ -36,6 +36,8 @@ from pliablecover.setfam import (
     validate_edges,
 )
 from pliablecover.smallcuts import CapGraph, SmallCutsOracle, cut_value, materialize_family
+
+from oracles import path_contains
 
 
 # --- reference implementations (independent oracles) -----------------------
@@ -835,37 +837,25 @@ def test_oracle_still_validates_edges_it_has_seen():
         oracle.cores([(0.5, 2)])
 
 
-class _ListOracle(FamilyOracle):
-    """Returns a fixed list of cores, whatever the edges, to exercise the
-    output validation."""
-
-    def __init__(self, n, *cores):
-        self.n = n
-        self.answer = [NodeSet.from_members(n, c) for c in cores]
-
-    def universe_size(self):
-        return self.n
-
-    def _cores_impl(self, edges):
-        return list(self.answer)
-
-
 def test_oracle_output_validation():
     with pytest.raises(OracleInvariantError):
-        _ListOracle(4, [0, 1], [1, 2]).cores(())
+        ExplicitFamilyOracle(fam(4, [0, 1], [1, 2])).cores(())
 
 
 def test_oracle_refuses_a_single_empty_core():
+    # No kernel yields an empty core (no member is empty), so the check of
+    # the core masks is called directly.
     with pytest.raises(OracleInvariantError, match="empty core"):
-        _ListOracle(3, []).cores(())
+        setfam._validate_cores([0])
     with pytest.raises(OracleInvariantError, match="empty core"):
-        _ListOracle(3, [0], [], [2]).cores(())
+        setfam._validate_cores([0b1, 0, 0b100])
+    assert setfam._validate_cores([0b1, 0b100]) == 0b101
 
 
 def test_oracle_overlap_error_names_two_overlapping_cores():
     with pytest.raises(OracleInvariantError, match=r"disjoint: \[0, 1\] and \[1, 3\]$"):
-        _ListOracle(4, [0, 1], [2], [1, 3]).cores(())
-    assert [c.members() for c in _ListOracle(4, [0, 1], [2], [3]).cores(())] == [(0, 1), (2,), (3,)]
+        ExplicitFamilyOracle(fam(4, [0, 1], [2], [1, 3])).cores(())
+    assert [c.members() for c in ExplicitFamilyOracle(fam(4, [0, 1], [2], [3])).cores(())] == [(0, 1), (2,), (3,)]
 
 
 # --- incidence -------------------------------------------------------------------
@@ -998,23 +988,6 @@ def test_is_covered_agrees_with_cores_on_both_oracles():
                 assert oracle.is_covered(edges) == (not oracle.cores(edges))
 
 
-class ForwardingOracle(FamilyOracle):
-    """Forwards only cores, is_covered and universe_size, as a delegating
-    tracing wrapper does, so `contains` is the base class's default."""
-
-    def __init__(self, inner: FamilyOracle) -> None:
-        self.inner = inner
-
-    def universe_size(self) -> int:
-        return self.inner.universe_size()
-
-    def cores(self, edges):
-        return self.inner.cores(edges)
-
-    def is_covered(self, edges):
-        return self.inner.is_covered(edges)
-
-
 def test_contains_matches_membership_on_every_subset():
     rng = random.Random(47)
     checked = 0
@@ -1027,12 +1000,12 @@ def test_contains_matches_membership_on_every_subset():
                 (SmallCutsOracle(h), lambda s: 0 < len(s) < n and cut_value(h, s) < h.k),
             ]
             for oracle, expected in cases:
-                for o in (oracle, ForwardingOracle(oracle)):
+                for contains in (oracle.contains, partial(path_contains, oracle)):
                     for mask in range(1 << n):
                         s = NodeSet(n, mask)
-                        assert o.contains(s) == expected(s), (f, h, mask)
+                        assert contains(s) == expected(s), (f, h, mask)
                         checked += 1
-                    assert not o.contains(NodeSet(n + 1, 1))  # another universe
+                    assert not contains(NodeSet(n + 1, 1))  # another universe
     assert checked == 4 * 10 * sum(1 << n for n in range(2, 9))
 
 
