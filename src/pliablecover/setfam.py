@@ -16,6 +16,9 @@ and reports the first violation it finds:
 `crossing_number` computes the least beta such that in every residual
 family every core crosses at most beta pairwise disjoint members.
 
+An `ExplicitFamily` owns the one coverage kernel over its members
+(`kernel`), and `FamilyOracle` answers every residual query from one.
+
 The quantifier "for any edge set I" ranges over every edge set on V, yet
 the checks list no residual family.  Fix the sets a violation names:
 (S1, S2, C) for gamma, (S, C1, C2) for sparseness, (C, P1..Pr) for the
@@ -173,25 +176,13 @@ def coverage(s: NodeSet, edges: Sequence[Edge]) -> int:
     return sum(1 for u, v in edges if edge_crosses_mask(s.mask, u, v))
 
 
-def incidence(n: int, masks: Iterable[int]) -> list[int]:
-    """Per vertex, the bitmask of the indexes of the sets holding it.
+def member_incidence(n: int, sets: Iterable[NodeSet]) -> list[int]:
+    """Per vertex, the bitmask of the indexes of the sets holding it, read
+    from their member tuples.
 
     Edge (u, v) crosses set i exactly when bit i of inc[u] ^ inc[v] is set.
     This holds for any list of sets, overlapping or repeated ones included.
     """
-    inc = [0] * n
-    for i, m in enumerate(masks):
-        bit = 1 << i
-        while m:
-            low = m & -m
-            inc[low.bit_length() - 1] |= bit
-            m ^= low
-    return inc
-
-
-def member_incidence(n: int, sets: Iterable[NodeSet]) -> list[int]:
-    """`incidence` of NodeSets, read from their member tuples (kept by
-    `from_members`, or cached at the first walk) rather than their masks."""
     inc = [0] * n
     for i, s in enumerate(sets):
         bit = 1 << i
@@ -231,7 +222,8 @@ class ExplicitFamily:
     """A finite family of distinct node sets, none empty and none the full universe.
 
     Members are kept in canonical order (lexicographic on sorted member
-    lists) so that identical families serialize identically.
+    lists) so that identical families serialize identically.  `kernel` is
+    the one coverage kernel over them, built at its first use.
     """
 
     n: int
@@ -260,45 +252,43 @@ class ExplicitFamily:
         return iter(self.members)
 
     def __contains__(self, s: NodeSet) -> bool:
-        return any(m.mask == s.mask for m in self.members if m.n == s.n)
+        return s.n == self.n and s.mask in self.kernel.index
 
     def masks(self) -> tuple[int, ...]:
-        return tuple(m.mask for m in self.members)
+        return self.kernel.masks
+
+    @cached_property
+    def kernel(self) -> "_CoverageKernel":
+        return _CoverageKernel(self.n, self.members)
 
 
 class _CoverageKernel:
-    """One family's distinct nonempty member masks and their incidence list.
+    """One family's members (`sets`, in canonical order, with their masks)
+    and their incidence list; `ExplicitFamily.kernel` is the one builder.
 
     The coverage mask of an edge (bit i set when the edge crosses member i)
     is one XOR of two incidence entries.  `residual(J)` is the one query:
     one pass over J gives the members it covers, and the cores are
-    `least(0, alive)`.  A J that covers every member leaves no
-    candidate, so that answer costs the pass alone.  Members are in
-    canonical order, so a walk of the bits of a mask lists its members in
-    that order; `nodeset(i)` builds member i's NodeSet once, when first
-    listed.
+    `least(0, alive)`.  A J that covers every member leaves no candidate,
+    so that answer costs the pass alone.  A walk of the bits of a mask over
+    the members lists them in canonical order.
 
     `root` is `residual(())`; residuals are immutable (see
     `_KernelResidual`), so one per kernel serves every run.  The holders of
     member i (the members that contain it, itself included: the AND of
     `inc` over i's nodes) are computed the first time `least` asks for them
-    and then kept, so no per-family index is built up front.  `sets`, when
-    given, are the members' NodeSets: `nodeset` hands them out, and `inc`
-    is read from their member tuples instead of a walk of each mask.
+    and then kept, so no per-family index is built up front.
     """
 
-    def __init__(self, n: int, masks: Sequence[int], sets: Sequence[NodeSet] | None = None) -> None:
+    def __init__(self, n: int, sets: Sequence[NodeSet]) -> None:
         self.n = n
-        self.masks = tuple(masks)
-        self._given = sets
-        self._sets: list[NodeSet | None] = [None] * len(self.masks) if sets is None else list(sets)
+        self.sets = tuple(sets)
+        self.masks = tuple(s.mask for s in self.sets)
         self._holders: dict[int, int] = {}
 
     @cached_property
     def inc(self) -> list[int]:
-        if self._given is None:
-            return incidence(self.n, self.masks)
-        return member_incidence(self.n, self._given)
+        return member_incidence(self.n, self.sets)
 
     @cached_property
     def index(self) -> dict[int, int]:
@@ -315,20 +305,13 @@ class _CoverageKernel:
         alive = ~covered_masks(self.inc, edges)[0] & ((1 << len(self.masks)) - 1)
         return _KernelResidual(self, alive, self.least(0, alive))
 
-    def nodeset(self, i: int) -> NodeSet:
-        """Member i's NodeSet, the same object on every call."""
-        s = self._sets[i]
-        if s is None:
-            s = self._sets[i] = NodeSet(self.n, self.masks[i])
-        return s
-
     def holders(self, i: int) -> int:
         """Bitmask of the members that contain member i, i included."""
         out = self._holders.get(i)
         if out is None:
             out = -1
             inc = self.inc
-            for v in self.nodeset(i).members():
+            for v in self.sets[i].members():
                 out &= inc[v]
             self._holders[i] = out
         return out
@@ -417,7 +400,7 @@ class _KernelResidual:
 
     def core_sets(self) -> list[NodeSet]:
         """The cores in canonical order, unvalidated."""
-        return [self._kernel.nodeset(i) for i in bits(self._core_bits)]
+        return [self._kernel.sets[i] for i in bits(self._core_bits)]
 
     @property
     def cores(self) -> tuple[NodeSet, ...]:
@@ -493,7 +476,7 @@ class _KernelResidual:
         for i in reversed(bits(killed)):  # from the top, so lower ranks stay put
             del cores[(parent._core_bits & ((1 << i) - 1)).bit_count()]
         for i in new:  # from the bottom, so each rank counts the cores placed below it
-            cores.insert((self._core_bits & ((1 << i) - 1)).bit_count(), k.nodeset(i))
+            cores.insert((self._core_bits & ((1 << i) - 1)).bit_count(), k.sets[i])
         self._cores = tuple(cores)
         self._span = span
 
@@ -791,9 +774,9 @@ class FamilyOracle:
     returns the dropped positions, descending; J is inclusion-minimal
     exactly when it drops none, which is how `certify` checks a solution.
 
-    A backend supplies `_kernel`, a `_CoverageKernel` over its members in
-    canonical order, and a `universe_size` that builds no kernel: the
-    explicit backend reads its member list, the small-cut backend its
+    A backend supplies `_kernel`, the `ExplicitFamily.kernel` of its
+    family, and a `universe_size` that builds no kernel: the explicit
+    backend reads its member list, the small-cut backend the family of its
     graph's one cut scan.  A wrapper sets `inner` instead, and every query
     it does not override is answered by `inner`'s kernel.
     """
@@ -861,8 +844,8 @@ class FamilyOracle:
 
 
 class ExplicitFamilyOracle(FamilyOracle):
-    """Oracle over an explicit member list, which is read, at the first
-    query that needs the family, into the kernel that answers every call."""
+    """Oracle over an explicit member list, answered by the family's one
+    kernel (`ExplicitFamily.kernel`)."""
 
     def __init__(self, family: ExplicitFamily) -> None:
         self.family = family
@@ -872,4 +855,4 @@ class ExplicitFamilyOracle(FamilyOracle):
 
     @cached_property
     def _kernel(self) -> _CoverageKernel:
-        return _CoverageKernel(self.family.n, self.family.masks(), self.family.members)
+        return self.family.kernel

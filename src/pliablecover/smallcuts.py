@@ -20,8 +20,8 @@ each step is one exact big-integer addition or subtraction, and the lanes
 below a threshold are found with one subtraction against the guard bits;
 only those lanes are read.  The scan does not depend on J, so it runs once
 per graph, at the first use of the family or of the edge connectivity.
-Its result is a coverage kernel, and every residual, the stateless
-`cores(J)` included, is that kernel's.
+Its result is an `ExplicitFamily` of the small cuts, and every residual,
+the stateless `cores(J)` included, is that family's kernel's.
 """
 
 from __future__ import annotations
@@ -65,23 +65,11 @@ class CapGraph:
         return cls(n, tuple((u, v, Fraction(c)) for u, v, c in edges), Fraction(k))
 
     @cached_property
-    def _cuts(self) -> tuple[_CoverageKernel, Fraction]:
-        """The small cuts' coverage kernel, its members in canonical order,
-        and the edge connectivity."""
+    def _cuts(self) -> tuple[ExplicitFamily, Fraction]:
+        """The small cuts as an explicit family, its members in canonical
+        order, and the edge connectivity."""
         masks, lam = _enumerate_cut_masks(self)
-        return _CoverageKernel(self.n, sorted(masks, key=_member_order)), lam
-
-
-_MEMBER_ORDER = str.maketrans("01", "10")
-
-
-def _member_order(mask: int) -> str:
-    """Canonical-order sort key of a nonzero mask (sorted members compared
-    element by element, a shorter prefix first): its bits lowest first with
-    a member written "0", since at the first node where two sets differ the
-    one holding it has the smaller next member, and a mask whose bits end
-    first is a prefix of the other."""
-    return bin(mask)[:1:-1].translate(_MEMBER_ORDER)
+        return ExplicitFamily(self.n, tuple(NodeSet(self.n, m) for m in masks)), lam
 
 
 def cut_value(h: CapGraph, s: NodeSet) -> Fraction:
@@ -197,10 +185,10 @@ def _enumerate_cut_masks(h: CapGraph) -> tuple[tuple[int, ...], Fraction]:
 
 
 def materialize_family(h: CapGraph) -> ExplicitFamily:
-    """The small-cuts family as an explicit family (guarded by n), whose
+    """The small-cuts family as an explicit family (guarded by n): the one
+    the graph's cut scan yields, whose kernel the oracle reads, so its
     members are the NodeSets the oracle's cores are."""
-    k = h._cuts[0]
-    return ExplicitFamily(h.n, tuple(map(k.nodeset, range(len(k.masks)))))
+    return h._cuts[0]
 
 
 def edge_connectivity(h: CapGraph) -> Fraction:
@@ -220,16 +208,10 @@ def beta_bound(h: CapGraph) -> int:
 
 
 class SmallCutsOracle(FamilyOracle):
-    """Family oracle backed by cut enumeration rather than an explicit list.
-
-    Its kernel is the one the graph builds from its small cuts, by one
-    blocked table scan of the 2^n cuts per graph at the first call that
-    needs the family (GuardError past MAX_CUT_ENUM_NODES).  The scan holds
-    each row of cut values as one integer of lanes bitlen(3·total + 2) + 1
-    bits wide (`total` the sum of the capacities over their common
-    denominator), offset by 2·total so no lane is negative and its top guard
-    bit stays clear; the arithmetic is exact integer arithmetic throughout.
-    """
+    """Family oracle backed by cut enumeration rather than an explicit list:
+    its kernel is that of the family of small cuts (`materialize_family`),
+    which one exact scan of the 2^n cuts per graph yields at the first call
+    that needs it (GuardError past MAX_CUT_ENUM_NODES)."""
 
     def __init__(self, h: CapGraph) -> None:
         self.h = h
@@ -239,4 +221,4 @@ class SmallCutsOracle(FamilyOracle):
 
     @property
     def _kernel(self) -> _CoverageKernel:
-        return self.h._cuts[0]
+        return self.h._cuts[0].kernel

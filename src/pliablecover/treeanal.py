@@ -36,7 +36,7 @@ from .errors import (
     TreeInvariantError,
 )
 from .exact import guarantee_factor, iteration_load_bound
-from .setfam import Edge, ExplicitFamily, NodeSet, _CoverageKernel, _disjoint_union, bits, degree_sum
+from .setfam import Edge, ExplicitFamily, NodeSet, _disjoint_union, bits, degree_sum
 from .setfam import edge_crosses_mask, member_incidence
 from .witness import laminar_tree, laminar_witness
 from .wgmv import CostedGraph, RunTrace
@@ -248,7 +248,7 @@ def build_tree(
             )
         )
 
-    return ShortcutTree(
+    tree = ShortcutTree(
         n=n,
         nodes=tuple(nodes),
         edges=tuple(edges),
@@ -256,6 +256,9 @@ def build_tree(
         root=root,
         cover=tuple((eid, pr) for eid, pr in cover),
     )
+    # The chains were weighed with this list: hand it to the cached index.
+    tree.__dict__["_core_incidence"] = core_inc
+    return tree
 
 
 def classify_chain(tree: ShortcutTree, edge: ChainEdge) -> str:
@@ -695,14 +698,16 @@ def analyze_trace(
     into J0, the edges covering none of the iteration's cores, and the rest I.
     I is an inclusion-minimal cover of the family left residual by everything
     outside I, and its witness tree certifies the iteration's load bound.
+    A family over another universe than g's is refused (ValueError).
     """
     guarantee_factor(family_class, beta)
-    additions = trace.additions()
-    kernel = _CoverageKernel(f.n, f.masks(), f.members)
+    if f.n != g.n:
+        raise ValueError("family universe does not match the graph")
+    kernel = f.kernel
     out: list[IterationAnalysis] = []
+    j0: set[int] = set()  # the edges added before iteration idx
     for idx, it in enumerate(trace.iterations):
         probs: list[str] = []
-        j0 = set(additions[:idx])
         i_prime = [e for e in trace.solution if e not in j0]
         inc = member_incidence(g.n, it.cores)
         i_cover = [e for e in i_prime if degree_sum(inc, [g.pair(e)])]
@@ -732,4 +737,5 @@ def analyze_trace(
                 violations=tuple(probs),
             )
         )
+        j0.add(it.added)
     return AnalysisReport(family_class=family_class, beta=beta, iterations=tuple(out))

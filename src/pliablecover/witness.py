@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import CoverNotMinimalError, NoLaminarWitnessError, guard
-from .setfam import Edge, ExplicitFamily, NodeSet, bits, covered_masks, member_incidence, validate_edges
+from .setfam import Edge, ExplicitFamily, NodeSet, bits, covered_masks, validate_edges
 
 MAX_WITNESS_EDGES = 20
 
@@ -52,7 +52,7 @@ def witness_candidates(f: ExplicitFamily, cover: Sequence[Edge]) -> list[tuple[N
     candidate, and ValueError when the edges do not even cover the family.
     """
     validate_edges(f.n, cover)
-    inc = member_incidence(f.n, f.members)
+    inc = f.kernel.inc
     crossed = [inc[u] ^ inc[v] for u, v in cover]
     once, twice = covered_masks(inc, cover)
     uncovered = ~once & ((1 << len(f)) - 1)

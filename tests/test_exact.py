@@ -28,7 +28,7 @@ from pliablecover.setfam import (
     bits,
     coverage,
     edge_crosses_mask,
-    incidence,
+    member_incidence,
 )
 from pliablecover.smallcuts import CapGraph, SmallCutsOracle
 from pliablecover.wgmv import CostedGraph, solve
@@ -135,7 +135,7 @@ def ref_search(n, oracle, pairs, costs, chosen, cost, best):
     cores = oracle.cores([pairs[e] for e in chosen])
     if not cores:
         return (cost, tuple(chosen))
-    inc = incidence(n, (c.mask for c in cores))
+    inc = member_incidence(n, cores)
     crossers = [[] for _ in cores]
     for e, (u, v) in enumerate(pairs):
         for i in bits(inc[u] ^ inc[v]):

@@ -25,7 +25,6 @@ from pliablecover.setfam import (
     ExplicitFamily,
     ExplicitFamilyOracle,
     NodeSet,
-    _CoverageKernel,
     all_pairs,
     check_family,
     edge_crosses_mask,
@@ -77,7 +76,7 @@ def cap_graphs(draw, max_n=5):
 
 def residual(f: ExplicitFamily, edges) -> ExplicitFamily:
     """F^J: the members the coverage kernel's residual of J leaves alive."""
-    alive = _CoverageKernel(f.n, f.masks()).residual(edges).alive
+    alive = f.kernel.residual(edges).alive
     return ExplicitFamily(f.n, tuple(s for i, s in enumerate(f) if alive >> i & 1))
 
 
@@ -119,7 +118,7 @@ def test_residual_keeps_exactly_the_uncrossed_members(f, data):
 @given(families())
 @settings(deadline=None)
 def test_cores_are_the_inclusion_minimal_members(f):
-    cores = _CoverageKernel(f.n, f.masks()).root.core_sets()  # may overlap: no oracle
+    cores = f.kernel.root.core_sets()  # may overlap: no oracle
     members = set(f.masks())
     for c in cores:
         assert c.mask in members

@@ -32,10 +32,13 @@ from pliablecover.setfam import (
     crossing_number,
     degree_sum,
     edge_crosses_mask,
-    incidence,
+    member_incidence,
     validate_edges,
 )
 from pliablecover.smallcuts import CapGraph, SmallCutsOracle, cut_value, materialize_family
+from pliablecover.treeanal import analyze_trace
+from pliablecover.wgmv import solve
+from pliablecover.witness import laminar_witness
 
 from oracles import path_contains
 
@@ -95,12 +98,12 @@ def kernel_cores(f: ExplicitFamily, edges) -> list[NodeSet]:
     """Cores of F^J from the coverage kernel's residual, whose unvalidated
     listing, unlike the oracle, returns overlapping cores instead of
     refusing them."""
-    return setfam._CoverageKernel(f.n, f.masks()).residual(edges).core_sets()
+    return f.kernel.residual(edges).core_sets()
 
 
 def kernel_residual(f: ExplicitFamily, edges) -> ExplicitFamily:
     """F^J: the members the kernel's residual of J leaves alive."""
-    alive = setfam._CoverageKernel(f.n, f.masks()).residual(edges).alive
+    alive = f.kernel.residual(edges).alive
     return ExplicitFamily(f.n, tuple(s for i, s in enumerate(f) if alive >> i & 1))
 
 
@@ -225,6 +228,13 @@ def test_family_contains_and_masks():
     assert NodeSet.from_members(4, [1]) not in f
     assert f.masks() == (0b0001, 0b0110)
     assert len(f) == 2
+    rng = random.Random(37)
+    for _ in range(100):
+        n = rng.randint(2, 7)
+        f = random_family(rng, n, rng.randint(0, 12))
+        for mask in range(1 << n):
+            assert (NodeSet(n, mask) in f) == any(m.mask == mask for m in f.members)
+            assert NodeSet(n + 1, mask) not in f  # another universe: never a member
 
 
 # --- residual families and cores ---------------------------------------------
@@ -862,14 +872,14 @@ def test_oracle_overlap_error_names_two_overlapping_cores():
 
 
 def test_incidence_matches_per_set_crossing_tests():
-    assert incidence(3, []) == [0, 0, 0]
+    assert member_incidence(3, []) == [0, 0, 0]
     rng = random.Random(17)
     for _ in range(300):
         n = rng.randint(2, 8)
         masks = [rng.randrange(1 << n) for _ in range(rng.randint(0, 6))]
         masks += rng.sample(masks, rng.randint(0, len(masks)))  # repeated sets
         rng.shuffle(masks)
-        inc = incidence(n, masks)
+        inc = member_incidence(n, [NodeSet(n, m) for m in masks])
         assert len(inc) == n
         edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 5))]
         edges += [(v, u) for u, v in edges] + rng.sample(edges, rng.randint(0, len(edges)))
@@ -919,7 +929,8 @@ def mask_lists(rng, count=400):
 
 def test_minimal_masks_match_the_quadratic_scan():
     for masks in mask_lists(random.Random(23)):
-        kernel = setfam._CoverageKernel(max(masks, default=0).bit_length(), masks)
+        n = max(masks, default=0).bit_length()
+        kernel = setfam._CoverageKernel(n, [NodeSet(n, m) for m in masks])
         kept = kernel.least(0, (1 << len(masks)) - 1)
         found = sorted((masks[i] for i in bits(kept)), key=lambda m: (m.bit_count(), m))
         assert found == ref_minimal_masks(masks)
@@ -942,7 +953,7 @@ def test_is_covered_on_a_covering_edge_set_needs_no_holders(monkeypatch):
 
 def test_kernel_reuses_its_core_nodesets():
     f = fam(5, [0], [1], [0, 1], [2, 3], [3], [4])
-    kernel = setfam._CoverageKernel(f.n, f.masks())
+    kernel = f.kernel
     for edges in ([], [(0, 2)], [(3, 4), (1, 2)]):
         first, second = kernel.residual(edges).core_sets(), kernel.residual(edges).core_sets()
         assert first == second and first
@@ -956,6 +967,31 @@ def test_kernel_reuses_its_core_nodesets():
         first, second = SmallCutsOracle(h).cores(edges), SmallCutsOracle(h).cores(edges)
         assert first and all(a is b for a, b in zip(first, second))
         assert all(any(c is m for m in members) for c in first)
+
+
+def test_one_kernel_per_family(monkeypatch):
+    """Both oracles over a family, its witness search and the trace
+    analyzer read the family's one kernel; the small-cut oracle reads the
+    kernel of the one family its graph's cut scan yields."""
+    g, f = gens.random_instance("gamma", gens.instance_rng(0, 1), 5)
+    trace = solve(g, ExplicitFamilyOracle(f))
+    kernel = f.kernel
+    first, second = ExplicitFamilyOracle(f), ExplicitFamilyOracle(f)
+    built, asked = [], []
+    init, residual = setfam._CoverageKernel.__init__, setfam._CoverageKernel.residual
+    monkeypatch.setattr(setfam._CoverageKernel, "__init__", lambda self, *a: built.append(self) or init(self, *a))
+    monkeypatch.setattr(setfam._CoverageKernel, "residual", lambda self, j: asked.append(self) or residual(self, j))
+    assert first.cores([]) == second.cores([]) and first._kernel is kernel and second._kernel is kernel
+    solution = [g.pair(e) for e in trace.solution]
+    assert first.reverse_delete(solution) == []
+    assert len(laminar_witness(f, solution)) == len(solution)
+    assert built == []
+    assert analyze_trace(g, f, trace, "gamma").ok
+    assert asked and all(k is kernel for k in asked)
+    h = CapGraph.build(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 2)], 4)
+    assert materialize_family(h) is materialize_family(h)
+    assert SmallCutsOracle(h)._kernel is materialize_family(h).kernel
+    assert SmallCutsOracle(h)._kernel is SmallCutsOracle(h)._kernel
 
 
 def test_cached_members_leave_equality_and_hash_alone():

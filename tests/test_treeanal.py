@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import pliablecover.treeanal as treeanal
 from pliablecover.errors import TreeInvariantError
 from pliablecover.gens import (
     instance_rng,
@@ -438,6 +439,26 @@ def test_analyze_trace_checks_the_class_before_the_first_iteration():
         analyze_trace(g, f, empty, "beta")
     with pytest.raises(ValueError, match="takes no crossing number"):
         analyze_trace(g, f, empty, "gamma", 3)
+
+
+def test_analyze_trace_refuses_a_family_over_another_universe():
+    g, f = random_instance("gamma", instance_rng(0, 1), 5)
+    trace = solve(g, ExplicitFamilyOracle(f))
+    wider = ExplicitFamily(g.n + 1, tuple(NodeSet(g.n + 1, s.mask) for s in f))
+    narrower = ExplicitFamily.from_sets(g.n - 1, [[0], [1, 2]])
+    for other in (wider, narrower):
+        with pytest.raises(ValueError, match="^family universe does not match the graph$"):
+            analyze_trace(g, other, trace, "gamma")
+
+
+def test_build_tree_hands_its_core_incidence_to_the_tree(monkeypatch):
+    calls = []
+    incidence = treeanal.member_incidence
+    monkeypatch.setattr(treeanal, "member_incidence", lambda n, sets: calls.append(n) or incidence(n, sets))
+    t = bundle_tree(tight_six(4))
+    assert verify_bounds(t, "sparse").ok
+    assert len(calls) == 1
+    assert t._core_incidence == incidence(t.n, t.cores)
 
 
 # ---------------------------------------------------------------------------

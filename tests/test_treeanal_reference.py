@@ -12,7 +12,7 @@ and on hand-built `ShortcutTree`s whose edges are listed in random order.
 import dataclasses
 import random
 
-from pliablecover.setfam import NodeSet, coverage, degree_sum, incidence
+from pliablecover.setfam import NodeSet, coverage, degree_sum, member_incidence
 from pliablecover.treeanal import (
     HEAVY_WEIGHT,
     BadPair,
@@ -308,7 +308,7 @@ def test_core_degree_matches_coverage_on_disjoint_cores():
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 8))]
         overlapping = cores + [NodeSet(n, rng.randrange(1 << n)) for _ in range(rng.randint(1, 4))]
         for sets in (cores, overlapping):
-            inc = incidence(n, [c.mask for c in sets])
+            inc = member_incidence(n, sets)
             assert degree_sum(inc, pairs) == sum(coverage(c, pairs) for c in sets)
 
 

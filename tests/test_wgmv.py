@@ -21,7 +21,7 @@ from pliablecover.setfam import (
     all_pairs,
     bits,
     edge_crosses_mask,
-    incidence,
+    member_incidence,
 )
 from pliablecover.wgmv import (
     CostedGraph,
@@ -395,7 +395,7 @@ def ref_phase1(g, oracle):
         cores = oracle.cores([g.pair(e) for e in picked])
         if not cores:
             break
-        inc = incidence(g.n, (core.mask for core in cores))
+        inc = member_incidence(g.n, cores)
         cov = {}
         hit = 0
         for eid, (u, v, _) in enumerate(g.edges):
