@@ -5,10 +5,10 @@ All output is canonical JSON on stdout.  Exit codes: 0 success (and "the
 property holds" / "the certificate verifies"), 1 negative verdict, finding,
 infeasible instance, or a random `gen` that accepted no instance within its
 400-proposal budget, 2 usage errors (a size the tight constructions cannot
-take among them) and malformed or unreadable input, 3
-an exhaustive guard refused the computation, 4 an unexpected internal error
-(the traceback goes to stderr), 141 (128 + SIGPIPE) the reader closed stdout
-before the output was written.
+take among them) and malformed or unreadable input, 3 an exhaustive search
+used up its work budget (or a cut enumeration passed n = 22), 4 an
+unexpected internal error (the traceback goes to stderr), 141 (128 +
+SIGPIPE) the reader closed stdout before the output was written.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--with-opt",
         action="store_true",
-        help="also compare against the exact optimum (subject to the search guard)",
+        help="also compare against the exact optimum (subject to the search's work budget)",
     )
 
     p = sub.add_parser("analyze", help="witness-tree analysis of a run or a generator bundle")

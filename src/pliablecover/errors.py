@@ -1,6 +1,6 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the searches' budgets.
 
-The CLI maps these onto exit codes: guard violations exit with 3, findings
+The CLI maps these onto exit codes: refusals (GuardError) exit with 3, findings
 (oracle cores that break their contract among them) and infeasibility with
 1, malformed input (a bundle that breaks the shortcut tree's preconditions
 among them) with 2.  Any other exception is a crash: it exits with 4 after
@@ -15,13 +15,37 @@ class PliableCoverError(Exception):
 
 
 class GuardError(PliableCoverError):
-    """An operation refused to run because the instance exceeds its size guard."""
+    """An operation refused to go on, past its work budget or a size guard."""
 
 
 def guard(what: str, label: str, value: int, limit: int) -> None:
     """Refuse `what` when the instance's `label`, `value`, exceeds `limit`."""
     if value > limit:
         raise GuardError(f"instance too large for {what}: {label} = {value} > {limit}")
+
+
+# The one table of search limits: per exhaustive search, the work it counts
+# and how much of it one run may do.  A search node of the optimum takes
+# 40 us on tight_six(32) to 250 us on tight_six(256), so its refusal comes
+# after 10-63 s there (2 vCPU, CPython 3.11).
+BUDGETS: dict[str, tuple[str, int]] = {
+    "optimum": ("search nodes", 250_000),
+    "witness": ("candidates tried", 2_000_000),
+    "class check": ("candidate tuples examined", 2_000_000),
+}
+
+
+class Budget:
+    """The work one search run has done (`used`), refused past its limit."""
+
+    def __init__(self, what: str, search: str) -> None:
+        self.what = what
+        self.label, self.limit = BUDGETS[search]
+        self.used = 0
+
+    def take(self, k: int = 1) -> None:
+        self.used += k
+        guard(self.what, self.label, self.used, self.limit)
 
 
 class UniverseMismatchError(PliableCoverError):

@@ -33,72 +33,77 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InfeasibleError, guard
+from .errors import Budget, InfeasibleError
 from .setfam import Edge, FamilyOracle, NodeSet, _KernelResidual, bits, member_incidence
 from .wgmv import CostedGraph, RunTrace, check_universe, edge_loads
-
-MAX_BRUTE_EDGES = 24
 
 
 def brute_force_opt(g: CostedGraph, oracle: FamilyOracle) -> tuple[Fraction, tuple[int, ...]]:
     """Exact optimum cost and the lexicographically least optimal edge set."""
     check_universe(g, oracle)
-    m = len(g.edges)
-    guard("exhaustive optimum", "edges", m, MAX_BRUTE_EDGES)
-    pairs = [g.pair(e) for e in range(m)]
+    pairs = [g.pair(e) for e in range(len(g.edges))]
     leftover = oracle.cores(pairs)
     if leftover:
         raise InfeasibleError(leftover[0])
     costs, denom = g.scaled_costs
-    best = _search(g.n, pairs, costs, [], 0, None, oracle.residual())
-    assert best is not None
-    return Fraction(best[0], denom), best[1]
+    cost, ids = _search(g.n, pairs, costs, oracle.residual())
+    return Fraction(cost, denom), ids
 
 
 def _search(
-    n: int,
-    pairs: list[Edge],
-    costs: tuple[int, ...],
-    chosen: list[int],
-    cost: int,
-    best: tuple[int, tuple[int, ...]] | None,
-    residual: _KernelResidual,
-) -> tuple[int, tuple[int, ...]] | None:
-    """The best cover found so far, after searching the covers that extend
-    `chosen` (ids ascending, costing `cost`, whose residual is `residual`)
-    with larger ids."""
-    cores = residual.cores
-    if not cores:
-        return (cost, tuple(chosen))  # the caller let in only cheaper covers
-    inc = member_incidence(n, cores)
-    crossed = [inc[u] ^ inc[v] for u, v in pairs]
-    first = chosen[-1] + 1 if chosen else 0
-    # Every edge after child e has a larger id, so a core that e misses must
-    # be crossed by a later edge, at no less than its cheapest.  Walking the
-    # ids down, low[i] is the cheapest crosser of core i after e (above every
-    # cost while there is none) and `later` the cores crossed after e.  A
-    # child that misses a core with no later crosser is hopeless, and so is
-    # every later child; `need` bounds the children before the first of them.
-    full = (1 << len(cores)) - 1
-    low = [sum(costs) + 1] * len(cores)
-    later = 0
-    need: dict[int, int] = {}
-    for e in range(len(pairs) - 1, first - 1, -1):
-        c = crossed[e]
-        if later | c == full:
-            need[e] = max((low[i] for i in bits(full & ~c)), default=0)
-        for i in bits(c):
-            if costs[e] < low[i]:
-                low[i] = costs[e]
-        later |= c
-    for e in range(first, len(pairs)):
-        if e not in need:
-            break
-        if best is None or cost + costs[e] + need[e] < best[0]:
-            chosen.append(e)
-            best = _search(n, pairs, costs, chosen, cost + costs[e], best, residual.add(*pairs[e]))
-            chosen.pop()
-    return best
+    n: int, pairs: list[Edge], costs: tuple[int, ...], residual: _KernelResidual
+) -> tuple[int, tuple[int, ...]]:
+    """The cheapest cover and its ids, least among equals, of the feasible
+    instance whose empty edge set has the residual `residual`.
+
+    Depth first, one node (one unit of the "optimum" budget) per ascending
+    id tuple.  `stack` holds the children still to try, as (parent's ids,
+    cost and residual, id, bound), the next in pre-order on top; a child is
+    tried when popped, against the best cover found by then.
+    """
+    budget = Budget("exhaustive optimum", "optimum")
+    best: tuple[int, tuple[int, ...]] | None = None
+    stack: list[tuple[tuple[int, ...], int, _KernelResidual, int, int]] = []
+    ids: tuple[int, ...] = ()
+    cost = 0
+    while True:
+        budget.take()
+        cores = residual.cores
+        if not cores:
+            best = (cost, ids)  # only cheaper covers were let in
+        else:
+            inc = member_incidence(n, cores)
+            crossed = [inc[u] ^ inc[v] for u, v in pairs]
+            first = ids[-1] + 1 if ids else 0
+            # Every edge after child e has a larger id, so a core that e misses
+            # must be crossed by a later edge, at no less than its cheapest.
+            # Walking the ids down, low[i] is the cheapest crosser of core i
+            # after e (above every cost while there is none) and `later` the
+            # cores crossed after e.  A child that misses a core with no later
+            # crosser is hopeless, and so is every later child: the children
+            # pushed so far are dropped again.
+            full = (1 << len(cores)) - 1
+            low = [sum(costs) + 1] * len(cores)
+            later = 0
+            top = len(stack)
+            for e in range(len(pairs) - 1, first - 1, -1):
+                c = crossed[e]
+                if later | c == full:
+                    need = max((low[i] for i in bits(full & ~c)), default=0)
+                    stack.append((ids, cost, residual, e, cost + costs[e] + need))
+                else:
+                    del stack[top:]
+                for i in bits(c):
+                    if costs[e] < low[i]:
+                        low[i] = costs[e]
+                later |= c
+        while stack and best is not None and stack[-1][4] >= best[0]:
+            stack.pop()
+        if not stack:
+            assert best is not None
+            return best
+        ids, cost, residual, e, _ = stack.pop()
+        ids, cost, residual = ids + (e,), cost + costs[e], residual.add(*pairs[e])
 
 
 # Per family class: the approximation factor (None for class beta, whose

@@ -20,9 +20,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterator
 
-from .errors import GenerationError, GuardError, guard
+from .errors import BUDGETS, GenerationError, GuardError, guard
 from .setfam import (
     Edge,
     ExplicitFamily,
@@ -40,7 +41,7 @@ GENERATION_BUDGET = 400
 # given up.  The limit is the member guard the gamma check once had, kept
 # so that every `gen --kind gamma` draw keeps its bytes.  A round adds at
 # most two members, so the repair's pair scan sees at most this many plus
-# two, below its own MAX_PAIR_SCAN_FAMILY guard.
+# two, whose pairs stay far inside the class-check budget.
 MAX_REPAIRED_MEMBERS = 256
 # The properties a proposal of each kind must have, checked in this order.
 _ACCEPT = {
@@ -408,7 +409,7 @@ def random_instance(
     """One verified instance of the requested family class.
 
     kind is one of "gamma", "sparse", "uncrossable".  Proposals that fail
-    the class checker (or outgrow the exhaustive guards) are rejected and
+    the class checker (or outrun its work budget) are rejected and
     retried; exceeding the retry budget raises GenerationError.  A size at
     which no proposal can pass its checker raises GuardError before drawing.
 
@@ -420,10 +421,11 @@ def random_instance(
     if n is not None and n < 2:
         raise ValueError(f"universe size n = {n} is below 2")
     # Sizes at which no proposal can pass its checker: a group-split
-    # proposal has at least 2^(n-1) members, past the pair scan's
-    # 1000-member guard from n = 11.
+    # proposal has at least 2^(n-1) members, and the pliability check scans
+    # all their pairs before it passes one, past the class-check budget
+    # from n = 12.
     if kind == "uncrossable" and n is not None:
-        guard(f"verified {kind} generation", "n", n, 10)
+        guard(f"verified {kind} generation", "member pairs", comb(2 ** (n - 1), 2), BUDGETS["class check"][1])
     for _ in range(GENERATION_BUDGET):
         size = n if n is not None else rng.randint(4, 7)
         roll = rng.random()

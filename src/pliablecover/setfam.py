@@ -44,15 +44,12 @@ from math import lcm
 from operator import index, or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .errors import OracleInvariantError, UniverseMismatchError, guard
+from .errors import Budget, OracleInvariantError, UniverseMismatchError
 
-# The class checks (gamma, sparse, crossing number) count the candidate
-# tuples they examine: member pairs, then triples or packing branches.  A
-# packing search stopping at this limit takes about 10 s, a pair or triple
-# scan 0.3-1 s (2 vCPU, CPython 3.11).
-MAX_CHECK_STEPS = 2_000_000
-# The pairwise scans (pliable, uncrossable) test at most 10^6 pairs.
-MAX_PAIR_SCAN_FAMILY = 1000
+# The class checks charge the "class check" budget for the candidate tuples
+# they examine: member pairs, then triples or packing branches.  A packing
+# search stopping at its limit takes about 5 s, a pair or triple scan
+# 0.3-1 s (2 vCPU, CPython 3.11).
 
 
 @dataclass(frozen=True, order=False)
@@ -495,21 +492,6 @@ def all_pairs(n: int) -> list[Edge]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-class _Steps:
-    """The candidate tuples one class check has examined, refused past
-    MAX_CHECK_STEPS."""
-
-    __slots__ = ("check", "count")
-
-    def __init__(self, check: str) -> None:
-        self.check = check
-        self.count = 0
-
-    def take(self, k: int) -> None:
-        self.count += k
-        guard(self.check, "candidate tuples examined", self.count, MAX_CHECK_STEPS)
-
-
 def _atoms(whole: int, named: Iterable[int]) -> list[int]:
     """The atoms the masks `named` cut `whole` into: its nonempty classes of
     "on the same side of every named set"."""
@@ -526,7 +508,7 @@ def _stays_core(c: int, named: Sequence[int], inner: Sequence[int]) -> bool:
     return not any(all(m & a in (0, a) for a in atoms) for m in inner)
 
 
-def _partners(n: int, masks: Sequence[int], steps: _Steps) -> tuple[list[int], list[list[int]]]:
+def _partners(n: int, masks: Sequence[int], steps: Budget) -> tuple[list[int], list[list[int]]]:
     """Per member C, as a bitmask over member indexes, the members S that
     cross C and keep C a core when named with it alone (neither C & S nor
     C - S is a member); and the list of members strictly inside C.  Every set
@@ -580,9 +562,10 @@ def _first_bad_pair(
     or nested pair, A-B and B-A (or A&B and A|B) are the pair itself, so
     both pair properties hold.
     """
-    guard(f"exhaustive {what} check", "|F|", len(masks), MAX_PAIR_SCAN_FAMILY)
+    steps = Budget(f"exhaustive {what} check", "class check")
     present = set(masks)
     for i, a in enumerate(masks):
+        steps.take(len(masks) - i - 1)
         for b in masks[i + 1 :]:
             inter = a & b
             if inter and inter != a and inter != b and not ok(a, b, present):
@@ -622,7 +605,7 @@ def _gamma_violation(f: ExplicitFamily) -> Optional[dict]:
     it is in F^{I*} exactly when it is in F)."""
     masks = f.masks()
     present = set(masks)
-    steps = _Steps("exhaustive gamma-pliability check")
+    steps = Budget("exhaustive gamma-pliability check", "class check")
     partners, inner = _partners(f.n, masks, steps)
     for c, found, inside in zip(masks, partners, inner):
         ss = [masks[j] for j in bits(found)]
@@ -641,7 +624,7 @@ def _sparse_violation(f: ExplicitFamily) -> Optional[dict]:
     """The first pair of members C1 before C2 and the first S among their
     common partners with both still cores once S and the other are named."""
     masks = f.masks()
-    steps = _Steps("exhaustive sparseness check")
+    steps = Budget("exhaustive sparseness check", "class check")
     partners, inner = _partners(f.n, masks, steps)
     live = [i for i, found in enumerate(partners) if found]
     for k, i in enumerate(live):
@@ -688,7 +671,7 @@ def check_family(f: ExplicitFamily, prop: str) -> CheckResult:
     return CheckResult(p.name, found is None, found)
 
 
-def _max_disjoint_packing(cands: Sequence[int], core: int, inner: Sequence[int], best: int, steps: _Steps) -> int:
+def _max_disjoint_packing(cands: Sequence[int], core: int, inner: Sequence[int], best: int, steps: Budget) -> int:
     """The larger of `best` and the most pairwise-disjoint `cands` that keep
     `core` a core: no mask of `inner` a union of the atoms they cut it into.
 
@@ -724,7 +707,7 @@ def crossing_number(f: ExplicitFamily) -> int:
     once a member strictly inside C becomes a union of atoms.
     """
     masks = f.masks()
-    steps = _Steps("exhaustive crossing-number check")
+    steps = Budget("exhaustive crossing-number check", "class check")
     partners, inner = _partners(f.n, masks, steps)
     best = 0
     for c, found, inside in zip(masks, partners, inner):

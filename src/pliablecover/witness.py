@@ -10,12 +10,10 @@ the lexicographically least under the canonical candidate order.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .errors import CoverNotMinimalError, NoLaminarWitnessError, guard
+from .errors import Budget, CoverNotMinimalError, NoLaminarWitnessError
 from .setfam import Edge, ExplicitFamily, NodeSet, bits, covered_masks, validate_edges
-
-MAX_WITNESS_EDGES = 20
 
 
 def laminar_tree(sets: Sequence[NodeSet]) -> tuple[list[int | None], dict[int, int]] | None:
@@ -71,27 +69,24 @@ def laminar_witness(f: ExplicitFamily, cover: Sequence[Edge]) -> tuple[NodeSet, 
 
     Depth-first over edges in position order, candidates in canonical order,
     pruning as soon as a crossing appears; the first complete assignment is
-    returned.  Raises NoLaminarWitnessError when no assignment exists.
+    returned.  Each candidate tried charges one unit of the "witness"
+    budget.  Raises NoLaminarWitnessError when no assignment exists.
     """
-    guard("exhaustive witness search", "cover edges", len(cover), MAX_WITNESS_EDGES)
     cands = witness_candidates(f, cover)
+    budget = Budget("exhaustive witness search", "witness")
     chosen: list[NodeSet] = []
-    if not _extend(cands, chosen):
-        raise NoLaminarWitnessError(
-            "no laminar witness assignment exists for this cover"
-        )
-    return tuple(chosen)
-
-
-def _extend(cands: list[tuple[NodeSet, ...]], chosen: list[NodeSet]) -> bool:
-    """Depth-first: extend `chosen` by one candidate of each remaining edge,
-    crossing none chosen before it; False (chosen restored) if impossible."""
-    if len(chosen) == len(cands):
-        return True
-    for s in cands[len(chosen)]:
-        if all((s.mask & t.mask) in (0, s.mask, t.mask) for t in chosen):
-            chosen.append(s)
-            if _extend(cands, chosen):
-                return True
+    untried: list[Iterator[NodeSet]] = []  # per edge reached, its candidates not yet tried
+    while len(chosen) < len(cands):
+        if len(untried) == len(chosen):
+            untried.append(iter(cands[len(chosen)]))
+        for s in untried[-1]:
+            budget.take()
+            if all((s.mask & t.mask) in (0, s.mask, t.mask) for t in chosen):
+                chosen.append(s)
+                break
+        else:
+            if not chosen:
+                raise NoLaminarWitnessError("no laminar witness assignment exists for this cover")
+            untried.pop()
             chosen.pop()
-    return False
+    return tuple(chosen)

@@ -7,12 +7,15 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import accumulate
+from math import comb
 
 import pytest
 
 import pliablecover
 import pliablecover.cli as cli
-from pliablecover.jsonio import instance_from_json, trace_from_json, trace_to_json
+from pliablecover.gens import tight_six
+from pliablecover.jsonio import Instance, instance_from_json, instance_to_json, trace_from_json, trace_to_json
 from pliablecover.setfam import NodeSet, bits
 from pliablecover.smallcuts import beta_bound
 from pliablecover.wgmv import IterationRecord, RunTrace
@@ -639,12 +642,19 @@ def test_gen_refuses_universes_below_two(kind):
     assert run_cli("gen", "--kind", kind, "--n", "2").returncode == 0
 
 
-@pytest.mark.parametrize("kind,n,limit", [("uncrossable", 11, 10)])
+@pytest.mark.parametrize("kind,n,limit", [("uncrossable", 12, 2_000_000)])
 def test_gen_refuses_sizes_no_proposal_can_pass(kind, n, limit):
     r = run_cli("gen", "--kind", kind, "--n", str(n))
     assert r.returncode == 3
     assert r.stdout == ""
-    assert r.stderr == f"error: instance too large for verified {kind} generation: n = {n} > {limit}\n"
+    pairs = comb(2 ** (n - 1), 2)
+    assert r.stderr == f"error: instance too large for verified {kind} generation: member pairs = {pairs} > {limit}\n"
+
+
+def test_gen_draws_uncrossable_families_at_eleven_nodes():
+    r = run_cli("gen", "--kind", "uncrossable", "--n", "11")
+    assert r.returncode == 0, r.stderr
+    assert [doc["family"]["n"] for doc in json.loads(r.stdout)["instances"]] == [11]
 
 
 def test_gen_draws_gamma_families_past_sixteen_nodes():
@@ -701,10 +711,40 @@ def test_closed_stdout_exits_141_silently():
 
 
 def test_guard_refusal_exits_3():
-    crowded = {"kind": "explicit", "n": 10, "members": [bits(m) for m in range(1, 1002)]}
+    # All 4094 proper nonempty subsets of 12 nodes: a pliable family, so the
+    # pair scan runs until a row of pairs passes the class-check budget.
+    members = range(1, 2**12 - 1)
+    crowded = {"kind": "explicit", "n": 12, "members": [bits(m) for m in members]}
     r = run_cli("check-family", "--property", "pliable", stdin=json.dumps(crowded))
     assert r.returncode == 3
-    assert r.stderr == "error: instance too large for exhaustive pliability check: |F| = 1001 > 1000\n"
+    rows = accumulate(range(len(members) - 1, -1, -1))
+    used = next(x for x in rows if x > 2_000_000)
+    assert r.stderr == f"error: instance too large for exhaustive pliability check: candidate tuples examined = {used} > 2000000\n"
+
+
+def test_pair_scan_completes_on_a_thousand_and_one_members():
+    crowded = {"kind": "explicit", "n": 10, "members": [bits(m) for m in range(1, 1002)]}
+    r = run_cli("check-family", "--property", "pliable", stdin=json.dumps(crowded))
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["holds"] is True
+
+
+def test_exhaustive_commands_run_on_the_tight_six_instance(tmp_path):
+    # 38 edges and a 38-edge solution: cheap searches, whatever the size.
+    b = tight_six(8)
+    path = write(tmp_path, "i.json", instance_to_json(Instance(b.graph, b.family)))
+    r = run_cli("exact", path)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["opt_cost"] == [46, 1]
+    r = run_cli("certify", path, "--with-opt", "--family-class", "sparse")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["opt_cost"] == [46, 1]
+    r = run_cli("witness", path)
+    assert r.returncode == 0, r.stderr
+    assert len(json.loads(r.stdout)["witness"]) == 38
+    r = run_cli("analyze", path, "--family-class", "sparse")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["ok"] is True
 
 
 @pytest.mark.parametrize("cmd", ["solve", "exact", "certify", "analyze", "witness"])

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import random
+import sys
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -10,6 +11,7 @@ from itertools import combinations
 
 import pytest
 
+import pliablecover.errors as errors
 import pliablecover.setfam as setfam
 from pliablecover.errors import GuardError, InfeasibleError
 from pliablecover.exact import (
@@ -19,7 +21,7 @@ from pliablecover.exact import (
     guarantee_factor,
     iteration_load_bound,
 )
-from pliablecover.gens import instance_rng, random_cap_graph, random_instance, tight_six
+from pliablecover.gens import instance_rng, random_cap_graph, random_instance, tight_seven, tight_six
 from pliablecover.setfam import (
     ExplicitFamily,
     ExplicitFamilyOracle,
@@ -94,11 +96,16 @@ def test_empty_family_costs_nothing():
     )
 
 
-def test_brute_force_guard_and_infeasibility():
+def test_brute_force_guard_and_infeasibility(monkeypatch):
+    # 30 edges: the search counts its nodes, not the edges.  The empty
+    # family is covered at the root, one node.
     g = CostedGraph.build(6, [(u, v, 1) for u, v in combinations(range(6), 2)] * 2)
     assert len(g.edges) == 30
-    with pytest.raises(GuardError, match=r"^instance too large for exhaustive optimum: edges = 30 > 24$"):
-        brute_force_opt(g, ExplicitFamilyOracle(ExplicitFamily(6, ())))
+    empty = ExplicitFamilyOracle(ExplicitFamily(6, ()))
+    assert brute_force_opt(g, empty) == (Fraction(0), ())
+    monkeypatch.setitem(errors.BUDGETS, "optimum", ("search nodes", 0))
+    with pytest.raises(GuardError, match=r"^instance too large for exhaustive optimum: search nodes = 1 > 0$"):
+        brute_force_opt(g, empty)
     tiny = CostedGraph.build(3, [(1, 2, 1)])
     with pytest.raises(InfeasibleError):
         brute_force_opt(tiny, ExplicitFamilyOracle(ExplicitFamily.from_sets(3, [[0]])))
@@ -110,6 +117,31 @@ def _tie_heavy_copies(g: CostedGraph):
     yield g
     yield CostedGraph(g.n, tuple((u, v, Fraction(1)) for u, v, _ in g.edges))
     yield CostedGraph(g.n, g.edges[:1] + ((0, g.n - 1, Fraction(0)),) + g.edges[1:])
+
+
+@pytest.mark.parametrize("make,leaves,opt,nodes", [(tight_six, 8, 46, 408), (tight_seven, 16, 110, 608)])
+def test_optimum_of_a_tight_bundle_is_the_runs_cost(monkeypatch, make, leaves, opt, nodes):
+    # Past any edge-count limit (38 and 63 edges), and cheap in nodes.  At
+    # exactly its node count the search finishes; one node less refuses.
+    b = make(leaves)
+    oracle = ExplicitFamilyOracle(b.family)
+    cost = solve(b.graph, oracle).solution_cost(b.graph)
+    monkeypatch.setitem(errors.BUDGETS, "optimum", ("search nodes", nodes))
+    assert brute_force_opt(b.graph, oracle) == (cost, tuple(range(len(b.graph.edges))))
+    assert cost == b.total_cost == opt
+    monkeypatch.setitem(errors.BUDGETS, "optimum", ("search nodes", nodes - 1))
+    with pytest.raises(GuardError, match=rf"exhaustive optimum: search nodes = {nodes} > {nodes - 1}$"):
+        brute_force_opt(b.graph, oracle)
+
+
+def test_optimum_search_deeper_than_the_recursion_limit_refuses_by_its_budget(monkeypatch):
+    # tight_six(256) has 1278 edges, and its first cover found is all of
+    # them: a path of 1279 nodes, past Python's recursion limit.
+    b = tight_six(256)
+    assert len(b.graph.edges) > sys.getrecursionlimit()
+    monkeypatch.setitem(errors.BUDGETS, "optimum", ("search nodes", 2000))
+    with pytest.raises(GuardError, match=r"exhaustive optimum: search nodes = 2001 > 2000$"):
+        brute_force_opt(b.graph, ExplicitFamilyOracle(b.family))
 
 
 def test_matches_reference_scan_including_tie_breaks():

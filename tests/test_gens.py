@@ -2,13 +2,14 @@
 
 import dataclasses
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pliablecover.errors as errors
 import pliablecover.gens as gens
-import pliablecover.setfam as setfam
 from pliablecover.errors import GenerationError, GuardError
 from pliablecover.gens import (
     instance_rng,
@@ -229,11 +230,15 @@ def test_random_instance_refuses_universes_below_two_before_drawing():
 def test_random_instance_refuses_sizes_no_proposal_can_pass_before_drawing():
     rng = random.Random(0)
     state = rng.getstate()
-    with pytest.raises(GuardError, match=r"verified uncrossable generation: n = 11 > 10$"):
-        random_instance("uncrossable", rng, n=11)
+    # A group-split proposal at n = 12 has at least 2^11 members, whose
+    # pairs are past the class-check budget; at n = 11 they are not.
+    with pytest.raises(
+        GuardError, match=r"verified uncrossable generation: member pairs = 2096128 > 2000000$"
+    ):
+        random_instance("uncrossable", rng, n=12)
     assert rng.getstate() == state
-    g, f = random_instance("uncrossable", random.Random(0), n=10)
-    assert f.n == 10 and check_family(f, "proper").holds and check_family(f, "pliable").holds
+    g, f = random_instance("uncrossable", random.Random(0), n=11)
+    assert f.n == 11 and check_family(f, "proper").holds and check_family(f, "pliable").holds
 
 
 def test_random_instance_gives_up_after_the_proposal_budget(monkeypatch):
@@ -256,7 +261,7 @@ def test_repair_gives_up_past_the_gamma_member_guard(monkeypatch):
 def test_repair_stays_under_the_pair_scan_guard():
     # A round starts at most MAX_REPAIRED_MEMBERS members and adds at most
     # two, so the repair's pair scan never needs a guard handler.
-    assert gens.MAX_REPAIRED_MEMBERS + 2 <= setfam.MAX_PAIR_SCAN_FAMILY
+    assert comb(gens.MAX_REPAIRED_MEMBERS + 2, 2) <= errors.BUDGETS["class check"][1]
 
 
 def test_random_cap_graph_shape():

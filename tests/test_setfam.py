@@ -13,6 +13,7 @@ from functools import partial
 
 import pytest
 
+import pliablecover.errors as errors
 import pliablecover.gens as gens
 import pliablecover.setfam as setfam
 from pliablecover.cli import main as cli_main
@@ -422,11 +423,11 @@ def test_exhaustive_guards():
 
 def test_step_guard_names_the_measured_value(monkeypatch):
     # Three singletons: a scan of 3 x 3 member pairs and nothing more.
-    monkeypatch.setattr(setfam, "MAX_CHECK_STEPS", 9)
+    monkeypatch.setitem(errors.BUDGETS, "class check", ("candidate tuples examined", 9))
     singles = fam(4, [0], [1], [2])
     assert check_family(singles, "gamma").holds and check_family(singles, "sparse").holds
     assert crossing_number(singles) == 1
-    monkeypatch.setattr(setfam, "MAX_CHECK_STEPS", 8)
+    monkeypatch.setitem(errors.BUDGETS, "class check", ("candidate tuples examined", 8))
     for what, check in (
         ("gamma-pliability", lambda f: check_family(f, "gamma")),
         ("sparseness", lambda f: check_family(f, "sparse")),
@@ -437,11 +438,11 @@ def test_step_guard_names_the_measured_value(monkeypatch):
         ):
             check(singles)
     # The packing search for tight_six(16) runs past any desk-scale limit
-    # (at MAX_CHECK_STEPS it stops after about 10 s); after the member-pair
-    # scan, every branch counts one step.
+    # (at the default class-check limit it stops after about 10 s); after
+    # the member-pair scan, every branch counts one step.
     f = tight_six(16).family
     assert len(f) ** 2 < 20_000
-    monkeypatch.setattr(setfam, "MAX_CHECK_STEPS", 20_000)
+    monkeypatch.setitem(errors.BUDGETS, "class check", ("candidate tuples examined", 20_000))
     with pytest.raises(
         GuardError,
         match=r"too large for exhaustive crossing-number check: candidate tuples examined = 20001 > 20000$",
@@ -450,17 +451,13 @@ def test_step_guard_names_the_measured_value(monkeypatch):
 
 
 def test_pair_scan_guard_names_the_measured_value(monkeypatch):
-    crowded = ExplicitFamily(10, tuple(NodeSet(10, m) for m in range(1, 1002)))
+    # The pair scans charge each row of pairs before scanning it: three
+    # members make rows of 2, 1 and 0 pairs.
+    monkeypatch.setitem(errors.BUDGETS, "class check", ("candidate tuples examined", 3))
     for prop, what in (("pliable", "pliability"), ("uncrossable", "uncrossability")):
-        with pytest.raises(
-            GuardError, match=rf"too large for exhaustive {what} check: \|F\| = 1001 > 1000$"
-        ):
-            check_family(crowded, prop)
-    monkeypatch.setattr(setfam, "MAX_PAIR_SCAN_FAMILY", 2)
-    for prop, what in (("pliable", "pliability"), ("uncrossable", "uncrossability")):
-        assert check_family(fam(4, [0], [1]), prop).holds  # at the limit
-        with pytest.raises(GuardError, match=rf"{what} check: \|F\| = 3 > 2$"):
-            check_family(fam(4, [0], [1], [2]), prop)
+        assert check_family(fam(4, [0], [1], [2]), prop).holds  # at the limit
+        with pytest.raises(GuardError, match=rf"{what} check: candidate tuples examined = 5 > 3$"):
+            check_family(fam(4, [0], [1], [2], [3]), prop)
 
 
 # Frozen fixture from seeded search: its sparseness counterexamples lie at
@@ -1066,7 +1063,7 @@ def test_packing_search_leaves_no_reference_cycle():
     gc.disable()
     try:
         gc.collect()
-        steps = setfam._Steps("packing")
+        steps = errors.Budget("packing", "class check")
         assert setfam._max_disjoint_packing(sorted(masks, key=int.bit_count), 0, (), 0, steps) == 4
         assert crossing_number(fam(4, [0], [1], [0, 1], [2], [3], [2, 3])) >= 1
         assert gc.collect() == 0

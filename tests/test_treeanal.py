@@ -521,6 +521,15 @@ def test_analyze_trace_clean_on_generated_instances():
             assert all(it.report is not None for it in rep.iterations)
 
 
+@pytest.mark.parametrize("leaves", [8, 16])
+def test_analyze_trace_clean_on_solved_tight_runs(leaves):
+    # Their covers (38 and 78 edges) take one witness candidate per edge.
+    b = tight_six(leaves)
+    trace = solve(b.graph, ExplicitFamilyOracle(b.family))
+    rep = analyze_trace(b.graph, b.family, trace, "sparse")
+    assert rep.ok and len(rep.iterations) == len(trace.iterations)
+
+
 def test_analyze_trace_reports_altered_cores_and_analyzes_the_rest():
     disagree = ("recomputed residual cores disagree with the recorded iteration",)
     g, f = random_instance("gamma", instance_rng(0, 1), 5)

@@ -6,16 +6,16 @@ import weakref
 
 import pytest
 
+import pliablecover.errors as errors
 from pliablecover.errors import (
     CoverNotMinimalError,
     GuardError,
     NoLaminarWitnessError,
 )
 from pliablecover.setfam import ExplicitFamily, ExplicitFamilyOracle, NodeSet, edge_crosses_mask
-from pliablecover.gens import random_instances
+from pliablecover.gens import random_instances, tight_six
 from pliablecover.wgmv import solve
 from pliablecover.witness import (
-    MAX_WITNESS_EDGES,
     laminar_tree,
     laminar_witness,
     witness_candidates,
@@ -193,12 +193,28 @@ def test_witness_no_laminar_assignment():
         laminar_witness(f, [(0, 3), (1, 3)])
 
 
-def test_witness_guard_on_many_edges():
-    f = fam(3, [0])
-    edges = [(0, 1)] * (MAX_WITNESS_EDGES + 1)
+def test_witness_guard_on_many_edges(monkeypatch):
+    # The search counts the candidates it tries, not the cover edges: on the
+    # 38-edge cover of a solved tight_six(8) it tries one per edge.
+    b = tight_six(8)
+    cover = [b.graph.pair(e) for e in solve(b.graph, ExplicitFamilyOracle(b.family)).solution]
+    assert len(cover) == 38
+    monkeypatch.setitem(errors.BUDGETS, "witness", ("candidates tried", 38))
+    assert len(laminar_witness(b.family, cover)) == 38
+    monkeypatch.setitem(errors.BUDGETS, "witness", ("candidates tried", 37))
     with pytest.raises(GuardError) as ei:
-        laminar_witness(f, edges)
-    assert str(ei.value) == "instance too large for exhaustive witness search: cover edges = 21 > 20"
+        laminar_witness(b.family, cover)
+    assert str(ei.value) == "instance too large for exhaustive witness search: candidates tried = 38 > 37"
+
+
+@pytest.mark.parametrize("leaves", [8, 16, 256])
+def test_witness_of_a_solved_tight_run_is_laminar(leaves):
+    # At 256 leaves the cover has 1278 edges, past Python's recursion limit.
+    b = tight_six(leaves)
+    cover = [b.graph.pair(e) for e in solve(b.graph, ExplicitFamilyOracle(b.family)).solution]
+    assert len(cover) == 5 * leaves - 2
+    w = laminar_witness(b.family, cover)
+    assert len(w) == len(cover) and laminar_tree(w) is not None
 
 
 def test_witness_is_deterministic():
@@ -215,7 +231,7 @@ def test_witness_on_solver_output_is_laminar_and_unique_per_edge():
         for g, f in random_instances(kind, 20, seed):
             trace = solve(g, ExplicitFamilyOracle(f))
             cover = [g.pair(i) for i in trace.solution]
-            if not cover or len(cover) > MAX_WITNESS_EDGES:
+            if not cover:
                 continue
             try:
                 w = laminar_witness(f, cover)
