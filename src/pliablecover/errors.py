@@ -26,8 +26,8 @@ def guard(what: str, label: str, value: int, limit: int) -> None:
 
 # The one table of search limits: per exhaustive search, the work it counts
 # and how much of it one run may do.  A search node of the optimum takes
-# 40 us on tight_six(32) to 250 us on tight_six(256), so its refusal comes
-# after 10-63 s there (2 vCPU, CPython 3.11).
+# 30 us on tight_six(32) to 170 us on tight_six(256), so its refusal comes
+# after 7-43 s there (2 vCPU, CPython 3.11).
 BUDGETS: dict[str, tuple[str, int]] = {
     "optimum": ("search nodes", 250_000),
     "witness": ("candidates tried", 2_000_000),

@@ -59,7 +59,8 @@ def _search(
     Depth first, one node (one unit of the "optimum" budget) per ascending
     id tuple.  `stack` holds the children still to try, as (parent's ids,
     cost and residual, id, bound), the next in pre-order on top; a child is
-    tried when popped, against the best cover found by then.
+    tried when popped, against the best cover found by then.  A node reads
+    only its children's crossing masks, each computed in its walk.
     """
     budget = Budget("exhaustive optimum", "optimum")
     best: tuple[int, tuple[int, ...]] | None = None
@@ -73,7 +74,6 @@ def _search(
             best = (cost, ids)  # only cheaper covers were let in
         else:
             inc = member_incidence(n, cores)
-            crossed = [inc[u] ^ inc[v] for u, v in pairs]
             first = ids[-1] + 1 if ids else 0
             # Every edge after child e has a larger id, so a core that e misses
             # must be crossed by a later edge, at no less than its cheapest.
@@ -87,7 +87,8 @@ def _search(
             later = 0
             top = len(stack)
             for e in range(len(pairs) - 1, first - 1, -1):
-                c = crossed[e]
+                u, v = pairs[e]
+                c = inc[u] ^ inc[v]
                 if later | c == full:
                     need = max((low[i] for i in bits(full & ~c)), default=0)
                     stack.append((ids, cost, residual, e, cost + costs[e] + need))

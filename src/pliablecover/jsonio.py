@@ -314,8 +314,9 @@ def _iteration(row: Any, where: str, n: int, m: int, known: dict[tuple[int, ...]
 def trace_from_json(doc: Any, g: CostedGraph, digest: str | None = None) -> RunTrace:
     """Parse a trace of a run on `g`; every edge id must index `g.edges`.
 
-    The run is its `iterations` and `deleted`; every other field must be
-    the bytes `trace_to_json` derives from them.  When `digest` is given,
+    The run is its `iterations` and `deleted`, which must be a subsequence
+    of the additions in reverse order; every other field must be the bytes
+    `trace_to_json` derives from them.  When `digest` is given,
     `instance_digest` must be it or empty (as `trace_to_json` writes by
     default).  Each distinct member list becomes one NodeSet, shared by
     the iterations that list it, as in a solved trace.
@@ -333,6 +334,10 @@ def trace_from_json(doc: Any, g: CostedGraph, digest: str | None = None) -> RunT
     known: dict[tuple[int, ...], NodeSet] = {}
     iters = _each(_get(doc, "iterations", "trace"), "trace.iterations", _iteration, n, m, known)
     trace = RunTrace(tuple(iters), _edge_ids(_get(doc, "deleted", "trace"), "trace.deleted", m))
+    older = iter(reversed(trace.additions()))  # `in` consumes it up to the match
+    for i, e in enumerate(trace.deleted):
+        if e not in older:
+            raise SchemaError(f"trace.deleted[{i}]: edge {e} is not an addition older than the drops before it")
     _require(doc, _derived(g, trace), "trace")
     return trace
 

@@ -38,7 +38,7 @@ from .errors import (
 from .exact import guarantee_factor, iteration_load_bound
 from .setfam import Edge, ExplicitFamily, NodeSet, _disjoint_union, bits, degree_sum
 from .setfam import edge_crosses_mask, member_incidence
-from .witness import laminar_tree, laminar_witness
+from .witness import _laminar_witness, laminar_tree
 from .wgmv import CostedGraph, RunTrace
 
 HEAVY_WEIGHT = 3
@@ -698,6 +698,8 @@ def analyze_trace(
     into J0, the edges covering none of the iteration's cores, and the rest I.
     I is an inclusion-minimal cover of the family left residual by everything
     outside I, and its witness tree certifies the iteration's load bound.
+    That residual is read once, from the family's kernel, and the witness
+    search runs on its alive members there: no iteration copies the family.
     A family over another universe than g's is refused (ValueError).
     """
     guarantee_factor(family_class, beta)
@@ -718,10 +720,9 @@ def analyze_trace(
         if tuple(left.core_sets()) != tuple(it.cores):
             probs.append("recomputed residual cores disagree with the recorded iteration")
         else:
-            residual = ExplicitFamily(f.n, tuple(s for i, s in enumerate(f) if left.alive >> i & 1))
             pairs = [g.pair(e) for e in i_cover]
             try:
-                wit = laminar_witness(residual, pairs)
+                wit = _laminar_witness(kernel, left.alive, pairs)
                 tree = build_tree(
                     g.n, [(e, g.pair(e)) for e in i_cover], wit, list(it.cores)
                 )

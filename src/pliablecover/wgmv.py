@@ -170,18 +170,17 @@ def phase1(g: CostedGraph, oracle: FamilyOracle) -> tuple[list[int], list[Iterat
 
     The loop keeps one integer per edge, its slack (cost minus load) in
     units of 1/denom, where denom starts as the costs' common denominator.
-    The ties are the candidates of slack 0, kept as a set; with any, the
-    raise is zero and divides nothing.  A positive raise is the least
-    slack / crossings, found by cross-multiplying.  When it is not whole,
-    denom and every slack are multiplied by its denominator, so denom stays
-    the lcm of the costs' and the raises' denominators.  The raise lowers
-    each candidate's slack, the one place a slack falls, checks it there
-    and collects the slacks that reach 0.  Only the raises are Fractions.
+    With a candidate of slack 0 the raise is zero; otherwise it is the
+    least slack / crossings, found by cross-multiplying.  When it is not
+    whole, denom and every slack are multiplied by its denominator, so denom
+    stays the lcm of the costs' and the raises' denominators.  The raise
+    lowers each candidate's slack, the one place a slack falls, and checks
+    it there.  Either way the ties are then read from the slacks, in one
+    place: the candidates of slack 0, by id.  Only the raises are Fractions.
     """
     check_universe(g, oracle)
     costs, denom = g.scaled_costs
     slack = list(costs)
-    zero = Fraction(0)
     picked: list[int] = []
     records: list[IterationRecord] = []
     residual = oracle.residual()
@@ -190,7 +189,6 @@ def phase1(g: CostedGraph, oracle: FamilyOracle) -> tuple[list[int], list[Iterat
         nbrs[u].append((eid, v))
         nbrs[v].append((eid, u))
     cov: dict[int, int] = {}  # candidate edge -> number of cores it crosses
-    tight: set[int] = set()  # the candidates of slack 0
     live: dict[int, list[int]] = {}  # id(core) -> its crossers
 
     while True:
@@ -203,7 +201,6 @@ def phase1(g: CostedGraph, oracle: FamilyOracle) -> tuple[list[int], list[Iterat
                     cov[e] = c
                 else:
                     del cov[e]
-                    tight.discard(e)
         if not cores:
             break
         bare = []
@@ -213,15 +210,11 @@ def phase1(g: CostedGraph, oracle: FamilyOracle) -> tuple[list[int], list[Iterat
                 bare.append(now[k])
             for e in crossers:
                 cov[e] = cov.get(e, 0) + 1
-                if not slack[e]:
-                    tight.add(e)
             live[k] = crossers
         if bare:
             raise InfeasibleError(min(bare, key=NodeSet.sort_key))
-        if tight:
-            eps = zero
-            ties = sorted(tight)
-        else:
+        eps = Fraction(0)  # the raise while a candidate has slack 0
+        if all(map(slack.__getitem__, cov)):
             p, q = 1, 0  # the least slack / crossings so far, first infinity
             for e, c in cov.items():
                 if slack[e] * q < p * c:
@@ -232,15 +225,11 @@ def phase1(g: CostedGraph, oracle: FamilyOracle) -> tuple[list[int], list[Iterat
                 denom *= q
                 slack = [s * q for s in slack]
             eps = Fraction(p, denom)
-            ties = []
             for e, c in cov.items():
                 s = slack[e] - p * c
                 assert s >= 0, "edge load exceeded its cost"
                 slack[e] = s
-                if not s:
-                    ties.append(e)
-            ties.sort()
-            tight.update(ties)
+        ties = sorted(e for e in cov if not slack[e])
         assert ties, "the minimizing edge must be tight after the raise"
         picked.append(ties[0])
         residual = residual.add(*g.pair(ties[0]))

@@ -5,7 +5,9 @@ some member uniquely (otherwise I minus e would still cover F).  Those
 uniquely-covered members are e's witness candidates.  `laminar_witness`
 searches for one candidate per edge such that the chosen sets are pairwise
 non-crossing; the search is deterministic, so the first assignment found is
-the lexicographically least under the canonical candidate order.
+the lexicographically least under the canonical candidate order.  A
+subfamily, such as the residual family the trace analyzer searches, is
+searched on the whole family's kernel, by the bitmask of its members.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .errors import Budget, CoverNotMinimalError, NoLaminarWitnessError
-from .setfam import Edge, ExplicitFamily, NodeSet, bits, covered_masks, validate_edges
+from .setfam import Edge, ExplicitFamily, NodeSet, _CoverageKernel, bits, covered_masks, validate_edges
 
 
 def laminar_tree(sets: Sequence[NodeSet]) -> tuple[list[int | None], dict[int, int]] | None:
@@ -49,15 +51,19 @@ def witness_candidates(f: ExplicitFamily, cover: Sequence[Edge]) -> list[tuple[N
     by construction.  Raises CoverNotMinimalError when some edge has no
     candidate, and ValueError when the edges do not even cover the family.
     """
-    validate_edges(f.n, cover)
-    inc = f.kernel.inc
-    crossed = [inc[u] ^ inc[v] for u, v in cover]
+    return _candidates(f.kernel, (1 << len(f)) - 1, cover)
+
+
+def _candidates(kernel: _CoverageKernel, alive: int, cover: Sequence[Edge]) -> list[tuple[NodeSet, ...]]:
+    """`witness_candidates` of the subfamily of the members in `alive`."""
+    validate_edges(kernel.n, cover)
+    inc = kernel.inc
     once, twice = covered_masks(inc, cover)
-    uncovered = ~once & ((1 << len(f)) - 1)
+    uncovered = alive & ~once
     if uncovered:
-        s = f.members[bits(uncovered)[0]]
+        s = kernel.sets[bits(uncovered)[0]]
         raise ValueError(f"edges do not cover the family: {list(s.members())} is uncovered")
-    cands = [tuple(f.members[i] for i in bits(x & ~twice)) for x in crossed]
+    cands = [tuple(kernel.sets[i] for i in bits((inc[u] ^ inc[v]) & alive & ~twice)) for u, v in cover]
     for i, lst in enumerate(cands):
         if not lst:
             raise CoverNotMinimalError(i)
@@ -72,7 +78,12 @@ def laminar_witness(f: ExplicitFamily, cover: Sequence[Edge]) -> tuple[NodeSet, 
     returned.  Each candidate tried charges one unit of the "witness"
     budget.  Raises NoLaminarWitnessError when no assignment exists.
     """
-    cands = witness_candidates(f, cover)
+    return _laminar_witness(f.kernel, (1 << len(f)) - 1, cover)
+
+
+def _laminar_witness(kernel: _CoverageKernel, alive: int, cover: Sequence[Edge]) -> tuple[NodeSet, ...]:
+    """`laminar_witness` of the subfamily of the members in `alive`."""
+    cands = _candidates(kernel, alive, cover)
     budget = Budget("exhaustive witness search", "witness")
     chosen: list[NodeSet] = []
     untried: list[Iterator[NodeSet]] = []  # per edge reached, its candidates not yet tried

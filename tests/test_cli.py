@@ -14,7 +14,7 @@ import pytest
 
 import pliablecover
 import pliablecover.cli as cli
-from pliablecover.gens import tight_six
+from pliablecover.gens import instance_rng, random_instance, tight_six
 from pliablecover.jsonio import Instance, instance_from_json, instance_to_json, trace_from_json, trace_to_json
 from pliablecover.setfam import NodeSet, bits
 from pliablecover.smallcuts import beta_bound
@@ -239,6 +239,29 @@ def test_certify_refuses_edge_ids_outside_the_graph(tmp_path, field, forged):
     # the solution is not read but compared with the one the run gives
     reason = "differs from what the trace's iterations" if field == "solution" else "not an edge id of a graph with 2 edges"
     assert where in r.stderr and reason in r.stderr
+
+
+@pytest.mark.parametrize(
+    "index, honest, forged, bad",
+    [
+        (54, [6, 5], [5, 6], "[1]: edge 6"),  # reordered
+        (54, [6, 5], [6, 5, 6], "[2]: edge 6"),  # repeated
+        (0, [4], [0, 4], "[0]: edge 0"),  # 0 was never added
+    ],
+    ids=["reordered", "repeated", "never-added"],
+)
+def test_certify_refuses_deleted_edges_out_of_reverse_addition_order(tmp_path, index, honest, forged, bad):
+    # each of these drops the same set as the honest run, so the solution,
+    # the dual and the certificate were those of the honest run
+    g, f = random_instance("gamma", instance_rng(5, index), 6)
+    inst = write(tmp_path, "i.json", instance_to_json(Instance(g, f)))
+    doc = json.loads(run_cli("solve", inst).stdout)
+    assert doc["deleted"] == honest
+    assert run_cli("certify", inst, "--trace", write(tmp_path, "t.json", doc)).returncode == 0
+    doc["deleted"] = forged
+    r = run_cli("certify", inst, "--trace", write(tmp_path, "t.json", doc))
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == f"error: trace.deleted{bad} is not an addition older than the drops before it\n"
 
 
 def test_witness_assignment(tmp_path):

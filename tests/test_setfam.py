@@ -968,8 +968,10 @@ def test_kernel_reuses_its_core_nodesets():
 
 def test_one_kernel_per_family(monkeypatch):
     """Both oracles over a family, its witness search and the trace
-    analyzer read the family's one kernel; the small-cut oracle reads the
-    kernel of the one family its graph's cut scan yields."""
+    analyzer read the family's one kernel, and build no other: the analyzer
+    searches each residual family on it, with no copy of the family; the
+    small-cut oracle reads the kernel of the one family its graph's cut
+    scan yields."""
     g, f = gens.random_instance("gamma", gens.instance_rng(0, 1), 5)
     trace = solve(g, ExplicitFamilyOracle(f))
     kernel = f.kernel
@@ -985,6 +987,7 @@ def test_one_kernel_per_family(monkeypatch):
     assert built == []
     assert analyze_trace(g, f, trace, "gamma").ok
     assert asked and all(k is kernel for k in asked)
+    assert built == []
     h = CapGraph.build(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 2)], 4)
     assert materialize_family(h) is materialize_family(h)
     assert SmallCutsOracle(h)._kernel is materialize_family(h).kernel

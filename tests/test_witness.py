@@ -7,13 +7,15 @@ import weakref
 import pytest
 
 import pliablecover.errors as errors
+import pliablecover.treeanal as treeanal
 from pliablecover.errors import (
     CoverNotMinimalError,
     GuardError,
     NoLaminarWitnessError,
 )
 from pliablecover.setfam import ExplicitFamily, ExplicitFamilyOracle, NodeSet, edge_crosses_mask
-from pliablecover.gens import random_instances, tight_six
+from pliablecover.gens import instance_rng, random_instance, random_instances, tight_six
+from pliablecover.treeanal import analyze_trace
 from pliablecover.wgmv import solve
 from pliablecover.witness import (
     laminar_tree,
@@ -267,3 +269,65 @@ def test_witness_search_leaves_no_reference_cycle():
         assert all(r() is None for r in refs)
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# the analyzer's search on a residual family
+
+
+def _outcome(search, charges):
+    """What a search returns or raises, and the budget units it charged."""
+    before = len(charges)
+    try:
+        got = ("witness", search())
+    except (CoverNotMinimalError, NoLaminarWitnessError, ValueError) as exc:
+        got = (type(exc).__name__, str(exc))
+    return got + (len(charges) - before,)
+
+
+def _analyzed_runs():
+    """Solved runs over the sweep strata (kind and n), five seeded draws
+    each, then solved tight_six(8) and tight_six(16), with their classes."""
+    for n in range(4, 8):
+        for kind in ("gamma", "sparse", "uncrossable"):
+            for i in range(5):
+                g, f = random_instance(kind, instance_rng(320, 100 * n + i), n)
+                yield g, f, kind
+    for leaves in (8, 16):
+        b = tight_six(leaves)
+        yield b.graph, b.family, "sparse"
+
+
+def test_the_residual_search_is_the_search_on_the_copied_residual(monkeypatch):
+    """`analyze_trace` searches each iteration's residual family on the whole
+    family's kernel, by the bitmask of its alive members.  The search on an
+    `ExplicitFamily` copy of that subfamily is the reference: the same
+    witness or the same refusal, after the same budget charges.  Seeded
+    random subfamilies and covers of each instance reach the refusals."""
+    charges = []
+    take = errors.Budget.take
+    monkeypatch.setattr(errors.Budget, "take", lambda self, k=1: charges.append(k) or take(self, k))
+    search = treeanal._laminar_witness
+    kinds = []
+
+    def checked(kernel, alive, cover):
+        copy = ExplicitFamily(kernel.n, tuple(s for i, s in enumerate(kernel.sets) if alive >> i & 1))
+        want = _outcome(lambda: laminar_witness(copy, cover), charges)
+        assert _outcome(lambda: search(kernel, alive, cover), charges) == want
+        kinds.append(want[0])
+        return search(kernel, alive, cover)
+
+    monkeypatch.setattr(treeanal, "_laminar_witness", checked)
+    rng = random.Random(32)
+    for g, f, cls in _analyzed_runs():
+        assert analyze_trace(g, f, solve(g, ExplicitFamilyOracle(f)), cls).ok
+    assert len(kinds) > 300  # one search per iteration
+    for g, f, _ in _analyzed_runs():
+        pairs = [g.pair(e) for e in range(len(g.edges))]
+        for _ in range(5):
+            cover = rng.sample(pairs, rng.randint(1, min(len(pairs), 6)))
+            try:
+                checked(f.kernel, rng.getrandbits(len(f)), cover)
+            except (CoverNotMinimalError, NoLaminarWitnessError, ValueError):
+                pass
+    assert set(kinds) == {"witness", "ValueError", "CoverNotMinimalError", "NoLaminarWitnessError"}
