@@ -227,7 +227,7 @@ def _cmd_analyze(args) -> int:
         raise SchemaError("--dot applies to bundle input only, not to an instance")
     inst = instance_from_json(doc)
     trace = solve(inst.graph, inst.oracle())
-    report = analyze_trace(inst.graph, inst.explicit_family(), trace, args.family_class, beta)
+    report = analyze_trace(inst.graph, as_explicit_family(inst.family), trace, args.family_class, beta)
     out = analysis_to_json(report)
     out["mode"] = "trace"
     _emit(out)
@@ -237,7 +237,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_witness(args) -> int:
     inst = instance_from_json(_read_json(args.instance))
     trace = solve(inst.graph, inst.oracle())
-    fam = inst.explicit_family()
+    fam = as_explicit_family(inst.family)
     pairs = [inst.graph.pair(e) for e in trace.solution]
     assignment = laminar_witness(fam, pairs)
     _emit(

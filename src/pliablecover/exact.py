@@ -11,11 +11,11 @@ The search runs on the graph's costs over their common denominator
 becomes a Fraction again.  A node whose edge set J leaves cores bounds
 each child e from below by the cheapest crosser with id > e of every core
 e misses; one walk down the ids gives these suffix minima for all
-children.  Each child's residual is its
-parent's plus one `add` on the coverage kernel (`FamilyOracle.residual`),
-so the search needs no undo.  A child that crosses no core of J has the
-same cores, because F^{J+e} is a subfamily of F^J that still holds every
-core, so its residual keeps its parent's core tuple and derives nothing.
+children.  Each child's residual is its parent's plus one `add` on the
+family's residual (`FamilyOracle.residual`), so the search needs no undo.
+A child that crosses no core of J has the same cores, because F^{J+e} is
+a subfamily of F^J that still holds every core, so its residual keeps its
+parent's core tuple and derives nothing.
 
 `certify` re-derives everything checkable about a finished run from first
 principles: dual feasibility (every dual set a member and no edge over
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import Budget, InfeasibleError
-from .setfam import Edge, FamilyOracle, NodeSet, _KernelResidual, bits, member_incidence
+from .setfam import Edge, FamilyOracle, NodeSet, _Residual, bits, member_incidence
 from .wgmv import CostedGraph, RunTrace, check_universe, edge_loads
 
 
@@ -51,7 +51,7 @@ def brute_force_opt(g: CostedGraph, oracle: FamilyOracle) -> tuple[Fraction, tup
 
 
 def _search(
-    n: int, pairs: list[Edge], costs: tuple[int, ...], residual: _KernelResidual
+    n: int, pairs: list[Edge], costs: tuple[int, ...], residual: _Residual
 ) -> tuple[int, tuple[int, ...]]:
     """The cheapest cover and its ids, least among equals, of the feasible
     instance whose empty edge set has the residual `residual`.
@@ -64,7 +64,7 @@ def _search(
     """
     budget = Budget("exhaustive optimum", "optimum")
     best: tuple[int, tuple[int, ...]] | None = None
-    stack: list[tuple[tuple[int, ...], int, _KernelResidual, int, int]] = []
+    stack: list[tuple[tuple[int, ...], int, _Residual, int, int]] = []
     ids: tuple[int, ...] = ()
     cost = 0
     while True:

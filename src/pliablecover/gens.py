@@ -400,7 +400,7 @@ def _smallcut_masks(rng: random.Random, n: int) -> list[int] | None:
         return None
     if not 1 <= len(fam) <= 28:
         return None
-    return list(fam.masks())
+    return list(fam.masks)
 
 
 def random_instance(

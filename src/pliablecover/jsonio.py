@@ -212,9 +212,6 @@ class Instance:
             return ExplicitFamilyOracle(self.family)
         return SmallCutsOracle(self.family)
 
-    def explicit_family(self) -> ExplicitFamily:
-        return as_explicit_family(self.family)
-
 
 def instance_to_json(inst: Instance) -> dict:
     fam = (

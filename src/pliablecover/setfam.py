@@ -16,8 +16,9 @@ and reports the first violation it finds:
 `crossing_number` computes the least beta such that in every residual
 family every core crosses at most beta pairwise disjoint members.
 
-An `ExplicitFamily` owns the one coverage kernel over its members
-(`kernel`), and `FamilyOracle` answers every residual query from one.
+An `ExplicitFamily` is its own residual index: it answers `residual(J)`
+from its members' incidence list, and `FamilyOracle` answers every query
+from one family.
 
 The quantifier "for any edge set I" ranges over every edge set on V, yet
 the checks list no residual family.  Fix the sets a violation names:
@@ -219,8 +220,21 @@ class ExplicitFamily:
     """A finite family of distinct node sets, none empty and none the full universe.
 
     Members are kept in canonical order (lexicographic on sorted member
-    lists) so that identical families serialize identically.  `kernel` is
-    the one coverage kernel over them, built at its first use.
+    lists) so that identical families serialize identically, and a walk of
+    the bits of a mask over the members lists them in that order.
+
+    The family is its own residual index.  `masks` are the members' masks
+    and `inc` their incidence list, so the coverage mask of an edge (bit i
+    set when the edge crosses member i) is one XOR of two incidence entries.
+    `residual(J)` is the one query: one pass over J gives the members it
+    covers, and the cores are `least(0, alive)`.  A J that covers every
+    member leaves no candidate, so that answer costs the pass alone.  `root`
+    is `residual(())`; residuals are immutable (see `_Residual`), so one per
+    family serves every run.  The holders of member i (the members that
+    contain it, itself included: the AND of `inc` over i's nodes) are
+    computed the first time `least` asks for them and then kept.  Each of
+    these is built at its first use and cached outside the fields, so
+    equality and hash read `n` and `members` alone.
     """
 
     n: int
@@ -249,43 +263,15 @@ class ExplicitFamily:
         return iter(self.members)
 
     def __contains__(self, s: NodeSet) -> bool:
-        return s.n == self.n and s.mask in self.kernel.index
-
-    def masks(self) -> tuple[int, ...]:
-        return self.kernel.masks
+        return s.n == self.n and s.mask in self.index
 
     @cached_property
-    def kernel(self) -> "_CoverageKernel":
-        return _CoverageKernel(self.n, self.members)
-
-
-class _CoverageKernel:
-    """One family's members (`sets`, in canonical order, with their masks)
-    and their incidence list; `ExplicitFamily.kernel` is the one builder.
-
-    The coverage mask of an edge (bit i set when the edge crosses member i)
-    is one XOR of two incidence entries.  `residual(J)` is the one query:
-    one pass over J gives the members it covers, and the cores are
-    `least(0, alive)`.  A J that covers every member leaves no candidate,
-    so that answer costs the pass alone.  A walk of the bits of a mask over
-    the members lists them in canonical order.
-
-    `root` is `residual(())`; residuals are immutable (see
-    `_KernelResidual`), so one per kernel serves every run.  The holders of
-    member i (the members that contain it, itself included: the AND of
-    `inc` over i's nodes) are computed the first time `least` asks for them
-    and then kept, so no per-family index is built up front.
-    """
-
-    def __init__(self, n: int, sets: Sequence[NodeSet]) -> None:
-        self.n = n
-        self.sets = tuple(sets)
-        self.masks = tuple(s.mask for s in self.sets)
-        self._holders: dict[int, int] = {}
+    def masks(self) -> tuple[int, ...]:
+        return tuple(s.mask for s in self.members)
 
     @cached_property
     def inc(self) -> list[int]:
-        return member_incidence(self.n, self.sets)
+        return member_incidence(self.n, self.members)
 
     @cached_property
     def index(self) -> dict[int, int]:
@@ -293,14 +279,18 @@ class _CoverageKernel:
         return {m: i for i, m in enumerate(self.masks)}
 
     @cached_property
-    def root(self) -> "_KernelResidual":
+    def root(self) -> "_Residual":
         return self.residual(())
 
-    def residual(self, edges: Sequence[Edge]) -> "_KernelResidual":
+    @cached_property
+    def _holders(self) -> dict[int, int]:
+        return {}
+
+    def residual(self, edges: Sequence[Edge]) -> "_Residual":
         """The residual of the edge multiset `edges`, built in one step."""
         validate_edges(self.n, edges)
         alive = ~covered_masks(self.inc, edges)[0] & ((1 << len(self.masks)) - 1)
-        return _KernelResidual(self, alive, self.least(0, alive))
+        return _Residual(self, alive, self.least(0, alive))
 
     def holders(self, i: int) -> int:
         """Bitmask of the members that contain member i, i included."""
@@ -308,7 +298,7 @@ class _CoverageKernel:
         if out is None:
             out = -1
             inc = self.inc
-            for v in self.sets[i].members():
+            for v in self.members[i].members():
                 out &= inc[v]
             self._holders[i] = out
         return out
@@ -353,10 +343,10 @@ def _count_down(planes: list[int], members: int) -> None:
             return
 
 
-class _KernelResidual:
+class _Residual:
     """The residual of an edge multiset J, as bitmasks over the members of
-    one `_CoverageKernel`: the members J leaves uncovered (`alive`) and the
-    cores.  `_CoverageKernel.residual` builds one from J in one step; `add`
+    one `ExplicitFamily`: the members J leaves uncovered (`alive`) and the
+    cores.  `ExplicitFamily.residual` builds one from J in one step; `add`
     derives the next one from this one.  Immutable: `add` returns a new
     residual and leaves this one as it was.
 
@@ -377,18 +367,18 @@ class _KernelResidual:
     tuple derives its own from it (`_derive_cores`).
     """
 
-    __slots__ = ("_kernel", "alive", "_core_bits", "_cores", "_span", "_held")
+    __slots__ = ("_family", "alive", "_core_bits", "_cores", "_span", "_held")
 
     def __init__(
         self,
-        kernel: _CoverageKernel,
+        family: ExplicitFamily,
         alive: int,
         core_bits: int,
         cores: tuple[NodeSet, ...] | None = None,
         span: int = 0,
         held: list[int] | None = None,
     ) -> None:
-        self._kernel = kernel
+        self._family = family
         self.alive = alive
         self._core_bits = core_bits
         self._cores = cores
@@ -397,13 +387,13 @@ class _KernelResidual:
 
     def core_sets(self) -> list[NodeSet]:
         """The cores in canonical order, unvalidated."""
-        return [self._kernel.sets[i] for i in bits(self._core_bits)]
+        return [self._family.members[i] for i in bits(self._core_bits)]
 
     @property
     def cores(self) -> tuple[NodeSet, ...]:
         """The cores in canonical order, validated as `FamilyOracle.cores` is."""
         if self._cores is None:
-            self._span = _validate_cores([self._kernel.masks[i] for i in bits(self._core_bits)])
+            self._span = _validate_cores([self._family.masks[i] for i in bits(self._core_bits)])
             self._cores = tuple(self.core_sets())
         return self._cores
 
@@ -415,42 +405,42 @@ class _KernelResidual:
         if self._held is None:
             held: list[int] = []
             for i in bits(self._core_bits):
-                _count_up(held, self._kernel.holders(i))
+                _count_up(held, self._family.holders(i))
             self._held = held
         return self._held
 
-    def add(self, u: int, v: int) -> "_KernelResidual":
-        k = self._kernel
-        if not (type(u) is int and type(v) is int and 0 <= u < k.n and 0 <= v < k.n and u != v):
-            validate_edges(k.n, ((u, v),))  # refuses a bad edge, naming it
-        c = k.inc[u] ^ k.inc[v]
+    def add(self, u: int, v: int) -> "_Residual":
+        f = self._family
+        if not (type(u) is int and type(v) is int and 0 <= u < f.n and 0 <= v < f.n and u != v):
+            validate_edges(f.n, ((u, v),))  # refuses a bad edge, naming it
+        c = f.inc[u] ^ f.inc[v]
         alive = self.alive & ~c
         killed = self._core_bits & c
         if not killed:
-            return _KernelResidual(k, alive, self._core_bits, self._cores, self._span, self._held)
+            return _Residual(f, alive, self._core_bits, self._cores, self._span, self._held)
         holders = 0
         for i in bits(killed):
-            holders |= k.holders(i)
+            holders |= f.holders(i)
         kept = self._core_bits & ~c
         cands = alive & holders
         if not cands:  # no new core; the child counts its cores when asked
-            child = _KernelResidual(k, alive, kept)
+            child = _Residual(f, alive, kept)
         else:
             held = self._held_counts().copy()
             for i in bits(killed):
-                _count_down(held, k.holders(i))
+                _count_down(held, f.holders(i))
             blocked = 0  # the members of nonzero count: they hold a kept core
             for plane in held:
                 blocked |= plane
-            core_bits = k.least(kept, cands, blocked)
+            core_bits = f.least(kept, cands, blocked)
             for j in bits(core_bits & ~kept):
-                _count_up(held, k.holders(j))
-            child = _KernelResidual(k, alive, core_bits, held=held)
+                _count_up(held, f.holders(j))
+            child = _Residual(f, alive, core_bits, held=held)
         if self._cores is not None:
             child._derive_cores(self, killed)
         return child
 
-    def _derive_cores(self, parent: "_KernelResidual", killed: int) -> None:
+    def _derive_cores(self, parent: "_Residual", killed: int) -> None:
         """Set the validated tuple from the parent's: less its `killed`
         cores, plus the new ones, each placed by its rank among the core
         bits below its index.
@@ -460,8 +450,8 @@ class _KernelResidual:
         nonempty and disjoint from the kept ones and from each other.  When
         they are not, no tuple is set, and `cores` refuses at the same step.
         """
-        k = self._kernel
-        masks = k.masks
+        f = self._family
+        masks = f.masks
         gone = 0
         for i in bits(killed):
             gone |= masks[i]
@@ -473,7 +463,7 @@ class _KernelResidual:
         for i in reversed(bits(killed)):  # from the top, so lower ranks stay put
             del cores[(parent._core_bits & ((1 << i) - 1)).bit_count()]
         for i in new:  # from the bottom, so each rank counts the cores placed below it
-            cores.insert((self._core_bits & ((1 << i) - 1)).bit_count(), k.sets[i])
+            cores.insert((self._core_bits & ((1 << i) - 1)).bit_count(), f.members[i])
         self._cores = tuple(cores)
         self._span = span
 
@@ -574,7 +564,7 @@ def _first_bad_pair(
 
 
 def _pair_violation(ok, what: str, f: ExplicitFamily) -> Optional[dict]:
-    pair = _first_bad_pair(f.masks(), ok, what)
+    pair = _first_bad_pair(f.masks, ok, what)
     return None if pair is None else {"a": bits(pair[0]), "b": bits(pair[1])}
 
 
@@ -584,12 +574,12 @@ def _proper_violation(f: ExplicitFamily) -> Optional[dict]:
 
     Splits are enumerated per member (members are small at desk scale).
     """
-    present = set(f.masks())
+    present = set(f.masks)
     full = (1 << f.n) - 1
-    for m in f.masks():
+    for m in f.masks:
         if full & ~m not in present:
             return {"s": bits(m), "complement": bits(full & ~m)}
-    for m in f.masks():
+    for m in f.masks:
         sub = (m - 1) & m
         while sub:
             if sub not in present and m & ~sub not in present:
@@ -603,7 +593,7 @@ def _gamma_violation(f: ExplicitFamily) -> Optional[dict]:
     order, with S1 strictly inside S2, D = S2 - (S1 | C) nonempty and not a
     member, and C still a core once S1 and S2 are named (D is an atom, so
     it is in F^{I*} exactly when it is in F)."""
-    masks = f.masks()
+    masks = f.masks
     present = set(masks)
     steps = Budget("exhaustive gamma-pliability check", "class check")
     partners, inner = _partners(f.n, masks, steps)
@@ -623,7 +613,7 @@ def _gamma_violation(f: ExplicitFamily) -> Optional[dict]:
 def _sparse_violation(f: ExplicitFamily) -> Optional[dict]:
     """The first pair of members C1 before C2 and the first S among their
     common partners with both still cores once S and the other are named."""
-    masks = f.masks()
+    masks = f.masks
     steps = Budget("exhaustive sparseness check", "class check")
     partners, inner = _partners(f.n, masks, steps)
     live = [i for i, found in enumerate(partners) if found]
@@ -706,7 +696,7 @@ def crossing_number(f: ExplicitFamily) -> int:
     core of F^{I*}: adding a set only refines the atoms, so a branch stops
     once a member strictly inside C becomes a union of atoms.
     """
-    masks = f.masks()
+    masks = f.masks
     steps = Budget("exhaustive crossing-number check", "class check")
     partners, inner = _partners(f.n, masks, steps)
     best = 0
@@ -743,7 +733,7 @@ def _disjoint_union(masks: Iterable[int], seen: int = 0) -> int | None:
 
 
 class FamilyOracle:
-    """The family oracle: one coverage kernel answers every query.
+    """The family oracle: one `ExplicitFamily` answers every query.
 
     cores(J) returns the inclusion-minimal uncovered members in canonical
     order.  Every call re-verifies that they are nonempty and pairwise
@@ -757,24 +747,24 @@ class FamilyOracle:
     returns the dropped positions, descending; J is inclusion-minimal
     exactly when it drops none, which is how `certify` checks a solution.
 
-    A backend supplies `_kernel`, the `ExplicitFamily.kernel` of its
-    family, and a `universe_size` that builds no kernel: the explicit
-    backend reads its member list, the small-cut backend the family of its
-    graph's one cut scan.  A wrapper sets `inner` instead, and every query
-    it does not override is answered by `inner`'s kernel.
+    A backend supplies `_family`, the family it answers for, and a
+    `universe_size` that builds no family: the explicit backend returns
+    its own family, the small-cut backend the family of its graph's one
+    cut scan.  A wrapper sets `inner` instead, and every query it does not
+    override is answered by `inner`'s family.
     """
 
     inner: Optional["FamilyOracle"] = None  # the oracle a wrapper wraps
 
     @property
-    def _kernel(self) -> _CoverageKernel:
-        return self._wrapped()._kernel
+    def _family(self) -> ExplicitFamily:
+        return self._wrapped()._family
 
     def _wrapped(self) -> "FamilyOracle":
         if self.inner is None:
             raise NotImplementedError(
-                f"{type(self).__name__} sets neither `_kernel` nor `inner`: a FamilyOracle backend "
-                "supplies a coverage kernel, and a wrapper sets `inner` to the oracle it wraps"
+                f"{type(self).__name__} sets neither `_family` nor `inner`: a FamilyOracle backend "
+                "supplies its family, and a wrapper sets `inner` to the oracle it wraps"
             )
         return self.inner
 
@@ -782,19 +772,19 @@ class FamilyOracle:
         return self._wrapped().universe_size()
 
     def cores(self, edges: Sequence[Edge]) -> list[NodeSet]:
-        return list(self._kernel.residual(edges).cores)
+        return list(self._family.residual(edges).cores)
 
     def is_covered(self, edges: Sequence[Edge]) -> bool:
         """True when `edges` leave no core, by `cores`, so the cores behind
         every False are validated."""
         return not self.cores(edges)
 
-    def residual(self) -> _KernelResidual:
-        return self._kernel.root
+    def residual(self) -> _Residual:
+        return self._family.root
 
     def contains(self, s: NodeSet) -> bool:
         """True when `s` is a member of the family."""
-        return s.n == self.universe_size() and s.mask in self._kernel.index
+        return s in self._family
 
     def reverse_delete(self, edges: Sequence[Edge]) -> list[int]:
         """One pass over J, counting per member, as bit planes
@@ -802,10 +792,10 @@ class FamilyOracle:
         leave the members J leaves plus those only e crosses: they cover
         when there are none, else their cores are checked on their masks.
         A dropped edge counts down the members it crosses."""
-        k = self._kernel
+        f = self._family
         edges = list(edges)
-        validate_edges(k.n, edges)
-        inc, masks = k.inc, k.masks
+        validate_edges(f.n, edges)
+        inc, masks = f.inc, f.masks
         planes: list[int] = []  # per member, how many kept edges cross it
         for u, v in edges:
             _count_up(planes, inc[u] ^ inc[v])
@@ -818,7 +808,7 @@ class FamilyOracle:
             c = inc[u] ^ inc[v]
             left = alive | (c & ~twice)  # the members the kept edges less e leave
             if left:
-                _validate_cores([masks[j] for j in bits(k.least(0, left))])
+                _validate_cores([masks[j] for j in bits(f.least(0, left))])
             else:
                 dropped.append(i)
                 _count_down(planes, c)
@@ -827,8 +817,7 @@ class FamilyOracle:
 
 
 class ExplicitFamilyOracle(FamilyOracle):
-    """Oracle over an explicit member list, answered by the family's one
-    kernel (`ExplicitFamily.kernel`)."""
+    """Oracle over an explicit member list, answered by the family itself."""
 
     def __init__(self, family: ExplicitFamily) -> None:
         self.family = family
@@ -836,6 +825,6 @@ class ExplicitFamilyOracle(FamilyOracle):
     def universe_size(self) -> int:
         return self.family.n
 
-    @cached_property
-    def _kernel(self) -> _CoverageKernel:
-        return self.family.kernel
+    @property
+    def _family(self) -> ExplicitFamily:
+        return self.family

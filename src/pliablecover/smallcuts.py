@@ -20,8 +20,8 @@ each step is one exact big-integer addition or subtraction, and the lanes
 below a threshold are found with one subtraction against the guard bits;
 only those lanes are read.  The scan does not depend on J, so it runs once
 per graph, at the first use of the family or of the edge connectivity.
-Its result is an `ExplicitFamily` of the small cuts, and every residual,
-the stateless `cores(J)` included, is that family's kernel's.
+Its result is an `ExplicitFamily` of the small cuts, and that family
+answers every residual query, the stateless `cores(J)` included.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .setfam import (
     ExplicitFamily,
     FamilyOracle,
     NodeSet,
-    _CoverageKernel,
     check_rational,
     edge_crosses_mask,
     over_common_denominator,
@@ -186,7 +185,7 @@ def _enumerate_cut_masks(h: CapGraph) -> tuple[tuple[int, ...], Fraction]:
 
 def materialize_family(h: CapGraph) -> ExplicitFamily:
     """The small-cuts family as an explicit family (guarded by n): the one
-    the graph's cut scan yields, whose kernel the oracle reads, so its
+    the graph's cut scan yields, which answers the oracle's queries, so its
     members are the NodeSets the oracle's cores are."""
     return h._cuts[0]
 
@@ -209,9 +208,9 @@ def beta_bound(h: CapGraph) -> int:
 
 class SmallCutsOracle(FamilyOracle):
     """Family oracle backed by cut enumeration rather than an explicit list:
-    its kernel is that of the family of small cuts (`materialize_family`),
-    which one exact scan of the 2^n cuts per graph yields at the first call
-    that needs it (GuardError past MAX_CUT_ENUM_NODES)."""
+    the family of small cuts (`materialize_family`) answers its queries.
+    One exact scan of the 2^n cuts per graph yields that family at the
+    first call that needs it (GuardError past MAX_CUT_ENUM_NODES)."""
 
     def __init__(self, h: CapGraph) -> None:
         self.h = h
@@ -220,5 +219,5 @@ class SmallCutsOracle(FamilyOracle):
         return self.h.n
 
     @property
-    def _kernel(self) -> _CoverageKernel:
-        return self.h._cuts[0].kernel
+    def _family(self) -> ExplicitFamily:
+        return materialize_family(self.h)

@@ -698,31 +698,30 @@ def analyze_trace(
     into J0, the edges covering none of the iteration's cores, and the rest I.
     I is an inclusion-minimal cover of the family left residual by everything
     outside I, and its witness tree certifies the iteration's load bound.
-    That residual is read once, from the family's kernel, and the witness
-    search runs on its alive members there: no iteration copies the family.
+    That residual is read once, from the family itself, and the witness
+    search runs on its alive members: no iteration copies the family.
     A family over another universe than g's is refused (ValueError).
     """
     guarantee_factor(family_class, beta)
     if f.n != g.n:
         raise ValueError("family universe does not match the graph")
-    kernel = f.kernel
     out: list[IterationAnalysis] = []
     j0: set[int] = set()  # the edges added before iteration idx
     for idx, it in enumerate(trace.iterations):
         probs: list[str] = []
         i_prime = [e for e in trace.solution if e not in j0]
         inc = member_incidence(g.n, it.cores)
-        i_cover = [e for e in i_prime if degree_sum(inc, [g.pair(e)])]
+        i_cover = [e for e, (u, v) in zip(i_prime, map(g.pair, i_prime)) if inc[u] ^ inc[v]]
         outside = [g.pair(e) for e in sorted(j0 | (set(i_prime) - set(i_cover)))]
         report: BoundReport | None = None
-        left = kernel.residual(outside)
+        left = f.residual(outside)
         # unlike an oracle, core_sets() returns overlapping cores, unvalidated
         if tuple(left.core_sets()) != tuple(it.cores):
             probs.append("recomputed residual cores disagree with the recorded iteration")
         else:
             pairs = [g.pair(e) for e in i_cover]
             try:
-                wit = _laminar_witness(kernel, left.alive, pairs)
+                wit = _laminar_witness(f, left.alive, pairs)
                 tree = build_tree(
                     g.n, [(e, g.pair(e)) for e in i_cover], wit, list(it.cores)
                 )

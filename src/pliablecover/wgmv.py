@@ -156,7 +156,7 @@ def phase1(g: CostedGraph, oracle: FamilyOracle) -> tuple[list[int], list[Iterat
     raises InfeasibleError carrying an uncoverable core.
 
     Each iteration is derived from the last one, and the work is per core,
-    not per core entry.  The kernel's residual grows by one `add` per pick
+    not per core entry.  The family's residual grows by one `add` per pick
     (`FamilyOracle.residual`).  A core is alive over one run of iterations,
     since F^{J+e} is a subfamily of F^J: a core stays one until an edge
     covers it.  So the cores that died and were born are read from the
@@ -164,7 +164,7 @@ def phase1(g: CostedGraph, oracle: FamilyOracle) -> tuple[list[int], list[Iterat
     candidates, each with the number of cores it crosses: a core's crossers
     are listed once, at its birth, and taken back at its death.  A picked
     edge covers every core it crosses, so it crosses no later core, and
-    only a new core can be left without a crosser.  The kernel hands out
+    only a new core can be left without a crosser.  The family hands out
     one object per member; a residual that handed out a new object for an
     unchanged core would cost a death and a birth, with the same result.
 

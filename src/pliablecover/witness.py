@@ -7,7 +7,7 @@ searches for one candidate per edge such that the chosen sets are pairwise
 non-crossing; the search is deterministic, so the first assignment found is
 the lexicographically least under the canonical candidate order.  A
 subfamily, such as the residual family the trace analyzer searches, is
-searched on the whole family's kernel, by the bitmask of its members.
+searched on the whole family, by the bitmask of its members (`alive`).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .errors import Budget, CoverNotMinimalError, NoLaminarWitnessError
-from .setfam import Edge, ExplicitFamily, NodeSet, _CoverageKernel, bits, covered_masks, validate_edges
+from .setfam import Edge, ExplicitFamily, NodeSet, bits, covered_masks, validate_edges
 
 
 def laminar_tree(sets: Sequence[NodeSet]) -> tuple[list[int | None], dict[int, int]] | None:
@@ -51,19 +51,19 @@ def witness_candidates(f: ExplicitFamily, cover: Sequence[Edge]) -> list[tuple[N
     by construction.  Raises CoverNotMinimalError when some edge has no
     candidate, and ValueError when the edges do not even cover the family.
     """
-    return _candidates(f.kernel, (1 << len(f)) - 1, cover)
+    return _candidates(f, (1 << len(f)) - 1, cover)
 
 
-def _candidates(kernel: _CoverageKernel, alive: int, cover: Sequence[Edge]) -> list[tuple[NodeSet, ...]]:
+def _candidates(f: ExplicitFamily, alive: int, cover: Sequence[Edge]) -> list[tuple[NodeSet, ...]]:
     """`witness_candidates` of the subfamily of the members in `alive`."""
-    validate_edges(kernel.n, cover)
-    inc = kernel.inc
+    validate_edges(f.n, cover)
+    inc = f.inc
     once, twice = covered_masks(inc, cover)
     uncovered = alive & ~once
     if uncovered:
-        s = kernel.sets[bits(uncovered)[0]]
+        s = f.members[bits(uncovered)[0]]
         raise ValueError(f"edges do not cover the family: {list(s.members())} is uncovered")
-    cands = [tuple(kernel.sets[i] for i in bits((inc[u] ^ inc[v]) & alive & ~twice)) for u, v in cover]
+    cands = [tuple(f.members[i] for i in bits((inc[u] ^ inc[v]) & alive & ~twice)) for u, v in cover]
     for i, lst in enumerate(cands):
         if not lst:
             raise CoverNotMinimalError(i)
@@ -78,12 +78,12 @@ def laminar_witness(f: ExplicitFamily, cover: Sequence[Edge]) -> tuple[NodeSet, 
     returned.  Each candidate tried charges one unit of the "witness"
     budget.  Raises NoLaminarWitnessError when no assignment exists.
     """
-    return _laminar_witness(f.kernel, (1 << len(f)) - 1, cover)
+    return _laminar_witness(f, (1 << len(f)) - 1, cover)
 
 
-def _laminar_witness(kernel: _CoverageKernel, alive: int, cover: Sequence[Edge]) -> tuple[NodeSet, ...]:
+def _laminar_witness(f: ExplicitFamily, alive: int, cover: Sequence[Edge]) -> tuple[NodeSet, ...]:
     """`laminar_witness` of the subfamily of the members in `alive`."""
-    cands = _candidates(kernel, alive, cover)
+    cands = _candidates(f, alive, cover)
     budget = Budget("exhaustive witness search", "witness")
     chosen: list[NodeSet] = []
     untried: list[Iterator[NodeSet]] = []  # per edge reached, its candidates not yet tried

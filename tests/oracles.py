@@ -1,12 +1,12 @@
 """The forwarding oracle the tests share, and the reference answers the
-coverage kernel is checked against.
+family's residual queries are checked against.
 
 `CountingOracle` wraps an oracle as the benchmark's tracing wrapper does:
 it sets `inner`, forwards `cores` and `is_covered` and counts them, and
-gets `residual`, `reverse_delete` and `contains` from `inner`'s kernel.
+gets `residual`, `reverse_delete` and `contains` from `inner`'s family.
 
 `ReferenceOracle` answers those three from the stateless queries instead,
-by the loops the package ran before its one kernel answered every query:
+by the loops the package ran before one family answered every query:
 a residual that asks `cores(J)` once per step, reverse delete by one
 `is_covered` probe per edge, and membership by a path through the set.
 """

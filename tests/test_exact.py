@@ -213,13 +213,13 @@ def _matches_reference_search(g: CostedGraph, oracle, adds: Counter) -> None:
 
 def test_search_matches_the_reference_search_with_no_more_oracle_calls(monkeypatch):
     adds = Counter()
-    add = setfam._KernelResidual.add
+    add = setfam._Residual.add
 
     def counted_add(self, u, v):
         adds["add"] += 1
         return add(self, u, v)
 
-    monkeypatch.setattr(setfam._KernelResidual, "add", counted_add)
+    monkeypatch.setattr(setfam._Residual, "add", counted_add)
     for kind in ("gamma", "sparse", "uncrossable"):
         for n in (4, 5, 6, 7):
             for i in range(3):

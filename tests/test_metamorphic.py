@@ -1,19 +1,22 @@
 """Metamorphic relations: runs that must agree, checked without a reference.
 
 Every reference and golden elsewhere shares the node labels of the instance
-it checks, while the kernel's bit planes, the canonical order and the cut
+it checks, while the family's bit planes, the canonical order and the cut
 scan all depend on those labels.  These tests transform an instance and
 require exact relations between the two runs instead:
 
 * relabelling the nodes by a permutation pi, on both backends: the same
   `added`, eps, `ties` and `deleted` in every iteration, the cores mapped by
   pi, the same optimum and argmin, and the same `analyze_trace` verdicts;
+* relabelling a small-cut instance and its materialized family: the
+  small-cut oracle of pi(h) and the explicit oracle of pi applied to h's
+  family run alike on pi(g), with the cores mapped by pi;
 * scaling every cost by a positive rational c: every eps and the optimum
   times c, with the same argmin;
 * appending an edge that costs more than (|F| + 2) times the summed costs:
   every trace field the same, except that `dual.loads` gains one entry.
 
-Under all three, `certify` keeps its row names, `ok` values and verdict.
+Under the first, third and fourth, `certify` keeps its row names, `ok` values and verdict.
 """
 
 from dataclasses import dataclass, replace
@@ -136,6 +139,28 @@ def test_relabelling_the_nodes_maps_the_run(case, rnd):
     report_pi = analyze_trace(other.g, other.explicit(), run_pi, other.family_class)
     assert report.ok == report_pi.ok
     assert [_summary(it) for it in report.iterations] == [_summary(it) for it in report_pi.iterations]
+
+
+@given(cut_cases(), st.randoms(use_true_random=False))
+@settings(deadline=None, max_examples=30)
+def test_a_relabelled_small_cut_instance_runs_as_its_relabelled_family(case, rnd):
+    """On pi(g), the small-cut oracle of pi(h) and the explicit oracle of
+    pi(materialize_family(h)) give one run, and its cores are those of the
+    run of materialize_family(h) on g, mapped by pi."""
+    pi = list(range(case.g.n))
+    rnd.shuffle(pi)
+    cut = relabelled(case, pi)
+    explicit = relabelled(replace(case, family=materialize_family(case.family)), pi)
+    run = solve(case.g, ExplicitFamilyOracle(materialize_family(case.family)))
+    run_cut = solve(cut.g, SmallCutsOracle(cut.family))
+    run_explicit = solve(explicit.g, ExplicitFamilyOracle(explicit.family))
+    assert len(run.iterations) == len(run_cut.iterations) == len(run_explicit.iterations)
+    for it, it_cut, it_explicit in zip(run.iterations, run_cut.iterations, run_explicit.iterations):
+        assert (it_cut.added, it_cut.eps, it_cut.ties) == (it_explicit.added, it_explicit.eps, it_explicit.ties)
+        assert (it.added, it.eps, it.ties) == (it_cut.added, it_cut.eps, it_cut.ties)
+        assert it_cut.cores == it_explicit.cores
+        assert len(it.cores) == len(it_cut.cores) and {mapped(c, pi) for c in it.cores} == set(it_cut.cores)
+    assert run.deleted == run_cut.deleted == run_explicit.deleted
 
 
 def _summary(it):

@@ -75,8 +75,8 @@ def cap_graphs(draw, max_n=5):
 
 
 def residual(f: ExplicitFamily, edges) -> ExplicitFamily:
-    """F^J: the members the coverage kernel's residual of J leaves alive."""
-    alive = f.kernel.residual(edges).alive
+    """F^J: the members the family's residual of J leaves alive."""
+    alive = f.residual(edges).alive
     return ExplicitFamily(f.n, tuple(s for i, s in enumerate(f) if alive >> i & 1))
 
 
@@ -112,14 +112,14 @@ def test_residual_keeps_exactly_the_uncrossed_members(f, data):
         for s in f.members
         if not any(edge_crosses_mask(s.mask, u, v) for u, v in edges)
     }
-    assert set(residual(f, edges).masks()) == expected
+    assert set(residual(f, edges).masks) == expected
 
 
 @given(families())
 @settings(deadline=None)
 def test_cores_are_the_inclusion_minimal_members(f):
-    cores = f.kernel.root.core_sets()  # may overlap: no oracle
-    members = set(f.masks())
+    cores = f.root.core_sets()  # may overlap: no oracle
+    members = set(f.masks)
     for c in cores:
         assert c.mask in members
         assert not any(
@@ -133,11 +133,11 @@ def test_cores_are_the_inclusion_minimal_members(f):
 @given(families())
 @settings(deadline=None)
 def test_is_pliable_matches_the_quadratic_definition(f):
-    present = set(f.masks())
+    present = set(f.masks)
     expected = all(
         sum(1 for d in (a & b, a | b, a & ~b, b & ~a) if d in present) >= 2
-        for i, a in enumerate(f.masks())
-        for b in f.masks()[i + 1 :]
+        for i, a in enumerate(f.masks)
+        for b in f.masks[i + 1 :]
     )
     assert check_family(f, "pliable").holds == expected
 
@@ -190,7 +190,7 @@ def test_small_cut_masks_match_subset_scan(h):
         for m in range(1, (1 << h.n) - 1)
         if cut_value(h, NodeSet(h.n, m)) < h.k
     ]
-    assert sorted(materialize_family(h).masks()) == expected
+    assert sorted(materialize_family(h).masks) == expected
 
 
 @given(cap_graphs(), st.data())
@@ -199,8 +199,8 @@ def test_residual_cuts_shrink_when_edges_are_added(h, data):
     if h.n < 2:
         return
     edges = data.draw(edge_lists(h.n, max_edges=3))
-    base = set(residual(materialize_family(h), ()).masks())
-    fewer = set(residual(materialize_family(h), edges).masks())
+    base = set(residual(materialize_family(h), ()).masks)
+    fewer = set(residual(materialize_family(h), edges).masks)
     assert fewer <= base
 
 

@@ -2,8 +2,8 @@
 query `reverse_delete(J)` against the stateless queries `cores(J)` and
 `is_covered(J)`.
 
-Every oracle answers with its coverage kernel's residual, a wrapper with
-the kernel of the oracle it wraps.  The references are the loops in
+Every oracle answers with its family's residual, a wrapper with the
+family of the oracle it wraps.  The references are the loops in
 `oracles.ReferenceOracle`, which ask `cores` and `is_covered`: the runs
 must not tell them apart, and `certify` must not trust either.
 """
@@ -204,7 +204,7 @@ def test_add_derives_the_core_tuples_of_a_tight_run():
 def held_counts(residual) -> list[int]:
     """Per member, the counter `_held_counts` keeps, read off its bit planes."""
     planes = residual._held_counts()
-    return [sum((p >> j & 1) << b for b, p in enumerate(planes)) for j in range(len(residual._kernel.masks))]
+    return [sum((p >> j & 1) << b for b, p in enumerate(planes)) for j in range(len(residual._family.masks))]
 
 
 @given(explicit_add_walks())
@@ -214,7 +214,7 @@ def test_held_counts_follow_the_cores_along_adds(case):
     number of current cores each member holds."""
     f, adds, _ = case
     residual = ExplicitFamilyOracle(f).residual()
-    masks = f.masks()
+    masks = f.masks
     for step in [None, *adds]:
         if step is not None:
             residual = residual.add(*step)
@@ -340,9 +340,9 @@ def test_removable_refuses_overlapping_cores_as_the_loop_does():
     assert oracle.is_covered(edges)
     with pytest.raises(OracleInvariantError, match="disjoint") as by_loop:
         removable_copies(oracle, edges)
-    with pytest.raises(OracleInvariantError) as by_kernel:
+    with pytest.raises(OracleInvariantError) as by_family:
         oracle.reverse_delete(edges)
-    assert str(by_kernel.value) == str(by_loop.value)
+    assert str(by_family.value) == str(by_loop.value)
     assert_reverse_delete_matches_the_loop(oracle, edges)
     # With (1,5) repeated, either copy is removable.  Reverse delete drops
     # the newest, then refuses when it probes [(3,4)] without the other.
@@ -357,7 +357,7 @@ def test_removable_refuses_overlapping_cores_as_the_loop_does():
 
 def test_certify_minimal_row_is_the_same_through_a_wrapper():
     """On runs whose solution keeps a dropped edge or gains a spare one, the
-    solution-minimal row reads the same through the kernel's reverse delete
+    solution-minimal row reads the same through the family's reverse delete
     and through a wrapper that runs the per-edge loop, and lists the edges
     the per-copy loop finds."""
     loose_rows = 0
@@ -387,7 +387,7 @@ def test_certify_minimal_row_is_the_same_through_a_wrapper():
 
 def test_reverse_delete_refuses_bad_edges_as_the_kernel_does():
     """The reference loop's probes never hold the whole of J, so it checks
-    the edges first, as the kernel does: a last-position loop is not
+    the edges first, as the family does: a last-position loop is not
     dropped."""
     oracle = ExplicitFamilyOracle(ExplicitFamily.from_sets(3, [[0]]))
     for bad, message in (
@@ -409,9 +409,9 @@ def test_reverse_delete_refuses_overlapping_cores_as_the_loop_does():
     edges = [(3, 4), (1, 5), (0, 2)]
     with pytest.raises(OracleInvariantError, match="disjoint") as by_loop:
         loop_reverse_delete(oracle, edges)
-    with pytest.raises(OracleInvariantError) as by_kernel:
+    with pytest.raises(OracleInvariantError) as by_family:
         oracle.reverse_delete(edges)
-    assert str(by_kernel.value) == str(by_loop.value)
+    assert str(by_family.value) == str(by_loop.value)
     # Newest first, (1,5) and (3,4) drop while (0,2) is kept.
     assert oracle.reverse_delete([(0, 2), (3, 4), (1, 5)]) == [2, 1]
     assert_reverse_delete_matches_the_loop(oracle, [(0, 2), (3, 4), (1, 5)])
@@ -419,7 +419,7 @@ def test_reverse_delete_refuses_overlapping_cores_as_the_loop_does():
 
 def test_certify_asks_is_covered_once_through_a_wrapper():
     """A wrapper sees certify's one stateless query, is_covered(J); the
-    minimality and membership checks run on the inner kernel.  Through the
+    minimality and membership checks run on the inner family.  Through the
     reference loops, they ask is_covered once per solution edge and cores
     once per dual set."""
     bundle = tight_six(8)
@@ -476,11 +476,11 @@ def test_an_oracle_with_neither_kernel_nor_inner_is_refused_at_its_first_query()
         lambda o: o.universe_size(),
         lambda o: o.contains(NodeSet(2, 1)),
     ):
-        with pytest.raises(NotImplementedError, match=r"^Bare sets neither `_kernel` nor `inner`: .* a wrapper sets `inner`"):
+        with pytest.raises(NotImplementedError, match=r"^Bare sets neither `_family` nor `inner`: .* a wrapper sets `inner`"):
             query(Bare())
 
 
-# --- the stateless reference against the kernel -----------------------------
+# --- the stateless reference against the family -----------------------------
 
 
 def canonical_run(g, oracle) -> str:
@@ -490,8 +490,8 @@ def canonical_run(g, oracle) -> str:
         return f"infeasible {exc.core.members()}"
 
 
-def assert_default_matches_kernel(g, inner: FamilyOracle) -> None:
-    """The same trace through the kernel's residual and through the
+def assert_default_matches_family(g, inner: FamilyOracle) -> None:
+    """The same trace through the family's residual and through the
     reference loops, which ask cores once per iteration (and once more at
     the end) and is_covered once per picked edge, as the stateless solver
     did."""
@@ -509,7 +509,7 @@ def test_default_residual_matches_the_kernel_on_the_sweep_strata():
         for kind in ("gamma", "sparse", "uncrossable"):
             for i in range(3):
                 g, f = random_instance(kind, instance_rng(160 + n, i), n)
-                assert_default_matches_kernel(g, ExplicitFamilyOracle(f))
+                assert_default_matches_family(g, ExplicitFamilyOracle(f))
                 wrapped = ReferenceOracle(ExplicitFamilyOracle(f))
                 assert brute_force_opt(g, wrapped) == brute_force_opt(g, ExplicitFamilyOracle(f))
 
@@ -518,7 +518,7 @@ def test_default_residual_matches_the_kernel_on_tight_bundles():
     for leaves in (2, 4, 8, 16, 32):
         betas = [tight_beta(leaves, b) for b in (2, 4) if b <= leaves]
         for bundle in [tight_six(leaves), tight_seven(leaves), *betas]:
-            assert_default_matches_kernel(bundle.graph, ExplicitFamilyOracle(bundle.family))
+            assert_default_matches_family(bundle.graph, ExplicitFamilyOracle(bundle.family))
 
 
 def test_default_residual_matches_the_kernel_on_small_cut_graphs():
@@ -528,7 +528,7 @@ def test_default_residual_matches_the_kernel_on_small_cut_graphs():
             h = random_cap_graph(rng, n)
             pairs = sorted(rng.sample(all_pairs(n), min(2 * n, n * (n - 1) // 2)))
             g = CostedGraph.build(n, [(u, v, rng.randint(1, 9)) for u, v in pairs])
-            assert_default_matches_kernel(g, SmallCutsOracle(h))
+            assert_default_matches_family(g, SmallCutsOracle(h))
             if len(g.edges) <= 12:
                 want = brute_force_opt(g, SmallCutsOracle(h))
                 assert brute_force_opt(g, ReferenceOracle(SmallCutsOracle(h))) == want
@@ -544,7 +544,7 @@ def test_fresh_core_copies_give_the_kernel_trace(monkeypatch):
     cases = [(b.graph, b.family) for b in (tight_six(8), tight_seven(8))]
     cases += [random_instance(("gamma", "sparse", "uncrossable")[i % 3], instance_rng(190, i), 4 + i % 4) for i in range(50)]
     want = [(canonical_run(g, ExplicitFamilyOracle(f)), solve(g, ExplicitFamilyOracle(f))) for g, f in cases]
-    cores = setfam._KernelResidual.cores.fget
+    cores = setfam._Residual.cores.fget
     copied = []
 
     def fresh_cores(self):
@@ -552,7 +552,7 @@ def test_fresh_core_copies_give_the_kernel_trace(monkeypatch):
         copied.append(out)
         return out
 
-    monkeypatch.setattr(setfam._KernelResidual, "cores", property(fresh_cores))
+    monkeypatch.setattr(setfam._Residual, "cores", property(fresh_cores))
     for (g, f), (run, trace) in zip(cases, want):
         assert canonical_run(g, ExplicitFamilyOracle(f)) == run
         assert solve(g, ExplicitFamilyOracle(f)) == trace
@@ -565,14 +565,14 @@ def test_certify_refuses_a_run_whose_residual_dropped_a_core(monkeypatch):
     honest = solve(g, ExplicitFamilyOracle(f))
     assert certify(g, ExplicitFamilyOracle(f), honest, "uncrossable").verdict
 
-    add = setfam._KernelResidual.add
+    add = setfam._Residual.add
 
     def lossy_add(self, u, v):
         child = add(self, u, v)
         low = child._core_bits & -child._core_bits
-        return setfam._KernelResidual(child._kernel, child.alive, child._core_bits ^ low)
+        return setfam._Residual(child._family, child.alive, child._core_bits ^ low)
 
-    monkeypatch.setattr(setfam._KernelResidual, "add", lossy_add)
+    monkeypatch.setattr(setfam._Residual, "add", lossy_add)
     run = solve(g, ExplicitFamilyOracle(f))
     assert run.solution != honest.solution
     cert = certify(g, ExplicitFamilyOracle(f), run, "uncrossable")

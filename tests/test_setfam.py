@@ -5,6 +5,7 @@ implementations at the top of this file, which use plain Python sets and a
 filter-then-minimize shape on purpose (different code path than the package).
 """
 
+import dataclasses
 import gc
 import itertools
 import json
@@ -95,16 +96,16 @@ def random_family(rng, n, k) -> ExplicitFamily:
     return ExplicitFamily(n, tuple(NodeSet(n, m) for m in masks))
 
 
-def kernel_cores(f: ExplicitFamily, edges) -> list[NodeSet]:
-    """Cores of F^J from the coverage kernel's residual, whose unvalidated
+def family_cores(f: ExplicitFamily, edges) -> list[NodeSet]:
+    """Cores of F^J from the family's residual, whose unvalidated
     listing, unlike the oracle, returns overlapping cores instead of
     refusing them."""
-    return f.kernel.residual(edges).core_sets()
+    return f.residual(edges).core_sets()
 
 
-def kernel_residual(f: ExplicitFamily, edges) -> ExplicitFamily:
-    """F^J: the members the kernel's residual of J leaves alive."""
-    alive = f.kernel.residual(edges).alive
+def family_residual(f: ExplicitFamily, edges) -> ExplicitFamily:
+    """F^J: the members the family's residual of J leaves alive."""
+    alive = f.residual(edges).alive
     return ExplicitFamily(f.n, tuple(s for i, s in enumerate(f) if alive >> i & 1))
 
 
@@ -227,7 +228,7 @@ def test_family_contains_and_masks():
     f = fam(4, [0], [1, 2])
     assert NodeSet.from_members(4, [1, 2]) in f
     assert NodeSet.from_members(4, [1]) not in f
-    assert f.masks() == (0b0001, 0b0110)
+    assert f.masks == (0b0001, 0b0110)
     assert len(f) == 2
     rng = random.Random(37)
     for _ in range(100):
@@ -251,9 +252,9 @@ def test_residual_cores_examples():
 
 def test_residual_keeps_only_uncovered_members():
     f = fam(3, [0], [1], [0, 1])
-    r = kernel_residual(f, [(0, 2)])
+    r = family_residual(f, [(0, 2)])
     assert [s.members() for s in r] == [(1,)]
-    assert len(kernel_residual(f, [(0, 1), (0, 2), (1, 2)])) == 0
+    assert len(family_residual(f, [(0, 1), (0, 2), (1, 2)])) == 0
 
 
 def test_residual_cores_match_reference():
@@ -267,7 +268,7 @@ def test_residual_cores_match_reference():
         expected = ref_cores(
             [frozenset(s.members()) for s in f], edges
         )
-        got = [frozenset(s.members()) for s in kernel_cores(f, edges)]
+        got = [frozenset(s.members()) for s in family_cores(f, edges)]
         assert got == expected
 
 
@@ -278,8 +279,8 @@ def test_residual_composition():
         f = random_family(rng, n, rng.randint(2, 8))
         j = [tuple(rng.sample(range(n), 2)) for _ in range(4)]
         split = rng.randint(0, 4)
-        lhs = kernel_cores(f, j)
-        rhs = kernel_cores(kernel_residual(f, j[:split]), j[split:])
+        lhs = family_cores(f, j)
+        rhs = family_cores(family_residual(f, j[:split]), j[split:])
         assert [s.members() for s in lhs] == [s.members() for s in rhs]
 
 
@@ -715,7 +716,7 @@ def test_class_checks_agree_with_the_residual_walk():
             f = random_family(rng, n, rng.randint(0, 14))
         else:  # pliable families, which fail the class checks less often
             f = ExplicitFamily(n, tuple(NodeSet(n, m) for m in gens._random_repaired_masks(rng, n) or ()))
-        masks = list(f.masks())
+        masks = list(f.masks)
         gamma, sparse, beta = ref_class_checks(n, masks)
         assert crossing_number(f) == beta, masks
         betas.add(beta)
@@ -795,9 +796,9 @@ def test_explicit_family_oracle_matches_residual_cores():
         assert oracle.universe_size() == n
         edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 5))]
         assert [s.members() for s in oracle.cores(edges)] == [
-            s.members() for s in kernel_cores(f, edges)
+            s.members() for s in family_cores(f, edges)
         ]
-        assert oracle.is_covered(edges) == (len(kernel_cores(f, edges)) == 0)
+        assert oracle.is_covered(edges) == (len(family_cores(f, edges)) == 0)
 
 
 def edge_set_queries(rng, n, count=12):
@@ -850,7 +851,7 @@ def test_oracle_output_validation():
 
 
 def test_oracle_refuses_a_single_empty_core():
-    # No kernel yields an empty core (no member is empty), so the check of
+    # No family yields an empty core (no member is empty), so the check of
     # the core masks is called directly.
     with pytest.raises(OracleInvariantError, match="empty core"):
         setfam._validate_cores([0])
@@ -886,7 +887,7 @@ def test_incidence_matches_per_set_crossing_tests():
         assert degree_sum(inc, edges) == sum(coverage(NodeSet(n, m), edges) for m in masks)
 
 
-# --- coverage kernel -------------------------------------------------------------
+# --- the family as its residual index -------------------------------------------------------------
 
 
 def ref_minimal_masks(masks):
@@ -901,7 +902,7 @@ def ref_minimal_masks(masks):
 
 
 def mask_lists(rng, count=400):
-    """Lists of distinct nonempty masks, as a kernel holds them: nested
+    """Lists of distinct nonempty masks, as a family holds them: nested
     chains, disjoint sets and many masks sharing a least vertex, plus the
     empty list."""
     yield []
@@ -927,20 +928,20 @@ def mask_lists(rng, count=400):
 def test_minimal_masks_match_the_quadratic_scan():
     for masks in mask_lists(random.Random(23)):
         n = max(masks, default=0).bit_length()
-        kernel = setfam._CoverageKernel(n, [NodeSet(n, m) for m in masks])
-        kept = kernel.least(0, (1 << len(masks)) - 1)
-        found = sorted((masks[i] for i in bits(kept)), key=lambda m: (m.bit_count(), m))
+        f = ExplicitFamily(n + 1, tuple(NodeSet(n + 1, m) for m in masks))  # n + 1: no mask is the universe
+        kept = f.least(0, (1 << len(masks)) - 1)
+        found = sorted((f.masks[i] for i in bits(kept)), key=lambda m: (m.bit_count(), m))
         assert found == ref_minimal_masks(masks)
 
 
 def test_is_covered_on_a_covering_edge_set_needs_no_holders(monkeypatch):
     """A J that covers every member leaves no candidate core, so both
-    kernel-backed oracles answer True from the one pass over J."""
+    family-backed oracles answer True from the one pass over J."""
 
     def refuse(self, i):
         raise AssertionError("holders read for an edge set that covers the family")
 
-    monkeypatch.setattr(setfam._CoverageKernel, "holders", refuse)
+    monkeypatch.setattr(setfam.ExplicitFamily, "holders", refuse)
     triangle = CapGraph.build(3, [(0, 1, 1), (0, 2, 1), (1, 2, 1)], 3)  # every proper cut is small
     for oracle, n in ((ExplicitFamilyOracle(fam(4, [0], [1], [0, 1], [2, 3])), 4), (SmallCutsOracle(triangle), 3)):
         assert oracle.is_covered(all_pairs(n))
@@ -950,12 +951,11 @@ def test_is_covered_on_a_covering_edge_set_needs_no_holders(monkeypatch):
 
 def test_kernel_reuses_its_core_nodesets():
     f = fam(5, [0], [1], [0, 1], [2, 3], [3], [4])
-    kernel = f.kernel
     for edges in ([], [(0, 2)], [(3, 4), (1, 2)]):
-        first, second = kernel.residual(edges).core_sets(), kernel.residual(edges).core_sets()
+        first, second = f.residual(edges).core_sets(), f.residual(edges).core_sets()
         assert first == second and first
         assert all(a is b for a, b in zip(first, second))
-    assert kernel.residual([(0, 2)]).cores[0] is kernel.root.cores[1]  # core {1} in both
+    assert f.residual([(0, 2)]).cores[0] is f.root.cores[1]  # core {1} in both
     oracle = ExplicitFamilyOracle(f)
     assert all(a is b for a, b in zip(oracle.cores([(4, 0)]), oracle.cores([(4, 0)])))
     h = CapGraph.build(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 2)], 4)
@@ -968,30 +968,28 @@ def test_kernel_reuses_its_core_nodesets():
 
 def test_one_kernel_per_family(monkeypatch):
     """Both oracles over a family, its witness search and the trace
-    analyzer read the family's one kernel, and build no other: the analyzer
+    analyzer ask the family itself, and build no other: the analyzer
     searches each residual family on it, with no copy of the family; the
-    small-cut oracle reads the kernel of the one family its graph's cut
-    scan yields."""
+    small-cut oracle asks the one family its graph's cut scan yields."""
     g, f = gens.random_instance("gamma", gens.instance_rng(0, 1), 5)
     trace = solve(g, ExplicitFamilyOracle(f))
-    kernel = f.kernel
     first, second = ExplicitFamilyOracle(f), ExplicitFamilyOracle(f)
     built, asked = [], []
-    init, residual = setfam._CoverageKernel.__init__, setfam._CoverageKernel.residual
-    monkeypatch.setattr(setfam._CoverageKernel, "__init__", lambda self, *a: built.append(self) or init(self, *a))
-    monkeypatch.setattr(setfam._CoverageKernel, "residual", lambda self, j: asked.append(self) or residual(self, j))
-    assert first.cores([]) == second.cores([]) and first._kernel is kernel and second._kernel is kernel
+    init, residual = setfam.ExplicitFamily.__init__, setfam.ExplicitFamily.residual
+    monkeypatch.setattr(setfam.ExplicitFamily, "__init__", lambda self, *a: built.append(self) or init(self, *a))
+    monkeypatch.setattr(setfam.ExplicitFamily, "residual", lambda self, j: asked.append(self) or residual(self, j))
+    assert first.cores([]) == second.cores([]) and first._family is f and second._family is f
     solution = [g.pair(e) for e in trace.solution]
     assert first.reverse_delete(solution) == []
     assert len(laminar_witness(f, solution)) == len(solution)
     assert built == []
     assert analyze_trace(g, f, trace, "gamma").ok
-    assert asked and all(k is kernel for k in asked)
+    assert asked and all(k is f for k in asked)
     assert built == []
     h = CapGraph.build(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 2)], 4)
     assert materialize_family(h) is materialize_family(h)
-    assert SmallCutsOracle(h)._kernel is materialize_family(h).kernel
-    assert SmallCutsOracle(h)._kernel is SmallCutsOracle(h)._kernel
+    assert SmallCutsOracle(h)._family is materialize_family(h)
+    assert SmallCutsOracle(h)._family is SmallCutsOracle(h)._family
 
 
 def test_cached_members_leave_equality_and_hash_alone():
@@ -1007,6 +1005,24 @@ def test_cached_members_leave_equality_and_hash_alone():
         assert {cached: 1}[fresh] == 1
         assert fresh.members() == cached.members()
         assert NodeSet(n + 1, mask) != cached
+
+
+def test_cached_residual_index_leaves_equality_and_hash_alone():
+    """A family caches its masks, incidence, index, holders and root
+    residual outside its fields: equal families stay equal and hash alike
+    whichever of them has answered a query."""
+    assert [fd.name for fd in dataclasses.fields(ExplicitFamily)] == ["n", "members"]
+    rng = random.Random(30)
+    for _ in range(50):
+        n = rng.randint(2, 7)
+        f = random_family(rng, n, rng.randint(0, 10))
+        asked = ExplicitFamily(n, tuple(reversed(f.members)))
+        edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3))]
+        for query in (lambda s: s.masks, lambda s: NodeSet(n, 1) in s, lambda s: s.residual(edges).core_sets()):
+            query(asked)
+            assert asked == f and f == asked and hash(asked) == hash(f)
+            assert {f: 1}[asked] == 1
+        assert asked.root is asked.root and "root" not in vars(f)
 
 
 def test_is_covered_agrees_with_cores_on_both_oracles():

@@ -51,11 +51,11 @@ def ref_small_cut_masks(h: CapGraph, j=()) -> list[int]:
 
 
 def residual_cut_masks(h: CapGraph, j=()) -> list[int]:
-    """Masks of the residual small-cuts family F^J, read off a coverage
-    kernel's residual of J over the materialized family."""
-    kernel = materialize_family(h).kernel
-    alive = kernel.residual(j).alive
-    return [m for i, m in enumerate(kernel.masks) if alive >> i & 1]
+    """Masks of the residual small-cuts family F^J, read off the
+    materialized family's residual of J."""
+    f = materialize_family(h)
+    alive = f.residual(j).alive
+    return [m for i, m in enumerate(f.masks) if alive >> i & 1]
 
 
 def triangle(k) -> CapGraph:
@@ -355,7 +355,7 @@ def test_kernel_members_are_in_canonical_order():
         for _ in range(4):
             h = gens.random_cap_graph(rng, n)
             scanned = smallcuts._enumerate_cut_masks(h)[0]
-            assert SmallCutsOracle(h)._kernel.masks == tuple(sorted(scanned, key=setfam.bits))
+            assert SmallCutsOracle(h)._family.masks == tuple(sorted(scanned, key=setfam.bits))
 
 
 def test_oracle_agrees_with_materialized_route():

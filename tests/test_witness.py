@@ -300,7 +300,7 @@ def _analyzed_runs():
 
 def test_the_residual_search_is_the_search_on_the_copied_residual(monkeypatch):
     """`analyze_trace` searches each iteration's residual family on the whole
-    family's kernel, by the bitmask of its alive members.  The search on an
+    family, by the bitmask of its alive members.  The search on an
     `ExplicitFamily` copy of that subfamily is the reference: the same
     witness or the same refusal, after the same budget charges.  Seeded
     random subfamilies and covers of each instance reach the refusals."""
@@ -310,12 +310,12 @@ def test_the_residual_search_is_the_search_on_the_copied_residual(monkeypatch):
     search = treeanal._laminar_witness
     kinds = []
 
-    def checked(kernel, alive, cover):
-        copy = ExplicitFamily(kernel.n, tuple(s for i, s in enumerate(kernel.sets) if alive >> i & 1))
+    def checked(f, alive, cover):
+        copy = ExplicitFamily(f.n, tuple(s for i, s in enumerate(f.members) if alive >> i & 1))
         want = _outcome(lambda: laminar_witness(copy, cover), charges)
-        assert _outcome(lambda: search(kernel, alive, cover), charges) == want
+        assert _outcome(lambda: search(f, alive, cover), charges) == want
         kinds.append(want[0])
-        return search(kernel, alive, cover)
+        return search(f, alive, cover)
 
     monkeypatch.setattr(treeanal, "_laminar_witness", checked)
     rng = random.Random(32)
@@ -327,7 +327,7 @@ def test_the_residual_search_is_the_search_on_the_copied_residual(monkeypatch):
         for _ in range(5):
             cover = rng.sample(pairs, rng.randint(1, min(len(pairs), 6)))
             try:
-                checked(f.kernel, rng.getrandbits(len(f)), cover)
+                checked(f, rng.getrandbits(len(f)), cover)
             except (CoverNotMinimalError, NoLaminarWitnessError, ValueError):
                 pass
     assert set(kinds) == {"witness", "ValueError", "CoverNotMinimalError", "NoLaminarWitnessError"}
