@@ -21,7 +21,8 @@ parent's core tuple and derives nothing.
 principles: dual feasibility (every dual set a member and no edge over
 its cost, so by weak duality the dual objective is at most OPT), tightness
 of the solution (both compare loads and costs as integer numerators over
-one denominator, from `wgmv.edge_loads`), cover and minimality of the
+one denominator, from `wgmv.edge_loads` by way of `RunTrace.derived`, which
+the trace writer reads too), cover and minimality of the
 solution (it is minimal exactly when reverse delete keeps every edge of
 it), per-iteration load bounds for the claimed family class, and the
 approximation-factor inequality against the dual objective (and against
@@ -35,7 +36,7 @@ from fractions import Fraction
 
 from .errors import Budget, InfeasibleError
 from .setfam import Edge, FamilyOracle, NodeSet, _Residual, bits, member_incidence
-from .wgmv import CostedGraph, RunTrace, check_universe, edge_loads
+from .wgmv import CostedGraph, RunTrace, check_universe
 
 
 def brute_force_opt(g: CostedGraph, oracle: FamilyOracle) -> tuple[Fraction, tuple[int, ...]]:
@@ -197,7 +198,7 @@ def certify(
 
     # Recompute edge loads from the dual values alone, over one integer
     # denominator with the costs.
-    loads, costs, _ = edge_loads(g, trace.dual.values)
+    loads, costs, _, cost, dual_obj = trace.derived(g)
     neg = [s for s, y in trace.dual.values if y < 0]
     add("dual-nonnegative", not neg, f"{len(neg)} negative dual values" if neg else "")
     over = [e for e in range(len(g.edges)) if loads[e] > costs[e]]
@@ -245,8 +246,6 @@ def certify(
     bad_rows = [r.index for r in rows if not r.ok]
     add("iteration-load-bounds", not bad_rows, f"iterations over bound: {bad_rows}" if bad_rows else "")
 
-    cost = trace.solution_cost(g)
-    dual_obj = trace.dual.objective()
     add("cost-vs-dual", cost <= factor * dual_obj, f"{cost} vs {factor} * {dual_obj}")
     if opt is not None:
         add("cost-vs-opt", cost <= factor * opt, f"{cost} vs {factor} * {opt}")

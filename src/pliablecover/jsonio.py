@@ -21,7 +21,7 @@ from .exact import Certificate
 from .setfam import CheckResult, ExplicitFamily, FamilyOracle, ExplicitFamilyOracle, NodeSet
 from .smallcuts import CapGraph, SmallCutsOracle, materialize_family
 from .treeanal import AnalysisReport, BoundReport
-from .wgmv import CostedGraph, IterationRecord, RunTrace, edge_loads
+from .wgmv import CostedGraph, IterationRecord, RunTrace
 
 SCHEMA_VERSION = "1"
 
@@ -257,16 +257,15 @@ def _iteration_to_json(it: IterationRecord) -> dict:
 
 def _derived(g: CostedGraph, trace: RunTrace) -> dict:
     """The fields of a trace document that its iterations and drops give."""
-    dual = trace.dual
-    loads, _, denom = edge_loads(g, dual.values)
+    loads, _, denom, cost, dual_obj = trace.derived(g)
     return {
         "solution": list(trace.solution),
         "dual": {
-            "values": [[nodeset_to_json(s), frac_to_json(y)] for s, y in dual.values],
+            "values": [[nodeset_to_json(s), frac_to_json(y)] for s, y in trace.dual.values],
             "loads": [[x // (r := gcd(x, denom)), denom // r] for x in loads],  # lowest terms
         },
-        "cost": frac_to_json(trace.solution_cost(g)),
-        "dual_objective": frac_to_json(dual.objective()),
+        "cost": frac_to_json(cost),
+        "dual_objective": frac_to_json(dual_obj),
     }
 
 

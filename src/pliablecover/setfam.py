@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from math import lcm
-from operator import index, or_
+from operator import attrgetter, index, or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import Budget, OracleInvariantError, UniverseMismatchError
@@ -241,16 +241,19 @@ class ExplicitFamily:
     members: tuple[NodeSet, ...]
 
     def __post_init__(self) -> None:
-        seen = set()
-        for s in self.members:
-            if s.n != self.n:
-                raise UniverseMismatchError("family member over a different universe")
-            if s.is_empty() or s.is_full():
-                raise ValueError("family members must be nonempty proper subsets")
-            if s.mask in seen:
-                raise ValueError(f"duplicate family member {list(s.members())}")
-            seen.add(s.mask)
-        object.__setattr__(self, "members", tuple(sorted(self.members, key=NodeSet.sort_key)))
+        members = self.members
+        if set(map(attrgetter("n"), members)) - {self.n}:
+            raise UniverseMismatchError("family member over a different universe")
+        masks = set(map(attrgetter("mask"), members))
+        if 0 in masks or (1 << self.n) - 1 in masks:
+            raise ValueError("family members must be nonempty proper subsets")
+        if len(masks) < len(members):  # name the first repeat
+            seen: set[int] = set()
+            for s in members:
+                if s.mask in seen:
+                    raise ValueError(f"duplicate family member {list(s.members())}")
+                seen.add(s.mask)
+        object.__setattr__(self, "members", tuple(sorted(members, key=NodeSet.sort_key)))
 
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "ExplicitFamily":

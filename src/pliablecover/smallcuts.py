@@ -18,17 +18,21 @@ holds its value plus 2·total, so it is never negative and its top bit, a
 guard bit, stays clear.  No lane then carries or borrows into the next, so
 each step is one exact big-integer addition or subtraction, and the lanes
 below a threshold are found with one subtraction against the guard bits;
-only those lanes are read.  The scan does not depend on J, so it runs once
-per graph, at the first use of the family or of the edge connectivity.
-Its result is an `ExplicitFamily` of the small cuts, and that family
-answers every residual query, the stateless `cores(J)` included.
+only those lanes are read.  As cut(S) = cut(V - S), the scan reads only
+the half of the table whose sets hold node n - 1 and emits each small cut
+with its complement.  The scan does not depend on J, so it runs once per
+graph, at the first use of the family or of the edge connectivity.  Its
+result is an `ExplicitFamily` of the small cuts, and that family answers
+every residual query, the stateless `cores(J)` included.  Each member's
+sorted tuple is the concatenation of two entries of per-n block tables,
+one per half of the split, so no member's bits are walked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 from .errors import guard
@@ -66,9 +70,17 @@ class CapGraph:
     @cached_property
     def _cuts(self) -> tuple[ExplicitFamily, Fraction]:
         """The small cuts as an explicit family, its members in canonical
-        order, and the edge connectivity."""
+        order, and the edge connectivity.  Each member keeps its tuple, as
+        `NodeSet.from_members` does, read from the block tables."""
         masks, lam = _enumerate_cut_masks(self)
-        return ExplicitFamily(self.n, tuple(NodeSet(self.n, m) for m in masks)), lam
+        low, high = _block_members(self.n)
+        lane, b = len(low) - 1, (self.n + 1) // 2
+        sets = []
+        for m in masks:
+            s = NodeSet(self.n, m)
+            s.__dict__["_members"] = low[m & lane] + high[m >> b]
+            sets.append(s)
+        return ExplicitFamily(self.n, tuple(sets)), lam
 
 
 def cut_value(h: CapGraph, s: NodeSet) -> Fraction:
@@ -80,6 +92,20 @@ def cut_value(h: CapGraph, s: NodeSet) -> Fraction:
         if edge_crosses_mask(s.mask, u, v):
             total += cap
     return total
+
+
+@cache
+def _block_members(n: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The sorted member tuples of every A ⊆ L and every B ⊆ R, by mask, for
+    the scan's split of range(n): S = A ∪ B lists low[A] + high[B]."""
+    b = (n + 1) // 2
+    low: list[tuple[int, ...]] = [()]
+    high: list[tuple[int, ...]] = [()]
+    for v in range(b):
+        low += [t + (v,) for t in low]
+    for v in range(b, n):
+        high += [t + (v,) for t in high]
+    return low, high
 
 
 def _indicators(count: int, width: int) -> tuple[list[int], int]:
@@ -115,17 +141,21 @@ def _enumerate_cut_masks(h: CapGraph) -> tuple[tuple[int, ...], Fraction]:
     cut(A) in the lanes of the A it crosses, and an edge from r to a ∈ L
     adds 2c to 2·w(r, A) in the lanes of the A holding a.
 
-    The subsets B are visited in reflected-binary order, each step adding
-    or removing one node r of R, so the row changes by one subtraction or
-    addition of r's packed 2·w(r, A).  The lanes below a threshold t
-    (0 < t < 2^(W-1)) are the set guard bits of ~((row | G) - t·ONES) & G,
-    G the guard bits: setting a guard bit before subtracting t keeps each
-    lane's borrow inside it, and the bit survives exactly when the lane is
-    at least t.  Only those lanes are read; the guard bits of S = ∅ and
-    S = V are masked out.  The least cut starts at the least vertex degree
-    and each row is tested against max(k, least) - cut(B), capped at
-    3·total + 1, so a lane is read only when it is a small cut or lowers
-    the least cut.
+    As cut(S) = cut(V - S), only the B holding node n - 1 are visited,
+    half of the subsets of R, and each small cut S is emitted together
+    with V - S.  They are visited in reflected-binary order over R less
+    n - 1, each step adding or removing one node r, so the row changes by
+    one subtraction or addition of r's packed 2·w(r, A).  The lanes below a
+    threshold t (0 < t < 2^(W-1)) are the set guard bits of
+    ~((row | G) - t·ONES) & G, G the guard bits: setting a guard bit before
+    subtracting t keeps each lane's borrow inside it, and the bit survives
+    exactly when the lane is at least t.  Only those lanes are read.  S = ∅
+    never occurs, as S holds n - 1, and the guard bit of S = V is masked
+    out, so neither S nor V - S is ever empty.  The least cut starts at the
+    least vertex degree and each row is tested against max(k, least) -
+    cut(B), capped at 3·total + 1, so a lane is read only when it is a
+    small cut or lowers the least cut; every cut value occurs on the
+    visited half, so the least over it is λ.
     """
     n = h.n
     guard("cut enumeration", "n", n, MAX_CUT_ENUM_NODES)
@@ -155,12 +185,13 @@ def _enumerate_cut_masks(h: CapGraph) -> tuple[tuple[int, ...], Fraction]:
     cut_b = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
     offset, cap, lane = 2 * total, 3 * total + 1, (1 << width) - 1
     guards = ones << (width - 1)
-    row = cut_low + offset * ones
+    last = 1 << (n - b - 1)  # node n - 1, as a bit of B
+    row = cut_low + offset * ones - pair_tables[-1]
     least = min(deg)
-    full_high = (1 << (n - b)) - 1
+    full, full_high = (1 << n) - 1, 2 * last - 1
     small: list[int] = []
-    for step in range(full_high + 1):
-        bmask = step ^ (step >> 1)  # B, one high node away from the previous B
+    for step in range(last):
+        bmask = step ^ (step >> 1) | last  # B, one high node away from the previous B
         if step:
             bit = (step & -step).bit_length() - 1  # the high node that moved
             row = row - pair_tables[bit] if bmask >> bit & 1 else row + pair_tables[bit]
@@ -168,17 +199,16 @@ def _enumerate_cut_masks(h: CapGraph) -> tuple[tuple[int, ...], Fraction]:
         if t <= 0:
             continue
         hits = ~((row | guards) - t * ones) & guards
-        if bmask == 0:
-            hits &= ~(1 << (width - 1))  # S = ∅ is not proper
         if bmask == full_high:
-            hits &= ~(1 << ((width << b) - 1))  # nor is S = V
+            hits &= ~(1 << ((width << b) - 1))  # S = V is not proper
         while hits:  # most rows hold no lane below t
             top = hits.bit_length() - 1
             hits ^= 1 << top
             a = top // width
             cut = (row >> a * width & lane) - offset + cut_b[bmask]
             if cut < k_scaled:
-                small.append(a | bmask << b)
+                s = a | bmask << b
+                small += (s, full ^ s)  # cut(S) = cut(V - S)
             least = min(least, cut)
     return tuple(sorted(small)), Fraction(least, denom)
 

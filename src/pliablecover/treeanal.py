@@ -707,24 +707,23 @@ def analyze_trace(
         raise ValueError("family universe does not match the graph")
     out: list[IterationAnalysis] = []
     j0: set[int] = set()  # the edges added before iteration idx
+    pair = {e: g.pair(e) for e in trace.additions()}  # the solution's too: read once per run
     for idx, it in enumerate(trace.iterations):
         probs: list[str] = []
         i_prime = [e for e in trace.solution if e not in j0]
         inc = member_incidence(g.n, it.cores)
-        i_cover = [e for e, (u, v) in zip(i_prime, map(g.pair, i_prime)) if inc[u] ^ inc[v]]
-        outside = [g.pair(e) for e in sorted(j0 | (set(i_prime) - set(i_cover)))]
+        i_cover = [e for e in i_prime if inc[pair[e][0]] ^ inc[pair[e][1]]]
+        outside = [pair[e] for e in sorted(j0 | (set(i_prime) - set(i_cover)))]
         report: BoundReport | None = None
         left = f.residual(outside)
         # unlike an oracle, core_sets() returns overlapping cores, unvalidated
         if tuple(left.core_sets()) != tuple(it.cores):
             probs.append("recomputed residual cores disagree with the recorded iteration")
         else:
-            pairs = [g.pair(e) for e in i_cover]
+            pairs = [pair[e] for e in i_cover]
             try:
                 wit = _laminar_witness(f, left.alive, pairs)
-                tree = build_tree(
-                    g.n, [(e, g.pair(e)) for e in i_cover], wit, list(it.cores)
-                )
+                tree = build_tree(g.n, list(zip(i_cover, pairs)), wit, list(it.cores))
                 report = verify_bounds(tree, family_class, beta)
             except (CoverNotMinimalError, NoLaminarWitnessError, TreeInvariantError) as exc:
                 probs.append(str(exc))

@@ -121,6 +121,16 @@ class RunTrace:
         nums, denom = g.scaled_costs
         return Fraction(sum(nums[e] for e in self.solution), denom)
 
+    def derived(self, g: CostedGraph) -> tuple[list[int], list[int], int, Fraction, Fraction]:
+        """(loads, costs, denom) as `edge_loads` gives them for the dual on
+        g, then the solution cost and the dual objective: derived at the
+        first call for a graph object and kept until a call names another."""
+        memo = self.__dict__.get("_derived")
+        if memo is None or memo[0] is not g:
+            memo = (g, (*edge_loads(g, self.dual.values), self.solution_cost(g), self.dual.objective()))
+            self.__dict__["_derived"] = memo  # as a cached_property stores its value
+        return memo[1]
+
 
 def edge_loads(g: CostedGraph, values: Iterable[tuple[NodeSet, Fraction]]) -> tuple[list[int], list[int], int]:
     """Per-edge load, the summed dual value of the sets each edge crosses,

@@ -13,6 +13,7 @@ import pytest
 
 import pliablecover.errors as errors
 import pliablecover.setfam as setfam
+import pliablecover.wgmv as wgmv
 from pliablecover.errors import GuardError, InfeasibleError
 from pliablecover.exact import (
     FAMILY_CLASSES,
@@ -22,6 +23,7 @@ from pliablecover.exact import (
     iteration_load_bound,
 )
 from pliablecover.gens import instance_rng, random_cap_graph, random_instance, tight_seven, tight_six
+from pliablecover.jsonio import trace_to_json
 from pliablecover.setfam import (
     ExplicitFamily,
     ExplicitFamilyOracle,
@@ -391,6 +393,21 @@ def test_certificates_hold_on_random_instances():
             for row in cert.iteration_rows:
                 assert row.ok
                 assert row.load <= row.bound
+
+
+def test_certify_and_the_trace_writer_derive_the_loads_once(monkeypatch):
+    calls = []
+    edge_loads = wgmv.edge_loads
+    monkeypatch.setattr(wgmv, "edge_loads", lambda g, values: calls.append(g) or edge_loads(g, values))
+    g, _, oracle, trace = solved("sparse", 203, 0, n=5)
+    cert = certify(g, oracle, trace, "sparse")
+    doc = trace_to_json(g, trace)
+    assert calls == [g]
+    assert (cert.primal_cost, cert.dual_objective) == (trace.solution_cost(g), trace.dual.objective())
+    # another graph object, equal or not, derives its own
+    twin = CostedGraph(g.n, g.edges)
+    assert trace_to_json(twin, trace) == doc
+    assert calls == [g, twin] and calls[1] is twin
 
 
 def test_certificate_without_opt_skips_opt_checks():

@@ -214,14 +214,17 @@ def test_family_canonical_order_is_input_independent():
 
 
 def test_family_rejects_bad_members():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^duplicate family member \[0\]$"):
         fam(3, [0], [0])
-    with pytest.raises(ValueError):
-        fam(3, [])
-    with pytest.raises(ValueError):
-        fam(3, [0, 1, 2])
-    with pytest.raises(UniverseMismatchError):
-        ExplicitFamily(3, (NodeSet.from_members(4, [0]),))
+    for bad in ([], [0, 1, 2]):
+        with pytest.raises(ValueError, match=r"^family members must be nonempty proper subsets$"):
+            fam(3, [1], bad)
+    with pytest.raises(UniverseMismatchError, match=r"^family member over a different universe$"):
+        ExplicitFamily(3, (NodeSet.from_members(3, [1]), NodeSet.from_members(4, [0])))
+    # the first member whose mask came before is the one named
+    twice = tuple(NodeSet(4, m) for m in (0b1001, 0b110, 0b1, 0b110, 0b1))
+    with pytest.raises(ValueError, match=r"^duplicate family member \[1, 2\]$"):
+        ExplicitFamily(4, twice)
 
 
 def test_family_contains_and_masks():

@@ -305,6 +305,28 @@ def test_enumerated_cuts_match_per_subset_recomputation_on_edge_cases(case):
         assert lam == min(cuts[1:-1]) and type(lam) is Fraction, n
 
 
+def seeded_and_dense_graphs() -> list[CapGraph]:
+    """One seeded `random_cap_graph` per n from 2 to 16, then one at n = 10
+    with k = 10^6, where every proper subset is a small cut."""
+    rng = random.Random(2216)
+    graphs = [gens.random_cap_graph(rng, n) for n in range(2, 17)]
+    return graphs + [with_threshold(gens.random_cap_graph(rng, 10), 10**6)]
+
+
+@pytest.mark.parametrize("h", seeded_and_dense_graphs(), ids=lambda h: f"n{h.n}-k{h.k}")
+def test_family_members_list_their_bits_and_are_closed_under_complement(h):
+    # the scan reads the half of the subsets holding node n - 1 and emits
+    # each complement; the members' tuples come from per-n block tables
+    fam = materialize_family(h)
+    full = (1 << h.n) - 1
+    for s in fam:
+        assert s.members() == tuple(setfam.bits(s.mask))
+    assert {full ^ m for m in fam.masks} == set(fam.masks)
+    assert edge_connectivity(h) == min(ref_cuts(h)[1:-1])
+    if h.k == 10**6:
+        assert len(fam) == full - 1
+
+
 # --- connectivity and the beta bound ------------------------------------------
 
 
