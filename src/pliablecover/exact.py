@@ -5,6 +5,12 @@ together with the lexicographically least optimal edge set (ids as a sorted
 tuple, compared element by element with a shorter prefix winning).  One
 depth-first search adds edge ids in increasing order; its pre-order is tuple
 order, so the first cover it finds at the optimum cost is that edge set.
+It starts from an upper bound, the cost of one reverse delete
+(`FamilyOracle.reverse_delete`) over the edges by ascending cost, so the
+dearest are dropped first: until it finds a cover, it cuts every child
+whose lower bound is above that cost.  The cut is strict, so the bound
+changes neither the optimum nor the edge set, and the search tries a subset
+of the nodes it would try without it (see `_search`).
 
 The search runs on the graph's costs over their common denominator
 (`CostedGraph.scaled_costs`, shared with the solver), so only the optimum
@@ -47,24 +53,39 @@ def brute_force_opt(g: CostedGraph, oracle: FamilyOracle) -> tuple[Fraction, tup
     if leftover:
         raise InfeasibleError(leftover[0])
     costs, denom = g.scaled_costs
-    cost, ids = _search(g.n, pairs, costs, oracle.residual())
+    # Reverse delete over the ids by ascending cost tries the dearest first.
+    order = sorted(range(len(pairs)), key=lambda e: (costs[e], e))
+    dropped = oracle.reverse_delete([pairs[e] for e in order])
+    upper = sum(costs) - sum(costs[order[i]] for i in dropped)
+    cost, ids = _search(g.n, pairs, costs, oracle.residual(), upper)
     return Fraction(cost, denom), ids
 
 
 def _search(
-    n: int, pairs: list[Edge], costs: tuple[int, ...], residual: _Residual
+    n: int, pairs: list[Edge], costs: tuple[int, ...], residual: _Residual, upper: int
 ) -> tuple[int, tuple[int, ...]]:
     """The cheapest cover and its ids, least among equals, of the feasible
-    instance whose empty edge set has the residual `residual`.
+    instance whose empty edge set has the residual `residual` and which has
+    a cover of cost `upper`.
 
     Depth first, one node (one unit of the "optimum" budget) per ascending
     id tuple.  `stack` holds the children still to try, as (parent's ids,
     cost and residual, id, bound), the next in pre-order on top; a child is
-    tried when popped, against the best cover found by then.  A node reads
-    only its children's crossing masks, each computed in its walk.
+    tried when popped, against the best cover found by then, and cut when
+    its bound is not below it.  Before the first cover that best is
+    upper + 1, so the cut is strict: a child of bound `upper` is still
+    tried.  A node reads only its children's crossing masks, each computed
+    in its walk.
+
+    The result is the search's without `upper`: every prefix of the least
+    optimal cover has a bound of at most OPT <= upper, so it is never cut,
+    and every cover found before it in pre-order costs more than OPT.  Nor
+    are there more nodes: at every point of the pre-order the threshold is
+    at most the one an unseeded search would have, so the nodes tried are a
+    subset of its nodes.
     """
     budget = Budget("exhaustive optimum", "optimum")
-    best: tuple[int, tuple[int, ...]] | None = None
+    best = (upper + 1, ())
     stack: list[tuple[tuple[int, ...], int, _Residual, int, int]] = []
     ids: tuple[int, ...] = ()
     cost = 0
@@ -99,10 +120,10 @@ def _search(
                     if costs[e] < low[i]:
                         low[i] = costs[e]
                 later |= c
-        while stack and best is not None and stack[-1][4] >= best[0]:
+        while stack and stack[-1][4] >= best[0]:
             stack.pop()
         if not stack:
-            assert best is not None
+            assert best[0] <= upper
             return best
         ids, cost, residual, e, _ = stack.pop()
         ids, cost, residual = ids + (e,), cost + costs[e], residual.add(*pairs[e])

@@ -360,8 +360,8 @@ def _attach_edges(rng: random.Random, fam: ExplicitFamily) -> CostedGraph:
     n = fam.n
     pairs: set[Edge] = set()
     for s in fam.members:
-        inside = s.members()
-        outside = [v for v in range(n) if v not in s]
+        inside, mask = s.members(), s.mask
+        outside = [v for v in range(n) if not mask >> v & 1]
         u, v = rng.choice(inside), rng.choice(outside)
         pairs.add((min(u, v), max(u, v)))
     for _ in range(rng.randint(1, 4)):

@@ -14,7 +14,7 @@ import pytest
 import pliablecover.errors as errors
 import pliablecover.setfam as setfam
 import pliablecover.wgmv as wgmv
-from pliablecover.errors import GuardError, InfeasibleError
+from pliablecover.errors import GuardError, InfeasibleError, OracleInvariantError
 from pliablecover.exact import (
     FAMILY_CLASSES,
     brute_force_opt,
@@ -134,6 +134,58 @@ def test_optimum_of_a_tight_bundle_is_the_runs_cost(monkeypatch, make, leaves, o
     monkeypatch.setitem(errors.BUDGETS, "optimum", ("search nodes", nodes - 1))
     with pytest.raises(GuardError, match=rf"exhaustive optimum: search nodes = {nodes} > {nodes - 1}$"):
         brute_force_opt(b.graph, oracle)
+
+
+@pytest.mark.parametrize(
+    "kind,seed,index,n,nodes",
+    [("uncrossable", 312, 3, 7, 24), ("uncrossable", 312, 4, 7, 43), ("sparse", 311, 2, 7, 10)],
+)
+def test_search_seeded_by_reverse_delete_visits_few_nodes(monkeypatch, kind, seed, index, n, nodes):
+    # Started from the cost of a reverse-delete cover, the search finishes
+    # at exactly `nodes` nodes and refuses at one less.  Unseeded it took
+    # 142, 147 and 61 nodes to the same answers.
+    g, f = random_instance(kind, instance_rng(seed, index), n)
+    oracle = ExplicitFamilyOracle(f)
+    want = next((opt, argmin) for *key, _, opt, argmin in GOLDEN_ARGMINS if key == [kind, seed, index, n])
+    monkeypatch.setitem(errors.BUDGETS, "optimum", ("search nodes", nodes))
+    assert brute_force_opt(g, oracle) == (Fraction(want[0]), want[1])
+    monkeypatch.setitem(errors.BUDGETS, "optimum", ("search nodes", nodes - 1))
+    with pytest.raises(GuardError, match=rf"exhaustive optimum: search nodes = {nodes} > {nodes - 1}$"):
+        brute_force_opt(g, oracle)
+
+
+def test_seeded_search_keeps_the_least_argmin_under_zero_and_small_integer_costs():
+    # All-zero costs make every cover optimal and the upper bound 0, so the
+    # answer is the least cover of all; costs 0-2 tie often.
+    rng = random.Random(315)
+    checked = 0
+    for kind in ("gamma", "sparse", "uncrossable"):
+        for n in (4, 5, 6, 7):
+            for i in range(8):
+                g, f = random_instance(kind, instance_rng(315, i), n=n)
+                if len(g.edges) > 12:
+                    continue
+                oracle = ExplicitFamilyOracle(f)
+                for costs in ([0] * len(g.edges), [rng.randint(0, 2) for _ in g.edges]):
+                    h = CostedGraph(g.n, tuple((u, v, Fraction(c)) for (u, v, _), c in zip(g.edges, costs)))
+                    cost, argmins = ref_opt(h, family_sets(f))
+                    assert brute_force_opt(h, oracle) == (cost, min(argmins))
+                    checked += 1
+    assert checked == 152
+
+
+def test_optimum_refuses_overlapping_residual_cores_of_a_classless_family():
+    # (3,4) covers {0,3}; (1,5) covers {0,1,3,4} and {1,2}; (0,2) covers all
+    # three.  [(3,4)] leaves {0,1,3,4} and {1,2}, which overlap.
+    f = ExplicitFamily.from_sets(6, [[0, 3], [0, 1, 3, 4], [1, 2]])
+    oracle = ExplicitFamilyOracle(f)
+    g = CostedGraph.build(6, [(3, 4, 1), (1, 5, 2), (0, 2, 3)])
+    with pytest.raises(OracleInvariantError, match="disjoint"):
+        brute_force_opt(g, oracle)
+    # Priced so that reverse delete keeps (0,2) alone, the bound cuts the
+    # child (3,4) before its residual is derived: the answer stands.
+    g = CostedGraph.build(6, [(3, 4, 2), (1, 5, 3), (0, 2, 1)])
+    assert brute_force_opt(g, oracle) == (Fraction(1), (2,))
 
 
 def test_optimum_search_deeper_than_the_recursion_limit_refuses_by_its_budget(monkeypatch):
