@@ -14,14 +14,17 @@ of the nodes it would try without it (see `_search`).
 
 The search runs on the graph's costs over their common denominator
 (`CostedGraph.scaled_costs`, shared with the solver), so only the optimum
-becomes a Fraction again.  A node whose edge set J leaves cores bounds
-each child e from below by the cheapest crosser with id > e of every core
-e misses; one walk down the ids gives these suffix minima for all
-children.  Each child's residual is its parent's plus one `add` on the
-family's residual (`FamilyOracle.residual`), so the search needs no undo.
-A child that crosses no core of J has the same cores, because F^{J+e} is
-a subfamily of F^J that still holds every core, so its residual keeps its
-parent's core tuple and derives nothing.
+becomes a Fraction again.  A node whose edge set J leaves cores pushes a
+child e only when every member J leaves uncovered (the residual's `alive`)
+has a crosser with id >= e: no other child has a cover below it.  One walk
+down the ids, over each edge's crossing mask on the family's members,
+decides this for all children and bounds each child e from below by the
+cheapest crosser with id > e of every core e misses.  Each child's residual
+is its parent's plus one `add` on the family's residual
+(`FamilyOracle.residual`), so the search needs no undo.  A child that
+crosses no core of J has the same cores, because F^{J+e} is a subfamily of
+F^J that still holds every core, so its residual keeps its parent's core
+tuple and derives nothing.
 
 `certify` re-derives everything checkable about a finished run from first
 principles: dual feasibility (every dual set a member and no edge over
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import Budget, InfeasibleError
-from .setfam import Edge, FamilyOracle, NodeSet, _Residual, bits, member_incidence
+from .setfam import Edge, ExplicitFamily, FamilyOracle, NodeSet, _Residual, bits, member_incidence
 from .wgmv import CostedGraph, RunTrace, check_universe
 
 
@@ -57,25 +60,24 @@ def brute_force_opt(g: CostedGraph, oracle: FamilyOracle) -> tuple[Fraction, tup
     order = sorted(range(len(pairs)), key=lambda e: (costs[e], e))
     dropped = oracle.reverse_delete([pairs[e] for e in order])
     upper = sum(costs) - sum(costs[order[i]] for i in dropped)
-    cost, ids = _search(g.n, pairs, costs, oracle.residual(), upper)
+    cost, ids = _search(pairs, costs, oracle._family, oracle.residual(), upper)
     return Fraction(cost, denom), ids
 
 
 def _search(
-    n: int, pairs: list[Edge], costs: tuple[int, ...], residual: _Residual, upper: int
+    pairs: list[Edge], costs: tuple[int, ...], f: ExplicitFamily, residual: _Residual, upper: int
 ) -> tuple[int, tuple[int, ...]]:
     """The cheapest cover and its ids, least among equals, of the feasible
-    instance whose empty edge set has the residual `residual` and which has
-    a cover of cost `upper`.
+    instance whose empty edge set has the residual `residual`, over the
+    members of `f`, and which has a cover of cost `upper`.
 
     Depth first, one node (one unit of the "optimum" budget) per ascending
     id tuple.  `stack` holds the children still to try, as (parent's ids,
-    cost and residual, id, bound), the next in pre-order on top; a child is
-    tried when popped, against the best cover found by then, and cut when
-    its bound is not below it.  Before the first cover that best is
-    upper + 1, so the cut is strict: a child of bound `upper` is still
-    tried.  A node reads only its children's crossing masks, each computed
-    in its walk.
+    cost and residual, id, bound), the next in pre-order on top: only those
+    with a cover below them are pushed.  A child is tried when popped,
+    against the best cover found by then, and cut when its bound is not
+    below it.  Before the first cover that best is upper + 1, so the cut is
+    strict: a child of bound `upper` is still tried.
 
     The result is the search's without `upper`: every prefix of the least
     optimal cover has a bound of at most OPT <= upper, so it is never cut,
@@ -85,6 +87,7 @@ def _search(
     subset of its nodes.
     """
     budget = Budget("exhaustive optimum", "optimum")
+    crossed = [f.inc[u] ^ f.inc[v] for u, v in pairs]  # per edge, the members it crosses
     best = (upper + 1, ())
     stack: list[tuple[tuple[int, ...], int, _Residual, int, int]] = []
     ids: tuple[int, ...] = ()
@@ -95,31 +98,24 @@ def _search(
         if not cores:
             best = (cost, ids)  # only cheaper covers were let in
         else:
-            inc = member_incidence(n, cores)
-            first = ids[-1] + 1 if ids else 0
-            # Every edge after child e has a larger id, so a core that e misses
-            # must be crossed by a later edge, at no less than its cheapest.
-            # Walking the ids down, low[i] is the cheapest crosser of core i
-            # after e (above every cost while there is none) and `later` the
-            # cores crossed after e.  A child that misses a core with no later
-            # crosser is hopeless, and so is every later child: the children
-            # pushed so far are dropped again.
-            full = (1 << len(cores)) - 1
-            low = [sum(costs) + 1] * len(cores)
-            later = 0
-            top = len(stack)
-            for e in range(len(pairs) - 1, first - 1, -1):
-                u, v = pairs[e]
-                c = inc[u] ^ inc[v]
-                if later | c == full:
-                    need = max((low[i] for i in bits(full & ~c)), default=0)
+            # Walking the ids down, `left` is the alive members that no edge
+            # from e up crosses: while there is one, child e has no cover
+            # below it.  low[i] is the cheapest crosser after e of the core
+            # that is member i (above every cost while there is none): a core
+            # that e misses must be crossed by a later edge.
+            core_bits = sum(1 << f.index[c.mask] for c in cores)
+            low = dict.fromkeys(bits(core_bits), sum(costs) + 1)
+            left = residual.alive
+            for e in range(len(pairs) - 1, (ids[-1] + 1 if ids else 0) - 1, -1):
+                c = crossed[e]
+                left &= ~c
+                hit = core_bits & c
+                if not left:
+                    need = max(map(low.__getitem__, bits(core_bits ^ hit)), default=0)
                     stack.append((ids, cost, residual, e, cost + costs[e] + need))
-                else:
-                    del stack[top:]
-                for i in bits(c):
+                for i in bits(hit):
                     if costs[e] < low[i]:
                         low[i] = costs[e]
-                later |= c
         while stack and stack[-1][4] >= best[0]:
             stack.pop()
         if not stack:

@@ -82,12 +82,11 @@ class NodeSet:
 
     def members(self) -> tuple[int, ...]:
         """Sorted members, computed at the first call (or kept by
-        `from_members`) and then cached."""
-        return self._members
-
-    @cached_property
-    def _members(self) -> tuple[int, ...]:
-        return tuple(bits(self.mask))
+        `from_members`) and then kept outside the fields."""
+        out = self.__dict__.get("_members")
+        if out is None:
+            out = self.__dict__["_members"] = tuple(bits(self.mask))
+        return out
 
     def sort_key(self) -> tuple[int, ...]:
         # Canonical order used everywhere: lexicographic on sorted members.
@@ -743,8 +742,10 @@ class FamilyOracle:
     disjoint (hence minimal) and fails loudly on a violation instead of
     letting a bad family corrupt a run; checkers never assume either.
     residual() is the same query made incremental: an immutable residual of
-    the empty edge set, whose `cores` answer for its J and whose
-    `add(u, v)` returns the residual of J plus one copy of (u, v).
+    the empty edge set, whose `cores` answer for its J, whose `alive` is
+    the mask of the members J leaves uncovered (bit i for the family's
+    member i), and whose `add(u, v)` returns the residual of J plus one
+    copy of (u, v).
     reverse_delete(J) walks J from its last edge to its first, drops each
     edge whose removal leaves the kept edges covering the family, and
     returns the dropped positions, descending; J is inclusion-minimal

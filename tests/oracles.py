@@ -7,8 +7,10 @@ gets `residual`, `reverse_delete` and `contains` from `inner`'s family.
 
 `ReferenceOracle` answers those three from the stateless queries instead,
 by the loops the package ran before one family answered every query:
-a residual that asks `cores(J)` once per step, reverse delete by one
-`is_covered` probe per edge, and membership by a path through the set.
+a residual that asks `cores(J)` once per step and finds the members J
+leaves uncovered (`alive`) by testing every edge of J against every
+member, reverse delete by one `is_covered` probe per edge, and
+membership by a path through the set.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ class CountingOracle(FamilyOracle):
 
 class StatelessResidual:
     """A residual that keeps J and answers `cores` (kept once read) with
-    the oracle's stateless `cores(J)`, asked only when read.
+    the oracle's stateless `cores(J)`, asked only when read.  `alive`, the
+    mask of the family's members that no edge of J crosses (bit i for
+    member i), is found by brute force when read, with no oracle call.
 
     `add(e)` for an e that crosses no core of J keeps those cores without
     a call: F^{J+e} is a subfamily of F^J that still holds every core of
@@ -53,6 +57,13 @@ class StatelessResidual:
         if self._cores is None:
             self._cores = tuple(self._oracle.cores(self.edges))
         return self._cores
+
+    @property
+    def alive(self) -> int:
+        members = self._oracle._family.members
+        return sum(
+            1 << i for i, s in enumerate(members) if not any(edge_crosses_mask(s.mask, u, v) for u, v in self.edges)
+        )
 
     def add(self, u: int, v: int) -> "StatelessResidual":
         validate_edges(self._oracle.universe_size(), ((u, v),))

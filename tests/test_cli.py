@@ -14,7 +14,7 @@ import pytest
 
 import pliablecover
 import pliablecover.cli as cli
-from pliablecover.gens import instance_rng, random_instance, tight_six
+from pliablecover.gens import instance_rng, random_instance, tight_seven, tight_six
 from pliablecover.jsonio import Instance, instance_from_json, instance_to_json, trace_from_json, trace_to_json
 from pliablecover.setfam import NodeSet, bits
 from pliablecover.smallcuts import beta_bound
@@ -768,6 +768,21 @@ def test_exhaustive_commands_run_on_the_tight_six_instance(tmp_path):
     r = run_cli("analyze", path, "--family-class", "sparse")
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout)["ok"] is True
+
+
+@pytest.mark.parametrize("make", [tight_six, tight_seven])
+def test_exact_and_certify_with_opt_close_on_a_64_leaf_bundle(make, tmp_path):
+    # Every edge is needed, so the optimum is the bundle's total cost, and
+    # the search walks one path of m + 1 nodes to it.
+    b = make(64)
+    path = write(tmp_path, "i.json", instance_to_json(Instance(b.graph, b.family)))
+    total = [b.total_cost.numerator, b.total_cost.denominator]
+    r = run_cli("exact", path)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["opt_cost"] == total
+    r = run_cli("certify", path, "--family-class", "gamma", "--with-opt")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["opt_cost"] == total
 
 
 @pytest.mark.parametrize("cmd", ["solve", "exact", "certify", "analyze", "witness"])

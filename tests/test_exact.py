@@ -3,7 +3,6 @@
 import dataclasses
 import gc
 import random
-import sys
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -22,7 +21,7 @@ from pliablecover.exact import (
     guarantee_factor,
     iteration_load_bound,
 )
-from pliablecover.gens import instance_rng, random_cap_graph, random_instance, tight_seven, tight_six
+from pliablecover.gens import instance_rng, random_cap_graph, random_instance, tight_beta, tight_seven, tight_six
 from pliablecover.jsonio import trace_to_json
 from pliablecover.setfam import (
     ExplicitFamily,
@@ -121,18 +120,34 @@ def _tie_heavy_copies(g: CostedGraph):
     yield CostedGraph(g.n, g.edges[:1] + ((0, g.n - 1, Fraction(0)),) + g.edges[1:])
 
 
-@pytest.mark.parametrize("make,leaves,opt,nodes", [(tight_six, 8, 46, 408), (tight_seven, 16, 110, 608)])
-def test_optimum_of_a_tight_bundle_is_the_runs_cost(monkeypatch, make, leaves, opt, nodes):
-    # Past any edge-count limit (38 and 63 edges), and cheap in nodes.  At
-    # exactly its node count the search finishes; one node less refuses.
-    b = make(leaves)
+@pytest.mark.parametrize(
+    "make,args,edges,opt",
+    [
+        (tight_six, (8,), 38, 46),
+        (tight_seven, (16,), 63, 110),
+        (tight_six, (32,), 158, 190),
+        (tight_seven, (64,), 255, 446),
+        (tight_beta, (16, 4), 78, 94),
+        (tight_beta, (64, 4), 318, 382),
+        (tight_six, (256,), 1278, 1534),
+    ],
+    ids=["six-8", "seven-16", "six-32", "seven-64", "beta-16-4", "beta-64-4", "six-256"],
+)
+def test_optimum_of_a_tight_bundle_closes_in_m_plus_one_nodes(monkeypatch, make, args, edges, opt):
+    # Each edge is the only crosser of some member, so the only cover is
+    # all m edges, at the run's cost, and a child that skips an id has no
+    # cover below it: the search walks one path of m + 1 nodes.  At exactly
+    # that count it finishes; one node less refuses.  The path of
+    # tight_six(256) is longer than Python's default recursion limit of 1000.
+    b = make(*args)
+    assert len(b.graph.edges) == edges
     oracle = ExplicitFamilyOracle(b.family)
     cost = solve(b.graph, oracle).solution_cost(b.graph)
-    monkeypatch.setitem(errors.BUDGETS, "optimum", ("search nodes", nodes))
-    assert brute_force_opt(b.graph, oracle) == (cost, tuple(range(len(b.graph.edges))))
     assert cost == b.total_cost == opt
-    monkeypatch.setitem(errors.BUDGETS, "optimum", ("search nodes", nodes - 1))
-    with pytest.raises(GuardError, match=rf"exhaustive optimum: search nodes = {nodes} > {nodes - 1}$"):
+    monkeypatch.setitem(errors.BUDGETS, "optimum", ("search nodes", edges + 1))
+    assert brute_force_opt(b.graph, oracle) == (cost, tuple(range(edges)))
+    monkeypatch.setitem(errors.BUDGETS, "optimum", ("search nodes", edges))
+    with pytest.raises(GuardError, match=rf"exhaustive optimum: search nodes = {edges + 1} > {edges}$"):
         brute_force_opt(b.graph, oracle)
 
 
@@ -186,16 +201,6 @@ def test_optimum_refuses_overlapping_residual_cores_of_a_classless_family():
     # child (3,4) before its residual is derived: the answer stands.
     g = CostedGraph.build(6, [(3, 4, 2), (1, 5, 3), (0, 2, 1)])
     assert brute_force_opt(g, oracle) == (Fraction(1), (2,))
-
-
-def test_optimum_search_deeper_than_the_recursion_limit_refuses_by_its_budget(monkeypatch):
-    # tight_six(256) has 1278 edges, and its first cover found is all of
-    # them: a path of 1279 nodes, past Python's recursion limit.
-    b = tight_six(256)
-    assert len(b.graph.edges) > sys.getrecursionlimit()
-    monkeypatch.setitem(errors.BUDGETS, "optimum", ("search nodes", 2000))
-    with pytest.raises(GuardError, match=r"exhaustive optimum: search nodes = 2001 > 2000$"):
-        brute_force_opt(b.graph, ExplicitFamilyOracle(b.family))
 
 
 def test_matches_reference_scan_including_tie_breaks():

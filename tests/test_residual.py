@@ -494,7 +494,8 @@ def assert_default_matches_family(g, inner: FamilyOracle) -> None:
     """The same trace through the family's residual and through the
     reference loops, which ask cores once per iteration (and once more at
     the end) and is_covered once per picked edge, as the stateless solver
-    did."""
+    did.  Along the run's additions, both residuals leave the same members
+    alive."""
     wrapped = ReferenceOracle(inner)
     assert canonical_run(g, wrapped) == canonical_run(g, inner)
     try:
@@ -502,6 +503,11 @@ def assert_default_matches_family(g, inner: FamilyOracle) -> None:
     except InfeasibleError:
         return
     assert wrapped.calls == {"cores": len(trace.iterations) + 1, "is_covered": len(trace.iterations)}
+    reference, family = wrapped.residual(), inner.residual()
+    assert reference.alive == family.alive
+    for e in trace.additions():
+        reference, family = reference.add(*g.pair(e)), family.add(*g.pair(e))
+        assert reference.alive == family.alive, e
 
 
 def test_default_residual_matches_the_kernel_on_the_sweep_strata():
